@@ -4,8 +4,10 @@ modular forms over the Hurwitz order."""
 from .exactnum import bernoulli, is_prime, kronecker, ord_p, sigma
 from .fexp import CongCheck, FourierExpansion, cong_mod
 from .forms import (
+    MaassTable,
     build_form,
     eisenstein_h,
+    form_table,
     g_h,
     maass_lift,
     x10,
@@ -15,17 +17,19 @@ from .forms import (
 )
 from .quatlat import QuatCoord, enumerate_dual
 from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star
-from .tmat import TMatrix, enumerate_psd, parse_tmatrix
+from .tmat import TMatrix, box_size, enumerate_psd, parse_tmatrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CongCheck",
     "FourierExpansion",
+    "MaassTable",
     "QSeries",
     "QuatCoord",
     "TMatrix",
     "bernoulli",
+    "box_size",
     "build_form",
     "cong_mod",
     "delta_q",
@@ -34,6 +38,7 @@ __all__ = [
     "enumerate_dual",
     "enumerate_psd",
     "express_in_e4_e6",
+    "form_table",
     "g_h",
     "is_prime",
     "kronecker",

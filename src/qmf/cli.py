@@ -7,9 +7,8 @@ Subcommands:
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error. Rationals are always
-printed exactly (num/den strings), never as floats. Built forms can be
-cached as JSON under --cache DIR (or $QMF_CACHE); a cache hit reproduces
-the computed expansion bit for bit.
+printed exactly (num/den strings), never as floats. coeff evaluates the
+form's one-variable Maass table at the index, so it builds no box.
 """
 
 from __future__ import annotations
@@ -17,14 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import congr
-from .fexp import FourierExpansion
-from .forms import build_form
-from .tmat import enumerate_psd, parse_tmatrix
+from .forms import build_form, form_table
+from .tmat import box_size, enumerate_psd, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
@@ -33,41 +30,10 @@ _DEPTH_WARN = 5
 def _warn_depth(N: int) -> None:
     if N >= _DEPTH_WARN:
         print(
-            f"warning: depth {N} enumerates roughly {52 * N**4 // 2} index "
+            f"warning: depth {N} enumerates {box_size(N)} index "
             "matrices per form; expect long runtimes and large output",
             file=sys.stderr,
         )
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache or os.environ.get("QMF_CACHE")
-
-
-def _load_form(name: str, N: int, cache: str | None) -> FourierExpansion:
-    """Build a named form, round-tripping through the JSON cache if enabled."""
-    key = name.strip().upper()
-    if cache is None:
-        return build_form(key, N)
-    path = os.path.join(cache, f"{key}_N{N}.json")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return FourierExpansion.from_json_entries(
-            data["entries"], data["weight"], data["depth"]
-        )
-    form = build_form(key, N)
-    os.makedirs(cache, exist_ok=True)
-    payload = {
-        "form": key,
-        "weight": form.weight,
-        "depth": form.N,
-        "entries": form.to_json_entries(),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
-    return form
 
 
 def _residue(a: Fraction, modulus: int):
@@ -90,10 +56,7 @@ def _cmd_coeff(args) -> int:
         )
         a = Fraction(0)
     else:
-        N = max(args.depth, T.n, T.m)
-        _warn_depth(N)
-        form = _load_form(args.form, N, _cache_dir(args))
-        a = form.coeff(T)
+        a = form_table(args.form, T.two_det()).coeff(T)
     if args.mod is None:
         print(a)
         return 0
@@ -144,7 +107,7 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     N = args.max
     _warn_depth(N)
-    form = _load_form(args.form, N, _cache_dir(args))
+    form = build_form(args.form, N)
     rows = []
     for T in enumerate_psd(N):
         a = form.coeff(T)
@@ -198,24 +161,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--cache",
-            metavar="DIR",
-            default=None,
-            help="cache built forms as JSON under DIR (default: $QMF_CACHE)",
-        )
-
     p_coeff = sub.add_parser("coeff", help="print one Fourier coefficient")
     p_coeff.add_argument("--form", required=True, help="X10, X12, X14, E<k>H or G<k>H")
     p_coeff.add_argument(
         "--T", required=True, help="index matrix as n,m,a,b,c,d"
     )
     p_coeff.add_argument("--mod", type=int, metavar="M", help="also reduce mod M")
-    p_coeff.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH, help="truncation depth (default 3)"
-    )
-    add_common(p_coeff)
     p_coeff.set_defaults(func=_cmd_coeff)
 
     p_verify = sub.add_parser("verify", help="verify a congruence theorem")
@@ -230,7 +181,6 @@ def _parser() -> argparse.ArgumentParser:
         "--depth", type=int, default=DEFAULT_DEPTH, help="truncation depth (default 3)"
     )
     p_verify.add_argument("--out", metavar="FILE", help="write the JSON verdict here")
-    add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="dump box coefficients of a form")
@@ -243,7 +193,6 @@ def _parser() -> argparse.ArgumentParser:
         "--format", choices=["csv", "json"], default="csv", help="output format"
     )
     p_table.add_argument("--out", metavar="FILE", help="write here instead of stdout")
-    add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
     return parser
 

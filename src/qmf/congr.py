@@ -37,7 +37,7 @@ class Verdict:
 
     theorem: str
     params: dict
-    status: str  # "holds" | "fails" | "skipped"
+    status: str  # "holds" | "fails"
     witnesses: list = field(default_factory=list)
     checked: int = 0
 
@@ -53,6 +53,12 @@ class Verdict:
             "witnesses": self.witnesses,
             "checked": self.checked,
         }
+
+
+def _verdict(theorem: str, params: dict, witnesses: list, checked: int) -> Verdict:
+    """A sweep's Verdict: it holds exactly when no witness was found."""
+    status = "fails" if witnesses else "holds"
+    return Verdict(theorem, params, status, witnesses, checked)
 
 
 def _star_premises(k: int, p: int) -> tuple[Fraction, Fraction]:
@@ -186,13 +192,7 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
                     "detail": extra.status,
                 }
             )
-    return Verdict(
-        theorem="ramanujan-congruence",
-        params=params,
-        status="holds" if not witnesses else "fails",
-        witnesses=witnesses,
-        checked=checked,
-    )
+    return _verdict("ramanujan-congruence", params, witnesses, checked)
 
 
 def verify_ep_minus_one(p: int, N: int) -> Verdict:
@@ -211,12 +211,8 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     witnesses = []
     if not check.ok:
         witnesses.append({"T": str(check.witness), "detail": check.status})
-    return Verdict(
-        theorem="eisenstein-weight-p-minus-one",
-        params={"p": p, "depth": N},
-        status="holds" if check.ok else "fails",
-        witnesses=witnesses,
-        checked=check.checked,
+    return _verdict(
+        "eisenstein-weight-p-minus-one", {"p": p, "depth": N}, witnesses, check.checked
     )
 
 
@@ -228,15 +224,8 @@ def verify_theta_cong(N: int) -> list[Verdict]:
         witnesses = []
         if not check.ok:
             witnesses.append({"T": str(check.witness), "detail": check.status})
-        out.append(
-            Verdict(
-                theorem="theta-congruence",
-                params={"k": k, "p": p, "target": name, "depth": N},
-                status="holds" if check.ok else "fails",
-                witnesses=witnesses,
-                checked=check.checked,
-            )
-        )
+        params = {"k": k, "p": p, "target": name, "depth": N}
+        out.append(_verdict("theta-congruence", params, witnesses, check.checked))
     return out
 
 
@@ -263,13 +252,7 @@ def verify_mod23(N: int) -> Verdict:
                 "detail": corollary.status,
             }
         )
-    return Verdict(
-        theorem="mod23-vanishing",
-        params={"p": 23, "depth": N},
-        status="holds" if not witnesses else "fails",
-        witnesses=witnesses,
-        checked=checked,
-    )
+    return _verdict("mod23-vanishing", {"p": 23, "depth": N}, witnesses, checked)
 
 
 _SIGMA_SWEEP = 500
@@ -302,10 +285,5 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
         checked += 1
         if sigma(half, ell) % p:
             witnesses.append({"ell": ell, "sigma": str(sigma(half, ell))})
-    return Verdict(
-        theorem="eisenstein-nonresidue-vanishing",
-        params={"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP},
-        status="holds" if not witnesses else "fails",
-        witnesses=witnesses,
-        checked=checked,
-    )
+    params = {"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP}
+    return _verdict("eisenstein-nonresidue-vanishing", params, witnesses, checked)

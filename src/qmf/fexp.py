@@ -19,27 +19,21 @@ from math import lcm
 from .exactnum import is_prime, kronecker
 from .quatlat import ZERO_QUAT, QuatCoord
 from .series import QSeries
-from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd, parse_tmatrix
+from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
 
 __all__ = ["CongCheck", "FourierExpansion", "cong_mod"]
 
 
 class FourierExpansion:
-    """Exact Fourier coefficients of a degree-2 form, truncated at depth N.
+    """Exact Fourier coefficients of a degree-2 form, truncated at depth N."""
 
-    theta_image marks expansions produced by the theta operators, which are
-    congruence witnesses rather than modular forms; the flag is metadata and
-    does not participate in equality.
-    """
+    __slots__ = ("weight", "N", "_coeffs")
 
-    __slots__ = ("weight", "N", "theta_image", "_coeffs")
-
-    def __init__(self, weight, N, coeffs, theta_image=False):
+    def __init__(self, weight, N, coeffs):
         if N < 0:
             raise ValueError("FourierExpansion: depth must be >= 0")
         self.weight = int(weight)
         self.N = int(N)
-        self.theta_image = bool(theta_image)
         self._coeffs = {
             T: Fraction(c) for T, c in coeffs.items() if c != 0
         }
@@ -73,10 +67,9 @@ class FourierExpansion:
         )
 
     def __repr__(self) -> str:
-        flag = ", theta_image" if self.theta_image else ""
         return (
             f"<FourierExpansion weight={self.weight} N={self.N} "
-            f"support={len(self._coeffs)}{flag}>"
+            f"support={len(self._coeffs)}>"
         )
 
     def __add__(self, other: "FourierExpansion") -> "FourierExpansion":
@@ -93,9 +86,7 @@ class FourierExpansion:
         for T, c in other._coeffs.items():
             if T.n <= N and T.m <= N:
                 out[T] = out.get(T, Fraction(0)) + c
-        return FourierExpansion(
-            self.weight, N, out, self.theta_image or other.theta_image
-        )
+        return FourierExpansion(self.weight, N, out)
 
     def __sub__(self, other: "FourierExpansion") -> "FourierExpansion":
         return self + other.scale(-1)
@@ -103,10 +94,7 @@ class FourierExpansion:
     def scale(self, c) -> "FourierExpansion":
         c = Fraction(c)
         return FourierExpansion(
-            self.weight,
-            self.N,
-            {T: c * v for T, v in self._coeffs.items()},
-            self.theta_image,
+            self.weight, self.N, {T: c * v for T, v in self._coeffs.items()}
         )
 
     def __mul__(self, other):
@@ -136,12 +124,7 @@ class FourierExpansion:
             for tk, v in tacc.items():
                 if v:
                     out[TMatrix(n, m, QuatCoord._make(tk))] = Fraction(v, den)
-        return FourierExpansion(
-            self.weight + other.weight,
-            N,
-            out,
-            self.theta_image or other.theta_image,
-        )
+        return FourierExpansion(self.weight + other.weight, N, out)
 
     __rmul__ = __mul__
 
@@ -162,7 +145,7 @@ class FourierExpansion:
             td = T.two_det()
             if td:
                 out[T] = c * td
-        return FourierExpansion(self.weight, self.N, out, theta_image=True)
+        return FourierExpansion(self.weight, self.N, out)
 
     def theta_chi(self, D: int) -> "FourierExpansion":
         """Twisted theta: multiply a(T) by two_det(T) * kronecker(D, two_det(T))."""
@@ -172,35 +155,7 @@ class FourierExpansion:
             factor = td * kronecker(D, td)
             if factor:
                 out[T] = c * factor
-        return FourierExpansion(self.weight, self.N, out, theta_image=True)
-
-    def to_json_entries(self) -> list[dict]:
-        """Support coefficients in enumeration order, rationals as strings."""
-        return [
-            {
-                "T": str(T),
-                "coeff": {"num": str(c.numerator), "den": str(c.denominator)},
-            }
-            for T, c in self.items()
-        ]
-
-    @classmethod
-    def from_json_entries(
-        cls, entries, weight: int, N: int, theta_image: bool = False
-    ) -> "FourierExpansion":
-        coeffs: dict[TMatrix, Fraction] = {}
-        for entry in entries:
-            T = parse_tmatrix(entry["T"])
-            if not T.is_psd():
-                raise ValueError(f"index matrix {T} is not psd")
-            if T.n > N or T.m > N:
-                raise ValueError(f"index matrix {T} outside depth-{N} box")
-            if T in coeffs:
-                raise ValueError(f"duplicate index matrix {T}")
-            coeffs[T] = Fraction(
-                int(entry["coeff"]["num"]), int(entry["coeff"]["den"])
-            )
-        return cls(weight, N, coeffs, theta_image)
+        return FourierExpansion(self.weight, self.N, out)
 
 
 def _int_blocks(coeffs):

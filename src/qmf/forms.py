@@ -1,27 +1,37 @@
 """The named degree-2 forms over the Hurwitz order.
 
-Eisenstein series are built directly from their singular series: the
-coefficient at T != 0 is sum_{d | eps(T)} d^(k-1) * astar(two_det(T)/d^2),
-where eps is the content of T. The distinguished cusp forms in weights 10,
-12 and 14 are exact rational combinations of Eisenstein series, normalized
-so their coefficient at T_0 = (1, 1, (1, 1, 0, 0)) equals 1.
+Every named form (E<k>H, G<k>H, X10, X12, X14) lies in the Maass space, so
+it is fixed by one-variable data: its Siegel restriction phi0 and its first
+Fourier-Jacobi row R. The coefficient at T != 0 is
+sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
+(Eichler-Zagier, The Theory of Jacobi Forms; Krieg on the Maass space for
+quaternionic modular forms of degree 2). Eisenstein series have closed-form
+tables; the cusp forms in weights 10, 12 and 14 are exact rational
+combinations of products of them, normalized so their coefficient at
+T_0 = (1, 1, (1, 1, 0, 0)) equals 1, and their tables come from the
+one-variable product rule of MaassTable. The degree-2 box product is used
+only by monomial_h, which build_chi needs in weights where a product need
+not lie in the Maass space.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .exactnum import bernoulli, divisors, sigma
 from .fexp import FourierExpansion
-from .series import tau_star
+from .series import QSeries, eisenstein_q
 from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
 
 __all__ = [
+    "MaassTable",
     "build_form",
     "eisenstein_h",
+    "eisenstein_table",
+    "form_table",
     "g_constant",
     "g_h",
     "maass_lift",
@@ -38,62 +48,90 @@ def _check_weight(k: int) -> None:
         raise ValueError(f"weight must be even and >= 4, got {k}")
 
 
-def maass_lift(
-    astar: Callable[[int], Fraction],
-    k: int,
-    N: int,
-    constant=Fraction(0),
-) -> FourierExpansion:
-    """Expansion with a(T) = sum_{d | eps(T)} d^(k-1) astar(two_det(T)/d^2).
+@dataclass(frozen=True)
+class MaassTable:
+    """One-variable data of a form, exact up to a bound L.
 
-    astar must be defined for all integers 0 <= l <= 2*N^2. The formula says
-    nothing about T = 0, so the constant term is a separate argument.
+    phi0 is the Siegel restriction, phi0[j] = a((j, 0, 0)) for j <= L // 2;
+    its constant term is the form's. R is the first Fourier-Jacobi row,
+    R[l] = a((1, m, t)) at l = 2m - norm(t)/2, for 0 <= l <= L. Sums,
+    scalar multiples and products of tables are the tables of the sums,
+    multiples and products of the forms. coeff reads the Maass lift of the
+    table, which is the form itself only when the form lies in the Maass
+    space: every named form does, but E4^3, say, does not.
     """
-    _check_weight(k)
-    memo: dict[int, Fraction] = {}
 
-    def a_of(ell: int) -> Fraction:
-        v = memo.get(ell)
-        if v is None:
-            v = memo[ell] = Fraction(astar(ell))
-        return v
+    phi0: QSeries
+    R: tuple[Fraction, ...]
 
-    coeffs: dict[TMatrix, Fraction] = {}
-    for T in enumerate_psd(N):
+    @property
+    def weight(self) -> int:
+        return self.phi0.weight
+
+    def __add__(self, other: "MaassTable") -> "MaassTable":
+        return MaassTable(
+            self.phi0 + other.phi0, tuple(a + b for a, b in zip(self.R, other.R))
+        )
+
+    def __sub__(self, other: "MaassTable") -> "MaassTable":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "MaassTable":
+        c = Fraction(c)
+        return MaassTable(self.phi0.scale(c), tuple(c * a for a in self.R))
+
+    def __mul__(self, other: "MaassTable") -> "MaassTable":
+        """The n1 + n2 = 1 part of the box convolution: (1, m, t) splits only
+        as (0, j, 0) + (1, m - j, t) or the reverse, so
+        R_fg(l) = sum_j phi0_f(j) R_g(l - 2j) + R_f(l - 2j) phi0_g(j)."""
+        f0, g0 = self.phi0.coeffs, other.phi0.coeffs
+        Rf, Rg = self.R, other.R
+        L = min(len(Rf), len(Rg)) - 1
+        R = tuple(
+            sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
+            for l in range(L + 1)
+        )
+        return MaassTable(self.phi0 * other.phi0, R)
+
+    def coeff(self, T: TMatrix) -> Fraction:
+        """Coefficient of the Maass lift at T (0 when T is not psd); needs
+        two_det(T) <= L."""
         if T == ZERO_TMATRIX:
-            v = Fraction(constant)
-        else:
-            td = T.two_det()
-            v = sum(
-                d ** (k - 1) * a_of(td // (d * d)) for d in divisors(T.epsilon())
-            )
-        if v:
-            coeffs[T] = v
-    return FourierExpansion(k, N, coeffs)
+            return self.phi0.coeffs[0]
+        if not T.is_psd():
+            return Fraction(0)
+        td = T.two_det()
+        k1 = self.weight - 1
+        return sum(d**k1 * self.R[td // (d * d)] for d in divisors(T.epsilon()))
 
 
-def _eis_astar(k: int) -> Callable[[int], Fraction]:
+def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
+    """The Maass lift of table on the depth-N box; needs L >= 2*N^2."""
+    _check_weight(table.weight)
+    if len(table.R) <= 2 * N * N:
+        raise ValueError(
+            f"table reaches l = {len(table.R) - 1}; depth {N} needs l = {2 * N * N}"
+        )
+    return FourierExpansion(
+        table.weight, N, {T: table.coeff(T) for T in enumerate_psd(N)}
+    )
+
+
+@lru_cache(maxsize=None)
+def eisenstein_table(k: int, L: int) -> MaassTable:
+    """Closed-form table of the weight-k Eisenstein series, constant term 1:
+    R(0) = -2k/B_k and R(l) = c * (sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4))."""
+    _check_weight(k)
     c0 = Fraction(-2 * k) / bernoulli(k)
     cpos = Fraction(-4 * k * (k - 2)) / (
         (2 ** (k - 2) - 1) * bernoulli(k) * bernoulli(k - 2)
     )
     twist = 2 ** (k - 2)
-
-    def astar(ell: int) -> Fraction:
-        if ell == 0:
-            return c0
-        return cpos * (
-            sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4))
-        )
-
-    return astar
-
-
-@lru_cache(maxsize=None)
-def eisenstein_h(k: int, N: int) -> FourierExpansion:
-    """The weight-k Eisenstein series, constant term 1."""
-    _check_weight(k)
-    return maass_lift(_eis_astar(k), k, N, constant=Fraction(1))
+    R = (c0,) + tuple(
+        cpos * (sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4)))
+        for ell in range(1, L + 1)
+    )
+    return MaassTable(eisenstein_q(k, L // 2), R)
 
 
 def g_constant(k: int) -> Fraction:
@@ -106,18 +144,52 @@ def g_constant(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _g_table(k: int, L: int) -> MaassTable:
+    return eisenstein_table(k, L).scale(g_constant(k))
+
+
+@lru_cache(maxsize=None)
+def _x10_table(L: int) -> MaassTable:
+    e = eisenstein_table
+    return (e(4, L) * e(6, L) - e(10, L)).scale(Fraction(17, 161280))
+
+
+@lru_cache(maxsize=None)
+def _x12_table(L: int) -> MaassTable:
+    e4, e6 = eisenstein_table(4, L), eisenstein_table(6, L)
+    comb = (
+        (e4 * e4 * e4).scale(Fraction(441, 691))
+        + (e6 * e6).scale(Fraction(250, 691))
+        - eisenstein_table(12, L)
+    )
+    return comb.scale(Fraction(21421, 203212800))
+
+
+@lru_cache(maxsize=None)
+def _x14_table(L: int) -> MaassTable:
+    return eisenstein_table(4, L) * _x10_table(L)
+
+
+@lru_cache(maxsize=None)
+def eisenstein_h(k: int, N: int) -> FourierExpansion:
+    """The weight-k Eisenstein series, constant term 1."""
+    return maass_lift(eisenstein_table(k, 2 * N * N), N)
+
+
+@lru_cache(maxsize=None)
 def g_h(k: int, N: int) -> FourierExpansion:
     """The renormalized Eisenstein series g_constant(k) * eisenstein_h(k, N).
 
     Its coefficient at any T with eps(T) = 1 and two_det(T) = l > 0 is the
     integer sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
-    return eisenstein_h(k, N).scale(g_constant(k))
+    return maass_lift(_g_table(k, 2 * N * N), N)
 
 
 @lru_cache(maxsize=None)
 def monomial_h(a: int, b: int, N: int) -> FourierExpansion:
     """Product of a copies of the weight-4 and b copies of the weight-6
-    Eisenstein series (the weight-(4a+6b) monomial basis of chi builds)."""
+    Eisenstein series by the box product (the weight-(4a+6b) monomial basis
+    of chi builds)."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be >= 0")
     if a:
@@ -129,54 +201,49 @@ def monomial_h(a: int, b: int, N: int) -> FourierExpansion:
 
 @lru_cache(maxsize=None)
 def x10(N: int) -> FourierExpansion:
-    """Weight-10 cusp form, coefficient 1 at T_0 = (1, 1, (1, 1, 0, 0))."""
-    diff = monomial_h(1, 1, N) - eisenstein_h(10, N)
-    return diff.scale(Fraction(17, 161280))
+    """Weight-10 cusp form (E4 E6 - E10) * 17/161280, coefficient 1 at T_0."""
+    return maass_lift(_x10_table(2 * N * N), N)
 
 
 @lru_cache(maxsize=None)
 def x12(N: int) -> FourierExpansion:
-    """Weight-12 cusp form, coefficient 1 at T_0."""
-    comb = (
-        monomial_h(3, 0, N).scale(Fraction(441, 691))
-        + monomial_h(0, 2, N).scale(Fraction(250, 691))
-        - eisenstein_h(12, N)
-    )
-    return comb.scale(Fraction(21421, 203212800))
+    """Weight-12 cusp form (441/691 E4^3 + 250/691 E6^2 - E12) *
+    21421/203212800, coefficient 1 at T_0."""
+    return maass_lift(_x12_table(2 * N * N), N)
 
 
 @lru_cache(maxsize=None)
 def x14(N: int) -> FourierExpansion:
     """Weight-14 cusp form: the weight-4 Eisenstein series times x10."""
-    return eisenstein_h(4, N) * x10(N)
+    return maass_lift(_x14_table(2 * N * N), N)
 
 
-def x14_closed(T: TMatrix) -> int:
-    """Closed form for the weight-14 cusp coefficient at a rank-2 index:
-    sum_{d | eps(T)} d^13 tau_star(two_det(T)/d^2)."""
+def x14_closed(T: TMatrix) -> Fraction:
+    """The weight-14 cusp coefficient at a rank-2 index, read off the X14
+    table alone: sum_{d | eps(T)} d^13 R(two_det(T)/d^2), R = tau_star."""
     if T.rank() != 2:
         raise ValueError(f"closed form needs rank 2, got {T}")
-    td = T.two_det()
-    return sum(d**13 * tau_star(td // (d * d)) for d in divisors(T.epsilon()))
+    return _x14_table(T.two_det()).coeff(T)
 
 
 _FORM_RE = re.compile(r"([EG])(\d+)H", re.IGNORECASE)
+_CUSP_TABLES = {"X10": _x10_table, "X12": _x12_table, "X14": _x14_table}
+
+
+def form_table(name: str, L: int) -> MaassTable:
+    """Table up to l = L of a named form: X10, X12, X14, E<k>H or G<k>H."""
+    key = name.strip().upper()
+    if key in _CUSP_TABLES:
+        return _CUSP_TABLES[key](L)
+    m = _FORM_RE.fullmatch(key)
+    if m:
+        k = int(m.group(2))
+        return eisenstein_table(k, L) if m.group(1) == "E" else _g_table(k, L)
+    raise ValueError(
+        f"unknown form {name!r}: expected X10, X12, X14, E<k>H or G<k>H"
+    )
 
 
 def build_form(name: str, N: int) -> FourierExpansion:
     """Build a named form at depth N: X10, X12, X14, E<k>H or G<k>H."""
-    key = name.strip().upper()
-    if key == "X10":
-        return x10(N)
-    if key == "X12":
-        return x12(N)
-    if key == "X14":
-        return x14(N)
-    m = _FORM_RE.fullmatch(key)
-    if m:
-        k = int(m.group(2))
-        _check_weight(k)
-        return eisenstein_h(k, N) if m.group(1) == "E" else g_h(k, N)
-    raise ValueError(
-        f"unknown form {name!r}: expected X10, X12, X14, E<k>H or G<k>H"
-    )
+    return maass_lift(form_table(name, 2 * N * N), N)

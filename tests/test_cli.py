@@ -1,11 +1,17 @@
 """End-to-end CLI tests driving qmf.cli.main in process."""
 
+import argparse
 import csv
 import io
 import json
-import os
 
+import pytest
+
+from qmf import cli, fexp, forms, tmat
 from qmf.cli import main
+from qmf.forms import build_form
+from qmf.series import tau_star
+from qmf.tmat import enumerate_psd
 
 T0 = "1,1,1,1,0,0"
 I2 = "1,1,0,0,0,0"
@@ -39,10 +45,39 @@ def test_coeff_cusp_vanishes_at_zero(capsys):
 
 
 def test_coeff_auto_deepens_past_depth(capsys):
-    # m = 4 exceeds the default depth 3; the box grows to fit the index
+    # m = 4 lies outside the default depth-3 box, which coeff never builds
     code, out, err = run(capsys, ["coeff", "--form", "E4H", "--T", "1,4,0,0,0,0"])
     assert code == 0
-    assert int(out) != 0
+    assert out == "5760\n"  # 1920 * (sigma_1(8) - 4 sigma_1(2)) at two_det 8
+
+
+COEFF_FORMS = ("X10", "X12", "X14", "E4H", "E6H", "G10H", "G12H", "G16H")
+
+
+@pytest.mark.parametrize("name", COEFF_FORMS)
+def test_coeff_matches_lifted_box(capsys, name):
+    box = build_form(name, 3)
+    capsys.readouterr()
+    for T in enumerate_psd(3):
+        cli._cmd_coeff(argparse.Namespace(form=name, T=str(T), mod=None))
+    out = capsys.readouterr().out
+    assert out == "".join(f"{box.coeff(T)}\n" for T in enumerate_psd(3))
+
+
+def test_coeff_deep_index_builds_no_box(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coeff must not build a box or multiply expansions")
+
+    for module in (cli, fexp, forms, tmat):
+        monkeypatch.setattr(module, "enumerate_psd", refuse, raising=False)
+    monkeypatch.setattr(fexp.FourierExpansion, "__mul__", refuse)
+    # content 2, two_det 124
+    expected = tau_star(124) + 2**13 * tau_star(31)
+    code, out, err = run(capsys, ["coeff", "--form", "X14", "--T", "8,8,2,2,0,0"])
+    assert (code, out) == (0, f"{expected}\n")
+    for name in COEFF_FORMS:
+        code, out, err = run(capsys, ["coeff", "--form", name, "--T", "8,8,2,2,0,0"])
+        assert code == 0 and err == ""
 
 
 def test_coeff_not_psd_warns_and_prints_zero(capsys):
@@ -216,58 +251,24 @@ def test_table_out_file(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == direct
 
 
-def test_cache_roundtrip(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["coeff", "--form", "G10H", "--T", I2, "--depth", "2"]
-    code1, out1, _ = run(capsys, argv + ["--cache", str(cache)])
-    assert code1 == 0
-    assert (cache / "G10H_N2.json").exists()
-    # second run reads the cache and reproduces the answer bit for bit
-    code2, out2, _ = run(capsys, argv + ["--cache", str(cache)])
-    assert (code2, out2) == (code1, out1)
-    # and matches the uncached computation
-    code3, out3, _ = run(capsys, argv)
-    assert (code3, out3) == (code1, out1)
-
-
-def test_cache_payload_shape(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    run(capsys, ["table", "--form", "X10", "--max", "1", "--cache", str(cache)])
-    payload = json.loads((cache / "X10_N1.json").read_text(encoding="utf-8"))
-    assert payload["form"] == "X10"
-    assert payload["weight"] == 10
-    assert payload["depth"] == 1
-    by_T = {e["T"]: e for e in payload["entries"]}
-    assert by_T["1,1,1,1,0,0"]["coeff"] == {"num": "1", "den": "1"}
-
-
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
+    # QMF_CACHE from older releases is ignored: nothing is read or written
     cache = tmp_path / "envcache"
     monkeypatch.setenv("QMF_CACHE", str(cache))
-    code, out, _ = run(capsys, ["coeff", "--form", "X12", "--T", I2, "--depth", "2"])
-    assert code == 0
-    assert out == "48\n"
-    assert (cache / "X12_N2.json").exists()
-
-
-def test_cache_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QMF_CACHE", str(tmp_path / "ignored"))
-    cache = tmp_path / "explicit"
-    run(
-        capsys,
-        ["coeff", "--form", "X10", "--T", I2, "--depth", "1", "--cache", str(cache)],
-    )
-    assert (cache / "X10_N1.json").exists()
-    assert not (tmp_path / "ignored").exists()
+    code, out, _ = run(capsys, ["coeff", "--form", "X12", "--T", I2])
+    assert (code, out) == (0, "48\n")
+    run(capsys, ["table", "--form", "X10", "--max", "1"])
+    assert not cache.exists()
+    assert main(["table", "--form", "X10", "--max", "1", "--cache", str(cache)]) == 2
 
 
 def test_deep_box_warning(capsys):
-    code, out, err = run(
-        capsys, ["coeff", "--form", "E4H", "--T", "0,0,0,0,0,0", "--depth", "5"]
-    )
-    assert code == 0
-    assert out == "1\n"
-    assert "warning: depth 5" in err
+    # the warning comes before any work; 2k-5 = 27 then fails the precondition
+    code, out, err = run(capsys, ["verify", "congeis", "--k", "16", "--depth", "5"])
+    assert code == 2
+    assert "warning: depth 5 enumerates 121188 index matrices" in err
+    code, out, err = run(capsys, ["verify", "congeis", "--k", "16", "--depth", "4"])
+    assert "warning" not in err
 
 
 def test_no_command_exit2(capsys):

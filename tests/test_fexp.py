@@ -45,7 +45,6 @@ def restrict(f, N):
         f.weight,
         N,
         {T: c for T, c in f.items() if T.n <= N and T.m <= N},
-        f.theta_image,
     )
 
 
@@ -131,7 +130,6 @@ def test_siegel_phi_is_ring_map():
 def test_theta():
     g4 = g_h(4, 2)
     th = g4.theta()
-    assert th.theta_image
     assert th.weight == 4
     assert th.coeff(T0) == 1
     assert th.coeff(parse_tmatrix("1,1,0,0,0,0")) == 6
@@ -144,7 +142,6 @@ def test_theta():
 def test_theta_chi():
     X = x12(2)
     th = X.theta_chi(-23)
-    assert th.theta_image
     for T in enumerate_psd(2):
         td = T.two_det()
         assert th.coeff(T) == X.coeff(T) * td * kronecker(-23, td)
@@ -153,52 +150,6 @@ def test_theta_chi():
     T5 = parse_tmatrix("1,3,1,1,0,0")
     X3 = x12(3)
     assert X3.theta_chi(-23).coeff(T5) == -5 * X3.coeff(T5)
-
-
-def test_equality_ignores_theta_flag():
-    X = x10(2)
-    marked = FourierExpansion(10, 2, dict(X.items()), theta_image=True)
-    assert marked == X
-    assert marked.theta_image and not X.theta_image
-
-
-def test_flag_propagation():
-    X = x10(2)
-    th = X.theta()
-    assert (th + th.scale(2)).theta_image
-    assert (th * eisenstein_h(4, 2)).theta_image
-    assert not (X + X).theta_image
-
-
-def test_json_round_trip():
-    X = x10(2)
-    entries = X.to_json_entries()
-    assert entries == sorted(entries, key=lambda e: parse_tmatrix(e["T"]))
-    assert all(
-        isinstance(e["coeff"]["num"], str) and isinstance(e["coeff"]["den"], str)
-        for e in entries
-    )
-    back = FourierExpansion.from_json_entries(entries, 10, 2)
-    assert back == X
-    e4 = eisenstein_h(4, 1)
-    back4 = FourierExpansion.from_json_entries(e4.to_json_entries(), 4, 1)
-    assert back4 == e4
-
-
-def test_from_json_entries_validation():
-    good = {"T": "1,1,1,1,0,0", "coeff": {"num": "3", "den": "2"}}
-    f = FourierExpansion.from_json_entries([good], 10, 1)
-    assert f.coeff(T0) == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        FourierExpansion.from_json_entries(
-            [{"T": "1,1,2,2,0,0", "coeff": {"num": "1", "den": "1"}}], 10, 1
-        )  # not psd
-    with pytest.raises(ValueError):
-        FourierExpansion.from_json_entries(
-            [{"T": "2,1,0,0,0,0", "coeff": {"num": "1", "den": "1"}}], 10, 1
-        )  # outside box
-    with pytest.raises(ValueError):
-        FourierExpansion.from_json_entries([good, good], 10, 1)  # duplicate
 
 
 def test_cong_mod_holds_and_fails():

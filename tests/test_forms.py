@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from box_oracle import RING, ring_x14
 from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
+    MaassTable,
     build_form,
     eisenstein_h,
+    eisenstein_table,
+    form_table,
     g_constant,
     g_h,
     maass_lift,
@@ -18,7 +22,7 @@ from qmf.forms import (
     x14,
     x14_closed,
 )
-from qmf.series import eisenstein_q, tau_star
+from qmf.series import QSeries, eisenstein_q, tau_star
 from qmf.tmat import ZERO_TMATRIX, enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -93,6 +97,7 @@ def test_g_h_primitive_coefficients_are_divisor_sums():
 
 def test_maass_lift_reproduces_eisenstein():
     # the same singular series, rebuilt here from first principles
+    N = 2
     for k in (4, 6, 10):
         c0 = Fraction(-2 * k) / bernoulli(k)
         cpos = Fraction(-4 * k * (k - 2)) / (
@@ -106,14 +111,58 @@ def test_maass_lift_reproduces_eisenstein():
                 sigma(k - 3, ell) - 2 ** (k - 2) * sigma(k - 3, Fraction(ell, 4))
             )
 
-        assert maass_lift(astar, k, 2, constant=1) == eisenstein_h(k, 2)
+        table = MaassTable(
+            eisenstein_q(k, N * N), tuple(astar(ell) for ell in range(2 * N * N + 1))
+        )
+        assert maass_lift(table, N) == eisenstein_h(k, N)
 
 
 def test_maass_lift_tau_star_is_x14():
     # the weight-14 cusp form is the lift of the twisted tau series
-    lift = maass_lift(lambda ell: Fraction(tau_star(ell)), 14, 2, constant=0)
-    assert lift == x14(2)
+    N = 2
+    zero = QSeries(14, (0,) * (N * N + 1))
+    R = tuple(Fraction(tau_star(ell)) for ell in range(2 * N * N + 1))
+    table = MaassTable(zero, R)
+    assert maass_lift(table, N) == ring_x14(N)
 
+
+def test_maass_lift_rejects_short_table():
+    with pytest.raises(ValueError):
+        maass_lift(eisenstein_table(4, 7), 2)
+
+
+def test_x14_table_is_tau_star():
+    R = form_table("X14", 200).R
+    assert R == tuple(tau_star(ell) for ell in range(201))
+
+
+@pytest.mark.parametrize(
+    "name, N", [("X10", 3), ("X12", 3), ("X14", 3), ("X10", 4), ("X14", 4)]
+)
+def test_build_form_matches_box_product(name, N):
+    assert build_form(name, N) == RING[name](N)
+
+
+def test_named_forms_use_no_box_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("named forms must not multiply expansions")
+
+    monkeypatch.setattr(FourierExpansion, "__mul__", refuse)
+    for name in ("X10", "X12", "X14", "E4H", "G10H", "G16H"):
+        assert build_form(name, 2).coeff(T0) == form_table(name, 2).coeff(T0)
+
+
+def test_table_product_matches_box_product_restriction():
+    # phi0 and the first Fourier-Jacobi row of a product that is not a Maass
+    # lift (E4^3 lies outside the weight-12 Maass space) still multiply
+    N = 3
+    e4 = eisenstein_table(4, 2 * N * N)
+    cube = e4 * e4 * e4
+    box = monomial_h(3, 0, N)
+    assert cube.phi0.truncate(N) == box.siegel_phi()
+    for T in enumerate_psd(N):
+        if T.n == 1:
+            assert box.coeff(T) == cube.R[T.two_det()]
 
 def test_cusp_forms_normalized_cuspidal_integral():
     for builder in (x10, x12, x14):
@@ -145,7 +194,7 @@ def test_x14_closed_form():
 
 
 def test_x14_ring_equals_closed_form_depth2():
-    X = x14(2)
+    X = ring_x14(2)
     for T in enumerate_psd(2):
         if T.two_det() > 0:
             assert X.coeff(T) == x14_closed(T)

@@ -1,0 +1,114 @@
+"""Golden CLI digests: stdout of a fixed set of commands must stay byte-identical.
+
+tests/golden_cli.json maps each command line to its exit code and the sha256
+of its stdout. The digests were recorded before the named forms moved to
+Maass tables, so these tests pin that refactors keep every printed byte.
+
+Re-record (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from qmf.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+FORMS = (
+    "X10", "X12", "X14",
+    "E4H", "E6H", "E10H", "E12H",
+    "G4H", "G6H", "G10H", "G12H", "G14H", "G16H",
+)
+INDICES = (
+    "0,0,0,0,0,0",  # rank 0
+    "2,0,0,0,0,0",  # rank 1
+    "0,3,0,0,0,0",
+    "1,1,1,1,1,1",
+    "2,2,2,2,2,2",
+    "1,1,1,1,0,0",  # rank 2
+    "1,1,0,0,0,0",
+    "2,2,2,2,0,0",
+    "2,3,1,1,1,1",
+    "3,3,3,3,0,0",
+    "3,3,0,0,0,0",
+    "1,4,1,-1,0,0",
+    "4,4,2,2,2,2",
+)
+MODULI = ("23", "691")
+
+
+def _coeff_commands():
+    for form in FORMS:
+        for i, T in enumerate(INDICES):
+            yield ["coeff", "--form", form, "--T", T]
+            yield ["coeff", "--form", form, "--T", T, "--mod", MODULI[i % 2]]
+
+
+def _table_commands():
+    for form in ("X10", "X12", "X14", "G12H"):
+        for depth in ("2", "3"):
+            yield ["table", "--form", form, "--max", depth]
+            yield ["table", "--form", form, "--max", depth, "--format", "json"]
+    yield ["table", "--form", "G12H", "--max", "3", "--mod", "691"]
+    yield ["table", "--form", "G12H", "--max", "3", "--format", "json", "--mod", "691"]
+    yield ["table", "--form", "X10", "--max", "3", "--mod", "17"]
+
+
+def _verify_commands():
+    yield ["verify", "theta", "--depth", "3"]
+    yield ["verify", "mod23", "--depth", "3"]
+    for p in ("5", "7", "11", "13"):
+        yield ["verify", "ep1", "--p", p, "--depth", "3"]
+    for k in ("6", "12", "14"):
+        yield ["verify", "congeis", "--k", k, "--depth", "3"]
+    yield ["verify", "ramanujan", "--k", "10", "--p", "17", "--depth", "3"]
+    yield ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "3"]
+    yield ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "2"]
+
+
+KINDS = {
+    "coeff": _coeff_commands,
+    "table": _table_commands,
+    "verify": _verify_commands,
+}
+
+
+def digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+def _check(kind):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[kind]
+    commands = [" ".join(argv) for argv in KINDS[kind]()]
+    assert commands == list(golden)
+    changed = [cmd for cmd in commands if digest(cmd.split(" ")) != golden[cmd]]
+    assert changed == []
+
+
+def test_golden_coeff():
+    _check("coeff")
+
+
+def test_golden_table():
+    _check("table")
+
+
+def test_golden_verify():
+    _check("verify")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record = {
+        kind: {" ".join(argv): digest(argv) for argv in commands()}
+        for kind, commands in KINDS.items()
+    }
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual
-from qmf.tmat import TMatrix, ZERO_TMATRIX, enumerate_psd, parse_tmatrix
+from qmf.tmat import TMatrix, ZERO_TMATRIX, box_size, enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -163,6 +163,14 @@ def test_enumerate_psd_counts_frozen():
     # the (1,1) block alone: zero vector, 24 of norm 2, 24 of norm 4
     block = [T for T in enumerate_psd(1) if T.n == 1 and T.m == 1]
     assert len(block) == 49
+
+
+def test_box_size_counts_without_enumerating():
+    for N in range(5):
+        assert box_size(N) == len(enumerate_psd(N))
+    assert [box_size(N) for N in range(5, 9)] == [121188, 329905, 780304, 1650105]
+    with pytest.raises(ValueError):
+        box_size(-1)
 
 
 def test_enumerate_psd_complete_and_ordered():
