@@ -3,18 +3,7 @@ modular forms over the Hurwitz order."""
 
 from .exactnum import bernoulli, is_prime, kronecker, ord_p, sigma
 from .fexp import CongCheck, FourierExpansion, cong_mod
-from .forms import (
-    MaassTable,
-    build_form,
-    eisenstein_h,
-    form_table,
-    g_h,
-    maass_lift,
-    x10,
-    x12,
-    x14,
-    x14_closed,
-)
+from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
 from .quatlat import QuatCoord, enumerate_dual
 from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star
 from .tmat import TMatrix, box_size, enumerate_psd, parse_tmatrix
@@ -33,13 +22,11 @@ __all__ = [
     "build_form",
     "cong_mod",
     "delta_q",
-    "eisenstein_h",
     "eisenstein_q",
     "enumerate_dual",
     "enumerate_psd",
     "express_in_e4_e6",
     "form_table",
-    "g_h",
     "is_prime",
     "kronecker",
     "maass_lift",
@@ -48,8 +35,5 @@ __all__ = [
     "sigma",
     "tau",
     "tau_star",
-    "x10",
-    "x12",
-    "x14",
     "x14_closed",
 ]

@@ -7,20 +7,20 @@ Subcommands:
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error. Rationals are always
-printed exactly (num/den strings), never as floats. coeff evaluates the
-form's one-variable Maass table at the index, so it builds no box.
+printed exactly (num/den strings), never as floats. coeff and table
+evaluate the form's one-variable Maass table index by index, so neither
+builds a lifted expansion.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
 
 from . import congr
-from .forms import build_form, form_table
+from .forms import form_table
 from .tmat import box_size, enumerate_psd, parse_tmatrix
 
 DEFAULT_DEPTH = 3
@@ -104,50 +104,51 @@ def _cmd_verify(args) -> int:
     return 0 if all(v.ok for v in verdicts) else 1
 
 
+# One entry of json.dumps(entries, indent=2); the fields are JSON strings.
+_JSON_ENTRY = (
+    '  {{\n    "T": {},\n    "coeff": {{\n'
+    '      "num": {},\n      "den": {}\n    }}{}\n  }}'
+)
+
+
 def _cmd_table(args) -> int:
+    """Render every row into one buffer; write it only once all rows are
+    known, so a failing --mod prints nothing and creates no --out file."""
     N = args.max
     _warn_depth(N)
-    form = build_form(args.form, N)
-    rows = []
+    a = form_table(args.form, 2 * N * N).coeff
+    as_csv = args.format == "csv"
+    if as_csv:
+        head = "T,num,den,residue\n" if args.mod is not None else "T,num,den\n"
+        sep = tail = ""
+    else:
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    dumps = json.dumps
+    parts = [head]
     for T in enumerate_psd(N):
-        a = form.coeff(T)
-        row = {
-            "T": str(T),
-            "num": str(a.numerator),
-            "den": str(a.denominator),
-        }
+        c = a(T)
+        idx, num, den = str(T), str(c.numerator), str(c.denominator)
+        residue = ""
         if args.mod is not None:
-            r = _residue(a, args.mod)
+            r = _residue(c, args.mod)
             if r is None:
                 print(
                     f"error: coefficient at {T} is not integral mod {args.mod}",
                     file=sys.stderr,
                 )
                 return 1
-            row["residue"] = str(r)
-        rows.append(row)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.format == "csv":
-            writer = csv.DictWriter(
-                out, fieldnames=list(rows[0]), lineterminator="\n"
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+            residue = f",{r}" if as_csv else f',\n    "residue": {dumps(str(r))}'
+        if as_csv:
+            parts.append(f'"{idx}",{num},{den}{residue}\n')
         else:
-            entries = []
-            for row in rows:
-                entry = {
-                    "T": row["T"],
-                    "coeff": {"num": row["num"], "den": row["den"]},
-                }
-                if "residue" in row:
-                    entry["residue"] = row["residue"]
-                entries.append(entry)
-            out.write(json.dumps(entries, indent=2) + "\n")
-    finally:
-        if args.out:
-            out.close()
+            parts.append(_JSON_ENTRY.format(dumps(idx), dumps(num), dumps(den), residue))
+        parts.append(sep)
+    parts[-1] = tail
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    else:
+        sys.stdout.writelines(parts)
     return 0
 
 

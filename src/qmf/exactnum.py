@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, inf
+from math import comb, gcd, inf
 
 __all__ = [
     "bernoulli",
@@ -152,22 +152,64 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_LIMIT = 1000
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0 by trial division, as {prime: exponent}."""
+    """Prime factorization of n > 0 as {prime: exponent}, ascending.
+
+    Trial division removes the prime factors below 1000 and stops early once
+    the cofactor is below the square of the next trial divisor. A cofactor
+    left over is recorded as it is when is_prime accepts it, and otherwise
+    split by Brent's variant of Pollard's rho until every part is prime.
+    """
     if n <= 0:
         raise ValueError("factorize: argument must be positive")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    f = 2
+    while f < _TRIAL_LIMIT and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < f * f or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of n, an odd composite.
+
+    Brent's cycle search for x -> x^2 + c mod n, batching the gcd over 128
+    steps and retrying with the next c when a batch overshoots to n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g

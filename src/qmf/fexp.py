@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import is_prime, kronecker
+from .exactnum import is_prime
 from .quatlat import ZERO_QUAT, QuatCoord
 from .series import QSeries
 from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
@@ -43,10 +43,14 @@ class FourierExpansion:
         return cls(weight, N, {})
 
     @classmethod
-    def constant(cls, value, N: int, weight: int = 0) -> "FourierExpansion":
-        return cls(weight, N, {ZERO_TMATRIX: Fraction(value)})
+    def constant(cls, value, N: int) -> "FourierExpansion":
+        """The weight-0 constant value."""
+        return cls(0, N, {ZERO_TMATRIX: Fraction(value)})
 
     def coeff(self, T: TMatrix) -> Fraction:
+        """a(T); raises ValueError outside the n, m <= N box."""
+        if T.n > self.N or T.m > self.N:
+            raise ValueError(f"{T} lies outside the depth-{self.N} box")
         return self._coeffs.get(T, Fraction(0))
 
     def support(self):
@@ -138,25 +142,6 @@ class FourierExpansion:
             ),
         )
 
-    def theta(self) -> "FourierExpansion":
-        """Coefficientwise multiplication by two_det(T); kills rank <= 1."""
-        out = {}
-        for T, c in self._coeffs.items():
-            td = T.two_det()
-            if td:
-                out[T] = c * td
-        return FourierExpansion(self.weight, self.N, out)
-
-    def theta_chi(self, D: int) -> "FourierExpansion":
-        """Twisted theta: multiply a(T) by two_det(T) * kronecker(D, two_det(T))."""
-        out = {}
-        for T, c in self._coeffs.items():
-            td = T.two_det()
-            factor = td * kronecker(D, td)
-            if factor:
-                out[T] = c * factor
-        return FourierExpansion(self.weight, self.N, out)
-
 
 def _int_blocks(coeffs):
     """Group support by diagonal (n, m), clearing denominators to ints."""
@@ -190,20 +175,19 @@ class CongCheck:
         return self.status == "holds"
 
 
-def cong_mod(f: FourierExpansion, g: FourierExpansion, p: int) -> CongCheck:
-    """Check a(f;T) == a(g;T) mod p for every T in the shared box.
+def cong_mod(f, g, p: int, N: int) -> CongCheck:
+    """Check f(T) == g(T) mod p for every T in the depth-N box.
 
-    Both expansions must be truncated at the same depth. Weights may differ:
-    theta images are compared against forms of higher weight.
+    f and g map an index to its exact coefficient: a MaassTable's or a
+    FourierExpansion's coeff, or any function of them such as a theta image.
+    A source that cannot answer at some T raises ValueError there.
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
-    if f.N != g.N:
-        raise ValueError(f"cong_mod: depth mismatch {f.N} vs {g.N}")
-    box = enumerate_psd(f.N)
+    box = enumerate_psd(N)
     for i, T in enumerate(box):
-        a = f.coeff(T)
-        b = g.coeff(T)
+        a = f(T)
+        b = g(T)
         if a.denominator % p == 0 or b.denominator % p == 0:
             return CongCheck("not-p-integral", T, i + 1)
         if (a - b).numerator % p:

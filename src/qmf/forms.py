@@ -9,9 +9,10 @@ quaternionic modular forms of degree 2). Eisenstein series have closed-form
 tables; the cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1, and their tables come from the
-one-variable product rule of MaassTable. The degree-2 box product is used
-only by monomial_h, which build_chi needs in weights where a product need
-not lie in the Maass space.
+one-variable product rule of MaassTable. A table is the form: callers read
+coefficients from it, and a lifted FourierExpansion is built only by
+build_form, or by monomial_h for the degree-2 box product, which build_chi
+needs in weights where a product need not lie in the Maass space.
 """
 
 from __future__ import annotations
@@ -29,16 +30,11 @@ from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
 __all__ = [
     "MaassTable",
     "build_form",
-    "eisenstein_h",
     "eisenstein_table",
     "form_table",
     "g_constant",
-    "g_h",
     "maass_lift",
     "monomial_h",
-    "x10",
-    "x12",
-    "x14",
     "x14_closed",
 ]
 
@@ -94,24 +90,25 @@ class MaassTable:
         return MaassTable(self.phi0 * other.phi0, R)
 
     def coeff(self, T: TMatrix) -> Fraction:
-        """Coefficient of the Maass lift at T (0 when T is not psd); needs
-        two_det(T) <= L."""
+        """Coefficient of the Maass lift at T (0 when T is not psd); raises
+        ValueError when two_det(T) > L."""
         if T == ZERO_TMATRIX:
             return self.phi0.coeffs[0]
         if not T.is_psd():
             return Fraction(0)
         td = T.two_det()
+        if td >= len(self.R):
+            raise ValueError(
+                f"table reaches l = {len(self.R) - 1}; {T} needs l = {td}"
+            )
         k1 = self.weight - 1
         return sum(d**k1 * self.R[td // (d * d)] for d in divisors(T.epsilon()))
 
 
 def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
-    """The Maass lift of table on the depth-N box; needs L >= 2*N^2."""
+    """The Maass lift of table on the depth-N box; needs L >= 2*N^2, the
+    largest two_det in the box."""
     _check_weight(table.weight)
-    if len(table.R) <= 2 * N * N:
-        raise ValueError(
-            f"table reaches l = {len(table.R) - 1}; depth {N} needs l = {2 * N * N}"
-        )
     return FourierExpansion(
         table.weight, N, {T: table.coeff(T) for T in enumerate_psd(N)}
     )
@@ -145,6 +142,9 @@ def g_constant(k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _g_table(k: int, L: int) -> MaassTable:
+    """Table of g_constant(k) times the weight-k Eisenstein series: at any T
+    with eps(T) = 1 and two_det(T) = l > 0 its coefficient is the integer
+    sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
     return eisenstein_table(k, L).scale(g_constant(k))
 
 
@@ -171,51 +171,19 @@ def _x14_table(L: int) -> MaassTable:
 
 
 @lru_cache(maxsize=None)
-def eisenstein_h(k: int, N: int) -> FourierExpansion:
-    """The weight-k Eisenstein series, constant term 1."""
-    return maass_lift(eisenstein_table(k, 2 * N * N), N)
-
-
-@lru_cache(maxsize=None)
-def g_h(k: int, N: int) -> FourierExpansion:
-    """The renormalized Eisenstein series g_constant(k) * eisenstein_h(k, N).
-
-    Its coefficient at any T with eps(T) = 1 and two_det(T) = l > 0 is the
-    integer sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
-    return maass_lift(_g_table(k, 2 * N * N), N)
-
-
-@lru_cache(maxsize=None)
 def monomial_h(a: int, b: int, N: int) -> FourierExpansion:
     """Product of a copies of the weight-4 and b copies of the weight-6
     Eisenstein series by the box product (the weight-(4a+6b) monomial basis
-    of chi builds)."""
+    of chi builds). Each series is lifted once per depth."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be >= 0")
+    if a + b == 0:
+        return FourierExpansion.constant(1, N)
+    if a + b == 1:
+        return maass_lift(eisenstein_table(4 if a else 6, 2 * N * N), N)
     if a:
-        return monomial_h(a - 1, b, N) * eisenstein_h(4, N)
-    if b:
-        return monomial_h(0, b - 1, N) * eisenstein_h(6, N)
-    return FourierExpansion.constant(1, N)
-
-
-@lru_cache(maxsize=None)
-def x10(N: int) -> FourierExpansion:
-    """Weight-10 cusp form (E4 E6 - E10) * 17/161280, coefficient 1 at T_0."""
-    return maass_lift(_x10_table(2 * N * N), N)
-
-
-@lru_cache(maxsize=None)
-def x12(N: int) -> FourierExpansion:
-    """Weight-12 cusp form (441/691 E4^3 + 250/691 E6^2 - E12) *
-    21421/203212800, coefficient 1 at T_0."""
-    return maass_lift(_x12_table(2 * N * N), N)
-
-
-@lru_cache(maxsize=None)
-def x14(N: int) -> FourierExpansion:
-    """Weight-14 cusp form: the weight-4 Eisenstein series times x10."""
-    return maass_lift(_x14_table(2 * N * N), N)
+        return monomial_h(a - 1, b, N) * monomial_h(1, 0, N)
+    return monomial_h(0, b - 1, N) * monomial_h(0, 1, N)
 
 
 def x14_closed(T: TMatrix) -> Fraction:
@@ -245,5 +213,6 @@ def form_table(name: str, L: int) -> MaassTable:
 
 
 def build_form(name: str, N: int) -> FourierExpansion:
-    """Build a named form at depth N: X10, X12, X14, E<k>H or G<k>H."""
+    """The Maass lift on the depth-N box of a named form: X10, X12, X14,
+    E<k>H or G<k>H."""
     return maass_lift(form_table(name, 2 * N * N), N)

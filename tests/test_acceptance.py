@@ -19,7 +19,7 @@ from qmf.congr import (
 )
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.fexp import cong_mod
-from qmf.forms import eisenstein_h, g_h, x10, x12, x14, x14_closed
+from qmf.forms import build_form, x14_closed
 from qmf.series import eisenstein_q, tau
 from qmf.tmat import ZERO_TMATRIX, enumerate_psd, parse_tmatrix
 
@@ -29,28 +29,39 @@ T3 = parse_tmatrix("1,2,1,1,0,0")
 PROBE = (T0, I2, T3)
 
 
+def F(name):
+    return build_form(name, 3)
+
+
 def test_acceptance_1_headline_congruences():
     """Frozen coefficient rows and the four headline congruences at depth 3."""
     rows = {
-        "G10": (g_h(10, 3), (1, 129, 2188)),
-        "X10": (x10(3), (1, -24, 12)),
-        "G14": (g_h(14, 3), (1, 2049, 177148)),
-        "X14": (x14(3), (1, -24, 252)),
+        "G10H": (1, 129, 2188),
+        "X10": (1, -24, 12),
+        "G14H": (1, 2049, 177148),
+        "X14": (1, -24, 252),
     }
-    for name, (form, expected) in rows.items():
-        got = tuple(form.coeff(T) for T in PROBE)
+    for name, expected in rows.items():
+        got = tuple(F(name).coeff(T) for T in PROBE)
         assert got == expected, f"{name} row {got} != {expected}"
 
-    assert cong_mod(g_h(10, 3), x10(3), 17).ok
-    assert cong_mod(g_h(14, 3), x14(3), 691).ok
-    theta4 = g_h(4, 3).theta()
-    theta6 = g_h(6, 3).theta()
-    assert tuple(theta4.coeff(T) for T in PROBE) == (1, 6, 12)
-    assert tuple(theta6.coeff(T) for T in PROBE) == (1, 18, 84)
-    assert cong_mod(theta4, x10(3), 5).ok
-    assert cong_mod(theta6, x14(3), 7).ok
+    assert cong_mod(F("G10H").coeff, F("X10").coeff, 17, 3).ok
+    assert cong_mod(F("G14H").coeff, F("X14").coeff, 691, 3).ok
+    g4, g6 = F("G4H"), F("G6H")
 
-    a = x14(3).coeff(parse_tmatrix("1,3,1,1,0,0"))
+    def theta4(T):
+        return T.two_det() * g4.coeff(T)
+
+    def theta6(T):
+        return T.two_det() * g6.coeff(T)
+
+    assert tuple(theta4(T) for T in PROBE) == (1, 6, 12)
+    assert tuple(theta6(T) for T in PROBE) == (1, 18, 84)
+    assert all(theta4(T) == 0 for T in enumerate_psd(3) if T.rank() < 2)
+    assert cong_mod(theta4, F("X10").coeff, 5, 3).ok
+    assert cong_mod(theta6, F("X14").coeff, 7, 3).ok
+
+    a = F("X14").coeff(parse_tmatrix("1,3,1,1,0,0"))
     assert a == 4830
     assert factorize(4830) == {2: 1, 3: 1, 5: 1, 7: 1, 23: 1}
     print(
@@ -126,7 +137,7 @@ def test_acceptance_5_structural_properties():
     box = enumerate_psd(3)
 
     # cusp forms: integral, vanishing off rank 2, leading coefficient 1
-    for f in (x10(3), x12(3), x14(3)):
+    for f in (F("X10"), F("X12"), F("X14")):
         assert f.coeff(T0) == 1
         for T in box:
             a = f.coeff(T)
@@ -135,7 +146,7 @@ def test_acceptance_5_structural_properties():
                 assert a == 0
 
     # lifted coefficients depend only on (content, doubled determinant)
-    for f in (g_h(4, 3), g_h(10, 3), x10(3), x14(3)):
+    for f in (F("G4H"), F("G10H"), F("X10"), F("X14")):
         seen: dict = {}
         for T in box:
             if T == ZERO_TMATRIX:
@@ -147,7 +158,7 @@ def test_acceptance_5_structural_properties():
                 seen[key] = f.coeff(T)
 
     # lifted coefficients recombine from the primitive table by divisor sums
-    for f, k in ((g_h(10, 3), 10), (x14(3), 14)):
+    for f, k in ((F("G10H"), 10), (F("X14"), 14)):
         primitive = {
             T.two_det(): f.coeff(T)
             for T in box
@@ -173,11 +184,11 @@ def test_acceptance_5_structural_properties():
         assert checked > 1000 and skipped < 40
 
     # restricting to degree 1 is a ring homomorphism onto classical series
-    e4h, e6h = eisenstein_h(4, 2), eisenstein_h(6, 2)
+    e4h, e6h = build_form("E4H", 2), build_form("E6H", 2)
     prod = e4h * e6h
     assert prod.siegel_phi() == e4h.siegel_phi() * e6h.siegel_phi()
     for k in (4, 6, 10, 12):
-        restricted = eisenstein_h(k, 3).siegel_phi()
+        restricted = F(f"E{k}H").siegel_phi()
         assert restricted == eisenstein_q(k, restricted.prec)
 
     # weight-12 elliptic series minus the discriminant series vanishes mod 691

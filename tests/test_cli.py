@@ -234,6 +234,33 @@ def test_table_nonintegral_mod_exit1(capsys):
     assert "not integral mod 2" in err
 
 
+@pytest.mark.parametrize("form, mod", [("G4H", "2"), ("E10H", "17")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_failed_mod_writes_nothing(capsys, tmp_path, form, mod, fmt):
+    # G4H fails on its first row (1/1920); E10H only at the first index
+    # with a 17 in its denominator, after earlier rows have been rendered
+    argv = ["table", "--form", form, "--max", "1", "--mod", mod, "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert f"not integral mod {mod}" in err
+    path = tmp_path / "rows.out"
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert (code, out) == (1, "")
+    assert not path.exists()
+
+
+def test_table_builds_no_expansion(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table must read the form's table, not a lifted box")
+
+    monkeypatch.setattr(fexp.FourierExpansion, "__init__", refuse)
+    for fmt in ("csv", "json"):
+        code, out, err = run(
+            capsys, ["table", "--form", "X12", "--max", "2", "--format", fmt]
+        )
+        assert code == 0 and out
+
+
 def test_table_byte_stable(capsys):
     _, out1, _ = run(capsys, ["table", "--form", "X12", "--max", "2"])
     _, out2, _ = run(capsys, ["table", "--form", "X12", "--max", "2"])

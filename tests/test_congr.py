@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmf import congr, fexp, forms
 from qmf.congr import (
     build_chi,
     ramanujan_verdict,
@@ -15,11 +16,12 @@ from qmf.congr import (
     verify_theta_cong,
 )
 from qmf.exactnum import kronecker
-from qmf.fexp import FourierExpansion, cong_mod
-from qmf.forms import g_h, x10, x14
+from qmf.fexp import cong_mod
+from qmf.forms import build_form, form_table
 from qmf.tmat import enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
+I2 = parse_tmatrix("1,1,0,0,0,0")
 
 STAR_TABLE = {
     4: [],
@@ -60,6 +62,15 @@ def test_star_primes_table():
         star_primes(5)
 
 
+def test_star_primes_past_trial_division():
+    # B_36's numerator leaves the 65-bit prime cofactor 26315271553053477373
+    assert star_primes(38) == [73, 109, 26315271553053477373]
+    for k in range(36, 52, 2):
+        primes = star_primes(k)
+        assert primes == sorted(primes)
+        assert all(star_condition(k, p) for p in primes)
+
+
 def test_build_chi_weight10():
     chi, report = build_chi(10, 17, 2)
     assert report.poly == {(1, 1): Fraction(1, 8448)}
@@ -70,15 +81,15 @@ def test_build_chi_weight10():
     # chi is cuspidal on the box: rank <= 1 coefficients all vanish
     assert all(T.rank() == 2 for T in chi.support())
     # and congruent to the distinguished weight-10 cusp form
-    assert cong_mod(chi, x10(2), 17).ok
-    assert cong_mod(g_h(10, 2), chi, 17).ok
+    assert cong_mod(chi.coeff, form_table("X10", 8).coeff, 17, 2).ok
+    assert cong_mod(build_form("G10H", 2).coeff, chi.coeff, 17, 2).ok
 
 
 def test_build_chi_weight14():
     chi, report = build_chi(14, 691, 2)
     assert report.poly == {(2, 1): Fraction(1, 384)}
     assert report.ok
-    assert cong_mod(chi, x14(2), 691).ok
+    assert cong_mod(chi.coeff, form_table("X14", 8).coeff, 691, 2).ok
 
 
 def test_build_chi_rejects_bad_pairs():
@@ -155,9 +166,133 @@ def test_verify_cong_eis_composite_rejected():
         verify_cong_eis(7, 2)
 
 
-def test_verdict_fails_path():
-    # a perturbed expansion must produce an explicit witness
-    broken = x10(2) + FourierExpansion(10, 2, {T0: Fraction(1)})
-    check = cong_mod(g_h(4, 2).theta(), broken, 5)
-    assert check.status == "fails"
-    assert check.witness == T0
+class Perturbed:
+    """A table whose coefficient at each index in bumps is shifted by it."""
+
+    def __init__(self, table, bumps):
+        self.table, self.bumps = table, bumps
+
+    def coeff(self, T):
+        return self.table.coeff(T) + self.bumps.get(T, 0)
+
+
+def perturb(monkeypatch, name, bumps):
+    """Make every table lookup of the named form in congr see the bumps."""
+
+    def form_table(form, L):
+        table = forms.form_table(form, L)
+        return Perturbed(table, bumps) if form == name else table
+
+    monkeypatch.setattr(congr, "form_table", form_table)
+
+
+def nonresidues(p, N):
+    return [T for T in enumerate_psd(N) if kronecker(-p, T.two_det()) == -1]
+
+
+def test_verifiers_lift_only_chi_inputs(monkeypatch):
+    # theta, mod23, congeis and ep1 build no expansion at all
+    def refuse(*args):
+        raise AssertionError("verifiers must read tables, not lifted boxes")
+
+    with monkeypatch.context() as m:
+        m.setattr(fexp.FourierExpansion, "__init__", refuse)
+        assert all(v.ok for v in verify_theta_cong(2))
+        assert verify_mod23(2).ok
+        assert verify_cong_eis(6, 2).ok
+        assert verify_ep_minus_one(7, 2).ok
+    # ramanujan lifts G, E4H and E6H once each for chi and reads its named
+    # target from the table
+    lifted = []
+    real = forms.maass_lift
+
+    def lift(table, N):
+        lifted.append(table.weight)
+        return real(table, N)
+
+    monkeypatch.setattr(congr, "maass_lift", lift)
+    monkeypatch.setattr(forms, "maass_lift", lift)
+    forms.monomial_h.cache_clear()
+    assert ramanujan_verdict(14, 691, 2).ok
+    assert sorted(lifted) == [4, 6, 14]
+
+
+def test_verdict_fails_path(monkeypatch):
+    # theta: a bumped X10 fails at the first bumped index in box order
+    box = enumerate_psd(2)
+    perturb(monkeypatch, "X10", {T0: 1, I2: 1})
+    assert box.index(I2) < box.index(T0)
+    v10, v14 = verify_theta_cong(2)
+    assert v10.status == "fails"
+    assert v10.witnesses == [{"T": str(I2), "detail": "fails"}]
+    assert v10.checked == box.index(I2) + 1
+    assert v14.ok and v14.checked == len(box)
+
+
+def test_verify_mod23_fails_sweep_and_corollary(monkeypatch):
+    box = enumerate_psd(2)
+    bad = nonresidues(23, 2)
+    first, last = bad[0], bad[-1]
+    a = form_table("X14", 8).coeff
+    perturb(monkeypatch, "X14", {last: 1, first: 1})
+    v = verify_mod23(2)
+    assert v.status == "fails"
+    assert v.witnesses == [
+        {"T": str(first), "coeff": str(a(first) + 1)},
+        {"T": str(last), "coeff": str(a(last) + 1)},
+        {"claim": "twisted theta ≡ theta mod 23", "T": str(first), "detail": "fails"},
+    ]
+    assert v.checked == len(bad) + box.index(first) + 1
+
+
+def test_verify_mod23_fails_corollary_only(monkeypatch):
+    # at a residue index only the twisted-theta comparison reads the value
+    box = enumerate_psd(2)
+    assert kronecker(-23, T0.two_det()) == 1
+    perturb(monkeypatch, "X14", {T0: Fraction(1, 23)})
+    v = verify_mod23(2)
+    assert v.status == "fails"
+    assert v.witnesses == [
+        {
+            "claim": "twisted theta ≡ theta mod 23",
+            "T": str(T0),
+            "detail": "not-p-integral",
+        }
+    ]
+    assert v.checked == len(nonresidues(23, 2)) + box.index(T0) + 1
+
+
+def test_verify_cong_eis_fails(monkeypatch):
+    bad = nonresidues(7, 2)
+    a = form_table("G6H", 8).coeff
+    perturb(monkeypatch, "G6H", {bad[2]: 1, bad[1]: 1})
+    v = verify_cong_eis(6, 2)
+    assert v.status == "fails"
+    assert v.witnesses == [
+        {"T": str(T), "coeff": str(a(T) + 1)} for T in (bad[1], bad[2])
+    ]
+    sigma_checked = sum(1 for ell in range(1, 501) if kronecker(-7, ell) == -1)
+    assert v.checked == len(bad) + sigma_checked
+
+
+def test_verify_ep_minus_one_fails(monkeypatch):
+    box = enumerate_psd(2)
+    assert box.index(T0) > 5
+    perturb(monkeypatch, "E4H", {T0: 1, box[5]: 1})
+    v = verify_ep_minus_one(5, 2)
+    assert v.status == "fails"
+    assert v.witnesses == [{"T": str(box[5]), "detail": "fails"}]
+    assert v.checked == 6
+
+
+def test_ramanujan_named_target_fails(monkeypatch):
+    box = enumerate_psd(2)
+    perturb(monkeypatch, "X10", {T0: 1, I2: 1})
+    v = ramanujan_verdict(10, 17, 2)
+    assert v.status == "fails"
+    assert v.witnesses == [
+        {"claim": "chi ≡ X10 mod 17", "T": str(I2), "detail": "fails"}
+    ]
+    # the certificate's full sweep, the N + 1 restriction checks, then the
+    # target sweep up to its first failure
+    assert v.checked == len(box) + 3 + box.index(I2) + 1

@@ -185,14 +185,37 @@ def test_factorize():
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randrange(1, 10**6)
-        f = factorize(n)
-        prod = 1
-        for p, e in f.items():
-            assert is_prime(p)
-            prod *= p**e
-        assert prod == n
+        _assert_factorization(n, factorize(n))
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def _assert_factorization(n, f):
+    prod = 1
+    for p, e in f.items():
+        assert is_prime(p) and e >= 1
+        prod *= p**e
+    assert prod == n
+
+
+def test_factorize_large_cofactors():
+    # prime cofactors far past trial division, squares and products of
+    # two primes above the trial limit, and Bernoulli numerators
+    p61, p31 = 2**61 - 1, 2**31 - 1
+    assert factorize(73 * 109 * 26315271553053477373) == {
+        73: 1,
+        109: 1,
+        26315271553053477373: 1,
+    }
+    assert factorize(p61 * p31) == {p31: 1, p61: 1}
+    assert factorize(999983**2 * 1009) == {1009: 1, 999983: 2}
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factorize(997 * 991) == {991: 1, 997: 1}
+    for k in range(36, 52, 2):
+        n = abs(((2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)).numerator)
+        f = factorize(n)
+        assert list(f) == sorted(f)
+        _assert_factorization(n, f)
 
 
 def test_divisors():

@@ -1,17 +1,24 @@
-"""Expansion arithmetic: ring oracle, Siegel restriction, theta, congruence."""
+"""Expansion arithmetic: ring oracle, Siegel restriction, congruence sweep."""
 
 from fractions import Fraction
 
 import pytest
 
-from qmf.exactnum import kronecker
 from qmf.fexp import FourierExpansion, cong_mod
-from qmf.forms import eisenstein_h, g_h, x10, x12
+from qmf.forms import build_form, form_table
 from qmf.quatlat import QuatCoord
 from qmf.series import eisenstein_q
 from qmf.tmat import TMatrix, ZERO_TMATRIX, enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
+
+
+def E(k, N):
+    return build_form(f"E{k}H", N)
+
+
+def x10(N):
+    return build_form("X10", N)
 
 
 def brute_mul(f, g, N):
@@ -59,8 +66,8 @@ def test_constant_and_zero():
 
 
 def test_add_scale_algebra():
-    e4 = eisenstein_h(4, 2)
-    e10 = eisenstein_h(10, 2)
+    e4 = E(4, 2)
+    e10 = E(10, 2)
     X = x10(2)
     assert (X + e10) - e10 == X
     assert X.scale(3).coeff(T0) == 3
@@ -73,25 +80,25 @@ def test_add_scale_algebra():
 
 
 def test_add_truncates_to_smaller_box():
-    a = eisenstein_h(4, 3)
-    b = eisenstein_h(4, 2)
+    a = E(4, 3)
+    b = E(4, 2)
     s = a + b
     assert s.N == 2
     assert s == b.scale(2)
 
 
 def test_mul_against_brute_force_oracle():
-    e4 = eisenstein_h(4, 2)
-    e6 = eisenstein_h(6, 2)
+    e4 = E(4, 2)
+    e6 = E(6, 2)
     assert e4 * e6 == brute_mul(e4, e6, 2)
     X = x10(2)
     assert e4 * X == brute_mul(e4, X, 2)
 
 
 def test_mul_algebra():
-    e4 = eisenstein_h(4, 2)
-    e6 = eisenstein_h(6, 2)
-    e10 = eisenstein_h(10, 2)
+    e4 = E(4, 2)
+    e6 = E(6, 2)
+    e10 = E(10, 2)
     assert e4 * e6 == e6 * e4
     assert (e4 * e4) * e6 == e4 * (e4 * e6)
     assert (x10(2) + e10) * e4 == x10(2) * e4 + e10 * e4
@@ -102,16 +109,16 @@ def test_mul_algebra():
 
 def test_mul_truncation_consistency():
     # multiplying deeper expansions then restricting equals shallow product
-    a3 = eisenstein_h(4, 3) * eisenstein_h(6, 3)
-    a2 = eisenstein_h(4, 2) * eisenstein_h(6, 2)
+    a3 = E(4, 3) * E(6, 3)
+    a2 = E(4, 2) * E(6, 2)
     assert restrict(a3, 2) == a2
     # mixed depths truncate to the smaller box
-    mixed = eisenstein_h(4, 3) * eisenstein_h(6, 2)
+    mixed = E(4, 3) * E(6, 2)
     assert mixed == a2
 
 
 def test_siegel_phi_restriction():
-    e4 = eisenstein_h(4, 3)
+    e4 = E(4, 3)
     phi = e4.siegel_phi()
     assert phi.weight == 4
     assert phi.coeffs == tuple(
@@ -121,44 +128,19 @@ def test_siegel_phi_restriction():
 
 
 def test_siegel_phi_is_ring_map():
-    e4 = eisenstein_h(4, 3)
-    e6 = eisenstein_h(6, 3)
+    e4 = E(4, 3)
+    e6 = E(6, 3)
     assert (e4 * e6).siegel_phi() == e4.siegel_phi() * e6.siegel_phi()
     assert (e4 + e4).siegel_phi() == e4.siegel_phi() + e4.siegel_phi()
 
 
-def test_theta():
-    g4 = g_h(4, 2)
-    th = g4.theta()
-    assert th.weight == 4
-    assert th.coeff(T0) == 1
-    assert th.coeff(parse_tmatrix("1,1,0,0,0,0")) == 6
-    assert th.coeff(parse_tmatrix("1,2,1,1,0,0")) == 12
-    # rank <= 1 coefficients are killed
-    assert all(T.two_det() > 0 for T in th.support())
-    assert th.coeff(parse_tmatrix("1,0,0,0,0,0")) == 0
-
-
-def test_theta_chi():
-    X = x12(2)
-    th = X.theta_chi(-23)
-    for T in enumerate_psd(2):
-        td = T.two_det()
-        assert th.coeff(T) == X.coeff(T) * td * kronecker(-23, td)
-    # two_det values with kronecker 0 or sign -1 behave accordingly
-    assert kronecker(-23, 5) == -1
-    T5 = parse_tmatrix("1,3,1,1,0,0")
-    X3 = x12(3)
-    assert X3.theta_chi(-23).coeff(T5) == -5 * X3.coeff(T5)
-
-
 def test_cong_mod_holds_and_fails():
     X = x10(2)
-    assert cong_mod(X, X, 5).status == "holds"
+    assert cong_mod(X.coeff, X.coeff, 5, 2).status == "holds"
     bumped = X + FourierExpansion(10, 2, {T0: Fraction(5)})
-    assert cong_mod(X, bumped, 5).status == "holds"
+    assert cong_mod(X.coeff, bumped.coeff, 5, 2).status == "holds"
     broken = X + FourierExpansion(10, 2, {T0: Fraction(3)})
-    check = cong_mod(X, broken, 5)
+    check = cong_mod(X.coeff, broken.coeff, 5, 2)
     assert check.status == "fails"
     assert check.witness == T0
     assert not check.ok
@@ -170,7 +152,7 @@ def test_cong_mod_witness_order():
     broken = x10(2) + FourierExpansion(
         10, 2, {bad: Fraction(1), T0: Fraction(1)}
     )
-    check = cong_mod(x10(2), broken, 7)
+    check = cong_mod(x10(2).coeff, broken.coeff, 7, 2)
     assert check.witness == bad
     assert check.checked == 2  # (0,0) passed, (0,1) failed
 
@@ -178,24 +160,40 @@ def test_cong_mod_witness_order():
 def test_cong_mod_not_p_integral():
     f = FourierExpansion(10, 1, {T0: Fraction(1, 17)})
     z = FourierExpansion.zero(10, 1)
-    check = cong_mod(f, z, 17)
+    check = cong_mod(f.coeff, z.coeff, 17, 1)
     assert check.status == "not-p-integral"
     assert check.witness == T0
     # the weight-10 Eisenstein series genuinely has 17 in denominators
-    e10 = eisenstein_h(10, 1)
-    assert any(c.denominator % 17 == 0 for _, c in e10.items())
-    assert cong_mod(e10, e10.scale(1), 17).status == "not-p-integral"
+    e10 = form_table("E10H", 2)
+    assert any(c.denominator % 17 == 0 for c in e10.R)
+    assert cong_mod(e10.coeff, e10.coeff, 17, 1).status == "not-p-integral"
 
 
 def test_cong_mod_cross_weight_allowed():
-    th = g_h(4, 2).theta()
-    assert th.weight == 4
-    assert cong_mod(th, x10(2), 5).ok  # weights 4 vs 10
+    # a weight-4 theta image against a weight-10 form, a lifted box against
+    # a table: cong_mod sees only the two coefficient functions
+    g4 = build_form("G4H", 2)
+    x10_table = form_table("X10", 8)
+    assert cong_mod(lambda T: T.two_det() * g4.coeff(T), x10_table.coeff, 5, 2).ok
 
 
 def test_cong_mod_errors():
     X = x10(2)
+    with pytest.raises(ValueError):  # modulus not prime
+        cong_mod(X.coeff, X.coeff, 6, 2)
+    # a source raises where it cannot answer: a box beyond its depth, a
+    # table beyond its bound
     with pytest.raises(ValueError):
-        cong_mod(X, x10(3), 5)
+        cong_mod(X.coeff, x10(3).coeff, 5, 3)
     with pytest.raises(ValueError):
-        cong_mod(X, X, 6)
+        cong_mod(form_table("X10", 8).coeff, x10(3).coeff, 5, 3)
+
+
+def test_coeff_outside_box_raises():
+    X = x10(2)
+    corner = parse_tmatrix("2,2,0,0,0,0")
+    assert X.coeff(corner) == form_table("X10", 8).coeff(corner)
+    assert X.coeff(parse_tmatrix("1,1,2,2,0,0")) == 0  # in the box, not psd
+    for text in ("3,0,0,0,0,0", "1,3,1,1,0,0"):
+        with pytest.raises(ValueError):
+            X.coeff(parse_tmatrix(text))

@@ -10,16 +10,11 @@ from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
     build_form,
-    eisenstein_h,
     eisenstein_table,
     form_table,
     g_constant,
-    g_h,
     maass_lift,
     monomial_h,
-    x10,
-    x12,
-    x14,
     x14_closed,
 )
 from qmf.series import QSeries, eisenstein_q, tau_star
@@ -31,28 +26,36 @@ T3 = parse_tmatrix("1,2,1,1,0,0")  # two_det = 3
 ROW = (T0, I2, T3)
 
 
+def E(k, N):
+    return build_form(f"E{k}H", N)
+
+
+def G(k, N):
+    return build_form(f"G{k}H", N)
+
+
 def test_eisenstein_h_frozen():
-    e4 = eisenstein_h(4, 2)
+    e4 = E(4, 2)
     assert e4.coeff(ZERO_TMATRIX) == 1
     assert e4.coeff(parse_tmatrix("1,0,0,0,0,0")) == 240
     assert e4.coeff(parse_tmatrix("2,0,0,0,0,0")) == 2160  # (1+2^3)*240
     assert [e4.coeff(T) for T in ROW] == [1920, 5760, 7680]
-    e6 = eisenstein_h(6, 2)
+    e6 = E(6, 2)
     assert e6.coeff(parse_tmatrix("1,0,0,0,0,0")) == -504
     assert [e6.coeff(T) for T in ROW] == [8064, 72576, 225792]
 
 
 def test_eisenstein_h_not_always_integral():
-    e10 = eisenstein_h(10, 1)
+    e10 = E(10, 1)
     assert e10.coeff(T0) == Fraction(8448, 17)
 
 
 def test_eisenstein_h_invalid_weight():
     for k in (2, 3, 7):
         with pytest.raises(ValueError):
-            eisenstein_h(k, 1)
-    with pytest.raises(ValueError):
-        build_form("E7H", 1)
+            E(k, 1)
+        with pytest.raises(ValueError):
+            eisenstein_table(k, 2)
 
 
 def test_g_constant_frozen():
@@ -69,22 +72,22 @@ def test_g_constant_frozen():
 
 def test_g_h_is_scaled_eisenstein():
     for k in (4, 10):
-        assert g_h(k, 2) == eisenstein_h(k, 2).scale(g_constant(k))
+        assert G(k, 2) == E(k, 2).scale(g_constant(k))
 
 
 def test_g_h_frozen_rows():
-    assert [g_h(10, 2).coeff(T) for T in ROW] == [1, 129, 2188]
-    assert [g_h(14, 2).coeff(T) for T in ROW] == [1, 2049, 177148]
-    assert [g_h(4, 2).coeff(T) for T in ROW] == [1, 3, 4]
-    assert [g_h(6, 2).coeff(T) for T in ROW] == [1, 9, 28]
-    assert g_h(10, 2).coeff(ZERO_TMATRIX) == g_constant(10)
+    assert [G(10, 2).coeff(T) for T in ROW] == [1, 129, 2188]
+    assert [G(14, 2).coeff(T) for T in ROW] == [1, 2049, 177148]
+    assert [G(4, 2).coeff(T) for T in ROW] == [1, 3, 4]
+    assert [G(6, 2).coeff(T) for T in ROW] == [1, 9, 28]
+    assert G(10, 2).coeff(ZERO_TMATRIX) == g_constant(10)
 
 
 def test_g_h_primitive_coefficients_are_divisor_sums():
     # at nonsingular content-1 indices the coefficient is the twisted
     # divisor power sum; singular indices carry a different value
     for k in (4, 6, 10, 14):
-        G = g_h(k, 2)
+        g = G(k, 2)
         for T in enumerate_psd(2):
             if T == ZERO_TMATRIX or T.two_det() == 0 or T.epsilon() != 1:
                 continue
@@ -92,7 +95,7 @@ def test_g_h_primitive_coefficients_are_divisor_sums():
             expected = sigma(k - 3, ell) - 2 ** (k - 2) * sigma(
                 k - 3, Fraction(ell, 4)
             )
-            assert G.coeff(T) == expected
+            assert g.coeff(T) == expected
 
 
 def test_maass_lift_reproduces_eisenstein():
@@ -114,7 +117,7 @@ def test_maass_lift_reproduces_eisenstein():
         table = MaassTable(
             eisenstein_q(k, N * N), tuple(astar(ell) for ell in range(2 * N * N + 1))
         )
-        assert maass_lift(table, N) == eisenstein_h(k, N)
+        assert maass_lift(table, N) == E(k, N)
 
 
 def test_maass_lift_tau_star_is_x14():
@@ -129,6 +132,22 @@ def test_maass_lift_tau_star_is_x14():
 def test_maass_lift_rejects_short_table():
     with pytest.raises(ValueError):
         maass_lift(eisenstein_table(4, 7), 2)
+
+
+def test_table_coeff_raises_past_its_bound():
+    table = form_table("X10", 7)
+    assert table.coeff(parse_tmatrix("2,2,1,1,0,0")) == table.R[7]  # two_det 7
+    with pytest.raises(ValueError):
+        table.coeff(parse_tmatrix("2,2,0,0,0,0"))  # two_det 8
+    # rank <= 1 indices need only R(0), at any depth
+    assert table.coeff(parse_tmatrix("9,0,0,0,0,0")) == 0
+
+
+def test_e4_e6_tables_integral():
+    # chi = G - p * P(E4H, E6H) is p-integral once P is, because of this
+    for k in (4, 6):
+        table = eisenstein_table(k, 400)
+        assert all(c.denominator == 1 for c in table.phi0.coeffs + table.R)
 
 
 def test_x14_table_is_tau_star():
@@ -165,8 +184,8 @@ def test_table_product_matches_box_product_restriction():
             assert box.coeff(T) == cube.R[T.two_det()]
 
 def test_cusp_forms_normalized_cuspidal_integral():
-    for builder in (x10, x12, x14):
-        f = builder(3)
+    for name in ("X10", "X12", "X14"):
+        f = build_form(name, 3)
         assert f.coeff(T0) == 1
         assert f.coeff(ZERO_TMATRIX) == 0
         # cuspidal: support is rank 2 only
@@ -177,10 +196,11 @@ def test_cusp_forms_normalized_cuspidal_integral():
 
 
 def test_cusp_form_frozen_rows():
-    assert [x10(2).coeff(T) for T in ROW] == [1, -24, 12]
-    assert [x14(2).coeff(T) for T in ROW] == [1, -24, 252]
-    assert [x12(2).coeff(T) for T in ROW] == [1, 48, -156]
-    assert x12(2).coeff(parse_tmatrix("2,2,0,0,0,0")) == 110592
+    x10, x12, x14 = (build_form(name, 2) for name in ("X10", "X12", "X14"))
+    assert [x10.coeff(T) for T in ROW] == [1, -24, 12]
+    assert [x14.coeff(T) for T in ROW] == [1, -24, 252]
+    assert [x12.coeff(T) for T in ROW] == [1, 48, -156]
+    assert x12.coeff(parse_tmatrix("2,2,0,0,0,0")) == 110592
 
 
 def test_x14_closed_form():
@@ -202,16 +222,8 @@ def test_x14_ring_equals_closed_form_depth2():
 
 def test_maass_dependence_on_content_and_det():
     # coefficients depend on T only through (eps, two_det)
-    for builder, k in (
-        (lambda N: eisenstein_h(4, N), 4),
-        (lambda N: eisenstein_h(6, N), 6),
-        (lambda N: eisenstein_h(10, N), 10),
-        (lambda N: eisenstein_h(12, N), 12),
-        (x10, 10),
-        (x12, 12),
-        (x14, 14),
-    ):
-        f = builder(3)
+    for name in ("E4H", "E6H", "E10H", "E12H", "X10", "X12", "X14"):
+        f = build_form(name, 3)
         seen = {}
         for T in enumerate_psd(3):
             if T == ZERO_TMATRIX:
@@ -219,7 +231,7 @@ def test_maass_dependence_on_content_and_det():
             key = (T.epsilon(), T.two_det())
             val = f.coeff(T)
             if key in seen:
-                assert seen[key] == val, (builder, key)
+                assert seen[key] == val, (name, key)
             else:
                 seen[key] = val
 
@@ -228,8 +240,8 @@ def test_andrianov_divisor_relation():
     # a(T) = sum_{d | eps} d^(k-1) A(two_det/d^2) with A read off content-1
     # indices; values of A beyond the primitive range of the box are skipped
     N = 3
-    for builder, k in ((x10, 10), (x12, 12), (x14, 14), (lambda n: eisenstein_h(4, n), 4)):
-        f = builder(N)
+    for name, k in (("X10", 10), ("X12", 12), ("X14", 14), ("E4H", 4)):
+        f = build_form(name, N)
         primitive = {}
         for T in enumerate_psd(N):
             if T != ZERO_TMATRIX and T.epsilon() == 1:
@@ -257,22 +269,24 @@ def test_andrianov_divisor_relation():
 
 def test_monomial_h():
     assert monomial_h(0, 0, 2) == FourierExpansion.constant(1, 2)
-    assert monomial_h(1, 0, 2) == eisenstein_h(4, 2)
-    assert monomial_h(1, 1, 2) == eisenstein_h(4, 2) * eisenstein_h(6, 2)
+    assert monomial_h(1, 0, 2) == E(4, 2)
+    assert monomial_h(0, 1, 2) == E(6, 2)
+    assert monomial_h(0, 2, 2) == E(6, 2) * E(6, 2)
+    assert monomial_h(1, 1, 2) == E(4, 2) * E(6, 2)
     assert monomial_h(2, 0, 2).weight == 8
     with pytest.raises(ValueError):
         monomial_h(-1, 0, 2)
 
 
 def test_x14_is_e4_times_x10():
-    assert x14(2) == eisenstein_h(4, 2) * x10(2)
+    assert build_form("X14", 2) == E(4, 2) * build_form("X10", 2)
 
 
 def test_build_form_registry():
-    assert build_form("X10", 1) == x10(1)
-    assert build_form("x12", 1) == x12(1)
-    assert build_form("E4H", 1) == eisenstein_h(4, 1)
-    assert build_form("g10h", 1) == g_h(10, 1)
+    assert build_form("X10", 1) == maass_lift(form_table("X10", 2), 1)
+    assert build_form("x12", 1) == build_form("X12", 1)
+    assert build_form("E4H", 1) == maass_lift(eisenstein_table(4, 2), 1)
+    assert build_form("g10h", 1) == G(10, 1)
     assert build_form("G20H", 1).weight == 20
     for bad in ("X11", "E4", "H4E", "G0H", "", "X14Y"):
         with pytest.raises(ValueError):
@@ -281,4 +295,4 @@ def test_build_form_registry():
 
 def test_siegel_phi_of_eisenstein_matches_elliptic():
     for k in (4, 6, 10, 12):
-        assert eisenstein_h(k, 3).siegel_phi() == eisenstein_q(k, 3)
+        assert E(k, 3).siegel_phi() == eisenstein_q(k, 3)
