@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, inf
+from math import comb, gcd, inf, isqrt
 
 __all__ = [
     "bernoulli",
@@ -123,15 +123,21 @@ def ord_p(x, p: int):
     return v
 
 
-# Deterministic Miller-Rabin witness set, complete for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 prime bases is exact below psi_13, the
+# least composite that is a strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, exact below 3.3e24)."""
+    """Primality test: Miller-Rabin to the first 13 prime bases, exact below
+    psi_13 = 3317044064679887385961981 (about 3.3e24); from psi_13 on, also a
+    strong Lucas test, which makes it the Baillie-PSW test (no composite is
+    known to pass it)."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -139,7 +145,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -149,7 +155,44 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with no prime factor
+    up to 41, with Selfridge's parameters: the first D in 5, -7, 9, -11, ...
+    with kronecker(D, n) = -1, P = 1 and Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := kronecker(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x if x % 2 == 0 else x + n) // 2
+
+    # U_k, V_k and Q^k mod n, from k = 1 up to k = d along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 _TRIAL_LIMIT = 1000

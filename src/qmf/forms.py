@@ -11,8 +11,7 @@ combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1, and their tables come from the
 one-variable product rule of MaassTable. A table is the form: callers read
 coefficients from it, and a lifted FourierExpansion is built only by
-build_form, or by monomial_h for the degree-2 box product, which build_chi
-needs in weights where a product need not lie in the Maass space.
+build_form, for library use and for the box-product oracle in the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "form_table",
     "g_constant",
     "maass_lift",
-    "monomial_h",
     "x14_closed",
 ]
 
@@ -168,22 +166,6 @@ def _x12_table(L: int) -> MaassTable:
 @lru_cache(maxsize=None)
 def _x14_table(L: int) -> MaassTable:
     return eisenstein_table(4, L) * _x10_table(L)
-
-
-@lru_cache(maxsize=None)
-def monomial_h(a: int, b: int, N: int) -> FourierExpansion:
-    """Product of a copies of the weight-4 and b copies of the weight-6
-    Eisenstein series by the box product (the weight-(4a+6b) monomial basis
-    of chi builds). Each series is lifted once per depth."""
-    if a < 0 or b < 0:
-        raise ValueError("monomial exponents must be >= 0")
-    if a + b == 0:
-        return FourierExpansion.constant(1, N)
-    if a + b == 1:
-        return maass_lift(eisenstein_table(4 if a else 6, 2 * N * N), N)
-    if a:
-        return monomial_h(a - 1, b, N) * monomial_h(1, 0, N)
-    return monomial_h(0, b - 1, N) * monomial_h(0, 1, N)
 
 
 def x14_closed(T: TMatrix) -> Fraction:

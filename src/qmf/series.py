@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_PREC",
     "QSeries",
     "delta_q",
+    "e4_e6_monomials",
     "eisenstein_q",
     "express_in_e4_e6",
     "tau",
@@ -110,23 +111,6 @@ def eisenstein_q(k: int, prec: int = DEFAULT_PREC) -> QSeries:
     )
 
 
-def _int_eisenstein(k: int, prec: int) -> list[int]:
-    c = Fraction(-2 * k) / bernoulli(k)
-    assert c.denominator == 1
-    ci = c.numerator
-    return [1] + [ci * sigma(k - 1, n) for n in range(1, prec + 1)]
-
-
-def _int_mul(a: list[int], b: list[int], prec: int) -> list[int]:
-    out = [0] * (prec + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(min(len(b), prec - i + 1)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 # tau coefficients, grown on demand: _tau_ints[n] = tau(n), index 0 unused (0).
 _tau_ints: list[int] = [0]
 
@@ -135,15 +119,13 @@ def _ensure_tau(n: int) -> None:
     if n < len(_tau_ints):
         return
     prec = max(2 * (len(_tau_ints) - 1), n, DEFAULT_PREC)
-    e4 = _int_eisenstein(4, prec)
-    e6 = _int_eisenstein(6, prec)
-    e4cu = _int_mul(_int_mul(e4, e4, prec), e4, prec)
-    e6sq = _int_mul(e6, e6, prec)
+    e4 = eisenstein_q(4, prec)
+    e6 = eisenstein_q(6, prec)
+    delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
     del _tau_ints[1:]
-    for i in range(1, prec + 1):
-        num = e4cu[i] - e6sq[i]
-        assert num % 1728 == 0
-        _tau_ints.append(num // 1728)
+    for c in delta.coeffs[1:]:
+        assert c.denominator == 1
+        _tau_ints.append(c.numerator)
 
 
 def tau(n: int) -> int:
@@ -172,14 +154,25 @@ def delta_q(prec: int = DEFAULT_PREC) -> QSeries:
     return QSeries(12, tuple(Fraction(tau(n)) for n in range(prec + 1)))
 
 
-def _monomial_pairs(k: int) -> list[tuple[int, int]]:
-    pairs = []
+def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], QSeries]:
+    """The monomials E4^a * E6^b of weight 4a + 6b = k to precision prec,
+    keyed by (a, b) in decreasing a; empty when there are none."""
+    out: dict[tuple[int, int], QSeries] = {}
+    if k < 0 or k % 2:
+        return out
+    e4 = eisenstein_q(4, prec)
+    e6 = eisenstein_q(6, prec)
+    one = QSeries(0, (Fraction(1),) + (Fraction(0),) * prec)
     for b in range(k // 6 + 1):
         rem = k - 6 * b
-        if rem >= 0 and rem % 4 == 0:
-            pairs.append((rem // 4, b))
-    pairs.sort(key=lambda ab: (-ab[0], ab[1]))
-    return pairs
+        if rem % 4 == 0:
+            mon = one
+            for _ in range(rem // 4):
+                mon = mon * e4
+            for _ in range(b):
+                mon = mon * e6
+            out[(rem // 4, b)] = mon
+    return out
 
 
 def express_in_e4_e6(f: QSeries) -> dict[tuple[int, int], Fraction]:
@@ -193,11 +186,13 @@ def express_in_e4_e6(f: QSeries) -> dict[tuple[int, int], Fraction]:
     precision.
     """
     k = f.weight
-    pairs = _monomial_pairs(k) if k >= 0 and k % 2 == 0 else []
-    if not pairs:
+    monomials = e4_e6_monomials(k, f.prec)
+    if not monomials:
         if f.is_zero():
             return {}
         raise ValueError(f"no monomials in weights 4 and 6 have weight {k}")
+    pairs = list(monomials)
+    basis = list(monomials.values())
     d = len(pairs)
     if f.prec < d - 1:
         raise ValueError(
@@ -205,17 +200,6 @@ def express_in_e4_e6(f: QSeries) -> dict[tuple[int, int], Fraction]:
             f"have {f.prec}"
         )
     prec = f.prec
-    e4 = eisenstein_q(4, prec) if k >= 4 else None
-    e6 = eisenstein_q(6, prec) if k >= 6 else None
-    one = QSeries(0, (Fraction(1),) + (Fraction(0),) * prec)
-    basis = []
-    for a, b in pairs:
-        mon = one
-        for _ in range(a):
-            mon = mon * e4
-        for _ in range(b):
-            mon = mon * e6
-        basis.append(mon)
     # exact Gaussian elimination on the leading d x d coefficient matrix
     mat = [[basis[j].coeff(i) for j in range(d)] + [f.coeff(i)] for i in range(d)]
     for col in range(d):

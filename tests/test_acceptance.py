@@ -124,7 +124,7 @@ def test_acceptance_4_theorem_sweeps_and_certificates():
         (20, 43867),
     ]
     for k, p in pairs:
-        _, report = build_chi(k, p, 3)
+        report = build_chi(k, p, 3)
         assert report.ok, f"certificate failed for (k={k}, p={p})"
     print(
         "ACCEPTANCE 4: PASS - depth-4 sweeps hold (mod 23, four 2k-5 "

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from box_oracle import ring_chi
 from qmf import congr, fexp, forms
 from qmf.congr import (
     build_chi,
@@ -16,7 +17,7 @@ from qmf.congr import (
     verify_theta_cong,
 )
 from qmf.exactnum import kronecker
-from qmf.fexp import cong_mod
+from qmf.fexp import FourierExpansion, cong_mod
 from qmf.forms import build_form, form_table
 from qmf.tmat import enumerate_psd, parse_tmatrix
 
@@ -34,6 +35,7 @@ STAR_TABLE = {
     18: [257, 3617],
     20: [73, 43867],
 }
+STAR_PAIRS = [(k, p) for k, primes in STAR_TABLE.items() for p in primes]
 
 
 def test_star_condition_frozen():
@@ -62,21 +64,40 @@ def test_star_primes_table():
         star_primes(5)
 
 
+STAR_TABLE_TO_50 = {
+    22: [31, 41, 283, 617],
+    24: [89, 131, 593, 683],
+    26: [17, 103, 241, 2294797],
+    28: [2731, 8191, 657931],
+    30: [43, 113, 127, 9349, 362903],
+    32: [151, 331, 1721, 1001259881],
+    34: [37, 257, 683, 65537, 305065927],
+    36: [43691, 131071, 151628697551],
+    38: [73, 109, 26315271553053477373],
+    40: [174763, 524287, 154210205991661],
+    42: [17, 31, 61681, 137616929, 1897170067619],
+    44: [127, 337, 5419, 1520097643918070802691],
+    46: [59, 89, 397, 683, 2113, 8089, 2947939, 1798482437],
+    48: [178481, 2796203, 383799511, 67568238839737],
+    50: [97, 241, 257, 653, 673, 56039, 153289748932447906241],
+}
+
+
 def test_star_primes_past_trial_division():
-    # B_36's numerator leaves the 65-bit prime cofactor 26315271553053477373
-    assert star_primes(38) == [73, 109, 26315271553053477373]
-    for k in range(36, 52, 2):
-        primes = star_primes(k)
-        assert primes == sorted(primes)
+    # B_36's numerator leaves the 65-bit prime cofactor 26315271553053477373;
+    # cofactors past 3.3e24 (k = 44, 50) go through the strong Lucas test
+    assert {k: star_primes(k) for k in STAR_TABLE_TO_50} == STAR_TABLE_TO_50
+    for k, primes in STAR_TABLE_TO_50.items():
         assert all(star_condition(k, p) for p in primes)
 
 
 def test_build_chi_weight10():
-    chi, report = build_chi(10, 17, 2)
+    report = build_chi(10, 17, 2)
     assert report.poly == {(1, 1): Fraction(1, 8448)}
     assert report.phi_vanishes
     assert report.congruence.ok
     assert report.ok
+    chi = ring_chi(10, 17, 2)
     assert chi.weight == 10
     # chi is cuspidal on the box: rank <= 1 coefficients all vanish
     assert all(T.rank() == 2 for T in chi.support())
@@ -86,9 +107,11 @@ def test_build_chi_weight10():
 
 
 def test_build_chi_weight14():
-    chi, report = build_chi(14, 691, 2)
+    report = build_chi(14, 691, 2)
     assert report.poly == {(2, 1): Fraction(1, 384)}
     assert report.ok
+    chi = ring_chi(14, 691, 2)
+    assert all(T.rank() == 2 for T in chi.support())
     assert cong_mod(chi.coeff, form_table("X14", 8).coeff, 691, 2).ok
 
 
@@ -100,8 +123,7 @@ def test_build_chi_rejects_bad_pairs():
 
 
 def test_build_chi_report_json():
-    _, report = build_chi(10, 17, 2)
-    j = report.to_json()
+    j = build_chi(10, 17, 2).to_json()
     assert j["k"] == 10 and j["p"] == 17 and j["depth"] == 2
     assert j["poly"] == [{"e4": 1, "e6": 1, "num": "1", "den": "8448"}]
     assert j["phi_vanishes"] is True
@@ -167,10 +189,12 @@ def test_verify_cong_eis_composite_rejected():
 
 
 class Perturbed:
-    """A table whose coefficient at each index in bumps is shifted by it."""
+    """A table whose coefficient at each index in bumps is shifted by it;
+    its degree-1 restriction phi0 is the table's own."""
 
     def __init__(self, table, bumps):
         self.table, self.bumps = table, bumps
+        self.phi0 = table.phi0
 
     def coeff(self, T):
         return self.table.coeff(T) + self.bumps.get(T, 0)
@@ -190,31 +214,77 @@ def nonresidues(p, N):
     return [T for T in enumerate_psd(N) if kronecker(-p, T.two_det()) == -1]
 
 
-def test_verifiers_lift_only_chi_inputs(monkeypatch):
-    # theta, mod23, congeis and ep1 build no expansion at all
+def test_verifiers_build_no_expansion(monkeypatch):
     def refuse(*args):
         raise AssertionError("verifiers must read tables, not lifted boxes")
 
-    with monkeypatch.context() as m:
-        m.setattr(fexp.FourierExpansion, "__init__", refuse)
-        assert all(v.ok for v in verify_theta_cong(2))
-        assert verify_mod23(2).ok
-        assert verify_cong_eis(6, 2).ok
-        assert verify_ep_minus_one(7, 2).ok
-    # ramanujan lifts G, E4H and E6H once each for chi and reads its named
-    # target from the table
-    lifted = []
-    real = forms.maass_lift
+    monkeypatch.setattr(fexp.FourierExpansion, "__init__", refuse)
+    assert all(v.ok for v in verify_theta_cong(2))
+    assert verify_mod23(2).ok
+    assert verify_cong_eis(6, 2).ok
+    assert verify_ep_minus_one(7, 2).ok
+    for k, p in STAR_PAIRS:
+        assert ramanujan_verdict(k, p, 2).ok, (k, p)
 
-    def lift(table, N):
-        lifted.append(table.weight)
-        return real(table, N)
 
-    monkeypatch.setattr(congr, "maass_lift", lift)
-    monkeypatch.setattr(forms, "maass_lift", lift)
-    forms.monomial_h.cache_clear()
-    assert ramanujan_verdict(14, 691, 2).ok
-    assert sorted(lifted) == [4, 6, 14]
+def box_verdict(k, p, N):
+    """The ramanujan verdict JSON computed from the box chi of
+    box_oracle.ring_chi, reading G and the named target through congr."""
+    L = 2 * N * N
+    g = congr.form_table(f"G{k}H", L)
+    G = FourierExpansion(k, N, {T: g.coeff(T) for T in enumerate_psd(N)})
+    chi = ring_chi(k, p, N, G)
+
+    def failed(check, claim):
+        if check.ok:
+            return []
+        return [{"claim": claim, "T": str(check.witness), "detail": check.status}]
+
+    witnesses = []
+    if not chi.siegel_phi().is_zero():
+        witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
+    cert = cong_mod(G.coeff, chi.coeff, p, N)
+    witnesses += failed(cert, f"g_h({k}) ≡ chi mod {p}")
+    checked = cert.checked + N + 1
+    params = {"k": k, "p": p, "depth": N}
+    name = {(10, 17): "X10", (14, 691): "X14"}.get((k, p))
+    if name:
+        extra = cong_mod(chi.coeff, congr.form_table(name, L).coeff, p, N)
+        witnesses += failed(extra, f"chi ≡ {name} mod {p}")
+        checked += extra.checked
+        params["target"] = name
+    return {
+        "theorem": "ramanujan-congruence",
+        "params": params,
+        "status": "fails" if witnesses else "holds",
+        "witnesses": witnesses,
+        "checked": checked,
+    }
+
+
+@pytest.mark.parametrize(
+    "k, p, N", [(k, p, 2) for k, p in STAR_PAIRS] + [(10, 17, 3), (14, 691, 3)]
+)
+def test_ramanujan_verdict_matches_box_chi(k, p, N):
+    assert ramanujan_verdict(k, p, N).to_json() == box_verdict(k, p, N)
+
+
+@pytest.mark.parametrize(
+    "k, p, name, bumps",
+    [
+        # I2 precedes T0 in box order, so the target check fails at I2 and
+        # the certificate meets the non-p-integral T0
+        (10, 17, "G10H", {I2: 1, T0: Fraction(1, 17)}),
+        (12, 31, "G12H", {T0: 1, I2: Fraction(1, 31)}),
+        (14, 691, "G14H", {parse_tmatrix("0,2,0,0,0,0"): 1, T0: Fraction(1, 691)}),
+        (14, 691, "X14", {T0: 1}),
+    ],
+)
+def test_ramanujan_perturbed_matches_box_chi(monkeypatch, k, p, name, bumps):
+    perturb(monkeypatch, name, bumps)
+    v = ramanujan_verdict(k, p, 2).to_json()
+    assert v["status"] == "fails"
+    assert v == box_verdict(k, p, 2)
 
 
 def test_verdict_fails_path(monkeypatch):

@@ -6,6 +6,7 @@ from math import inf
 
 import pytest
 
+from qmf import exactnum
 from qmf.exactnum import (
     bernoulli,
     divisors,
@@ -176,6 +177,37 @@ def test_is_prime_large_and_tricky():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(2**61 + 1)
     assert not is_prime(-7)
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_is_prime_strong_pseudoprimes_to_small_bases():
+    # psi_12 passes Miller-Rabin to the bases 2..37 and needs base 41;
+    # psi_13 passes all bases up to 41 and needs the strong Lucas test
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert factorize(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+    for e in (89, 107, 127, 521):  # Mersenne primes past psi_13
+        assert is_prime(2**e - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime((2**89 - 1) ** 2)
+    assert not is_prime(2**89 + 1)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the composites below 26000 that pass the Selfridge strong Lucas test
+    # (OEIS A217255); every prime in range passes it
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    odd = [n for n in range(43, 26000, 2) if all(n % q for q in small)]
+    passed = [n for n in odd if exactnum._strong_lucas(n)]
+    primes = [n for n in odd if is_prime(n)]
+    assert [n for n in passed if n not in primes] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+    ]
+    assert set(primes) <= set(passed)
 
 
 def test_factorize():

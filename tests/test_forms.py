@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from box_oracle import RING, ring_x14
+from box_oracle import RING, monomial_h, ring_x14
 from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
@@ -14,7 +14,6 @@ from qmf.forms import (
     form_table,
     g_constant,
     maass_lift,
-    monomial_h,
     x14_closed,
 )
 from qmf.series import QSeries, eisenstein_q, tau_star
@@ -144,10 +143,17 @@ def test_table_coeff_raises_past_its_bound():
 
 
 def test_e4_e6_tables_integral():
-    # chi = G - p * P(E4H, E6H) is p-integral once P is, because of this
+    # chi = G - p * P(E4H, E6H) is p-integral once P is, because of this;
+    # build_chi's certificate rests on it
     for k in (4, 6):
         table = eisenstein_table(k, 400)
-        assert all(c.denominator == 1 for c in table.phi0.coeffs + table.R)
+        assert all(c.denominator == 1 for c in table.phi0.coeffs)
+        R = table.R
+        assert R[0].denominator == 1 and R[1].denominator == 1
+        twist = 2 ** (k - 2)
+        for ell in range(1, 401):
+            singular = sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4))
+            assert R[ell] == R[1] * singular
 
 
 def test_x14_table_is_tau_star():

@@ -4,9 +4,13 @@ tests/golden_cli.json maps each command line to its exit code and the sha256
 of its stdout. The digests were recorded before the named forms moved to
 Maass tables, so these tests pin that refactors keep every printed byte.
 
-Re-record (only when an output change is intended):
+Record the commands that have no digest yet:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
+
+Recording never rewrites a digest that is already in the file. To re-record
+a command (only when an output change is intended), delete its entry from
+golden_cli.json first.
 """
 
 import contextlib
@@ -70,6 +74,10 @@ def _verify_commands():
     yield ["verify", "ramanujan", "--k", "10", "--p", "17", "--depth", "3"]
     yield ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "3"]
     yield ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "2"]
+    for k, p in (("16", "43"), ("16", "127"), ("18", "257"), ("18", "3617"),
+                 ("20", "73"), ("20", "43867")):
+        yield ["verify", "ramanujan", "--k", k, "--p", p, "--depth", "2"]
+    yield ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "0"]
 
 
 KINDS = {
@@ -107,8 +115,12 @@ def test_golden_verify():
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    record = {
-        kind: {" ".join(argv): digest(argv) for argv in commands()}
-        for kind, commands in KINDS.items()
-    }
+    known = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    record = {}
+    for kind, commands in KINDS.items():
+        old = known.get(kind, {})
+        record[kind] = {
+            cmd: old[cmd] if cmd in old else digest(cmd.split(" "))
+            for cmd in (" ".join(argv) for argv in commands())
+        }
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
