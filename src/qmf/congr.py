@@ -140,7 +140,9 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     the depth-N box; G is the G<k>H series, g_constant(k) times the weight-k
     Eisenstein series.
 
-    Procedure: divide the degree-1 restriction of G by p, check the
+    Procedure: check that the depth N gives the q^0..q^N coefficients one
+    equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
+    for k = 12), divide the degree-1 restriction of G by p, check the
     quotient is p-integral, express it as a polynomial P in the elliptic
     weight-4/weight-6 generators (with p-integral coefficients), and check
     that phi - p * P(E4, E6) vanishes, so chi restricts to 0 in degree 1.
@@ -150,6 +152,14 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     """
     if not star_condition(k, p):
         raise ValueError(f"pair (k={k}, p={p}) fails the star condition")
+    monomials = e4_e6_monomials(k, N)
+    # P has one unknown per monomial, solved from the q^0..q^N coefficients
+    d = len(monomials)
+    if N < d - 1:
+        raise ValueError(
+            f"pair (k={k}, p={p}) needs depth >= {d - 1} (weight {k} has {d} "
+            f"monomials in E4 and E6), got depth {N}"
+        )
     G = form_table(f"G{k}H", 2 * N * N)
     phi = G.phi0.truncate(N)
     f = phi.scale(Fraction(1, p))
@@ -158,7 +168,6 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     poly = express_in_e4_e6(f)
     if any(ord_p(c, p) < 0 for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
-    monomials = e4_e6_monomials(k, N)
     for ab, c in poly.items():
         phi = phi - monomials[ab].scale(p * c)
     # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
@@ -236,12 +245,18 @@ def verify_theta_cong(N: int) -> list[Verdict]:
     return out
 
 
+def _kronecker_table(p: int, N: int) -> list[int]:
+    """kronecker(-p, l) for every two_det value l = 0..2N^2 of the depth-N box."""
+    return [kronecker(-p, l) for l in range(2 * N * N + 1)]
+
+
 def _nonresidue_sweep(a, p: int, N: int, witnesses: list) -> int:
     """Append a witness for every box index T with kronecker(-p, two_det(T))
     = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked."""
+    chi = _kronecker_table(p, N)
     checked = 0
     for T in enumerate_psd(N):
-        if kronecker(-p, T.two_det()) != -1:
+        if chi[T.two_det()] != -1:
             continue
         checked += 1
         c = a(T)
@@ -258,9 +273,11 @@ def verify_mod23(N: int) -> Verdict:
     witnesses: list = []
     checked = _nonresidue_sweep(a, 23, N, witnesses)
 
+    chi = _kronecker_table(23, N)
+
     def twisted(T):
         td = T.two_det()
-        return a(T) * td * kronecker(-23, td)
+        return a(T) * td * chi[td]
 
     corollary = cong_mod(twisted, lambda T: a(T) * T.two_det(), 23, N)
     checked += corollary.checked

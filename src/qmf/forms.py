@@ -17,7 +17,7 @@ build_form, for library use and for the box-product oracle in the tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,10 +53,17 @@ class MaassTable:
     multiples and products of the forms. coeff reads the Maass lift of the
     table, which is the form itself only when the form lies in the Maass
     space: every named form does, but E4^3, say, does not.
+
+    A nonzero coefficient depends on T only through the class key
+    (two_det(T), eps(T)), so coeff evaluates its divisor sum once per key
+    and keeps the value in a memo owned by this table.
     """
 
     phi0: QSeries
     R: tuple[Fraction, ...]
+    _memo: dict[tuple[int, int], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def weight(self) -> int:
@@ -99,8 +106,13 @@ class MaassTable:
             raise ValueError(
                 f"table reaches l = {len(self.R) - 1}; {T} needs l = {td}"
             )
-        k1 = self.weight - 1
-        return sum(d**k1 * self.R[td // (d * d)] for d in divisors(T.epsilon()))
+        eps = T.epsilon()
+        c = self._memo.get((td, eps))
+        if c is None:
+            k1 = self.weight - 1
+            c = sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
+            self._memo[td, eps] = c
+        return c
 
 
 def maass_lift(table: MaassTable, N: int) -> FourierExpansion:

@@ -54,16 +54,22 @@ class TMatrix(NamedTuple):
     def epsilon(self) -> int:
         """Content of T: the largest d >= 1 with d | n, d | m and t/d still dual.
 
-        Defined for T != 0 only.
+        With g = gcd(n, m, t) and s the coordinate sum of t, t/d is dual
+        exactly when s/d is even, so d is g with just enough factors 2 taken
+        out to leave s/d even: all of g when s = 0, else g >> max(0,
+        v2(g) - v2(s) + 1). Defined for T != 0 with t dual only.
         """
         if self == ZERO_TMATRIX:
             raise ValueError("epsilon: undefined for the zero matrix")
         a, b, c, d = self.t
         g = gcd(self.n, self.m, a, b, c, d)
-        for div in reversed(divisors(g)):
-            if QuatCoord(a // div, b // div, c // div, d // div).in_dual():
-                return div
-        raise AssertionError("unreachable: 1 always divides")
+        s = a + b + c + d
+        if s == 0:
+            return g
+        if s % 2:
+            raise ValueError(f"epsilon: {self.t} is not in the dual lattice")
+        # (x & -x).bit_length() is v2(x) + 1
+        return g >> max(0, (g & -g).bit_length() - (s & -s).bit_length() + 1)
 
     def __str__(self) -> str:
         return f"{self.n},{self.m},{self.t}"

@@ -9,7 +9,7 @@ import pytest
 
 from qmf import cli, fexp, forms, tmat
 from qmf.cli import main
-from qmf.forms import build_form
+from qmf.forms import build_form, form_table
 from qmf.series import tau_star
 from qmf.tmat import enumerate_psd
 
@@ -126,6 +126,19 @@ def test_verify_ramanujan_missing_args_exit2(capsys):
     code, out, err = run(capsys, ["verify", "ramanujan", "--k", "14"])
     assert code == 2
     assert "needs --k and --p" in err
+
+
+def test_verify_ramanujan_depth_check(capsys):
+    # weight 12 needs depth 1 for its two monomials; weight 10 has one
+    argv = ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "0"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "needs depth >= 1" in err and "got depth 0" in err
+    argv = ["verify", "ramanujan", "--k", "10", "--p", "17", "--depth", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "holds" and verdict["checked"] == 3
 
 
 def test_verify_congeis_composite_exit2(capsys):
@@ -247,6 +260,21 @@ def test_table_failed_mod_writes_nothing(capsys, tmp_path, form, mod, fmt):
     code, out, err = run(capsys, argv + ["--out", str(path)])
     assert (code, out) == (1, "")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("form, mod", [("E10H", 17), ("E12H", 31), ("E16H", 43)])
+def test_table_failed_mod_names_first_index(capsys, form, mod):
+    # rows are rendered once per distinct coefficient; the error still names
+    # the first index in box order whose coefficient is not integral mod M
+    table = form_table(form, 8)
+    first = next(
+        T for T in enumerate_psd(2) if table.coeff(T).denominator % mod == 0
+    )
+    for fmt in ("csv", "json"):
+        argv = ["table", "--form", form, "--max", "2", "--mod", str(mod)]
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, out) == (1, "")
+        assert f"error: coefficient at {first} is not integral mod {mod}" in err
 
 
 def test_table_builds_no_expansion(capsys, monkeypatch):

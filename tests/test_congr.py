@@ -122,6 +122,18 @@ def test_build_chi_rejects_bad_pairs():
         build_chi(4, 5, 2)
 
 
+def test_build_chi_depth_check():
+    # weight 12 has two monomials (E4^3, E6^2), so P needs q^0 and q^1
+    with pytest.raises(ValueError, match="needs depth >= 1.*got depth 0"):
+        build_chi(12, 31, 0)
+    with pytest.raises(ValueError, match="needs depth >= 1.*got depth 0"):
+        build_chi(16, 43, 0)  # E4^4 and E4 E6^2
+    # weight 10 has one monomial, E4 E6: depth 0 suffices
+    report = build_chi(10, 17, 0)
+    assert report.ok and report.congruence.checked == 1
+    assert build_chi(12, 31, 1).ok
+
+
 def test_build_chi_report_json():
     j = build_chi(10, 17, 2).to_json()
     assert j["k"] == 10 and j["p"] == 17 and j["depth"] == 2

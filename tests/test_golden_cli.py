@@ -62,6 +62,10 @@ def _table_commands():
     yield ["table", "--form", "G12H", "--max", "3", "--mod", "691"]
     yield ["table", "--form", "G12H", "--max", "3", "--format", "json", "--mod", "691"]
     yield ["table", "--form", "X10", "--max", "3", "--mod", "17"]
+    yield ["table", "--form", "G10H", "--max", "4"]
+    yield ["table", "--form", "G12H", "--max", "4", "--format", "json", "--mod", "691"]
+    yield ["table", "--form", "X14", "--max", "4", "--format", "json"]
+    yield ["table", "--form", "E10H", "--max", "4", "--format", "json", "--mod", "17"]
 
 
 def _verify_commands():

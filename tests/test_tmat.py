@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from qmf.exactnum import divisors
 from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual
 from qmf.tmat import TMatrix, ZERO_TMATRIX, box_size, enumerate_psd, parse_tmatrix
 
@@ -55,25 +56,24 @@ def test_epsilon_frozen():
     assert parse_tmatrix("4,2,2,2,0,0").epsilon() == 2
     with pytest.raises(ValueError):
         ZERO_TMATRIX.epsilon()
+    with pytest.raises(ValueError):  # t = (1, 0, 0, 0) is not dual
+        TMatrix(1, 1, QuatCoord(1, 0, 0, 0)).epsilon()
 
 
 def test_epsilon_definition_brute():
-    # oracle: try every candidate divisor downward
-    rng = random.Random(17)
-    pool = [T for T in enumerate_psd(2) if T != ZERO_TMATRIX]
-    for _ in range(200):
-        T = rng.choice(pool)
-        s = rng.randrange(1, 4)
-        S = TMatrix(s * T.n, s * T.m, QuatCoord(*(s * v for v in T.t)))
-        g = gcd(S.n, S.m, *S.t)
-        best = None
-        for d in range(g, 0, -1):
-            if g % d:
-                continue
-            if QuatCoord(*(v // d for v in S.t)).in_dual():
-                best = d
-                break
-        assert S.epsilon() == best
+    # oracle: try every candidate divisor downward, at every nonzero index of
+    # the depth-6 box and at its 2x and 3x multiples
+    box = enumerate_psd(6)
+    assert box[0] == ZERO_TMATRIX
+    for n, m, (a, b, c, d) in box[1:]:
+        for s in (1, 2, 3):
+            S = TMatrix(s * n, s * m, QuatCoord(s * a, s * b, s * c, s * d))
+            g = gcd(S.n, S.m, *S.t)
+            best = next(
+                e for e in reversed(divisors(g))
+                if QuatCoord(*(v // e for v in S.t)).in_dual()
+            )
+            assert S.epsilon() == best, S
 
 
 def test_scaled_matrix_divides_two_det():
