@@ -6,14 +6,17 @@ Subcommands:
   table   dump all box coefficients of a form as CSV or JSON
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
-reduction failure, 2 usage or precondition error. Rationals are always
-printed exactly (num/den strings), never as floats. coeff and table
-evaluate the form's one-variable Maass table index by index, so neither
-builds a lifted expansion. A nonzero coefficient depends on T only through
-its class (two_det(T), content of T), and the table evaluates each class
-once: the depth-N box holds 24, 45, 67 and 105 classes for N = 3..6 (67 for
-the 121188 indices at N = 5). table renders each distinct coefficient's
-numerator, denominator and residue once, too.
+reduction failure, 2 usage or precondition error (a negative --depth or
+--max among them). Rationals are always printed exactly (num/den strings),
+never as floats. No subcommand builds a lifted expansion: each reads the
+form's one-variable Maass table. A coefficient at T != 0 depends on T only
+through its class (two_det(T), content of T), and the table evaluates each
+class once: the depth-N box holds 25, 46, 68, 106, 185 and 437 class keys
+for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0 included. table
+walks every index and renders each distinct coefficient's numerator,
+denominator and residue once. verify checks each class once and counts its
+indices without the box, so its cost grows with the classes, not the
+indices; only a failing sweep walks the box, to name its witnesses.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
 
 
-def _warn_depth(N: int) -> None:
+def _check_depth(N: int, flag: str) -> None:
+    """Reject a negative depth up front, naming its flag; warn about a deep box."""
+    if N < 0:
+        raise ValueError(f"{flag} must be >= 0, got {N}")
     if N >= _DEPTH_WARN:
         print(
             f"warning: depth {N} enumerates {box_size(N)} index "
@@ -77,7 +83,7 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_verify(args) -> int:
     N = args.depth
-    _warn_depth(N)
+    _check_depth(N, "--depth")
     theorem = args.theorem
     if theorem == "ramanujan":
         if args.k is None or args.p is None:
@@ -123,7 +129,7 @@ def _cmd_table(args) -> int:
     The part of a row after T is rendered once per distinct coefficient; a
     coefficient fails --mod first at the first index that has it."""
     N = args.max
-    _warn_depth(N)
+    _check_depth(N, "--max")
     a = form_table(args.form, 2 * N * N).coeff
     as_csv, mod = args.format == "csv", args.mod
     if as_csv:

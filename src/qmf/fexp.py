@@ -19,7 +19,7 @@ from math import lcm
 from .exactnum import is_prime
 from .quatlat import ZERO_QUAT, QuatCoord
 from .series import QSeries
-from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
+from .tmat import TMatrix, ZERO_TMATRIX, class_counts, enumerate_psd
 
 __all__ = ["CongCheck", "FourierExpansion", "cong_mod"]
 
@@ -178,18 +178,28 @@ class CongCheck:
 def cong_mod(f, g, p: int, N: int) -> CongCheck:
     """Check f(T) == g(T) mod p for every T in the depth-N box.
 
-    f and g map an index to its exact coefficient: a MaassTable's or a
-    FourierExpansion's coeff, or any function of them such as a theta image.
-    A source that cannot answer at some T raises ValueError there.
+    f and g map a class key (two_det, content), T.class_key(), to the exact
+    coefficient at every T of that class: a MaassTable's class_coeff, or any
+    function of it such as a theta image. Each is evaluated once per class of
+    the box, and a sweep that holds has checked every index. Otherwise the
+    box is walked to the first T whose class fails, so the witness and
+    checked are those of an index-by-index sweep. A source that cannot
+    answer at some class raises ValueError there.
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
-    box = enumerate_psd(N)
-    for i, T in enumerate(box):
-        a = f(T)
-        b = g(T)
+    counts = class_counts(N)
+    bad = {}
+    for key in counts:
+        a = f(key)
+        b = g(key)
         if a.denominator % p == 0 or b.denominator % p == 0:
-            return CongCheck("not-p-integral", T, i + 1)
-        if a != b and (a - b).numerator % p:
-            return CongCheck("fails", T, i + 1)
-    return CongCheck("holds", None, len(box))
+            bad[key] = "not-p-integral"
+        elif a != b and (a - b).numerator % p:
+            bad[key] = "fails"
+    if not bad:
+        return CongCheck("holds", None, sum(counts.values()))
+    i, T = next(
+        (i, T) for i, T in enumerate(enumerate_psd(N)) if T.class_key() in bad
+    )
+    return CongCheck(bad[T.class_key()], T, i + 1)

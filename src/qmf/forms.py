@@ -54,9 +54,10 @@ class MaassTable:
     table, which is the form itself only when the form lies in the Maass
     space: every named form does, but E4^3, say, does not.
 
-    A nonzero coefficient depends on T only through the class key
-    (two_det(T), eps(T)), so coeff evaluates its divisor sum once per key
-    and keeps the value in a memo owned by this table.
+    A coefficient at T != 0 depends on T only through the class key
+    (two_det(T), eps(T)), so class_coeff evaluates its divisor sum once per
+    key and keeps the value in a memo owned by this table; coeff reads that
+    memo first.
     """
 
     phi0: QSeries
@@ -101,17 +102,25 @@ class MaassTable:
             return self.phi0.coeffs[0]
         if not T.is_psd():
             return Fraction(0)
-        td = T.two_det()
-        if td >= len(self.R):
-            raise ValueError(
-                f"table reaches l = {len(self.R) - 1}; {T} needs l = {td}"
-            )
-        eps = T.epsilon()
-        c = self._memo.get((td, eps))
+        key = (T.two_det(), T.epsilon())
+        c = self._memo.get(key)
+        return self.class_coeff(key) if c is None else c
+
+    def class_coeff(self, key: tuple[int, int]) -> Fraction:
+        """Coefficient of the Maass lift at every psd T of class key =
+        T.class_key(); raises ValueError when two_det > L."""
+        if key == (0, 0):
+            return self.phi0.coeffs[0]
+        c = self._memo.get(key)
         if c is None:
+            td, eps = key
+            if td >= len(self.R):
+                raise ValueError(
+                    f"table reaches l = {len(self.R) - 1}; class {key} needs l = {td}"
+                )
             k1 = self.weight - 1
             c = sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
-            self._memo[td, eps] = c
+            self._memo[key] = c
         return c
 
 

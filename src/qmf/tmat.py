@@ -11,14 +11,22 @@ which is what every coefficient formula in this package is indexed by.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import divisors
 from .quatlat import ZERO_QUAT, QuatCoord, enumerate_dual, parse_quat
 
-__all__ = ["TMatrix", "ZERO_TMATRIX", "box_size", "enumerate_psd", "parse_tmatrix"]
+__all__ = [
+    "TMatrix",
+    "ZERO_TMATRIX",
+    "box_size",
+    "class_counts",
+    "enumerate_psd",
+    "parse_tmatrix",
+]
 
 
 class TMatrix(NamedTuple):
@@ -70,6 +78,13 @@ class TMatrix(NamedTuple):
             raise ValueError(f"epsilon: {self.t} is not in the dual lattice")
         # (x & -x).bit_length() is v2(x) + 1
         return g >> max(0, (g & -g).bit_length() - (s & -s).bit_length() + 1)
+
+    def class_key(self) -> tuple[int, int]:
+        """(two_det, epsilon), or (0, 0) for T = 0: a coefficient of a
+        Maass-space form depends on T only through this key."""
+        if self == ZERO_TMATRIX:
+            return (0, 0)
+        return (self.two_det(), self.epsilon())
 
     def __str__(self) -> str:
         return f"{self.n},{self.m},{self.t}"
@@ -137,3 +152,50 @@ def box_size(N: int) -> int:
     return 2 * N + 1 + sum(
         ball[2 * n * m] for n in range(1, N + 1) for m in range(1, N + 1)
     )
+
+
+def class_counts(N: int) -> dict[tuple[int, int], int]:
+    """{class key: number of indices} over the depth-N box, without the box.
+
+    Each (n, m) block with n*m > 0 is the dual ball norm(t) <= 4nm. With
+    g = gcd(n, m, t) and s the coordinate sum of t, TMatrix.epsilon halves g
+    exactly when v2(g) = v2(s); as g | gcd(t) | s, that is when v2(g) =
+    v2(gcd(t)) and s / gcd(t) is odd. So the key of (n, m, t) is a function
+    of 2nm, gcd(n, m) and the histogram key (norm(t), gcd(t), parity of
+    s / gcd(t)), which sign changes and permutations of t's coordinates
+    keep. One walk of the ball norm(t) <= 4N^2 over the t with a >= b >= c
+    >= d >= 0, each weighted by the size of its orbit, builds the histogram;
+    each block then folds it in. Each block with n*m = 0 holds the one index
+    (n, m, 0), of key (0, max(n, m)).
+    """
+    if N < 0:
+        raise ValueError("class_counts: depth must be >= 0")
+    R = 4 * N * N
+    hist = Counter()
+    for a in range(isqrt(R) + 1):
+        for b in range(min(a, isqrt(R - a * a)) + 1):
+            for c in range(min(b, isqrt(R - a * a - b * b)) + 1):
+                budget = R - a * a - b * b - c * c
+                # d has the parity of a+b+c, so that t is dual
+                for d in range((a + b + c) % 2, min(c, isqrt(budget)) + 1, 2):
+                    t = (a, b, c, d)
+                    g_t = gcd(a, b, c, d)
+                    odd = (a + b + c + d) // g_t % 2 if g_t else 0
+                    orbit = 24 << (4 - t.count(0))  # permutations and signs
+                    for repeats in Counter(t).values():
+                        orbit //= factorial(repeats)
+                    hist[R - budget + d * d, g_t, odd] += orbit
+    out = Counter({(0, 0): 1})
+    for n in range(1, N + 1):
+        out[0, n] += 2
+    blocks = Counter(
+        (n * m, gcd(n, m)) for n in range(1, N + 1) for m in range(1, N + 1)
+    )
+    for (nm, g_nm), mult in blocks.items():
+        for (r, g_t, odd), count in hist.items():
+            if r <= 4 * nm:
+                g = gcd(g_nm, g_t)
+                if odd and g & -g == g_t & -g_t:
+                    g >>= 1
+                out[2 * nm - r // 2, g] += mult * count
+    return dict(out)

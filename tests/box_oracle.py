@@ -1,17 +1,27 @@
-"""Forms built by the degree-2 box product, as oracles for the table code.
+"""Index-by-index constructions, as oracles for the table and class code.
 
-These are the constructions qmf used before its forms moved to one-variable
-Maass tables. They multiply whole expansions with FourierExpansion.__mul__,
-so they share no code path with the table product rule or with the
-table-only Ramanujan certificate, and serve as their oracle.
+The forms here are the constructions qmf used before its forms moved to
+one-variable Maass tables. They multiply whole expansions with
+FourierExpansion.__mul__, so they share no code path with the table product
+rule or with the table-only Ramanujan certificate, and serve as their
+oracle.
+
+cong_mod and the verdicts below sweep the depth-N box one index at a time,
+reading each named form's table through congr.form_table (so a test that
+patches it sees the same tables as the verifiers). They are the sweeps the
+verifiers ran before they checked one value per class, and serve as the
+oracle of the class sweeps.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from qmf.fexp import FourierExpansion
+from qmf import congr
+from qmf.exactnum import is_prime, kronecker, sigma
+from qmf.fexp import CongCheck, FourierExpansion
 from qmf.forms import build_form
 from qmf.series import express_in_e4_e6
+from qmf.tmat import ZERO_TMATRIX, enumerate_psd
 
 
 @lru_cache(maxsize=None)
@@ -62,3 +72,125 @@ def ring_chi(k, p, N, G=None):
     for (a, b), c in poly.items():
         lift = lift + monomial_h(a, b, N).scale(c)
     return G - lift.scale(p)
+
+
+def cong_mod(f, g, p, N):
+    """Check f(T) == g(T) mod p at every T of the depth-N box, in box order;
+    f and g map an index to its coefficient."""
+    if not is_prime(p):
+        raise ValueError(f"cong_mod: modulus {p} is not prime")
+    box = enumerate_psd(N)
+    for i, T in enumerate(box):
+        a = f(T)
+        b = g(T)
+        if a.denominator % p == 0 or b.denominator % p == 0:
+            return CongCheck("not-p-integral", T, i + 1)
+        if a != b and (a - b).numerator % p:
+            return CongCheck("fails", T, i + 1)
+    return CongCheck("holds", None, len(box))
+
+
+def _failed(check, claim=""):
+    if check.ok:
+        return []
+    entry = {"T": str(check.witness), "detail": check.status}
+    return [{"claim": claim, **entry} if claim else entry]
+
+
+def _verdict(theorem, params, witnesses, checked):
+    return {
+        "theorem": theorem,
+        "params": params,
+        "status": "fails" if witnesses else "holds",
+        "witnesses": witnesses,
+        "checked": checked,
+    }
+
+
+def _table(name, N):
+    return congr.form_table(name, 2 * N * N)
+
+
+def ramanujan_verdict(k, p, N):
+    """The ramanujan verdict JSON with chi from ring_chi, G lifted from its
+    table index by index, and the named target read from its table."""
+    g = _table(f"G{k}H", N)
+    G = FourierExpansion(k, N, {T: g.coeff(T) for T in enumerate_psd(N)})
+    chi = ring_chi(k, p, N, G)
+    witnesses = []
+    if not chi.siegel_phi().is_zero():
+        witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
+    cert = cong_mod(G.coeff, chi.coeff, p, N)
+    witnesses += _failed(cert, f"g_h({k}) ≡ chi mod {p}")
+    checked = cert.checked + N + 1
+    params = {"k": k, "p": p, "depth": N}
+    name = {(10, 17): "X10", (14, 691): "X14"}.get((k, p))
+    if name:
+        extra = cong_mod(chi.coeff, _table(name, N).coeff, p, N)
+        witnesses += _failed(extra, f"chi ≡ {name} mod {p}")
+        checked += extra.checked
+        params["target"] = name
+    return _verdict("ramanujan-congruence", params, witnesses, checked)
+
+
+def ep1_verdict(p, N):
+    E = _table(f"E{p - 1}H", N).coeff
+    check = cong_mod(E, lambda T: Fraction(T == ZERO_TMATRIX), p, N)
+    params = {"p": p, "depth": N}
+    return _verdict(
+        "eisenstein-weight-p-minus-one", params, _failed(check), check.checked
+    )
+
+
+def theta_verdicts(N):
+    out = []
+    for k, p, name in ((4, 5, "X10"), (6, 7, "X14")):
+        a = _table(f"G{k}H", N).coeff
+        check = cong_mod(lambda T: T.two_det() * a(T), _table(name, N).coeff, p, N)
+        params = {"k": k, "p": p, "target": name, "depth": N}
+        out.append(
+            _verdict("theta-congruence", params, _failed(check), check.checked)
+        )
+    return out
+
+
+def _nonresidue_sweep(a, p, N, witnesses):
+    checked = 0
+    for T in enumerate_psd(N):
+        if kronecker(-p, T.two_det()) != -1:
+            continue
+        checked += 1
+        c = a(T)
+        if c.denominator % p == 0 or c.numerator % p:
+            witnesses.append({"T": str(T), "coeff": str(c)})
+    return checked
+
+
+def mod23_verdict(N):
+    a = _table("X14", N).coeff
+    witnesses = []
+    checked = _nonresidue_sweep(a, 23, N, witnesses)
+
+    def twisted(T):
+        return a(T) * T.two_det() * kronecker(-23, T.two_det())
+
+    corollary = cong_mod(twisted, lambda T: a(T) * T.two_det(), 23, N)
+    witnesses += _failed(corollary, "twisted theta ≡ theta mod 23")
+    checked += corollary.checked
+    return _verdict(
+        "mod23-vanishing", {"p": 23, "depth": N}, witnesses, checked
+    )
+
+
+def congeis_verdict(k, N):
+    p = 2 * k - 5
+    witnesses = []
+    checked = _nonresidue_sweep(_table(f"G{k}H", N).coeff, p, N, witnesses)
+    half = (p - 1) // 2
+    for ell in range(1, 501):
+        if kronecker(-p, ell) == -1:
+            checked += 1
+            if sigma(half, ell) % p:
+                witnesses.append({"ell": ell, "sigma": str(sigma(half, ell))})
+    params = {"k": k, "p": p, "depth": N, "sigma_sweep": 500}
+    return _verdict("eisenstein-nonresidue-vanishing", params, witnesses, checked)

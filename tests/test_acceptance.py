@@ -9,7 +9,7 @@ with all nine certificates, and the structural properties of the lift.
 
 from fractions import Fraction
 
-from box_oracle import ring_x14
+from box_oracle import cong_mod, ring_x14
 from qmf.congr import (
     build_chi,
     star_primes,
@@ -18,7 +18,6 @@ from qmf.congr import (
     verify_mod23,
 )
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
-from qmf.fexp import cong_mod
 from qmf.forms import build_form, x14_closed
 from qmf.series import eisenstein_q, tau
 from qmf.tmat import ZERO_TMATRIX, enumerate_psd, parse_tmatrix

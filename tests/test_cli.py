@@ -332,3 +332,21 @@ def test_no_command_exit2(capsys):
 
 def test_bad_theorem_name_exit2(capsys):
     assert main(["verify", "nosuch"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "theta", "--depth", "-1"], "--depth"),
+        (["verify", "mod23", "--depth", "-1"], "--depth"),
+        (["verify", "ep1", "--p", "5", "--depth", "-1"], "--depth"),
+        (["verify", "congeis", "--k", "6", "--depth", "-2"], "--depth"),
+        (["verify", "ramanujan", "--k", "10", "--p", "17", "--depth", "-1"], "--depth"),
+        (["table", "--form", "X10", "--max", "-1"], "--max"),
+    ],
+)
+def test_negative_depth_names_flag_exit2(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got {argv[-1]}\n"

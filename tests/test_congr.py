@@ -1,10 +1,13 @@
 """Theorem verifiers: star condition, chi construction, box sweeps."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from box_oracle import ring_chi
+import box_oracle
+from box_oracle import cong_mod, ring_chi
 from qmf import congr, fexp, forms
 from qmf.congr import (
     build_chi,
@@ -17,7 +20,6 @@ from qmf.congr import (
     verify_theta_cong,
 )
 from qmf.exactnum import kronecker
-from qmf.fexp import FourierExpansion, cong_mod
 from qmf.forms import build_form, form_table
 from qmf.tmat import enumerate_psd, parse_tmatrix
 
@@ -200,24 +202,27 @@ def test_verify_cong_eis_composite_rejected():
         verify_cong_eis(7, 2)
 
 
-class Perturbed:
-    """A table whose coefficient at each index in bumps is shifted by it;
-    its degree-1 restriction phi0 is the table's own."""
+def bump(table, R=None, phi0=None):
+    """A copy of table with R[l] += delta for each l: delta in R and
+    phi0[j] += delta for each j: delta in phi0. It is the table of another
+    Maass lift, so every index of a class still shares one coefficient."""
+    rows = list(table.R)
+    for l, delta in (R or {}).items():
+        rows[l] += delta
+    coeffs = list(table.phi0.coeffs)
+    for j, delta in (phi0 or {}).items():
+        coeffs[j] += delta
+    return replace(
+        table, phi0=replace(table.phi0, coeffs=tuple(coeffs)), R=tuple(rows)
+    )
 
-    def __init__(self, table, bumps):
-        self.table, self.bumps = table, bumps
-        self.phi0 = table.phi0
 
-    def coeff(self, T):
-        return self.table.coeff(T) + self.bumps.get(T, 0)
-
-
-def perturb(monkeypatch, name, bumps):
+def perturb(monkeypatch, name, R=None, phi0=None):
     """Make every table lookup of the named form in congr see the bumps."""
 
     def form_table(form, L):
         table = forms.form_table(form, L)
-        return Perturbed(table, bumps) if form == name else table
+        return bump(table, R, phi0) if form == name else table
 
     monkeypatch.setattr(congr, "form_table", form_table)
 
@@ -230,7 +235,10 @@ def test_verifiers_build_no_expansion(monkeypatch):
     def refuse(*args):
         raise AssertionError("verifiers must read tables, not lifted boxes")
 
+    # a sweep that holds reads classes only: no expansion and no box
     monkeypatch.setattr(fexp.FourierExpansion, "__init__", refuse)
+    monkeypatch.setattr(fexp, "enumerate_psd", refuse)
+    monkeypatch.setattr(congr, "enumerate_psd", refuse)
     assert all(v.ok for v in verify_theta_cong(2))
     assert verify_mod23(2).ok
     assert verify_cong_eis(6, 2).ok
@@ -239,71 +247,43 @@ def test_verifiers_build_no_expansion(monkeypatch):
         assert ramanujan_verdict(k, p, 2).ok, (k, p)
 
 
-def box_verdict(k, p, N):
-    """The ramanujan verdict JSON computed from the box chi of
-    box_oracle.ring_chi, reading G and the named target through congr."""
-    L = 2 * N * N
-    g = congr.form_table(f"G{k}H", L)
-    G = FourierExpansion(k, N, {T: g.coeff(T) for T in enumerate_psd(N)})
-    chi = ring_chi(k, p, N, G)
-
-    def failed(check, claim):
-        if check.ok:
-            return []
-        return [{"claim": claim, "T": str(check.witness), "detail": check.status}]
-
-    witnesses = []
-    if not chi.siegel_phi().is_zero():
-        witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
-    cert = cong_mod(G.coeff, chi.coeff, p, N)
-    witnesses += failed(cert, f"g_h({k}) ≡ chi mod {p}")
-    checked = cert.checked + N + 1
-    params = {"k": k, "p": p, "depth": N}
-    name = {(10, 17): "X10", (14, 691): "X14"}.get((k, p))
-    if name:
-        extra = cong_mod(chi.coeff, congr.form_table(name, L).coeff, p, N)
-        witnesses += failed(extra, f"chi ≡ {name} mod {p}")
-        checked += extra.checked
-        params["target"] = name
-    return {
-        "theorem": "ramanujan-congruence",
-        "params": params,
-        "status": "fails" if witnesses else "holds",
-        "witnesses": witnesses,
-        "checked": checked,
-    }
-
-
 @pytest.mark.parametrize(
     "k, p, N", [(k, p, 2) for k, p in STAR_PAIRS] + [(10, 17, 3), (14, 691, 3)]
 )
 def test_ramanujan_verdict_matches_box_chi(k, p, N):
-    assert ramanujan_verdict(k, p, N).to_json() == box_verdict(k, p, N)
+    assert ramanujan_verdict(k, p, N).to_json() == box_oracle.ramanujan_verdict(k, p, N)
+
+
+def first_of(two_det, N=2):
+    """The first index of the depth-N box with this two_det, in box order."""
+    return next(T for T in enumerate_psd(N) if T.two_det() == two_det)
 
 
 @pytest.mark.parametrize(
     "k, p, name, bumps",
     [
-        # I2 precedes T0 in box order, so the target check fails at I2 and
-        # the certificate meets the non-p-integral T0
-        (10, 17, "G10H", {I2: 1, T0: Fraction(1, 17)}),
-        (12, 31, "G12H", {T0: 1, I2: Fraction(1, 31)}),
-        (14, 691, "G14H", {parse_tmatrix("0,2,0,0,0,0"): 1, T0: Fraction(1, 691)}),
-        (14, 691, "X14", {T0: 1}),
+        # two_det 1 precedes two_det 2 in box order, so the target check
+        # fails at two_det 1 and the certificate meets the non-p-integral
+        # I2; rows past 0 leave G's degree-1 restriction alone
+        (10, 17, "G10H", {1: 1, 2: Fraction(1, 17)}),
+        (12, 31, "G12H", {1: 1, 2: Fraction(1, 31)}),
+        (14, 691, "G14H", {3: 1, 4: Fraction(1, 691)}),
+        (14, 691, "X14", {1: 1}),
     ],
 )
 def test_ramanujan_perturbed_matches_box_chi(monkeypatch, k, p, name, bumps):
-    perturb(monkeypatch, name, bumps)
+    perturb(monkeypatch, name, R=bumps)
     v = ramanujan_verdict(k, p, 2).to_json()
     assert v["status"] == "fails"
-    assert v == box_verdict(k, p, 2)
+    assert v == box_oracle.ramanujan_verdict(k, p, 2)
 
 
 def test_verdict_fails_path(monkeypatch):
-    # theta: a bumped X10 fails at the first bumped index in box order
+    # theta: a bumped X10 fails at the first index of a bumped class in box
+    # order, I2 (two_det 2) before the two_det 3 indices
     box = enumerate_psd(2)
-    perturb(monkeypatch, "X10", {T0: 1, I2: 1})
-    assert box.index(I2) < box.index(T0)
+    assert I2 == first_of(2) and box.index(I2) < box.index(first_of(3))
+    perturb(monkeypatch, "X10", R={2: 1, 3: 1})
     v10, v14 = verify_theta_cong(2)
     assert v10.status == "fails"
     assert v10.witnesses == [{"T": str(I2), "detail": "fails"}]
@@ -312,46 +292,52 @@ def test_verdict_fails_path(monkeypatch):
 
 
 def test_verify_mod23_fails_sweep_and_corollary(monkeypatch):
+    # two_det 5 and 7 are the nonresidues mod 23 in the box; bumping the
+    # row at 7 moves the two_det 7 indices only, and the sweep lists just
+    # those
     box = enumerate_psd(2)
     bad = nonresidues(23, 2)
-    first, last = bad[0], bad[-1]
+    assert {T.two_det() for T in bad} == {5, 7}
+    moved = [T for T in bad if T.two_det() == 7]
     a = form_table("X14", 8).coeff
-    perturb(monkeypatch, "X14", {last: 1, first: 1})
+    perturb(monkeypatch, "X14", R={7: 1})
     v = verify_mod23(2)
     assert v.status == "fails"
-    assert v.witnesses == [
-        {"T": str(first), "coeff": str(a(first) + 1)},
-        {"T": str(last), "coeff": str(a(last) + 1)},
-        {"claim": "twisted theta ≡ theta mod 23", "T": str(first), "detail": "fails"},
+    assert v.witnesses == [{"T": str(T), "coeff": str(a(T) + 1)} for T in moved] + [
+        {"claim": "twisted theta ≡ theta mod 23", "T": str(moved[0]), "detail": "fails"},
     ]
-    assert v.checked == len(bad) + box.index(first) + 1
+    assert v.checked == len(bad) + box.index(moved[0]) + 1
 
 
 def test_verify_mod23_fails_corollary_only(monkeypatch):
     # at a residue index only the twisted-theta comparison reads the value
     box = enumerate_psd(2)
-    assert kronecker(-23, T0.two_det()) == 1
-    perturb(monkeypatch, "X14", {T0: Fraction(1, 23)})
+    first = first_of(1)
+    assert kronecker(-23, 1) == 1
+    perturb(monkeypatch, "X14", R={1: Fraction(1, 23)})
     v = verify_mod23(2)
     assert v.status == "fails"
     assert v.witnesses == [
         {
             "claim": "twisted theta ≡ theta mod 23",
-            "T": str(T0),
+            "T": str(first),
             "detail": "not-p-integral",
         }
     ]
-    assert v.checked == len(nonresidues(23, 2)) + box.index(T0) + 1
+    assert v.checked == len(nonresidues(23, 2)) + box.index(first) + 1
 
 
 def test_verify_cong_eis_fails(monkeypatch):
+    # two_det 3, 5 and 6 are the nonresidues mod 7 in the box; only the
+    # bumped two_det 5 indices fail
     bad = nonresidues(7, 2)
+    assert {T.two_det() for T in bad} == {3, 5, 6}
     a = form_table("G6H", 8).coeff
-    perturb(monkeypatch, "G6H", {bad[2]: 1, bad[1]: 1})
+    perturb(monkeypatch, "G6H", R={5: 1})
     v = verify_cong_eis(6, 2)
     assert v.status == "fails"
     assert v.witnesses == [
-        {"T": str(T), "coeff": str(a(T) + 1)} for T in (bad[1], bad[2])
+        {"T": str(T), "coeff": str(a(T) + 1)} for T in bad if T.two_det() == 5
     ]
     sigma_checked = sum(1 for ell in range(1, 501) if kronecker(-7, ell) == -1)
     assert v.checked == len(bad) + sigma_checked
@@ -359,17 +345,18 @@ def test_verify_cong_eis_fails(monkeypatch):
 
 def test_verify_ep_minus_one_fails(monkeypatch):
     box = enumerate_psd(2)
-    assert box.index(T0) > 5
-    perturb(monkeypatch, "E4H", {T0: 1, box[5]: 1})
+    first = first_of(1)
+    assert box.index(first) < box.index(first_of(2))
+    perturb(monkeypatch, "E4H", R={1: 1, 2: 1})
     v = verify_ep_minus_one(5, 2)
     assert v.status == "fails"
-    assert v.witnesses == [{"T": str(box[5]), "detail": "fails"}]
-    assert v.checked == 6
+    assert v.witnesses == [{"T": str(first), "detail": "fails"}]
+    assert v.checked == box.index(first) + 1
 
 
 def test_ramanujan_named_target_fails(monkeypatch):
     box = enumerate_psd(2)
-    perturb(monkeypatch, "X10", {T0: 1, I2: 1})
+    perturb(monkeypatch, "X10", R={2: 1, 3: 1})
     v = ramanujan_verdict(10, 17, 2)
     assert v.status == "fails"
     assert v.witnesses == [
@@ -378,3 +365,86 @@ def test_ramanujan_named_target_fails(monkeypatch):
     # the certificate's full sweep, the N + 1 restriction checks, then the
     # target sweep up to its first failure
     assert v.checked == len(box) + 3 + box.index(I2) + 1
+
+
+@pytest.mark.parametrize("k, p, N", [(10, 17, 2), (12, 31, 2), (14, 691, 3)])
+def test_ramanujan_restriction_certificate(monkeypatch, k, p, N):
+    # P is solved from the first d coefficients of the restriction, so a
+    # bump by p at q^N (N >= d) leaves P p-integral and unchanged, and only
+    # the restriction checks past q^(d-1) see it
+    perturb(monkeypatch, f"G{k}H", phi0={N: p})
+    v = ramanujan_verdict(k, p, N)
+    # the box chi takes G's restriction from the lifted rows, which the
+    # bump leaves alone: all but the restriction claim agree with it
+    clean = box_oracle.ramanujan_verdict(k, p, N)
+    assert v.status == "fails"
+    assert v.witnesses[0] == {"claim": "degree-1 restriction of chi vanishes"}
+    assert v.witnesses[1:] == clean["witnesses"] == []
+    assert v.checked == clean["checked"]
+    assert not build_chi(k, p, N).phi_vanishes
+
+
+def _bumps(rng, N, p, ramanujan):
+    """Random bumps of up to three rows and, half the time, of the constant
+    term: a third of the time by multiples of p, which keep every congruence,
+    else by 1, p, 1/p or a small integer. For ramanujan neither R[0] nor phi0
+    moves: the box chi reads G's degree-1 restriction from the lifted R[0],
+    build_chi reads it from phi0, and the two agree only on a Maass form."""
+    if rng.random() < 1 / 3:
+        deltas = (p, -2 * p)
+    else:
+        deltas = (1, p, Fraction(1, p), rng.randint(-3, 3))
+    rows = range(1 if ramanujan else 0, 2 * N * N + 1)
+    R = {rng.choice(rows): rng.choice(deltas) for _ in range(rng.randint(1, 3))}
+    phi0 = {} if ramanujan or rng.random() < 0.5 else {0: rng.choice(deltas)}
+    return R, phi0
+
+
+DIFFERENTIAL = {
+    # verifier, oracle, {form: modulus} the random bumps hit
+    "theta": (
+        lambda N: [v.to_json() for v in verify_theta_cong(N)],
+        box_oracle.theta_verdicts,
+        {"G4H": 5, "X10": 5, "G6H": 7, "X14": 7},
+    ),
+    "ep1": (
+        lambda N: verify_ep_minus_one(7, N).to_json(),
+        lambda N: box_oracle.ep1_verdict(7, N),
+        {"E6H": 7},
+    ),
+    "mod23": (
+        lambda N: verify_mod23(N).to_json(),
+        box_oracle.mod23_verdict,
+        {"X14": 23},
+    ),
+    "congeis": (
+        lambda N: verify_cong_eis(6, N).to_json(),
+        lambda N: box_oracle.congeis_verdict(6, N),
+        {"G6H": 7},
+    ),
+    "ramanujan": (
+        lambda N: ramanujan_verdict(14, 691, N).to_json(),
+        lambda N: box_oracle.ramanujan_verdict(14, 691, N),
+        {"G14H": 691, "X14": 691},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_class_sweep_matches_index_oracle(monkeypatch, name):
+    # each verifier on randomly bumped tables against the index-by-index
+    # oracle on the whole box: status, witnesses and checked all equal
+    verifier, oracle, moduli = DIFFERENTIAL[name]
+    rng = random.Random(f"class-sweep-{name}")
+    statuses = set()
+    for _ in range(8):
+        # the ramanujan oracle multiplies whole boxes, seconds each at N = 4
+        N = rng.choice((1, 2, 3, 4) if name != "ramanujan" else (1, 2, 3))
+        form = rng.choice(sorted(moduli))
+        R, phi0 = _bumps(rng, N, moduli[form], name == "ramanujan")
+        with monkeypatch.context() as m:
+            perturb(m, form, R=R, phi0=phi0)
+            got = verifier(N)
+            assert got == oracle(N), (N, form, R, phi0)
+        statuses.update(v["status"] for v in (got if isinstance(got, list) else [got]))
+    assert statuses == {"holds", "fails"}

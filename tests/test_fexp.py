@@ -1,14 +1,16 @@
 """Expansion arithmetic: ring oracle, Siegel restriction, congruence sweep."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from box_oracle import cong_mod as oracle_cong_mod
 from qmf.fexp import FourierExpansion, cong_mod
 from qmf.forms import build_form, form_table
 from qmf.quatlat import QuatCoord
 from qmf.series import eisenstein_q
-from qmf.tmat import TMatrix, ZERO_TMATRIX, enumerate_psd, parse_tmatrix
+from qmf.tmat import TMatrix, ZERO_TMATRIX, box_size, enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 
@@ -134,59 +136,71 @@ def test_siegel_phi_is_ring_map():
     assert (e4 + e4).siegel_phi() == e4.siegel_phi() + e4.siegel_phi()
 
 
+def bump_rows(table, rows):
+    """A copy of table with R[l] += delta for each l: delta in rows."""
+    R = list(table.R)
+    for l, delta in rows.items():
+        R[l] += delta
+    return replace(table, R=tuple(R))
+
+
 def test_cong_mod_holds_and_fails():
-    X = x10(2)
-    assert cong_mod(X.coeff, X.coeff, 5, 2).status == "holds"
-    bumped = X + FourierExpansion(10, 2, {T0: Fraction(5)})
-    assert cong_mod(X.coeff, bumped.coeff, 5, 2).status == "holds"
-    broken = X + FourierExpansion(10, 2, {T0: Fraction(3)})
-    check = cong_mod(X.coeff, broken.coeff, 5, 2)
+    X = form_table("X10", 8)
+    assert cong_mod(X.class_coeff, X.class_coeff, 5, 2).status == "holds"
+    bumped = bump_rows(X, {1: 5})
+    assert cong_mod(X.class_coeff, bumped.class_coeff, 5, 2).status == "holds"
+    broken = bump_rows(X, {1: 3})
+    check = cong_mod(X.class_coeff, broken.class_coeff, 5, 2)
     assert check.status == "fails"
-    assert check.witness == T0
+    assert check.witness.two_det() == 1
     assert not check.ok
+    # the witness and count of the index-by-index sweep
+    assert check == oracle_cong_mod(X.coeff, broken.coeff, 5, 2)
 
 
 def test_cong_mod_witness_order():
-    # the witness is the first violation in box enumeration order
-    bad = TMatrix(0, 1, QuatCoord(0, 0, 0, 0))
-    broken = x10(2) + FourierExpansion(
-        10, 2, {bad: Fraction(1), T0: Fraction(1)}
-    )
-    check = cong_mod(x10(2).coeff, broken.coeff, 7, 2)
-    assert check.witness == bad
+    # the witness is the first violation in box enumeration order: R[0]
+    # moves every rank-1 coefficient, and the second index is (0, 1, 0)
+    broken = bump_rows(form_table("X10", 8), {0: 1, 1: 1})
+    check = cong_mod(form_table("X10", 8).class_coeff, broken.class_coeff, 7, 2)
+    assert check.witness == TMatrix(0, 1, QuatCoord(0, 0, 0, 0))
     assert check.checked == 2  # (0,0) passed, (0,1) failed
 
 
+def test_cong_mod_holds_counts_every_index():
+    X = form_table("X14", 32)
+    for N in range(5):
+        assert cong_mod(X.class_coeff, X.class_coeff, 7, N).checked == box_size(N)
+
+
 def test_cong_mod_not_p_integral():
-    f = FourierExpansion(10, 1, {T0: Fraction(1, 17)})
-    z = FourierExpansion.zero(10, 1)
-    check = cong_mod(f.coeff, z.coeff, 17, 1)
+    z = form_table("X10", 2).scale(0)
+    f = bump_rows(z, {1: Fraction(1, 17)})
+    check = cong_mod(f.class_coeff, z.class_coeff, 17, 1)
     assert check.status == "not-p-integral"
-    assert check.witness == T0
+    assert check.witness == parse_tmatrix("1,1,-1,-1,0,0")  # first two_det 1
+    assert check == oracle_cong_mod(f.coeff, z.coeff, 17, 1)
     # the weight-10 Eisenstein series genuinely has 17 in denominators
     e10 = form_table("E10H", 2)
     assert any(c.denominator % 17 == 0 for c in e10.R)
-    assert cong_mod(e10.coeff, e10.coeff, 17, 1).status == "not-p-integral"
+    assert cong_mod(e10.class_coeff, e10.class_coeff, 17, 1).status == "not-p-integral"
 
 
 def test_cong_mod_cross_weight_allowed():
-    # a weight-4 theta image against a weight-10 form, a lifted box against
-    # a table: cong_mod sees only the two coefficient functions
-    g4 = build_form("G4H", 2)
+    # a weight-4 theta image against a weight-10 form: cong_mod sees only
+    # the two class functions
+    g4 = form_table("G4H", 8).class_coeff
     x10_table = form_table("X10", 8)
-    assert cong_mod(lambda T: T.two_det() * g4.coeff(T), x10_table.coeff, 5, 2).ok
+    assert cong_mod(lambda key: key[0] * g4(key), x10_table.class_coeff, 5, 2).ok
 
 
 def test_cong_mod_errors():
-    X = x10(2)
+    X = form_table("X10", 8)
     with pytest.raises(ValueError):  # modulus not prime
-        cong_mod(X.coeff, X.coeff, 6, 2)
-    # a source raises where it cannot answer: a box beyond its depth, a
-    # table beyond its bound
+        cong_mod(X.class_coeff, X.class_coeff, 6, 2)
+    # a source raises where it cannot answer: a table beyond its bound
     with pytest.raises(ValueError):
-        cong_mod(X.coeff, x10(3).coeff, 5, 3)
-    with pytest.raises(ValueError):
-        cong_mod(form_table("X10", 8).coeff, x10(3).coeff, 5, 3)
+        cong_mod(X.class_coeff, form_table("X10", 18).class_coeff, 5, 3)
 
 
 def test_coeff_outside_box_raises():

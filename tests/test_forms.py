@@ -139,6 +139,8 @@ def test_table_coeff_raises_past_its_bound():
     assert table.coeff(parse_tmatrix("2,2,1,1,0,0")) == table.R[7]  # two_det 7
     with pytest.raises(ValueError):
         table.coeff(parse_tmatrix("2,2,0,0,0,0"))  # two_det 8
+    with pytest.raises(ValueError):
+        table.class_coeff((8, 2))
     # rank <= 1 indices need only R(0), at any depth
     assert table.coeff(parse_tmatrix("9,0,0,0,0,0")) == 0
 
@@ -247,8 +249,8 @@ def test_maass_dependence_on_content_and_det():
     "name", ("X10", "X12", "X14", "E4H", "E6H", "G10H", "G12H")
 )
 def test_memoized_coeff_equals_divisor_sum(name):
-    # the memo returns, at every index of the depth-4 box, the divisor sum
-    # evaluated afresh at that index
+    # the memo returns, at every index of the depth-4 box and at its class
+    # key, the divisor sum evaluated afresh at that index
     table = form_table(name, 32)
     k1 = table.weight - 1
     for T in enumerate_psd(4):
@@ -260,6 +262,7 @@ def test_memoized_coeff_equals_divisor_sum(name):
                 d**k1 * table.R[td // (d * d)] for d in divisors(T.epsilon())
             )
         assert table.coeff(T) == expected, (name, T)
+        assert table.class_coeff(T.class_key()) == expected, (name, T)
 
 
 def test_memo_is_per_table():

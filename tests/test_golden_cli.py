@@ -82,6 +82,11 @@ def _verify_commands():
                  ("20", "73"), ("20", "43867")):
         yield ["verify", "ramanujan", "--k", k, "--p", p, "--depth", "2"]
     yield ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "0"]
+    yield ["verify", "theta", "--depth", "5"]
+    yield ["verify", "mod23", "--depth", "5"]
+    yield ["verify", "ep1", "--p", "13", "--depth", "5"]
+    yield ["verify", "congeis", "--k", "6", "--depth", "5"]
+    yield ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "4"]
 
 
 KINDS = {

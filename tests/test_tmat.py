@@ -1,13 +1,21 @@
 """Index matrices: determinant invariant, content, psd cone, enumeration."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from qmf.exactnum import divisors
 from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual
-from qmf.tmat import TMatrix, ZERO_TMATRIX, box_size, enumerate_psd, parse_tmatrix
+from qmf.tmat import (
+    TMatrix,
+    ZERO_TMATRIX,
+    box_size,
+    class_counts,
+    enumerate_psd,
+    parse_tmatrix,
+)
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -171,6 +179,30 @@ def test_box_size_counts_without_enumerating():
     assert [box_size(N) for N in range(5, 9)] == [121188, 329905, 780304, 1650105]
     with pytest.raises(ValueError):
         box_size(-1)
+
+
+def test_class_key():
+    assert ZERO_TMATRIX.class_key() == (0, 0)
+    assert parse_tmatrix("3,0,0,0,0,0").class_key() == (0, 3)
+    assert parse_tmatrix("0,2,0,0,0,0").class_key() == (0, 2)
+    assert T0.class_key() == (1, 1)
+    assert parse_tmatrix("2,2,2,2,0,0").class_key() == (4, 2)
+    # t/2 = (1, 0, 0, 0) has odd coordinate sum, so 2 is not a content
+    assert parse_tmatrix("2,2,2,0,0,0").class_key() == (6, 1)
+
+
+def test_class_counts_match_box_histogram():
+    for N in range(7):
+        box = Counter(T.class_key() for T in enumerate_psd(N))
+        assert class_counts(N) == box, N
+    assert len(class_counts(4)) == 46
+    with pytest.raises(ValueError):
+        class_counts(-1)
+
+
+def test_class_counts_total_box_size():
+    for N in range(13):
+        assert sum(class_counts(N).values()) == box_size(N), N
 
 
 def test_enumerate_psd_complete_and_ordered():
