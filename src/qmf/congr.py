@@ -10,11 +10,11 @@ verifier builds a whole expansion. Every predicate a verifier checks reads T
 only through its class key (two_det(T), content of T): a table coefficient,
 the theta image two_det * a(T), and kronecker(-p, two_det) all do. So each
 sweep checks one value per class and counts the indices of each class with
-class_counts, without the box; only a sweep that fails walks the box, to
-name its witnesses as an index-by-index sweep would. The Ramanujan
-certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in the Maass
-space, but chi ≡ G mod p wherever G is p-integral, so every check on chi
-reads G's table.
+class_counts, without the box; only a sweep that fails walks the box, one
+index at a time and without keeping it, to name its witnesses as an
+index-by-index sweep would. The Ramanujan certificate's cusp form
+chi = G - p * P(E4H, E6H) need not lie in the Maass space, but chi ≡ G
+mod p wherever G is p-integral, so every check on chi reads G's table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
 from .fexp import CongCheck, cong_mod
 from .forms import form_table
 from .series import e4_e6_monomials, express_in_e4_e6
-from .tmat import class_counts, enumerate_psd
+from .tmat import class_counts, iter_psd
 
 __all__ = [
     "ChiReport",
@@ -80,14 +80,18 @@ def _witnesses(check: CongCheck, claim: str = "") -> list:
     return [{"claim": claim, **entry} if claim else entry]
 
 
-def _star_premises(k: int, p: int) -> tuple[Fraction, Fraction]:
+def _star_q1(k: int) -> Fraction:
+    """(2^(k-2)-1) B_(k-2) / (k-2), for an even weight k >= 4."""
     if k < 4 or k % 2:
         raise ValueError(f"weight must be even and >= 4, got {k}")
+    return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
+
+
+def _star_premises(k: int, p: int) -> tuple[Fraction, Fraction]:
+    q1 = _star_q1(k)
     if p < 5 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
-    q1 = (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
-    q2 = bernoulli(k) / k
-    return q1, q2
+    return q1, bernoulli(k) / k
 
 
 def star_condition(k: int, p: int) -> bool:
@@ -103,9 +107,7 @@ def star_primes(k: int) -> list[int]:
     (2^(k-2)-1) B_(k-2) / (k-2); any prime outside that numerator has
     valuation 0 there and cannot satisfy the first inequality.
     """
-    if k < 4 or k % 2:
-        raise ValueError(f"weight must be even and >= 4, got {k}")
-    q1 = (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
+    q1 = _star_q1(k)
     cands = sorted(q for q in factorize(abs(q1.numerator)) if q >= 5)
     return [q for q in cands if star_condition(k, q)]
 
@@ -271,7 +273,7 @@ def _nonresidue_sweep(a, p: int, N: int, witnesses: list) -> int:
         if c.denominator % p == 0 or c.numerator % p:
             bad.add(key)
     if bad:
-        for T in enumerate_psd(N):
+        for T in iter_psd(N):
             key = T.class_key()
             if key in bad:
                 witnesses.append({"T": str(T), "coeff": str(a(key))})

@@ -1,25 +1,20 @@
-"""Truncated degree-2 Fourier expansions and operations on them.
+"""Truncated degree-2 Fourier expansions and the congruence sweep.
 
-A FourierExpansion holds exact coefficients a(T) over the box of psd index
-matrices T with n, m <= N. Zero coefficients are never stored. Products are
-exact on the result box: every psd decomposition T = T1 + T2 has parts with
-diagonal entries bounded by those of T, so truncation loses nothing.
-
-The multiplication kernel clears denominators once per factor and runs the
-double support loop over plain integer tuples grouped by diagonal block;
-Fractions are rebuilt only for the final nonzero totals.
+A FourierExpansion is the read-only container that build_form and
+maass_lift return: exact coefficients a(T) over the box of psd index
+matrices T with n, m <= N, with zero coefficients never stored. The library
+does no arithmetic on expansions. Every named form is computed from its
+one-variable MaassTable, and the ring of whole expansions lives in the
+tests as the oracle of those tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exactnum import is_prime
-from .quatlat import ZERO_QUAT, QuatCoord
-from .series import QSeries
-from .tmat import TMatrix, ZERO_TMATRIX, class_counts, enumerate_psd
+from .tmat import TMatrix, class_counts, iter_psd
 
 __all__ = ["CongCheck", "FourierExpansion", "cong_mod"]
 
@@ -37,15 +32,6 @@ class FourierExpansion:
         self._coeffs = {
             T: Fraction(c) for T, c in coeffs.items() if c != 0
         }
-
-    @classmethod
-    def zero(cls, weight: int, N: int) -> "FourierExpansion":
-        return cls(weight, N, {})
-
-    @classmethod
-    def constant(cls, value, N: int) -> "FourierExpansion":
-        """The weight-0 constant value."""
-        return cls(0, N, {ZERO_TMATRIX: Fraction(value)})
 
     def coeff(self, T: TMatrix) -> Fraction:
         """a(T); raises ValueError outside the n, m <= N box."""
@@ -76,85 +62,6 @@ class FourierExpansion:
             f"support={len(self._coeffs)}>"
         )
 
-    def __add__(self, other: "FourierExpansion") -> "FourierExpansion":
-        if not isinstance(other, FourierExpansion):
-            return NotImplemented
-        if self.weight != other.weight:
-            raise ValueError(
-                f"weight mismatch in sum: {self.weight} vs {other.weight}"
-            )
-        N = min(self.N, other.N)
-        out: dict[TMatrix, Fraction] = {
-            T: c for T, c in self._coeffs.items() if T.n <= N and T.m <= N
-        }
-        for T, c in other._coeffs.items():
-            if T.n <= N and T.m <= N:
-                out[T] = out.get(T, Fraction(0)) + c
-        return FourierExpansion(self.weight, N, out)
-
-    def __sub__(self, other: "FourierExpansion") -> "FourierExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FourierExpansion":
-        c = Fraction(c)
-        return FourierExpansion(
-            self.weight, self.N, {T: c * v for T, v in self._coeffs.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, FourierExpansion):
-            return NotImplemented
-        N = min(self.N, other.N)
-        blocks1, den1 = _int_blocks(self._coeffs)
-        blocks2, den2 = _int_blocks(other._coeffs)
-        acc: dict[tuple[int, int], dict[tuple[int, int, int, int], int]] = {}
-        for (n1, m1), items1 in blocks1.items():
-            for (n2, m2), items2 in blocks2.items():
-                n = n1 + n2
-                m = m1 + m2
-                if n > N or m > N:
-                    continue
-                tacc = acc.setdefault((n, m), {})
-                for (a1, b1, c1, d1), v1 in items1:
-                    for (a2, b2, c2, d2), v2 in items2:
-                        key = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-                        prev = tacc.get(key)
-                        tacc[key] = v1 * v2 if prev is None else prev + v1 * v2
-        den = den1 * den2
-        out: dict[TMatrix, Fraction] = {}
-        for (n, m), tacc in acc.items():
-            for tk, v in tacc.items():
-                if v:
-                    out[TMatrix(n, m, QuatCoord._make(tk))] = Fraction(v, den)
-        return FourierExpansion(self.weight + other.weight, N, out)
-
-    __rmul__ = __mul__
-
-    def siegel_phi(self) -> QSeries:
-        """Restriction to degree 1: the q-series of coefficients a((n, 0, 0))."""
-        return QSeries(
-            self.weight,
-            tuple(
-                self._coeffs.get(TMatrix(n, 0, ZERO_QUAT), Fraction(0))
-                for n in range(self.N + 1)
-            ),
-        )
-
-
-def _int_blocks(coeffs):
-    """Group support by diagonal (n, m), clearing denominators to ints."""
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    blocks: dict[tuple[int, int], list] = {}
-    for T, c in coeffs.items():
-        blocks.setdefault((T.n, T.m), []).append(
-            (tuple(T.t), c.numerator * (den // c.denominator))
-        )
-    return blocks, den
-
 
 @dataclass(frozen=True)
 class CongCheck:
@@ -182,9 +89,9 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     coefficient at every T of that class: a MaassTable's class_coeff, or any
     function of it such as a theta image. Each is evaluated once per class of
     the box, and a sweep that holds has checked every index. Otherwise the
-    box is walked to the first T whose class fails, so the witness and
-    checked are those of an index-by-index sweep. A source that cannot
-    answer at some class raises ValueError there.
+    box is walked, without keeping it, to the first T whose class fails, so
+    the witness and checked are those of an index-by-index sweep. A source
+    that cannot answer at some class raises ValueError there.
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
@@ -200,6 +107,6 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
     i, T = next(
-        (i, T) for i, T in enumerate(enumerate_psd(N)) if T.class_key() in bad
+        (i, T) for i, T in enumerate(iter_psd(N)) if T.class_key() in bad
     )
     return CongCheck(bad[T.class_key()], T, i + 1)

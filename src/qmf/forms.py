@@ -10,8 +10,9 @@ tables; the cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1, and their tables come from the
 one-variable product rule of MaassTable. A table is the form: callers read
-coefficients from it, and a lifted FourierExpansion is built only by
-build_form, for library use and for the box-product oracle in the tests.
+coefficients from it. build_form lifts a table to a read-only
+FourierExpansion on a whole box, which the library never does arithmetic
+on; the tests multiply such boxes in their oracle for the tables.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from math import factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import divisors
-from .quatlat import ZERO_QUAT, QuatCoord, enumerate_dual, parse_quat
+from .quatlat import ZERO_QUAT, QuatCoord, enumerate_dual
 
 __all__ = [
     "TMatrix",
@@ -25,6 +25,7 @@ __all__ = [
     "box_size",
     "class_counts",
     "enumerate_psd",
+    "iter_psd",
     "parse_tmatrix",
 ]
 
@@ -111,28 +112,38 @@ def parse_tmatrix(text: str) -> TMatrix:
     return TMatrix(vals[0], vals[1], t)
 
 
-@lru_cache(maxsize=None)
-def _dual_upto(R: int) -> tuple[QuatCoord, ...]:
-    return tuple(enumerate_dual(R))
+def iter_psd(N: int):
+    """Yield every psd index matrix with n <= N and m <= N, in (n, m, t) lex
+    order, without keeping them.
+
+    For n*m > 0 the psd condition is exactly norm(t) <= 4*n*m, so each block
+    is the part of the dual ball norm(t) <= 4N^2 inside that radius, taken in
+    the ball's lex order; the ball is walked, and its norms computed, once.
+    For n*m = 0 it forces t = 0.
+    """
+    if N < 0:
+        raise ValueError("iter_psd: depth must be >= 0")
+    return _walk_psd(N)
+
+
+def _walk_psd(N: int):
+    ball = [(t.norm(), t) for t in enumerate_dual(4 * N * N)]
+    for n in range(N + 1):
+        for m in range(N + 1):
+            if n == 0 or m == 0:
+                yield TMatrix(n, m, ZERO_QUAT)
+            else:
+                radius = 4 * n * m
+                for r, t in ball:
+                    if r <= radius:
+                        yield TMatrix(n, m, t)
 
 
 @lru_cache(maxsize=None)
 def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
-    """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order.
-
-    For n*m > 0 the psd condition is exactly norm(t) <= 4*n*m, so each block
-    is a dual-lattice ball; for n*m = 0 it forces t = 0.
-    """
-    if N < 0:
-        raise ValueError("enumerate_psd: depth must be >= 0")
-    out: list[TMatrix] = []
-    for n in range(N + 1):
-        for m in range(N + 1):
-            if n == 0 or m == 0:
-                out.append(TMatrix(n, m, ZERO_QUAT))
-            else:
-                out.extend(TMatrix(n, m, t) for t in _dual_upto(4 * n * m))
-    return tuple(out)
+    """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order:
+    iter_psd(N), kept."""
+    return tuple(iter_psd(N))
 
 
 def box_size(N: int) -> int:

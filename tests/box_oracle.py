@@ -1,10 +1,11 @@
 """Index-by-index constructions, as oracles for the table and class code.
 
-The forms here are the constructions qmf used before its forms moved to
-one-variable Maass tables. They multiply whole expansions with
-FourierExpansion.__mul__, so they share no code path with the table product
-rule or with the table-only Ramanujan certificate, and serve as their
-oracle.
+The ring of whole expansions below (zero, constant, add, sub, scale, mul,
+siegel_phi) is the box arithmetic qmf computed its forms with before they
+moved to one-variable Maass tables; the library keeps only the read-only
+FourierExpansion container. The forms built with it multiply whole
+expansions, so they share no code path with the table product rule or
+with the table-only Ramanujan certificate, and serve as their oracle.
 
 cong_mod and the verdicts below sweep the depth-N box one index at a time,
 reading each named form's table through congr.form_table (so a test that
@@ -15,13 +16,116 @@ oracle of the class sweeps.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from qmf import congr
 from qmf.exactnum import is_prime, kronecker, sigma
 from qmf.fexp import CongCheck, FourierExpansion
 from qmf.forms import build_form
-from qmf.series import express_in_e4_e6
-from qmf.tmat import ZERO_TMATRIX, enumerate_psd
+from qmf.quatlat import ZERO_QUAT, QuatCoord
+from qmf.series import QSeries, express_in_e4_e6
+from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
+
+
+# The FourierExpansion members these functions replace: the library's
+# expansions are read-only containers and define none of them.
+RING_MEMBERS = (
+    "zero",
+    "constant",
+    "__add__",
+    "__sub__",
+    "scale",
+    "__mul__",
+    "__rmul__",
+    "siegel_phi",
+    "_int_blocks",
+)
+
+
+def zero(weight, N):
+    return FourierExpansion(weight, N, {})
+
+
+def constant(value, N):
+    """The weight-0 constant value."""
+    return FourierExpansion(0, N, {ZERO_TMATRIX: Fraction(value)})
+
+
+def add(f, g):
+    """f + g on the smaller of the two boxes."""
+    if f.weight != g.weight:
+        raise ValueError(f"weight mismatch in sum: {f.weight} vs {g.weight}")
+    N = min(f.N, g.N)
+    out = {T: c for T, c in f.items() if T.n <= N and T.m <= N}
+    for T, c in g.items():
+        if T.n <= N and T.m <= N:
+            out[T] = out.get(T, Fraction(0)) + c
+    return FourierExpansion(f.weight, N, out)
+
+
+def sub(f, g):
+    return add(f, scale(g, -1))
+
+
+def scale(f, c):
+    c = Fraction(c)
+    return FourierExpansion(f.weight, f.N, {T: c * v for T, v in f.items()})
+
+
+def mul(f, g):
+    """The product f * g on the smaller of the two boxes.
+
+    Products are exact on the result box: every psd decomposition
+    T = T1 + T2 has parts with diagonal entries bounded by those of T, so
+    truncation loses nothing. Denominators are cleared once per factor and
+    the double support loop runs over plain integer tuples grouped by
+    diagonal block; Fractions are rebuilt only for the final nonzero totals.
+    """
+    N = min(f.N, g.N)
+    blocks1, den1 = _int_blocks(f)
+    blocks2, den2 = _int_blocks(g)
+    acc = {}
+    for (n1, m1), items1 in blocks1.items():
+        for (n2, m2), items2 in blocks2.items():
+            n = n1 + n2
+            m = m1 + m2
+            if n > N or m > N:
+                continue
+            tacc = acc.setdefault((n, m), {})
+            for (a1, b1, c1, d1), v1 in items1:
+                for (a2, b2, c2, d2), v2 in items2:
+                    key = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                    prev = tacc.get(key)
+                    tacc[key] = v1 * v2 if prev is None else prev + v1 * v2
+    den = den1 * den2
+    out = {}
+    for (n, m), tacc in acc.items():
+        for tk, v in tacc.items():
+            if v:
+                out[TMatrix(n, m, QuatCoord._make(tk))] = Fraction(v, den)
+    return FourierExpansion(f.weight + g.weight, N, out)
+
+
+def _int_blocks(f):
+    """Group f's support by diagonal (n, m), clearing denominators to ints."""
+    items = f.items()
+    den = 1
+    for _, c in items:
+        den = lcm(den, c.denominator)
+    blocks = {}
+    for T, c in items:
+        blocks.setdefault((T.n, T.m), []).append(
+            (tuple(T.t), c.numerator * (den // c.denominator))
+        )
+    return blocks, den
+
+
+def siegel_phi(f):
+    """Restriction to degree 1: the q-series of coefficients a((n, 0, 0))."""
+    return QSeries(
+        f.weight,
+        tuple(f.coeff(TMatrix(n, 0, ZERO_QUAT)) for n in range(f.N + 1)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -30,33 +134,35 @@ def monomial_h(a, b, N):
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be >= 0")
     if a + b == 0:
-        return FourierExpansion.constant(1, N)
+        return constant(1, N)
     if a + b == 1:
         return build_form("E4H" if a else "E6H", N)
     if a:
-        return monomial_h(a - 1, b, N) * monomial_h(1, 0, N)
-    return monomial_h(0, b - 1, N) * monomial_h(0, 1, N)
+        return mul(monomial_h(a - 1, b, N), monomial_h(1, 0, N))
+    return mul(monomial_h(0, b - 1, N), monomial_h(0, 1, N))
 
 
 @lru_cache(maxsize=None)
 def ring_x10(N):
-    diff = monomial_h(1, 1, N) - build_form("E10H", N)
-    return diff.scale(Fraction(17, 161280))
+    diff = sub(monomial_h(1, 1, N), build_form("E10H", N))
+    return scale(diff, Fraction(17, 161280))
 
 
 @lru_cache(maxsize=None)
 def ring_x12(N):
-    comb = (
-        monomial_h(3, 0, N).scale(Fraction(441, 691))
-        + monomial_h(0, 2, N).scale(Fraction(250, 691))
-        - build_form("E12H", N)
+    comb = sub(
+        add(
+            scale(monomial_h(3, 0, N), Fraction(441, 691)),
+            scale(monomial_h(0, 2, N), Fraction(250, 691)),
+        ),
+        build_form("E12H", N),
     )
-    return comb.scale(Fraction(21421, 203212800))
+    return scale(comb, Fraction(21421, 203212800))
 
 
 @lru_cache(maxsize=None)
 def ring_x14(N):
-    return monomial_h(1, 0, N) * ring_x10(N)
+    return mul(monomial_h(1, 0, N), ring_x10(N))
 
 
 RING = {"X10": ring_x10, "X12": ring_x12, "X14": ring_x14}
@@ -67,11 +173,11 @@ def ring_chi(k, p, N, G=None):
     degree-1 restriction divided by p; G defaults to the lifted G<k>H."""
     if G is None:
         G = build_form(f"G{k}H", N)
-    poly = express_in_e4_e6(G.siegel_phi().scale(Fraction(1, p)))
-    lift = FourierExpansion.zero(k, N)
+    poly = express_in_e4_e6(siegel_phi(G).scale(Fraction(1, p)))
+    lift = zero(k, N)
     for (a, b), c in poly.items():
-        lift = lift + monomial_h(a, b, N).scale(c)
-    return G - lift.scale(p)
+        lift = add(lift, scale(monomial_h(a, b, N), c))
+    return sub(G, scale(lift, p))
 
 
 def cong_mod(f, g, p, N):
@@ -118,7 +224,7 @@ def ramanujan_verdict(k, p, N):
     G = FourierExpansion(k, N, {T: g.coeff(T) for T in enumerate_psd(N)})
     chi = ring_chi(k, p, N, G)
     witnesses = []
-    if not chi.siegel_phi().is_zero():
+    if not siegel_phi(chi).is_zero():
         witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
     cert = cong_mod(G.coeff, chi.coeff, p, N)
     witnesses += _failed(cert, f"g_h({k}) ≡ chi mod {p}")

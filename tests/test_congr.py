@@ -8,7 +8,7 @@ import pytest
 
 import box_oracle
 from box_oracle import cong_mod, ring_chi
-from qmf import congr, fexp, forms
+from qmf import congr, fexp, forms, tmat
 from qmf.congr import (
     build_chi,
     ramanujan_verdict,
@@ -217,14 +217,21 @@ def bump(table, R=None, phi0=None):
     )
 
 
+def refuse_box(*args):
+    raise AssertionError("a verifier sweep must not build the cached box")
+
+
 def perturb(monkeypatch, name, R=None, phi0=None):
-    """Make every table lookup of the named form in congr see the bumps."""
+    """Make every table lookup of the named form in congr see the bumps, and
+    refuse the cached box: a failing sweep walks iter_psd, keeping nothing."""
 
     def form_table(form, L):
         table = forms.form_table(form, L)
         return bump(table, R, phi0) if form == name else table
 
     monkeypatch.setattr(congr, "form_table", form_table)
+    for module in (fexp, congr, tmat):
+        monkeypatch.setattr(module, "enumerate_psd", refuse_box, raising=False)
 
 
 def nonresidues(p, N):
@@ -235,10 +242,12 @@ def test_verifiers_build_no_expansion(monkeypatch):
     def refuse(*args):
         raise AssertionError("verifiers must read tables, not lifted boxes")
 
-    # a sweep that holds reads classes only: no expansion and no box
+    # a sweep that holds reads classes only: no expansion and no box, cached
+    # or walked
     monkeypatch.setattr(fexp.FourierExpansion, "__init__", refuse)
-    monkeypatch.setattr(fexp, "enumerate_psd", refuse)
-    monkeypatch.setattr(congr, "enumerate_psd", refuse)
+    for module in (fexp, congr, tmat):
+        monkeypatch.setattr(module, "enumerate_psd", refuse, raising=False)
+        monkeypatch.setattr(module, "iter_psd", refuse)
     assert all(v.ok for v in verify_theta_cong(2))
     assert verify_mod23(2).ok
     assert verify_cong_eis(6, 2).ok

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from box_oracle import RING, monomial_h, ring_x14
+from box_oracle import (
+    RING,
+    RING_MEMBERS,
+    constant,
+    monomial_h,
+    mul,
+    ring_x14,
+    scale,
+    siegel_phi,
+)
 from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
@@ -72,7 +81,7 @@ def test_g_constant_frozen():
 
 def test_g_h_is_scaled_eisenstein():
     for k in (4, 10):
-        assert G(k, 2) == E(k, 2).scale(g_constant(k))
+        assert G(k, 2) == scale(E(k, 2), g_constant(k))
 
 
 def test_g_h_frozen_rows():
@@ -171,11 +180,9 @@ def test_build_form_matches_box_product(name, N):
     assert build_form(name, N) == RING[name](N)
 
 
-def test_named_forms_use_no_box_product(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("named forms must not multiply expansions")
-
-    monkeypatch.setattr(FourierExpansion, "__mul__", refuse)
+def test_named_forms_use_no_box_product():
+    # the library cannot multiply expansions: named forms are table lifts
+    assert [m for m in RING_MEMBERS if hasattr(FourierExpansion, m)] == []
     for name in ("X10", "X12", "X14", "E4H", "G10H", "G16H"):
         assert build_form(name, 2).coeff(T0) == form_table(name, 2).coeff(T0)
 
@@ -187,7 +194,7 @@ def test_table_product_matches_box_product_restriction():
     e4 = eisenstein_table(4, 2 * N * N)
     cube = e4 * e4 * e4
     box = monomial_h(3, 0, N)
-    assert cube.phi0.truncate(N) == box.siegel_phi()
+    assert cube.phi0.truncate(N) == siegel_phi(box)
     for T in enumerate_psd(N):
         if T.n == 1:
             assert box.coeff(T) == cube.R[T.two_det()]
@@ -201,7 +208,7 @@ def test_cusp_forms_normalized_cuspidal_integral():
         assert all(T.rank() == 2 for T in f.support())
         # integral: every coefficient is an integer
         assert all(c.denominator == 1 for _, c in f.items())
-        assert f.siegel_phi().is_zero()
+        assert siegel_phi(f).is_zero()
 
 
 def test_cusp_form_frozen_rows():
@@ -322,18 +329,18 @@ def test_andrianov_divisor_relation():
 
 
 def test_monomial_h():
-    assert monomial_h(0, 0, 2) == FourierExpansion.constant(1, 2)
+    assert monomial_h(0, 0, 2) == constant(1, 2)
     assert monomial_h(1, 0, 2) == E(4, 2)
     assert monomial_h(0, 1, 2) == E(6, 2)
-    assert monomial_h(0, 2, 2) == E(6, 2) * E(6, 2)
-    assert monomial_h(1, 1, 2) == E(4, 2) * E(6, 2)
+    assert monomial_h(0, 2, 2) == mul(E(6, 2), E(6, 2))
+    assert monomial_h(1, 1, 2) == mul(E(4, 2), E(6, 2))
     assert monomial_h(2, 0, 2).weight == 8
     with pytest.raises(ValueError):
         monomial_h(-1, 0, 2)
 
 
 def test_x14_is_e4_times_x10():
-    assert build_form("X14", 2) == E(4, 2) * build_form("X10", 2)
+    assert build_form("X14", 2) == mul(E(4, 2), build_form("X10", 2))
 
 
 def test_build_form_registry():
@@ -349,4 +356,4 @@ def test_build_form_registry():
 
 def test_siegel_phi_of_eisenstein_matches_elliptic():
     for k in (4, 6, 10, 12):
-        assert E(k, 3).siegel_phi() == eisenstein_q(k, 3)
+        assert siegel_phi(E(k, 3)) == eisenstein_q(k, 3)

@@ -14,6 +14,7 @@ from qmf.tmat import (
     box_size,
     class_counts,
     enumerate_psd,
+    iter_psd,
     parse_tmatrix,
 )
 
@@ -233,6 +234,36 @@ def test_enumerate_psd_block_sizes_match_dual_counts():
                 assert by_block[n, m] == 1
             else:
                 assert by_block[n, m] == len(enumerate_dual(4 * n * m))
+
+
+def per_radius_box(N):
+    """The box as enumerate_psd built it before iter_psd: one enumeration of
+    the dual ball per block radius 4nm."""
+    balls = {}
+    out = []
+    for n in range(N + 1):
+        for m in range(N + 1):
+            if n == 0 or m == 0:
+                out.append(TMatrix(n, m, ZERO_QUAT))
+            else:
+                if 4 * n * m not in balls:
+                    balls[4 * n * m] = enumerate_dual(4 * n * m)
+                out.extend(TMatrix(n, m, t) for t in balls[4 * n * m])
+    return tuple(out)
+
+
+def test_iter_psd_is_the_per_radius_box():
+    for N in range(7):
+        walked = tuple(iter_psd(N))
+        assert walked == enumerate_psd(N) == per_radius_box(N), N
+
+
+def test_iter_psd_refuses_negative_depth_on_call():
+    # the check runs when iter_psd is called, before any iteration
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        iter_psd(-1)
+    with pytest.raises(ValueError):
+        enumerate_psd(-1)
 
 
 def test_parse_tmatrix_errors():
