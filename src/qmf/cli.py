@@ -13,10 +13,12 @@ form's one-variable Maass table. A coefficient at T != 0 depends on T only
 through its class (two_det(T), content of T), and the table evaluates each
 class once: the depth-N box holds 25, 46, 68, 106, 185 and 437 class keys
 for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0 included. table
-walks every index and renders each distinct coefficient's numerator,
-denominator and residue once. verify checks each class once and counts its
-indices without the box, so its cost grows with the classes, not the
-indices; only a failing sweep walks the box, to name its witnesses.
+checks --mod and renders the numerator, denominator and residue once per
+class before it writes anything, then streams one row per index as the box
+walk yields it, keeping neither the box nor the output. verify checks each
+class once and counts its indices without the box, so its cost grows with
+the classes, not the indices; only a failing sweep walks the box, to name
+its witnesses.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from . import congr
 from .forms import form_table
-from .tmat import box_size, enumerate_psd, parse_tmatrix
+from .tmat import box_size, class_counts, iter_psd, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
@@ -123,50 +125,50 @@ _JSON_REST = (
 
 
 def _cmd_table(args) -> int:
-    """Render every row into one buffer; write it only once all rows are
-    known, so a failing --mod prints nothing and creates no --out file.
-
-    The part of a row after T is rendered once per distinct coefficient; a
-    coefficient fails --mod first at the first index that has it."""
+    """Render the part of a row after T once per class and check --mod on
+    every class before anything is written, so a failing --mod prints
+    nothing and creates no --out file; its error names the first index in
+    box order whose class fails. Then write each row as the box walk yields
+    it, keeping neither the box nor the output."""
     N = args.max
     _check_depth(N, "--max")
-    a = form_table(args.form, 2 * N * N).coeff
-    as_csv, mod = args.format == "csv", args.mod
-    if as_csv:
+    table = form_table(args.form, 2 * N * N)
+    mod = args.mod
+    if args.format == "csv":
         head = "T,num,den,residue\n" if mod is not None else "T,num,den\n"
-        sep = tail = ""
+        start, sep, tail = '"{}"', "", ""
+        rest_fmt, residue_fmt = ",{},{}{}\n", ",{}"
     else:
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-    rendered: dict[Fraction, str] = {}
-    parts = [head]
-    for T in enumerate_psd(N):
-        c = a(T)
-        rest = rendered.get(c)
-        if rest is None:
-            residue = ""
-            if mod is not None:
-                r = _residue(c, mod)
-                if r is None:
-                    print(
-                        f"error: coefficient at {T} is not integral mod {mod}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                residue = f",{r}" if as_csv else f',\n    "residue": "{r}"'
-            num, den = c.numerator, c.denominator
-            if as_csv:
-                rest = f",{num},{den}{residue}\n"
-            else:
-                rest = _JSON_REST.format(num, den, residue)
-            rendered[c] = rest
-        parts.append(f'"{T}"{rest}' if as_csv else _JSON_START.format(T) + rest)
-        parts.append(sep)
-    parts[-1] = tail
+        head, start, sep, tail = "[\n", _JSON_START, ",\n", "\n]\n"
+        rest_fmt, residue_fmt = _JSON_REST, ',\n    "residue": "{}"'
+    rest, bad = {}, set()
+    for key in class_counts(N):
+        c = table.class_coeff(key)
+        residue = ""
+        if mod is not None:
+            r = _residue(c, mod)
+            if r is None:
+                bad.add(key)
+                continue
+            residue = residue_fmt.format(r)
+        rest[key] = rest_fmt.format(c.numerator, c.denominator, residue)
+    if bad:
+        T = next(T for T in iter_psd(N) if T.class_key() in bad)
+        print(f"error: coefficient at {T} is not integral mod {mod}", file=sys.stderr)
+        return 1
+
+    def write(fh):
+        box = iter_psd(N)
+        fh.write(head + start.format(next(box)) + rest[0, 0])  # T = 0 comes first
+        for T in box:
+            fh.write(sep + start.format(T) + rest[T.class_key()])
+        fh.write(tail)
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            write(fh)
     else:
-        sys.stdout.writelines(parts)
+        write(sys.stdout)
     return 0
 
 

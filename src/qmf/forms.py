@@ -25,7 +25,7 @@ from functools import lru_cache
 from .exactnum import bernoulli, divisors, sigma
 from .fexp import FourierExpansion
 from .series import QSeries, eisenstein_q
-from .tmat import TMatrix, ZERO_TMATRIX, enumerate_psd
+from .tmat import TMatrix, iter_psd
 
 __all__ = [
     "MaassTable",
@@ -57,8 +57,8 @@ class MaassTable:
 
     A coefficient at T != 0 depends on T only through the class key
     (two_det(T), eps(T)), so class_coeff evaluates its divisor sum once per
-    key and keeps the value in a memo owned by this table; coeff reads that
-    memo first.
+    key and keeps the value in a memo owned by this table; coeff reads T's
+    class through it.
     """
 
     phi0: QSeries
@@ -99,13 +99,7 @@ class MaassTable:
     def coeff(self, T: TMatrix) -> Fraction:
         """Coefficient of the Maass lift at T (0 when T is not psd); raises
         ValueError when two_det(T) > L."""
-        if T == ZERO_TMATRIX:
-            return self.phi0.coeffs[0]
-        if not T.is_psd():
-            return Fraction(0)
-        key = (T.two_det(), T.epsilon())
-        c = self._memo.get(key)
-        return self.class_coeff(key) if c is None else c
+        return self.class_coeff(T.class_key()) if T.is_psd() else Fraction(0)
 
     def class_coeff(self, key: tuple[int, int]) -> Fraction:
         """Coefficient of the Maass lift at every psd T of class key =
@@ -130,7 +124,7 @@ def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
     largest two_det in the box."""
     _check_weight(table.weight)
     return FourierExpansion(
-        table.weight, N, {T: table.coeff(T) for T in enumerate_psd(N)}
+        table.weight, N, {T: table.coeff(T) for T in iter_psd(N)}
     )
 
 

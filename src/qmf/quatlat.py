@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-__all__ = ["QuatCoord", "ZERO_QUAT", "enumerate_dual", "parse_quat"]
+__all__ = ["QuatCoord", "ZERO_QUAT", "enumerate_dual"]
 
 
 class QuatCoord(NamedTuple):
@@ -37,17 +37,6 @@ class QuatCoord(NamedTuple):
 
 
 ZERO_QUAT = QuatCoord(0, 0, 0, 0)
-
-
-def parse_quat(text: str) -> QuatCoord:
-    """Parse 'a,b,c,d' into a QuatCoord (whitespace around entries allowed)."""
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated integers, got {text!r}")
-    try:
-        return QuatCoord(*(int(p.strip()) for p in parts))
-    except ValueError:
-        raise ValueError(f"non-integer quaternion coordinate in {text!r}") from None
 
 
 def enumerate_dual(R: int) -> list[QuatCoord]:

@@ -4,6 +4,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -290,6 +292,68 @@ def test_table_builds_no_expansion(capsys, monkeypatch):
             capsys, ["table", "--form", "X12", "--max", "2", "--format", fmt]
         )
         assert code == 0 and out
+
+
+@pytest.mark.parametrize("name", ("X10", "X12", "X14", "G12H", "E10H"))
+@pytest.mark.parametrize("mod", (None, 691))
+def test_table_matches_lifted_box(capsys, name, mod):
+    # every row, in box order, against the lift of the form on the box
+    box = build_form(name, 3)
+    residues = {}
+
+    def residue(c):
+        # the r in 0..mod-1 with mod dividing the numerator of c - r
+        if c not in residues:
+            residues[c] = next(r for r in range(mod) if (c - r).numerator % mod == 0)
+        return str(residues[c])
+
+    expected = []
+    for T in enumerate_psd(3):
+        c = box.coeff(T)
+        row = {"T": str(T), "num": str(c.numerator), "den": str(c.denominator)}
+        if mod is not None:
+            row["residue"] = residue(c)
+        expected.append(row)
+    argv = ["table", "--form", name, "--max", "3"]
+    if mod is not None:
+        argv += ["--mod", str(mod)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == expected
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    entries = json.loads(out)
+    for row in expected:
+        row["coeff"] = {"num": row.pop("num"), "den": row.pop("den")}
+    assert entries == expected
+
+
+def test_table_and_build_form_keep_no_box(capsys):
+    tmat.enumerate_psd.cache_clear()
+    for fmt in ("csv", "json"):
+        for extra in ([], ["--mod", "691"]):
+            argv = ["table", "--form", "X12", "--max", "3", "--format", fmt]
+            assert run(capsys, argv + extra)[0] == 0
+        argv = ["table", "--form", "E10H", "--max", "2", "--mod", "17"]
+        assert run(capsys, argv + ["--format", fmt])[0] == 1
+    build_form("X10", 3)
+    assert tmat.enumerate_psd.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_streams_rows(capsys, fmt):
+    # the output and the box are never held: the walk's peak stays far
+    # below the 35,929 rows of depth 4; the form's table is built first
+    form_table("X14", 32)
+    tracemalloc.start()
+    try:
+        code = main(["table", "--form", "X14", "--max", "4", "--format", fmt,
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 def test_table_byte_stable(capsys):

@@ -66,6 +66,8 @@ def _table_commands():
     yield ["table", "--form", "G12H", "--max", "4", "--format", "json", "--mod", "691"]
     yield ["table", "--form", "X14", "--max", "4", "--format", "json"]
     yield ["table", "--form", "E10H", "--max", "4", "--format", "json", "--mod", "17"]
+    yield ["table", "--form", "X12", "--max", "4", "--mod", "691"]
+    yield ["table", "--form", "E12H", "--max", "4", "--mod", "31"]
 
 
 def _verify_commands():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual, parse_quat
+from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual
 
 
 def brute_dual_ball(R):
@@ -89,14 +89,6 @@ def test_shell_counts_match_divisor_formula():
     for n in range(1, 21):
         expected = 24 * sum(d for d in divisors(n) if d % 2 == 1)
         assert shell.get(2 * n, 0) == expected
-
-
-def test_parse_quat():
-    assert parse_quat("1,-2, 3,0") == QuatCoord(1, -2, 3, 0)
-    with pytest.raises(ValueError):
-        parse_quat("1,2,3")
-    with pytest.raises(ValueError):
-        parse_quat("1,2,3,x")
 
 
 def test_enumerate_dual_negative_raises():
