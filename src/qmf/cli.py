@@ -7,24 +7,27 @@ Subcommands:
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error (a negative --depth or
---max among them). Rationals are always printed exactly (num/den strings),
-never as floats. No subcommand builds a lifted expansion: each reads the
-form's one-variable Maass table. A coefficient at T != 0 depends on T only
-through its class (two_det(T), content of T), and the table evaluates each
-class once: the depth-N box holds 25, 46, 68, 106, 185 and 437 class keys
-for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0 included. table
-checks --mod and renders the numerator, denominator and residue once per
-class before it writes anything, then streams one row per index as the box
-walk yields it, keeping neither the box nor the output. verify checks each
-class once and counts its indices without the box, so its cost grows with
-the classes, not the indices; only a failing sweep walks the box, to name
-its witnesses.
+--max among them). A reader that closes stdout early is not an error: the
+output stops silently and the exit code is the command's own (a failing
+verify still exits 1). Rationals are always printed exactly (num/den
+strings), never as floats. No subcommand builds a lifted expansion: each
+reads the form's one-variable Maass table. A coefficient at T != 0 depends
+on T only through its class (two_det(T), content of T), and the table
+evaluates each class once: the depth-N box holds 25, 46, 68, 106, 185 and
+437 class keys for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0
+included. table checks --mod and renders the numerator, denominator and
+residue once per class before it writes anything, then streams one row per
+index as the box walk yields it, keeping neither the box nor the output.
+verify checks each class once and counts its indices without the box, so
+its cost grows with the classes, not the indices; only a failing sweep
+walks the box, to name its witnesses.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -48,6 +51,23 @@ def _check_depth(N: int, flag: str) -> None:
         )
 
 
+def _emit(path, write) -> None:
+    """Call write(fh) on a new file at path, or on stdout when path is None.
+    A reader that closes stdout early (`| head`) is not an error: stdout is
+    pointed at devnull, so that its flush at exit neither fails nor prints."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _residue(a: Fraction, modulus: int):
     """a mod modulus in 0..modulus-1, or None when a is not integral mod it."""
     if modulus < 2:
@@ -69,17 +89,17 @@ def _cmd_coeff(args) -> int:
         a = Fraction(0)
     else:
         a = form_table(args.form, T.two_det()).coeff(T)
-    if args.mod is None:
-        print(a)
-        return 0
-    r = _residue(a, args.mod)
-    if r is None:
-        print(
-            f"error: coefficient {a} is not integral mod {args.mod}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"{a} ≡ {r} (mod {args.mod})")
+    line = f"{a}\n"
+    if args.mod is not None:
+        r = _residue(a, args.mod)
+        if r is None:
+            print(
+                f"error: coefficient {a} is not integral mod {args.mod}",
+                file=sys.stderr,
+            )
+            return 1
+        line = f"{a} ≡ {r} (mod {args.mod})\n"
+    _emit(None, lambda fh: fh.write(line))
     return 0
 
 
@@ -108,11 +128,7 @@ def _cmd_verify(args) -> int:
         verdicts = [congr.verify_ep_minus_one(args.p, N)]
     payload = [v.to_json() for v in verdicts]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(args.out, lambda fh: fh.write(text + "\n"))
     return 0 if all(v.ok for v in verdicts) else 1
 
 
@@ -164,11 +180,7 @@ def _cmd_table(args) -> int:
             fh.write(sep + start.format(T) + rest[T.class_key()])
         fh.write(tail)
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    _emit(args.out, write)
     return 0
 
 

@@ -25,9 +25,6 @@ class QuatCoord(NamedTuple):
         """Quaternion norm t * conj(t) = a^2 + b^2 + c^2 + d^2."""
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
-    def conj(self) -> "QuatCoord":
-        return QuatCoord(self.a, -self.b, -self.c, -self.d)
-
     def in_dual(self) -> bool:
         """Membership in the dual of the Hurwitz order: even coordinate sum."""
         return (self.a + self.b + self.c + self.d) % 2 == 0

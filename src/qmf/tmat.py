@@ -7,13 +7,16 @@ n*m - norm(t)/4, a half-integer; we work throughout with the integer invariant
     two_det(T) = 2*det(T) = 2*n*m - norm(t)/2,
 
 which is what every coefficient formula in this package is indexed by.
+
+iter_psd walks the depth-N box, the one lattice walk here; class_counts
+counts its indices per class from Jacobi's four-square theorem instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import divisors
@@ -64,21 +67,18 @@ class TMatrix(NamedTuple):
         """Content of T: the largest d >= 1 with d | n, d | m and t/d still dual.
 
         With g = gcd(n, m, t) and s the coordinate sum of t, t/d is dual
-        exactly when s/d is even, so d is g with just enough factors 2 taken
-        out to leave s/d even: all of g when s = 0, else g >> max(0,
-        v2(g) - v2(s) + 1). Defined for T != 0 with t dual only.
+        exactly when s/d is even. As g | s, s/g is odd exactly when the
+        lowest set bits of g and s agree (s = 0 has none), and then g/2 is
+        the content; otherwise g is. Defined for T != 0 with t dual only.
         """
         if self == ZERO_TMATRIX:
             raise ValueError("epsilon: undefined for the zero matrix")
         a, b, c, d = self.t
         g = gcd(self.n, self.m, a, b, c, d)
         s = a + b + c + d
-        if s == 0:
-            return g
         if s % 2:
             raise ValueError(f"epsilon: {self.t} is not in the dual lattice")
-        # (x & -x).bit_length() is v2(x) + 1
-        return g >> max(0, (g & -g).bit_length() - (s & -s).bit_length() + 1)
+        return g >> 1 if g & -g == s & -s else g
 
     def class_key(self) -> tuple[int, int]:
         """(two_det, epsilon), or (0, 0) for T = 0: a coefficient of a
@@ -147,60 +147,47 @@ def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
 
 
 def box_size(N: int) -> int:
-    """len(enumerate_psd(N)), counted from a histogram of dual-lattice norms.
-
-    A vector has even coordinate sum exactly when its norm r is even, so the
-    dual lattice holds r4(r) vectors of each even norm r and none of odd
-    norm, where r4(r) = 8 * (sum of the divisors of r not divisible by 4) by
-    Jacobi's four-square theorem. Each (n, m) block with n*m > 0 is the ball
-    norm(t) <= 4nm; each block with n*m = 0 holds one index.
-    """
-    if N < 0:
-        raise ValueError("box_size: depth must be >= 0")
-    ball = [1]  # ball[i]: dual vectors with norm <= 2i
-    for r in range(2, 4 * N * N + 1, 2):
-        ball.append(ball[-1] + 8 * sum(d for d in divisors(r) if d % 4))
-    return 2 * N + 1 + sum(
-        ball[2 * n * m] for n in range(1, N + 1) for m in range(1, N + 1)
-    )
+    """len(enumerate_psd(N)), counted without the box: the total of
+    class_counts(N)."""
+    return sum(class_counts(N).values())
 
 
 def class_counts(N: int) -> dict[tuple[int, int], int]:
-    """{class key: number of indices} over the depth-N box, without the box.
+    """{class key: number of indices} over the depth-N box, counted from
+    Jacobi's four-square theorem without walking a lattice.
 
-    Each (n, m) block with n*m > 0 is the dual ball norm(t) <= 4nm. With
-    g = gcd(n, m, t) and s the coordinate sum of t, TMatrix.epsilon halves g
-    exactly when v2(g) = v2(s); as g | gcd(t) | s, that is when v2(g) =
+    Each (n, m) block is the dual ball norm(t) <= 4nm. With g = gcd(n, m, t)
+    and s the coordinate sum of t, TMatrix.epsilon halves g exactly when
+    s != 0 and v2(g) = v2(s); as g | gcd(t) | s, that is when v2(g) =
     v2(gcd(t)) and s / gcd(t) is odd. So the key of (n, m, t) is a function
     of 2nm, gcd(n, m) and the histogram key (norm(t), gcd(t), parity of
-    s / gcd(t)), which sign changes and permutations of t's coordinates
-    keep. One walk of the ball norm(t) <= 4N^2 over the t with a >= b >= c
-    >= d >= 0, each weighted by the size of its orbit, builds the histogram;
-    each block then folds it in. Each block with n*m = 0 holds the one index
-    (n, m, 0), of key (0, max(n, m)).
+    s / gcd(t)).
+
+    Z^4 holds r4(r) = 8 * (sum of the divisors of r not divisible by 4)
+    vectors of norm r, of which P(r) = r4(r) - sum(P(r / g^2) for g >= 2
+    with g^2 | r) are primitive. Write t = g*u with g = gcd(t) and u
+    primitive: as x = x^2 mod 2, s / g has the parity of norm(u), so t is
+    dual exactly when g * norm(u) is even, and the histogram holds P(norm(u))
+    vectors of key (g^2 norm(u), g, norm(u) mod 2) for each such pair, and
+    one of key (0, 0, 0), t = 0. Each block then folds the histogram in.
     """
     if N < 0:
         raise ValueError("class_counts: depth must be >= 0")
     R = 4 * N * N
-    hist = Counter()
-    for a in range(isqrt(R) + 1):
-        for b in range(min(a, isqrt(R - a * a)) + 1):
-            for c in range(min(b, isqrt(R - a * a - b * b)) + 1):
-                budget = R - a * a - b * b - c * c
-                # d has the parity of a+b+c, so that t is dual
-                for d in range((a + b + c) % 2, min(c, isqrt(budget)) + 1, 2):
-                    t = (a, b, c, d)
-                    g_t = gcd(a, b, c, d)
-                    odd = (a + b + c + d) // g_t % 2 if g_t else 0
-                    orbit = 24 << (4 - t.count(0))  # permutations and signs
-                    for repeats in Counter(t).values():
-                        orbit //= factorial(repeats)
-                    hist[R - budget + d * d, g_t, odd] += orbit
-    out = Counter({(0, 0): 1})
-    for n in range(1, N + 1):
-        out[0, n] += 2
+    # prim[r] is r4(r), and P(r) once the loop below has passed r
+    prim = [0] + [8 * sum(d for d in divisors(r) if d % 4) for r in range(1, R + 1)]
+    hist = Counter({(0, 0, 0): 1})
+    for u in range(1, R + 1):
+        if not prim[u]:  # 8 | u: no primitive vector has this norm
+            continue
+        for g in range(1, isqrt(R // u) + 1):
+            if g > 1:
+                prim[g * g * u] -= prim[u]
+            if g * u % 2 == 0:
+                hist[g * g * u, g, u % 2] += prim[u]
+    out = Counter()
     blocks = Counter(
-        (n * m, gcd(n, m)) for n in range(1, N + 1) for m in range(1, N + 1)
+        (n * m, gcd(n, m)) for n in range(N + 1) for m in range(N + 1)
     )
     for (nm, g_nm), mult in blocks.items():
         for (r, g_t, odd), count in hist.items():

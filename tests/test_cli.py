@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from qmf.cli import main
 from qmf.forms import build_form, form_table
 from qmf.series import tau_star
 from qmf.tmat import enumerate_psd
+from test_congr import perturb
 
 T0 = "1,1,1,1,0,0"
 I2 = "1,1,0,0,0,0"
@@ -417,3 +421,33 @@ def test_negative_depth_names_flag_exit2(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag} must be >= 0, got {argv[-1]}\n"
+
+
+def test_table_into_closed_pipe_exits_0_silently():
+    # the reader stops after two lines, as `qmf table ... | head -2` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmf.cli", "table", "--form", "X10", "--max", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+    assert head == [b"T,num,den\n", b'"0,0,0,0,0,0",0,1\n']
+
+
+def test_failing_verify_into_closed_pipe_exits_1(monkeypatch):
+    # a closed pipe drops the verdict's text, not its exit status
+    perturb(monkeypatch, "X14", R={7: 1})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify", "mod23", "--depth", "2"]) == 1

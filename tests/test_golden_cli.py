@@ -89,6 +89,11 @@ def _verify_commands():
     yield ["verify", "ep1", "--p", "13", "--depth", "5"]
     yield ["verify", "congeis", "--k", "6", "--depth", "5"]
     yield ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "4"]
+    yield ["verify", "theta", "--depth", "12"]
+    yield ["verify", "mod23", "--depth", "12"]
+    yield ["verify", "ep1", "--p", "13", "--depth", "12"]
+    yield ["verify", "congeis", "--k", "6", "--depth", "12"]
+    yield ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "8"]
 
 
 KINDS = {

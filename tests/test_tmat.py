@@ -1,5 +1,6 @@
 """Index matrices: determinant invariant, content, psd cone, enumeration."""
 
+import hashlib
 import random
 from collections import Counter
 from math import gcd
@@ -201,9 +202,26 @@ def test_class_counts_match_box_histogram():
         class_counts(-1)
 
 
-def test_class_counts_total_box_size():
-    for N in range(13):
-        assert sum(class_counts(N).values()) == box_size(N), N
+CLASS_COUNTS_SHA256 = {
+    7: "c9f6c379b8057e1afc5c32507f264646c89d1899280c369e7aca3f181a8671bf",
+    8: "51cefb614426882a08219227345f37f4e5f363cae32ef211cdc4439cea16638f",
+    9: "23e892603866ca2fb5dfd1b04d11bb37fc4381487cd0c3cf83ae30fbf622c0f5",
+    10: "76dbeb264b8c28eaef07d0b1f841d28e73d0c9bb44f03db77b6c02aa2967a4fd",
+    11: "c8b03092d1dceea5a9dd9956e5bd72a488ba8e4ddc7ae768f55e5ffa17211f2d",
+    12: "ebc1b76c4a8358f1c0b864010c24609546b14d0f2dd2e928e414ad8234dacec0",
+}
+
+
+def test_class_counts_and_box_size_frozen():
+    # past the depths test_class_counts_match_box_histogram can afford:
+    # digests of sorted(class_counts(N).items()), recorded from a walk of
+    # the dual ball over one t per orbit of sign changes and permutations
+    for N, want in CLASS_COUNTS_SHA256.items():
+        got = repr(sorted(class_counts(N).items())).encode()
+        assert hashlib.sha256(got).hexdigest() == want, N
+    assert [box_size(N) for N in range(9, 13)] == [
+        3222724, 5872969, 10143504, 16719961
+    ]
 
 
 def test_enumerate_psd_complete_and_ordered():
