@@ -16,11 +16,14 @@ on T only through its class (two_det(T), content of T), and the table
 evaluates each class once: the depth-N box holds 25, 46, 68, 106, 185 and
 437 class keys for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0
 included. table checks --mod and renders the numerator, denominator and
-residue once per class before it writes anything, then streams one row per
-index as the box walk yields it, keeping neither the box nor the output.
-verify checks each class once and counts its indices without the box, so
-its cost grows with the classes, not the indices; only a failing sweep
-walks the box, to name its witnesses.
+residue once per class before it writes anything, then writes the box a
+block at a time from the keyed walk (tmat.keyed_walk): the text of each
+dual-ball vector is made once, each (n, m) block maps the vectors'
+histogram ids to their row tails once, and a row is its block's prefix, the
+vector's text and its tail, with no index matrix built and neither the box
+nor a block of output kept. verify checks each class once and counts its
+indices without the box, so its cost grows with the classes, not the
+indices; only a failing sweep walks the box, to name its witnesses.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 from . import congr
 from .forms import form_table
-from .tmat import box_size, class_counts, iter_psd, parse_tmatrix
+from .tmat import box_size, class_counts, iter_keyed, keyed_walk, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
@@ -132,31 +135,38 @@ def _cmd_verify(args) -> int:
     return 0 if all(v.ok for v in verdicts) else 1
 
 
-# One entry of json.dumps(entries, indent=2), split at T. Every field is a
-# run of digits, commas and minus signs, so quoting it is its JSON encoding.
-_JSON_START = '  {{\n    "T": "{}",'
-_JSON_REST = (
-    '\n    "coeff": {{\n      "num": "{}",\n      "den": "{}"\n    }}{}\n  }}'
+# One row of a table, split around the text "a,b,c,d" of t: the part up to
+# it formats (n, m), the part after it (num, den, residue). In the JSON rows,
+# entries of json.dumps(entries, indent=2), every field is a run of digits,
+# commas and minus signs, so quoting it is its JSON encoding.
+_CSV_ROW = ('"{},{},', '",{},{}{}\n', ",{}")
+_JSON_ROW = (
+    '  {{\n    "T": "{},{},',
+    '",\n    "coeff": {{\n      "num": "{}",\n      "den": "{}"\n    }}{}\n  }}',
+    ',\n    "residue": "{}"',
 )
 
 
 def _cmd_table(args) -> int:
-    """Render the part of a row after T once per class and check --mod on
+    """Render the part of a row after t once per class and check --mod on
     every class before anything is written, so a failing --mod prints
     nothing and creates no --out file; its error names the first index in
-    box order whose class fails. Then write each row as the box walk yields
-    it, keeping neither the box nor the output."""
+    box order whose class fails. Then write the box a block at a time: each
+    (n, m) block of keyed_walk maps the histogram id of a ball vector to its
+    row tail once, and each row is its block's prefix, the vector's text
+    and that tail, joined as it is written. No TMatrix is built, and
+    neither the box nor a block of output is kept."""
     N = args.max
     _check_depth(N, "--max")
     table = form_table(args.form, 2 * N * N)
     mod = args.mod
     if args.format == "csv":
         head = "T,num,den,residue\n" if mod is not None else "T,num,den\n"
-        start, sep, tail = '"{}"', "", ""
-        rest_fmt, residue_fmt = ",{},{}{}\n", ",{}"
+        sep, tail = "", ""
+        start, rest_fmt, residue_fmt = _CSV_ROW
     else:
-        head, start, sep, tail = "[\n", _JSON_START, ",\n", "\n]\n"
-        rest_fmt, residue_fmt = _JSON_REST, ',\n    "residue": "{}"'
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        start, rest_fmt, residue_fmt = _JSON_ROW
     rest, bad = {}, set()
     for key in class_counts(N):
         c = table.class_coeff(key)
@@ -169,15 +179,20 @@ def _cmd_table(args) -> int:
             residue = residue_fmt.format(r)
         rest[key] = rest_fmt.format(c.numerator, c.denominator, residue)
     if bad:
-        T = next(T for T in iter_psd(N) if T.class_key() in bad)
-        print(f"error: coefficient at {T} is not integral mod {mod}", file=sys.stderr)
+        n, m, t, _ = next(row for row in iter_keyed(N) if row[3] in bad)
+        print(f"error: coefficient at {n},{m},{t} is not integral mod {mod}", file=sys.stderr)
         return 1
 
     def write(fh):
-        box = iter_psd(N)
-        fh.write(head + start.format(next(box)) + rest[0, 0])  # T = 0 comes first
-        for T in box:
-            fh.write(sep + start.format(T) + rest[T.class_key()])
+        texts, ids, blocks = keyed_walk(N)
+        fh.write(head)
+        for n, m, keys in blocks:
+            # only T = 0, the one row of block (0, 0), has no separator
+            prefix = (sep if n or m else "") + start.format(n, m)
+            tails = [key and rest[key] for key in keys]
+            fh.writelines(
+                prefix + t + tails[h] for t, h in zip(texts, ids) if tails[h]
+            )
         fh.write(tail)
 
     _emit(args.out, write)

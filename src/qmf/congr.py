@@ -11,8 +11,9 @@ only through its class key (two_det(T), content of T): a table coefficient,
 the theta image two_det * a(T), and kronecker(-p, two_det) all do. So each
 sweep checks one value per class and counts the indices of each class with
 class_counts, without the box; only a sweep that fails walks the box, one
-index at a time and without keeping it, to name its witnesses as an
-index-by-index sweep would. The Ramanujan certificate's cusp form
+index at a time and without keeping it, reading each index's class from the
+keyed walk (tmat.iter_keyed), to name its witnesses as an index-by-index
+sweep would. The Ramanujan certificate's cusp form
 chi = G - p * P(E4H, E6H) need not lie in the Maass space, but chi ≡ G
 mod p wherever G is p-integral, so every check on chi reads G's table.
 """
@@ -26,7 +27,7 @@ from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
 from .fexp import CongCheck, cong_mod
 from .forms import form_table
 from .series import e4_e6_monomials, express_in_e4_e6
-from .tmat import class_counts, iter_psd
+from .tmat import class_counts, iter_keyed
 
 __all__ = [
     "ChiReport",
@@ -262,8 +263,8 @@ def _nonresidue_sweep(a, p: int, N: int, witnesses: list) -> int:
     """Append a witness for every box index T with kronecker(-p, two_det(T))
     = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked.
 
-    a maps a class key to the coefficient of its class; the box is walked
-    only to list the indices of the classes that fail."""
+    a maps a class key to the coefficient of its class; the keyed walk runs
+    only to list the indices of the classes that fail, as text."""
     chi = _kronecker_table(p, N)
     counts = class_counts(N)
     nonresidue = [key for key in counts if chi[key[0]] == -1]
@@ -273,10 +274,9 @@ def _nonresidue_sweep(a, p: int, N: int, witnesses: list) -> int:
         if c.denominator % p == 0 or c.numerator % p:
             bad.add(key)
     if bad:
-        for T in iter_psd(N):
-            key = T.class_key()
+        for n, m, t, key in iter_keyed(N):
             if key in bad:
-                witnesses.append({"T": str(T), "coeff": str(a(key))})
+                witnesses.append({"T": f"{n},{m},{t}", "coeff": str(a(key))})
     return sum(counts[key] for key in nonresidue)
 
 

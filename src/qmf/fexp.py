@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import is_prime
-from .tmat import TMatrix, class_counts, iter_psd
+from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = ["CongCheck", "FourierExpansion", "cong_mod"]
 
@@ -89,9 +89,10 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     coefficient at every T of that class: a MaassTable's class_coeff, or any
     function of it such as a theta image. Each is evaluated once per class of
     the box, and a sweep that holds has checked every index. Otherwise the
-    box is walked, without keeping it, to the first T whose class fails, so
-    the witness and checked are those of an index-by-index sweep. A source
-    that cannot answer at some class raises ValueError there.
+    keyed walk reads the class of each index, without keeping the box or
+    building an index matrix but for the witness, up to the first T whose
+    class fails, so the witness and checked are those of an index-by-index
+    sweep. A source that cannot answer at some class raises ValueError there.
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
@@ -106,7 +107,7 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
             bad[key] = "fails"
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
-    i, T = next(
-        (i, T) for i, T in enumerate(iter_psd(N)) if T.class_key() in bad
+    i, (n, m, t, key) = next(
+        (i, row) for i, row in enumerate(iter_keyed(N, lambda t: t)) if row[3] in bad
     )
-    return CongCheck(bad[T.class_key()], T, i + 1)
+    return CongCheck(bad[key], TMatrix(n, m, t), i + 1)

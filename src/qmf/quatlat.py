@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-__all__ = ["QuatCoord", "ZERO_QUAT", "enumerate_dual"]
+__all__ = ["QuatCoord", "ZERO_QUAT", "enumerate_dual", "iter_dual"]
 
 
 class QuatCoord(NamedTuple):
@@ -37,15 +37,21 @@ ZERO_QUAT = QuatCoord(0, 0, 0, 0)
 
 
 def enumerate_dual(R: int) -> list[QuatCoord]:
-    """All dual-lattice vectors with norm(t) <= R, in lexicographic order.
+    """All dual-lattice vectors with norm(t) <= R, in lexicographic order:
+    iter_dual(R), kept."""
+    return list(iter_dual(R))
+
+
+def iter_dual(R: int):
+    """Yield the dual-lattice vectors with norm(t) <= R in lexicographic
+    order, without keeping them.
 
     Nested ranges are pruned by the remaining norm budget, so the cost is
     proportional to the number of lattice points returned, not to the
     enclosing box.
     """
     if R < 0:
-        raise ValueError("enumerate_dual: bound must be >= 0")
-    out: list[QuatCoord] = []
+        raise ValueError("dual ball: bound must be >= 0")
     ra = isqrt(R)
     for a in range(-ra, ra + 1):
         budget_a = R - a * a
@@ -60,5 +66,4 @@ def enumerate_dual(R: int) -> list[QuatCoord]:
                 # d must make a+b+c+d even, so d has the parity of a+b+c
                 start = -rd if (-rd) % 2 == parity else -rd + 1
                 for d in range(start, rd + 1, 2):
-                    out.append(QuatCoord(a, b, c, d))
-    return out
+                    yield QuatCoord(a, b, c, d)

@@ -8,8 +8,13 @@ n*m - norm(t)/4, a half-integer; we work throughout with the integer invariant
 
 which is what every coefficient formula in this package is indexed by.
 
-iter_psd walks the depth-N box, the one lattice walk here; class_counts
-counts its indices per class from Jacobi's four-square theorem instead.
+keyed_walk is the one lattice walk here. It builds the dual ball of radius
+4N^2 once and gives each of its vectors t a histogram id, which stands for
+(norm(t), gcd(t), parity of sum(t)/gcd(t)). For each (n, m) block it folds
+the ids once into class keys, so every index of the depth-N box is keyed by
+a list lookup, with no TMatrix built; iter_keyed and iter_psd are views of
+it one index at a time. class_counts folds the same histogram keys, counted
+from Jacobi's four-square theorem instead of walked.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import divisors
-from .quatlat import ZERO_QUAT, QuatCoord, enumerate_dual
+from .quatlat import ZERO_QUAT, QuatCoord, iter_dual
 
 __all__ = [
     "TMatrix",
@@ -28,7 +33,9 @@ __all__ = [
     "box_size",
     "class_counts",
     "enumerate_psd",
+    "iter_keyed",
     "iter_psd",
+    "keyed_walk",
     "parse_tmatrix",
 ]
 
@@ -112,31 +119,69 @@ def parse_tmatrix(text: str) -> TMatrix:
     return TMatrix(vals[0], vals[1], t)
 
 
-def iter_psd(N: int):
-    """Yield every psd index matrix with n <= N and m <= N, in (n, m, t) lex
-    order, without keeping them.
+def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
+    """The class key of every (n, m, t) with n*m = nm, gcd(n, m) = g_nm and
+    t of histogram key hkey = (norm(t), gcd(t), parity of sum(t) / gcd(t)),
+    or None when norm(t) > 4nm, so that no such index is psd.
 
-    For n*m > 0 the psd condition is exactly norm(t) <= 4*n*m, so each block
-    is the part of the dual ball norm(t) <= 4N^2 inside that radius, taken in
-    the ball's lex order; the ball is walked, and its norms computed, once.
-    For n*m = 0 it forces t = 0.
+    With g = gcd(n, m, t) and s the coordinate sum of t, TMatrix.epsilon
+    halves g exactly when s != 0 and v2(g) = v2(s); as g | gcd(t) | s, that
+    is when v2(g) = v2(gcd(t)) and s / gcd(t) is odd.
+    """
+    r, g_t, odd = hkey
+    if r > 4 * nm:
+        return None
+    g = gcd(g_nm, g_t)
+    if odd and g & -g == g_t & -g_t:
+        g >>= 1
+    return (2 * nm - r // 2, g)
+
+
+def keyed_walk(N: int, item=str):
+    """The depth-N box as blocks over one ball: (items, ids, blocks).
+
+    items[i] = item(t) and ids[i] is the histogram id of the i-th vector t
+    of the dual ball norm(t) <= 4N^2 in lex order. blocks yields (n, m, keys)
+    for each (n, m) in lex order, where keys[h] is the class key of (n, m, t)
+    for every t of id h, or None when t lies outside the block. The psd
+    condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only), so block
+    (n, m) holds the (n, m, t) with keys[h] not None, in the ball's order.
     """
     if N < 0:
-        raise ValueError("iter_psd: depth must be >= 0")
-    return _walk_psd(N)
+        raise ValueError("keyed_walk: depth must be >= 0")
+    items, ids, index = [], [], {}
+    for t in iter_dual(4 * N * N):
+        a, b, c, d = t
+        g = gcd(a, b, c, d)
+        hkey = (t.norm(), g, (a + b + c + d) // g % 2 if g else 0)
+        items.append(item(t))
+        ids.append(index.setdefault(hkey, len(index)))
+
+    def blocks():
+        for n in range(N + 1):
+            for m in range(N + 1):
+                nm, g_nm = n * m, gcd(n, m)
+                yield n, m, [_class_key(nm, g_nm, hkey) for hkey in index]
+
+    return items, ids, blocks()
 
 
-def _walk_psd(N: int):
-    ball = [(t.norm(), t) for t in enumerate_dual(4 * N * N)]
-    for n in range(N + 1):
-        for m in range(N + 1):
-            if n == 0 or m == 0:
-                yield TMatrix(n, m, ZERO_QUAT)
-            else:
-                radius = 4 * n * m
-                for r, t in ball:
-                    if r <= radius:
-                        yield TMatrix(n, m, t)
+def iter_keyed(N: int, item=str):
+    """Yield (n, m, item(t), key) for every index (n, m, t) of the depth-N box
+    in (n, m, t) lex order, key = its class key: keyed_walk, row by row."""
+    items, ids, blocks = keyed_walk(N, item)
+    return (
+        (n, m, x, keys[h])
+        for n, m, keys in blocks
+        for x, h in zip(items, ids)
+        if keys[h] is not None
+    )
+
+
+def iter_psd(N: int):
+    """Yield every psd index matrix with n <= N and m <= N, in (n, m, t) lex
+    order, without keeping them: the TMatrix view of keyed_walk."""
+    return (TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +201,11 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
     """{class key: number of indices} over the depth-N box, counted from
     Jacobi's four-square theorem without walking a lattice.
 
-    Each (n, m) block is the dual ball norm(t) <= 4nm. With g = gcd(n, m, t)
-    and s the coordinate sum of t, TMatrix.epsilon halves g exactly when
-    s != 0 and v2(g) = v2(s); as g | gcd(t) | s, that is when v2(g) =
-    v2(gcd(t)) and s / gcd(t) is odd. So the key of (n, m, t) is a function
-    of 2nm, gcd(n, m) and the histogram key (norm(t), gcd(t), parity of
-    s / gcd(t)).
+    Each (n, m) block is the dual ball norm(t) <= 4nm, and the class key of
+    (n, m, t) is a function of n*m, gcd(n, m) and the histogram key
+    (norm(t), gcd(t), parity of sum(t) / gcd(t)) of t (_class_key), so a
+    histogram of those keys over the ball of radius 4N^2 folds into the
+    counts.
 
     Z^4 holds r4(r) = 8 * (sum of the divisors of r not divisible by 4)
     vectors of norm r, of which P(r) = r4(r) - sum(P(r / g^2) for g >= 2
@@ -190,10 +234,8 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
         (n * m, gcd(n, m)) for n in range(N + 1) for m in range(N + 1)
     )
     for (nm, g_nm), mult in blocks.items():
-        for (r, g_t, odd), count in hist.items():
-            if r <= 4 * nm:
-                g = gcd(g_nm, g_t)
-                if odd and g & -g == g_t & -g_t:
-                    g >>= 1
-                out[2 * nm - r // 2, g] += mult * count
+        for hkey, count in hist.items():
+            key = _class_key(nm, g_nm, hkey)
+            if key is not None:
+                out[key] += mult * count
     return dict(out)

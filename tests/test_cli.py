@@ -18,7 +18,8 @@ from qmf.cli import main
 from qmf.forms import build_form, form_table
 from qmf.series import tau_star
 from qmf.tmat import enumerate_psd
-from test_congr import perturb
+from test_congr import perturb, refuse_walks
+from test_golden_cli import GOLDEN, digest
 
 T0 = "1,1,1,1,0,0"
 I2 = "1,1,0,0,0,0"
@@ -75,9 +76,7 @@ def test_coeff_deep_index_builds_no_box(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("coeff must not build or walk a box")
 
-    for module in (cli, fexp, forms, tmat):
-        monkeypatch.setattr(module, "enumerate_psd", refuse, raising=False)
-        monkeypatch.setattr(module, "iter_psd", refuse, raising=False)
+    refuse_walks(monkeypatch, refuse, (cli, fexp, forms))
     # expansions are read-only: the library has no product to call
     assert [m for m in RING_MEMBERS if hasattr(fexp.FourierExpansion, m)] == []
     # content 2, two_det 124
@@ -296,6 +295,28 @@ def test_table_builds_no_expansion(capsys, monkeypatch):
             capsys, ["table", "--form", "X12", "--max", "2", "--format", fmt]
         )
         assert code == 0 and out
+
+
+def test_table_builds_no_index_matrix_per_row(capsys, monkeypatch):
+    # each row is joined from its block's prefix, the ball vector's text and
+    # a lookup of its class: no index matrix is keyed or printed, and every
+    # byte is still the golden one
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["table"]
+
+    def refuse(self):
+        raise AssertionError("table must not key or print an index matrix per row")
+
+    monkeypatch.setattr(tmat.TMatrix, "class_key", refuse)
+    monkeypatch.setattr(tmat.TMatrix, "__str__", refuse)
+    for fmt in ([], ["--format", "json"]):
+        for mod in ([], ["--mod", "691"]):
+            argv = ["table", "--form", "X14", "--max", "3", *fmt, *mod]
+            assert digest(argv) == golden[" ".join(argv)]
+            assert golden[" ".join(argv)]["exit"] == 0
+    # a failing --mod names its first index from the same walk
+    code, out, err = run(capsys, ["table", "--form", "E12H", "--max", "3", "--mod", "31"])
+    assert (code, out) == (1, "")
+    assert "error: coefficient at 1,1,-1,-1,0,0 is not integral mod 31" in err
 
 
 @pytest.mark.parametrize("name", ("X10", "X12", "X14", "G12H", "E10H"))

@@ -1,5 +1,6 @@
 """Theorem verifiers: star condition, chi construction, box sweeps."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -234,6 +235,19 @@ def perturb(monkeypatch, name, R=None, phi0=None):
         monkeypatch.setattr(module, "enumerate_psd", refuse_box, raising=False)
 
 
+WALKS = ("enumerate_psd", "iter_psd", "iter_keyed", "keyed_walk", "iter_dual")
+
+
+def refuse_walks(monkeypatch, refuse, modules):
+    """Make every box or ball walk call refuse: each walk name any of modules
+    binds, and each of them in tmat, where the views of keyed_walk and the
+    ball it builds look them up, so no walk can start at all."""
+    for name in WALKS:
+        monkeypatch.setattr(tmat, name, refuse)
+        for module in modules:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 def nonresidues(p, N):
     return [T for T in enumerate_psd(N) if kronecker(-p, T.two_det()) == -1]
 
@@ -245,15 +259,43 @@ def test_verifiers_build_no_expansion(monkeypatch):
     # a sweep that holds reads classes only: no expansion and no box, cached
     # or walked
     monkeypatch.setattr(fexp.FourierExpansion, "__init__", refuse)
-    for module in (fexp, congr, tmat):
-        monkeypatch.setattr(module, "enumerate_psd", refuse, raising=False)
-        monkeypatch.setattr(module, "iter_psd", refuse)
+    refuse_walks(monkeypatch, refuse, (fexp, congr))
     assert all(v.ok for v in verify_theta_cong(2))
     assert verify_mod23(2).ok
     assert verify_cong_eis(6, 2).ok
     assert verify_ep_minus_one(7, 2).ok
     for k, p in STAR_PAIRS:
         assert ramanujan_verdict(k, p, 2).ok, (k, p)
+
+
+FAILING_SWEEPS = {
+    # form, bumped rows, verifier, its index-by-index oracle
+    "theta": ("X10", {2: 1, 3: 1}, lambda N: [v.to_json() for v in verify_theta_cong(N)],
+              box_oracle.theta_verdicts),
+    "ep1": ("E4H", {1: 1}, lambda N: verify_ep_minus_one(5, N).to_json(),
+            lambda N: box_oracle.ep1_verdict(5, N)),
+    "mod23": ("X14", {7: 1, 20: 1}, lambda N: verify_mod23(N).to_json(),
+              box_oracle.mod23_verdict),
+    "congeis": ("G6H", {5: 1}, lambda N: verify_cong_eis(6, N).to_json(),
+                lambda N: box_oracle.congeis_verdict(6, N)),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_SWEEPS)
+def test_failing_sweeps_key_indices_by_the_walk(monkeypatch, name):
+    # a failing sweep reads the class of each index it visits from the keyed
+    # walk and builds an index matrix only for a witness: with class_key
+    # refused, its verdict is still the oracle's
+    form, R, verifier, oracle = FAILING_SWEEPS[name]
+    perturb(monkeypatch, form, R=R)
+    want = oracle(4)
+    assert "fails" in json.dumps(want)
+
+    def refuse(self):
+        raise AssertionError("a failing sweep must not key an index matrix")
+
+    monkeypatch.setattr(tmat.TMatrix, "class_key", refuse)
+    assert verifier(4) == want
 
 
 @pytest.mark.parametrize(

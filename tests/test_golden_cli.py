@@ -68,6 +68,13 @@ def _table_commands():
     yield ["table", "--form", "E10H", "--max", "4", "--format", "json", "--mod", "17"]
     yield ["table", "--form", "X12", "--max", "4", "--mod", "691"]
     yield ["table", "--form", "E12H", "--max", "4", "--mod", "31"]
+    yield ["table", "--form", "G10H", "--max", "5"]
+    yield ["table", "--form", "G12H", "--max", "5", "--format", "json", "--mod", "691"]
+    yield ["table", "--form", "X14", "--max", "6", "--format", "json", "--mod", "23"]
+    yield ["table", "--form", "X12", "--max", "6", "--mod", "691"]
+    yield ["table", "--form", "E12H", "--max", "5", "--mod", "31"]
+    yield ["table", "--form", "X14", "--max", "3", "--mod", "691"]
+    yield ["table", "--form", "X14", "--max", "3", "--format", "json", "--mod", "691"]
 
 
 def _verify_commands():

@@ -15,7 +15,9 @@ from qmf.tmat import (
     box_size,
     class_counts,
     enumerate_psd,
+    iter_keyed,
     iter_psd,
+    keyed_walk,
     parse_tmatrix,
 )
 
@@ -274,6 +276,36 @@ def test_iter_psd_is_the_per_radius_box():
     for N in range(7):
         walked = tuple(iter_psd(N))
         assert walked == enumerate_psd(N) == per_radius_box(N), N
+
+
+def test_keyed_walk_is_the_box_with_its_class_keys():
+    # the keyed walk against the box built independently above, index by
+    # index and key by key; the table renders each row from n, m and the
+    # text of t, which must read as str(T)
+    for N in range(7):
+        box = per_radius_box(N)
+        rows = list(iter_keyed(N))
+        same = iter_keyed(N, lambda t: t)
+        assert [(TMatrix(n, m, t), key) for n, m, t, key in same] == [
+            (T, T.class_key()) for T in box
+        ], N
+        assert [f"{n},{m},{text}" for n, m, text, _ in rows] == [str(T) for T in box]
+        assert Counter(key for *_, key in rows) == class_counts(N), N
+
+
+def test_keyed_walk_blocks():
+    # one ball, and per block one class key per histogram id, None outside
+    texts, ids, blocks = keyed_walk(2)
+    assert texts == [str(t) for t in enumerate_dual(16)]
+    assert len(set(ids)) == max(ids) + 1
+    blocks = list(blocks)
+    assert [(n, m) for n, m, _ in blocks] == [(n, m) for n in range(3) for m in range(3)]
+    for n, m, keys in blocks:
+        assert len(keys) == len(set(ids))
+        inside = [t for t, h in zip(texts, ids) if keys[h] is not None]
+        assert inside == [str(t) for t in enumerate_dual(4 * n * m)]
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        keyed_walk(-1)
 
 
 def test_iter_psd_refuses_negative_depth_on_call():
