@@ -4,9 +4,9 @@ modular forms over the Hurwitz order."""
 from .exactnum import bernoulli, is_prime, kronecker, ord_p, sigma
 from .fexp import CongCheck, FourierExpansion, cong_mod
 from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
-from .quatlat import QuatCoord, enumerate_dual
+from .quatlat import QuatCoord
 from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star
-from .tmat import TMatrix, box_size, enumerate_psd, parse_tmatrix
+from .tmat import TMatrix, enumerate_psd, parse_tmatrix
 
 __version__ = "0.1.0"
 
@@ -18,12 +18,10 @@ __all__ = [
     "QuatCoord",
     "TMatrix",
     "bernoulli",
-    "box_size",
     "build_form",
     "cong_mod",
     "delta_q",
     "eisenstein_q",
-    "enumerate_dual",
     "enumerate_psd",
     "express_in_e4_e6",
     "form_table",

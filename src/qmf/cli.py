@@ -7,23 +7,11 @@ Subcommands:
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error (a negative --depth or
---max among them). A reader that closes stdout early is not an error: the
-output stops silently and the exit code is the command's own (a failing
-verify still exits 1). Rationals are always printed exactly (num/den
-strings), never as floats. No subcommand builds a lifted expansion: each
-reads the form's one-variable Maass table. A coefficient at T != 0 depends
-on T only through its class (two_det(T), content of T), and the table
-evaluates each class once: the depth-N box holds 25, 46, 68, 106, 185 and
-437 class keys for N = 3, 4, 5, 6, 8 and 12, the key (0, 0) of T = 0
-included. table checks --mod and renders the numerator, denominator and
-residue once per class before it writes anything, then writes the box a
-block at a time from the keyed walk (tmat.keyed_walk): the text of each
-dual-ball vector is made once, each (n, m) block maps the vectors'
-histogram ids to their row tails once, and a row is its block's prefix, the
-vector's text and its tail, with no index matrix built and neither the box
-nor a block of output kept. verify checks each class once and counts its
-indices without the box, so its cost grows with the classes, not the
-indices; only a failing sweep walks the box, to name its witnesses.
+--max among them). Rationals are always printed exactly (num/den strings),
+never as floats, and the same invocation always writes the same bytes.
+Warnings go to stderr, never into the output. A reader that closes stdout
+early is not an error: the output stops silently and the exit code is the
+command's own (a failing verify still exits 1).
 """
 
 from __future__ import annotations
@@ -36,22 +24,16 @@ from fractions import Fraction
 
 from . import congr
 from .forms import form_table
-from .tmat import box_size, class_counts, iter_keyed, keyed_walk, parse_tmatrix
+from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
 
 
 def _check_depth(N: int, flag: str) -> None:
-    """Reject a negative depth up front, naming its flag; warn about a deep box."""
+    """Reject a negative depth up front, naming its flag."""
     if N < 0:
         raise ValueError(f"{flag} must be >= 0, got {N}")
-    if N >= _DEPTH_WARN:
-        print(
-            f"warning: depth {N} enumerates {box_size(N)} index "
-            "matrices per form; expect long runtimes and large output",
-            file=sys.stderr,
-        )
 
 
 def _emit(path, write) -> None:
@@ -158,6 +140,13 @@ def _cmd_table(args) -> int:
     neither the box nor a block of output is kept."""
     N = args.max
     _check_depth(N, "--max")
+    counts = class_counts(N)
+    if N >= _DEPTH_WARN:
+        print(
+            f"warning: depth {N} enumerates {sum(counts.values())} index "
+            "matrices per form; expect long runtimes and large output",
+            file=sys.stderr,
+        )
     table = form_table(args.form, 2 * N * N)
     mod = args.mod
     if args.format == "csv":
@@ -168,7 +157,7 @@ def _cmd_table(args) -> int:
         head, sep, tail = "[\n", ",\n", "\n]\n"
         start, rest_fmt, residue_fmt = _JSON_ROW
     rest, bad = {}, set()
-    for key in class_counts(N):
+    for key in counts:
         c = table.class_coeff(key)
         residue = ""
         if mod is not None:

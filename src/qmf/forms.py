@@ -18,14 +18,14 @@ on; the tests multiply such boxes in their oracle for the tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import bernoulli, divisors, sigma
 from .fexp import FourierExpansion
 from .series import QSeries, eisenstein_q
-from .tmat import TMatrix, iter_psd
+from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
     "MaassTable",
@@ -56,16 +56,12 @@ class MaassTable:
     space: every named form does, but E4^3, say, does not.
 
     A coefficient at T != 0 depends on T only through the class key
-    (two_det(T), eps(T)), so class_coeff evaluates its divisor sum once per
-    key and keeps the value in a memo owned by this table; coeff reads T's
-    class through it.
+    (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
+    coefficient function and coeff reads T's class through it.
     """
 
     phi0: QSeries
     R: tuple[Fraction, ...]
-    _memo: dict[tuple[int, int], Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def weight(self) -> int:
@@ -106,25 +102,24 @@ class MaassTable:
         T.class_key(); raises ValueError when two_det > L."""
         if key == (0, 0):
             return self.phi0.coeffs[0]
-        c = self._memo.get(key)
-        if c is None:
-            td, eps = key
-            if td >= len(self.R):
-                raise ValueError(
-                    f"table reaches l = {len(self.R) - 1}; class {key} needs l = {td}"
-                )
-            k1 = self.weight - 1
-            c = sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
-            self._memo[key] = c
-        return c
+        td, eps = key
+        if td >= len(self.R):
+            raise ValueError(
+                f"table reaches l = {len(self.R) - 1}; class {key} needs l = {td}"
+            )
+        k1 = self.weight - 1
+        return sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
 
 
 def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
-    """The Maass lift of table on the depth-N box; needs L >= 2*N^2, the
-    largest two_det in the box."""
+    """The Maass lift of table on the depth-N box, each class evaluated
+    once; needs L >= 2*N^2, the largest two_det in the box."""
     _check_weight(table.weight)
+    coeffs = {key: table.class_coeff(key) for key in class_counts(N)}
     return FourierExpansion(
-        table.weight, N, {T: table.coeff(T) for T in iter_psd(N)}
+        table.weight,
+        N,
+        {TMatrix(n, m, t): coeffs[key] for n, m, t, key in iter_keyed(N, lambda t: t)},
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-__all__ = ["QuatCoord", "ZERO_QUAT", "enumerate_dual", "iter_dual"]
+__all__ = ["QuatCoord", "ZERO_QUAT", "iter_dual"]
 
 
 class QuatCoord(NamedTuple):
@@ -34,12 +34,6 @@ class QuatCoord(NamedTuple):
 
 
 ZERO_QUAT = QuatCoord(0, 0, 0, 0)
-
-
-def enumerate_dual(R: int) -> list[QuatCoord]:
-    """All dual-lattice vectors with norm(t) <= R, in lexicographic order:
-    iter_dual(R), kept."""
-    return list(iter_dual(R))
 
 
 def iter_dual(R: int):

@@ -8,13 +8,19 @@ n*m - norm(t)/4, a half-integer; we work throughout with the integer invariant
 
 which is what every coefficient formula in this package is indexed by.
 
+The class key (two_det(T), content of T) of an index (n, m, t) depends only
+on n*m, gcd(n, m) and the histogram key _hkey(t) = (norm(t), gcd(t), parity
+of sum(t)/gcd(t)). _class_key is that fold, and the one statement of the
+content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.epsilon
+and TMatrix.class_key, the walk and the counts all read it.
+
 keyed_walk is the one lattice walk here. It builds the dual ball of radius
 4N^2 once and gives each of its vectors t a histogram id, which stands for
-(norm(t), gcd(t), parity of sum(t)/gcd(t)). For each (n, m) block it folds
-the ids once into class keys, so every index of the depth-N box is keyed by
-a list lookup, with no TMatrix built; iter_keyed and iter_psd are views of
-it one index at a time. class_counts folds the same histogram keys, counted
-from Jacobi's four-square theorem instead of walked.
+_hkey(t). For each (n, m) block it folds the ids once into class keys, so
+every index of the depth-N box is keyed by a list lookup, with no TMatrix
+built; iter_keyed views it one index at a time, and enumerate_psd keeps it
+as index matrices. class_counts folds the same histogram keys, counted from
+Jacobi's four-square theorem instead of walked.
 """
 
 from __future__ import annotations
@@ -30,11 +36,9 @@ from .quatlat import ZERO_QUAT, QuatCoord, iter_dual
 __all__ = [
     "TMatrix",
     "ZERO_TMATRIX",
-    "box_size",
     "class_counts",
     "enumerate_psd",
     "iter_keyed",
-    "iter_psd",
     "keyed_walk",
     "parse_tmatrix",
 ]
@@ -49,16 +53,9 @@ class TMatrix(NamedTuple):
         return 2 * self.n * self.m - self.t.norm() // 2
 
     def is_psd(self) -> bool:
-        """Positive semidefiniteness over the rationals.
-
-        Requires n, m, two_det >= 0, and additionally t = 0 whenever a
-        diagonal entry vanishes (a singular row forces the whole row to 0).
-        """
-        if self.n < 0 or self.m < 0 or self.two_det() < 0:
-            return False
-        if (self.n == 0 or self.m == 0) and self.t != ZERO_QUAT:
-            return False
-        return True
+        """Positive semidefiniteness over the rationals: n, m, two_det >= 0.
+        A vanishing diagonal entry then forces t = 0, as two_det = -norm(t)/2."""
+        return self.n >= 0 and self.m >= 0 and self.two_det() >= 0
 
     def rank(self) -> int:
         """Matrix rank (0, 1 or 2); defined for psd T only."""
@@ -66,33 +63,23 @@ class TMatrix(NamedTuple):
             raise ValueError(f"rank: {self} is not positive semidefinite")
         if self.two_det() > 0:
             return 2
-        if self.n == 0 and self.m == 0 and self.t == ZERO_QUAT:
+        if self == ZERO_TMATRIX:
             return 0
         return 1
 
     def epsilon(self) -> int:
-        """Content of T: the largest d >= 1 with d | n, d | m and t/d still dual.
-
-        With g = gcd(n, m, t) and s the coordinate sum of t, t/d is dual
-        exactly when s/d is even. As g | s, s/g is odd exactly when the
-        lowest set bits of g and s agree (s = 0 has none), and then g/2 is
-        the content; otherwise g is. Defined for T != 0 with t dual only.
-        """
+        """Content of T: the largest d >= 1 with d | n, d | m and t/d still
+        dual (_content). Defined for T != 0 with t dual only."""
         if self == ZERO_TMATRIX:
             raise ValueError("epsilon: undefined for the zero matrix")
-        a, b, c, d = self.t
-        g = gcd(self.n, self.m, a, b, c, d)
-        s = a + b + c + d
-        if s % 2:
+        if not self.t.in_dual():
             raise ValueError(f"epsilon: {self.t} is not in the dual lattice")
-        return g >> 1 if g & -g == s & -s else g
+        return _content(gcd(self.n, self.m), _hkey(self.t))
 
     def class_key(self) -> tuple[int, int]:
-        """(two_det, epsilon), or (0, 0) for T = 0: a coefficient of a
-        Maass-space form depends on T only through this key."""
-        if self == ZERO_TMATRIX:
-            return (0, 0)
-        return (self.two_det(), self.epsilon())
+        """(two_det, epsilon) of a psd T, (0, 0) for T = 0 (_class_key): a
+        coefficient of a Maass-space form depends on T only through it."""
+        return _class_key(self.n * self.m, gcd(self.n, self.m), _hkey(self.t))
 
     def __str__(self) -> str:
         return f"{self.n},{self.m},{self.t}"
@@ -119,29 +106,43 @@ def parse_tmatrix(text: str) -> TMatrix:
     return TMatrix(vals[0], vals[1], t)
 
 
-def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
-    """The class key of every (n, m, t) with n*m = nm, gcd(n, m) = g_nm and
-    t of histogram key hkey = (norm(t), gcd(t), parity of sum(t) / gcd(t)),
-    or None when norm(t) > 4nm, so that no such index is psd.
+def _hkey(t: QuatCoord) -> tuple[int, int, int]:
+    """The histogram key (norm(t), gcd(t), parity of sum(t) / gcd(t)) of t;
+    (0, 0, 0) for t = 0."""
+    a, b, c, d = t
+    g = gcd(a, b, c, d)
+    return (t.norm(), g, (a + b + c + d) // g % 2 if g else 0)
 
-    With g = gcd(n, m, t) and s the coordinate sum of t, TMatrix.epsilon
-    halves g exactly when s != 0 and v2(g) = v2(s); as g | gcd(t) | s, that
-    is when v2(g) = v2(gcd(t)) and s / gcd(t) is odd.
+
+def _content(g_nm: int, hkey: tuple[int, int, int]) -> int:
+    """The content of every (n, m, t) with gcd(n, m) = g_nm and t dual of
+    histogram key hkey: the largest d with d | n, d | m and t/d dual.
+
+    With g = gcd(n, m, t) and s the coordinate sum of t, t/d is dual exactly
+    when s/d is even, so the content is g/2 when s/g is odd and g otherwise.
+    As g | gcd(t) | s, s/g is odd exactly when v2(g) = v2(gcd(t)) and
+    s / gcd(t) is odd. It is 0 for T = 0 only.
     """
-    r, g_t, odd = hkey
+    _, g_t, odd = hkey
+    g = gcd(g_nm, g_t)
+    return g >> 1 if odd and g & -g == g_t & -g_t else g
+
+
+def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
+    """The class key (two_det, content) of every (n, m, t) with n*m = nm,
+    gcd(n, m) = g_nm and t of histogram key hkey, or None when norm(t) > 4nm,
+    so that no such index is psd. T = 0 has key (0, 0)."""
+    r = hkey[0]
     if r > 4 * nm:
         return None
-    g = gcd(g_nm, g_t)
-    if odd and g & -g == g_t & -g_t:
-        g >>= 1
-    return (2 * nm - r // 2, g)
+    return (2 * nm - r // 2, _content(g_nm, hkey))
 
 
 def keyed_walk(N: int, item=str):
     """The depth-N box as blocks over one ball: (items, ids, blocks).
 
-    items[i] = item(t) and ids[i] is the histogram id of the i-th vector t
-    of the dual ball norm(t) <= 4N^2 in lex order. blocks yields (n, m, keys)
+    items[i] = item(t) and ids[i] is the id of _hkey(t) for the i-th vector
+    t of the dual ball norm(t) <= 4N^2 in lex order. blocks yields (n, m, keys)
     for each (n, m) in lex order, where keys[h] is the class key of (n, m, t)
     for every t of id h, or None when t lies outside the block. The psd
     condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only), so block
@@ -151,11 +152,8 @@ def keyed_walk(N: int, item=str):
         raise ValueError("keyed_walk: depth must be >= 0")
     items, ids, index = [], [], {}
     for t in iter_dual(4 * N * N):
-        a, b, c, d = t
-        g = gcd(a, b, c, d)
-        hkey = (t.norm(), g, (a + b + c + d) // g % 2 if g else 0)
         items.append(item(t))
-        ids.append(index.setdefault(hkey, len(index)))
+        ids.append(index.setdefault(_hkey(t), len(index)))
 
     def blocks():
         for n in range(N + 1):
@@ -178,23 +176,12 @@ def iter_keyed(N: int, item=str):
     )
 
 
-def iter_psd(N: int):
-    """Yield every psd index matrix with n <= N and m <= N, in (n, m, t) lex
-    order, without keeping them: the TMatrix view of keyed_walk."""
-    return (TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
-
-
 @lru_cache(maxsize=None)
 def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
     """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order:
-    iter_psd(N), kept."""
-    return tuple(iter_psd(N))
-
-
-def box_size(N: int) -> int:
-    """len(enumerate_psd(N)), counted without the box: the total of
+    the TMatrix view of iter_keyed, kept. Its length is the total of
     class_counts(N)."""
-    return sum(class_counts(N).values())
+    return tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
 
 
 def class_counts(N: int) -> dict[tuple[int, int], int]:
@@ -203,9 +190,8 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
 
     Each (n, m) block is the dual ball norm(t) <= 4nm, and the class key of
     (n, m, t) is a function of n*m, gcd(n, m) and the histogram key
-    (norm(t), gcd(t), parity of sum(t) / gcd(t)) of t (_class_key), so a
-    histogram of those keys over the ball of radius 4N^2 folds into the
-    counts.
+    _hkey(t) (_class_key), so a histogram of those keys over the ball of
+    radius 4N^2 folds into the counts.
 
     Z^4 holds r4(r) = 8 * (sum of the divisors of r not divisible by 4)
     vectors of norm r, of which P(r) = r4(r) - sum(P(r / g^2) for g >= 2

@@ -409,13 +409,33 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert main(["table", "--form", "X10", "--max", "1", "--cache", str(cache)]) == 2
 
 
-def test_deep_box_warning(capsys):
-    # the warning comes before any work; 2k-5 = 27 then fails the precondition
+def test_deep_box_warning(capsys, monkeypatch, tmp_path):
+    # a verifier builds no box, so it warns about none: 2k-5 = 27 fails the
+    # precondition, and theta holds, at depth 5 alike
     code, out, err = run(capsys, ["verify", "congeis", "--k", "16", "--depth", "5"])
-    assert code == 2
-    assert "warning: depth 5 enumerates 121188 index matrices" in err
-    code, out, err = run(capsys, ["verify", "congeis", "--k", "16", "--depth", "4"])
-    assert "warning" not in err
+    assert (code, err) == (2, "error: 2k-5 = 27 is composite, theorem does not apply\n")
+    code, out, err = run(capsys, ["verify", "theta", "--depth", "5"])
+    assert (code, err) == (0, "")
+    # table writes the box, and warns from the class counts it reads anyway,
+    # counted once
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return tmat.class_counts(N)
+
+    monkeypatch.setattr(cli, "class_counts", counted)
+    out_file = tmp_path / "x10.csv"
+    argv = ["table", "--form", "X10", "--max", "5", "--out", str(out_file)]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and calls == [5]
+    assert [line for line in err.splitlines() if line.startswith("warning")] == [
+        "warning: depth 5 enumerates 121188 index matrices per form; "
+        "expect long runtimes and large output"
+    ]
+    argv = ["table", "--form", "X10", "--max", "4", "--out", str(out_file)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
 
 
 def test_no_command_exit2(capsys):

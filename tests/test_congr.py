@@ -224,7 +224,7 @@ def refuse_box(*args):
 
 def perturb(monkeypatch, name, R=None, phi0=None):
     """Make every table lookup of the named form in congr see the bumps, and
-    refuse the cached box: a failing sweep walks iter_psd, keeping nothing."""
+    refuse the cached box: a failing sweep walks iter_keyed, keeping nothing."""
 
     def form_table(form, L):
         table = forms.form_table(form, L)
@@ -235,7 +235,7 @@ def perturb(monkeypatch, name, R=None, phi0=None):
         monkeypatch.setattr(module, "enumerate_psd", refuse_box, raising=False)
 
 
-WALKS = ("enumerate_psd", "iter_psd", "iter_keyed", "keyed_walk", "iter_dual")
+WALKS = ("enumerate_psd", "iter_keyed", "keyed_walk", "iter_dual")
 
 
 def refuse_walks(monkeypatch, refuse, modules):

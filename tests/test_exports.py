@@ -1,0 +1,30 @@
+"""Every name the library exports resolves."""
+
+import importlib
+from pathlib import Path
+
+import qmf
+
+PACKAGE = Path(qmf.__file__).resolve().parent
+
+
+def unresolved(module) -> list[str]:
+    """Names in module.__all__ that the module does not bind."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_unresolved_detects_stale_names():
+    class Stub:
+        __all__ = ["present", "iter_psd"]
+        present = None
+
+    assert unresolved(Stub) == ["iter_psd"]
+
+
+def test_every_export_resolves():
+    names = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert len(names) >= 8
+    modules = [qmf] + [importlib.import_module(f"qmf.{name}") for name in names]
+    found = {m.__name__: unresolved(m) for m in modules if hasattr(m, "__all__")}
+    assert "qmf" in found and "qmf.tmat" in found
+    assert {name: stale for name, stale in found.items() if stale} == {}

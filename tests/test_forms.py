@@ -1,6 +1,5 @@
 """Named forms: frozen coefficient tables, Maass structure, cusp properties."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,8 +255,8 @@ def test_maass_dependence_on_content_and_det():
     "name", ("X10", "X12", "X14", "E4H", "E6H", "G10H", "G12H")
 )
 def test_memoized_coeff_equals_divisor_sum(name):
-    # the memo returns, at every index of the depth-4 box and at its class
-    # key, the divisor sum evaluated afresh at that index
+    # coeff at every index of the depth-4 box, and class_coeff at its class
+    # key, return the divisor sum evaluated afresh at that index
     table = form_table(name, 32)
     k1 = table.weight - 1
     for T in enumerate_psd(4):
@@ -270,31 +269,6 @@ def test_memoized_coeff_equals_divisor_sum(name):
             )
         assert table.coeff(T) == expected, (name, T)
         assert table.class_coeff(T.class_key()) == expected, (name, T)
-
-
-def test_memo_is_per_table():
-    table = form_table("X10", 8)
-    assert table.coeff(T0) == table.R[1]  # two_det 1, content 1
-    bumped = replace(table, R=(table.R[0], table.R[1] + 1) + table.R[2:])
-    assert bumped._memo is not table._memo and bumped._memo == {}
-    assert bumped.coeff(T0) == table.R[1] + 1
-    assert table.coeff(T0) == table.R[1]
-    # the memo takes no part in equality
-    assert MaassTable(table.phi0, table.R) == table
-
-
-def test_memo_holds_one_entry_per_class():
-    t = form_table("G12H", 18)
-    table = MaassTable(t.phi0, t.R)
-    asked = set()
-    not_psd = (parse_tmatrix("1,1,2,2,0,0"), parse_tmatrix("0,1,1,1,0,0"))
-    for T in not_psd + enumerate_psd(3):
-        table.coeff(T)
-        if T != ZERO_TMATRIX and T.is_psd():
-            asked.add((T.two_det(), T.epsilon()))
-        assert len(table._memo) <= len(asked)
-    assert set(table._memo) == asked
-    assert len(asked) == 24
 
 
 def test_andrianov_divisor_relation():

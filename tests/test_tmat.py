@@ -8,15 +8,13 @@ from math import gcd
 import pytest
 
 from qmf.exactnum import divisors
-from qmf.quatlat import QuatCoord, ZERO_QUAT, enumerate_dual
+from qmf.quatlat import QuatCoord, ZERO_QUAT, iter_dual
 from qmf.tmat import (
     TMatrix,
     ZERO_TMATRIX,
-    box_size,
     class_counts,
     enumerate_psd,
     iter_keyed,
-    iter_psd,
     keyed_walk,
     parse_tmatrix,
 )
@@ -39,6 +37,11 @@ def qmul(x, y):
 
 def qconj(x):
     return (x[0], -x[1], -x[2], -x[3])
+
+
+def box_size(N):
+    """The number of indices in the depth-N box, counted without the box."""
+    return sum(class_counts(N).values())
 
 
 def form_value(T, x1, x2):
@@ -74,7 +77,8 @@ def test_epsilon_frozen():
 
 def test_epsilon_definition_brute():
     # oracle: try every candidate divisor downward, at every nonzero index of
-    # the depth-6 box and at its 2x and 3x multiples
+    # the depth-6 box and at its 2x and 3x multiples, which lie off the box,
+    # so the class key is checked here apart from the walk
     box = enumerate_psd(6)
     assert box[0] == ZERO_TMATRIX
     for n, m, (a, b, c, d) in box[1:]:
@@ -86,6 +90,7 @@ def test_epsilon_definition_brute():
                 if QuatCoord(*(v // e for v in S.t)).in_dual()
             )
             assert S.epsilon() == best, S
+            assert S.class_key() == (S.two_det(), best), S
 
 
 def test_scaled_matrix_divides_two_det():
@@ -111,6 +116,9 @@ def test_is_psd_frozen():
     assert not parse_tmatrix("0,1,1,1,0,0").is_psd()  # zero diagonal, t != 0
     assert not parse_tmatrix("1,0,1,1,0,0").is_psd()
     assert not TMatrix(-1, 2, ZERO_QUAT).is_psd()
+    # both diagonal entries negative with n*m > 0: norm(t) <= 4nm holds
+    assert not TMatrix(-1, -1, ZERO_QUAT).is_psd()
+    assert not TMatrix(-2, -3, QuatCoord(1, 1, 0, 0)).is_psd()
     assert parse_tmatrix("0,5,0,0,0,0").is_psd()
 
 
@@ -130,7 +138,7 @@ def test_not_psd_has_negative_witness():
     found = 0
     for n in range(1, 4):
         for m in range(1, 4):
-            for t in enumerate_dual(4 * n * m + 12):
+            for t in iter_dual(4 * n * m + 12):
                 T = TMatrix(n, m, t)
                 if T.is_psd() or t == ZERO_QUAT:
                     continue
@@ -235,7 +243,7 @@ def test_enumerate_psd_complete_and_ordered():
     # completeness: every psd candidate in the range is present
     for n in range(3):
         for m in range(3):
-            for t in enumerate_dual(4 * n * m if n and m else 0):
+            for t in iter_dual(4 * n * m if n and m else 0):
                 T = TMatrix(n, m, t)
                 if T.is_psd():
                     assert T in members
@@ -253,12 +261,12 @@ def test_enumerate_psd_block_sizes_match_dual_counts():
             if n == 0 or m == 0:
                 assert by_block[n, m] == 1
             else:
-                assert by_block[n, m] == len(enumerate_dual(4 * n * m))
+                assert by_block[n, m] == len(list(iter_dual(4 * n * m)))
 
 
 def per_radius_box(N):
-    """The box as enumerate_psd built it before iter_psd: one enumeration of
-    the dual ball per block radius 4nm."""
+    """The box as enumerate_psd built it before the keyed walk: one
+    enumeration of the dual ball per block radius 4nm."""
     balls = {}
     out = []
     for n in range(N + 1):
@@ -267,14 +275,14 @@ def per_radius_box(N):
                 out.append(TMatrix(n, m, ZERO_QUAT))
             else:
                 if 4 * n * m not in balls:
-                    balls[4 * n * m] = enumerate_dual(4 * n * m)
+                    balls[4 * n * m] = list(iter_dual(4 * n * m))
                 out.extend(TMatrix(n, m, t) for t in balls[4 * n * m])
     return tuple(out)
 
 
-def test_iter_psd_is_the_per_radius_box():
+def test_enumerate_psd_is_the_per_radius_box():
     for N in range(7):
-        walked = tuple(iter_psd(N))
+        walked = tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
         assert walked == enumerate_psd(N) == per_radius_box(N), N
 
 
@@ -296,22 +304,22 @@ def test_keyed_walk_is_the_box_with_its_class_keys():
 def test_keyed_walk_blocks():
     # one ball, and per block one class key per histogram id, None outside
     texts, ids, blocks = keyed_walk(2)
-    assert texts == [str(t) for t in enumerate_dual(16)]
+    assert texts == [str(t) for t in iter_dual(16)]
     assert len(set(ids)) == max(ids) + 1
     blocks = list(blocks)
     assert [(n, m) for n, m, _ in blocks] == [(n, m) for n in range(3) for m in range(3)]
     for n, m, keys in blocks:
         assert len(keys) == len(set(ids))
         inside = [t for t, h in zip(texts, ids) if keys[h] is not None]
-        assert inside == [str(t) for t in enumerate_dual(4 * n * m)]
+        assert inside == [str(t) for t in iter_dual(4 * n * m)]
     with pytest.raises(ValueError, match="depth must be >= 0"):
         keyed_walk(-1)
 
 
-def test_iter_psd_refuses_negative_depth_on_call():
-    # the check runs when iter_psd is called, before any iteration
+def test_walks_refuse_negative_depth_on_call():
+    # the check runs when iter_keyed is called, before any iteration
     with pytest.raises(ValueError, match="depth must be >= 0"):
-        iter_psd(-1)
+        iter_keyed(-1)
     with pytest.raises(ValueError):
         enumerate_psd(-1)
 
