@@ -6,7 +6,7 @@ from .fexp import CongCheck, FourierExpansion, cong_mod
 from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
 from .quatlat import QuatCoord
 from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star
-from .tmat import TMatrix, enumerate_psd, parse_tmatrix
+from .tmat import TMatrix, parse_tmatrix
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "cong_mod",
     "delta_q",
     "eisenstein_q",
-    "enumerate_psd",
     "express_in_e4_e6",
     "form_table",
     "is_prime",

@@ -88,29 +88,26 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
+# Each theorem of `qmf verify`: the flags it needs and its sweep. Runners
+# read congr's functions when called, so a patched verifier is the one run.
+_THEOREMS = {
+    "ramanujan": (("k", "p"), lambda a, N: [congr.ramanujan_verdict(a.k, a.p, N)]),
+    "theta": ((), lambda a, N: congr.verify_theta_cong(N)),
+    "mod23": ((), lambda a, N: [congr.verify_mod23(N)]),
+    "congeis": (("k",), lambda a, N: [congr.verify_cong_eis(a.k, N)]),
+    "ep1": (("p",), lambda a, N: [congr.verify_ep_minus_one(a.p, N)]),
+}
+
+
 def _cmd_verify(args) -> int:
     N = args.depth
     _check_depth(N, "--depth")
-    theorem = args.theorem
-    if theorem == "ramanujan":
-        if args.k is None or args.p is None:
-            print("error: verify ramanujan needs --k and --p", file=sys.stderr)
-            return 2
-        verdicts = [congr.ramanujan_verdict(args.k, args.p, N)]
-    elif theorem == "theta":
-        verdicts = congr.verify_theta_cong(N)
-    elif theorem == "mod23":
-        verdicts = [congr.verify_mod23(N)]
-    elif theorem == "congeis":
-        if args.k is None:
-            print("error: verify congeis needs --k", file=sys.stderr)
-            return 2
-        verdicts = [congr.verify_cong_eis(args.k, N)]
-    else:  # ep1
-        if args.p is None:
-            print("error: verify ep1 needs --p", file=sys.stderr)
-            return 2
-        verdicts = [congr.verify_ep_minus_one(args.p, N)]
+    flags, run = _THEOREMS[args.theorem]
+    if any(getattr(args, f) is None for f in flags):
+        needs = " and ".join("--" + f for f in flags)
+        print(f"error: verify {args.theorem} needs {needs}", file=sys.stderr)
+        return 2
+    verdicts = run(args, N)
     payload = [v.to_json() for v in verdicts]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     _emit(args.out, lambda fh: fh.write(text + "\n"))
@@ -135,9 +132,9 @@ def _cmd_table(args) -> int:
     nothing and creates no --out file; its error names the first index in
     box order whose class fails. Then write the box a block at a time: each
     (n, m) block of keyed_walk maps the histogram id of a ball vector to its
-    row tail once, and each row is its block's prefix, the vector's text
-    and that tail, joined as it is written. No TMatrix is built, and
-    neither the box nor a block of output is kept."""
+    row tail once, and each row is its block's prefix, the text of a vector
+    in the block's slice of the ball and that tail, joined as it is written.
+    No TMatrix is built, and neither the box nor a block of output is kept."""
     N = args.max
     _check_depth(N, "--max")
     counts = class_counts(N)
@@ -175,12 +172,14 @@ def _cmd_table(args) -> int:
     def write(fh):
         texts, ids, blocks = keyed_walk(N)
         fh.write(head)
-        for n, m, keys in blocks:
+        for n, m, part, keys in blocks:
             # only T = 0, the one row of block (0, 0), has no separator
             prefix = (sep if n or m else "") + start.format(n, m)
             tails = [key and rest[key] for key in keys]
             fh.writelines(
-                prefix + t + tails[h] for t, h in zip(texts, ids) if tails[h]
+                prefix + t + tails[h]
+                for t, h in zip(texts[part], ids[part])
+                if tails[h]
             )
         fh.write(tail)
 
@@ -209,13 +208,14 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a congruence theorem")
     p_verify.add_argument(
         "theorem",
-        choices=["ramanujan", "theta", "mod23", "congeis", "ep1"],
+        choices=list(_THEOREMS),
         help="which theorem sweep to run",
     )
     p_verify.add_argument("--k", type=int, help="weight parameter")
     p_verify.add_argument("--p", type=int, help="prime modulus parameter")
     p_verify.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH, help="truncation depth (default 3)"
+        "--depth", type=int, default=DEFAULT_DEPTH,
+        help="truncation depth (default %(default)s)",
     )
     p_verify.add_argument("--out", metavar="FILE", help="write the JSON verdict here")
     p_verify.set_defaults(func=_cmd_verify)

@@ -20,7 +20,7 @@ mod p wherever G is p-integral, so every check on chi reads G's table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
@@ -50,21 +50,16 @@ class Verdict:
     theorem: str
     params: dict
     status: str  # "holds" | "fails"
-    witnesses: list = field(default_factory=list)
-    checked: int = 0
+    witnesses: list
+    checked: int
 
     @property
     def ok(self) -> bool:
         return self.status == "holds"
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "params": self.params,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "checked": self.checked,
-        }
+        """The verdict JSON: the fields, in their order, as its keys."""
+        return asdict(self)
 
 
 def _verdict(theorem: str, params: dict, witnesses: list, checked: int) -> Verdict:
@@ -88,17 +83,12 @@ def _star_q1(k: int) -> Fraction:
     return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
 
 
-def _star_premises(k: int, p: int) -> tuple[Fraction, Fraction]:
+def star_condition(k: int, p: int) -> bool:
+    """True when ord_p((2^(k-2)-1) B_(k-2) / (k-2)) > 0 and ord_p(B_k / k) >= 0."""
     q1 = _star_q1(k)
     if p < 5 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
-    return q1, bernoulli(k) / k
-
-
-def star_condition(k: int, p: int) -> bool:
-    """True when ord_p((2^(k-2)-1) B_(k-2) / (k-2)) > 0 and ord_p(B_k / k) >= 0."""
-    q1, q2 = _star_premises(k, p)
-    return ord_p(q1, p) > 0 and ord_p(q2, p) >= 0
+    return ord_p(q1, p) > 0 and ord_p(bernoulli(k) / k, p) >= 0
 
 
 def star_primes(k: int) -> list[int]:
@@ -127,19 +117,6 @@ class ChiReport:
     @property
     def ok(self) -> bool:
         return self.phi_vanishes and self.congruence.ok
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "depth": self.N,
-            "poly": [
-                {"e4": a, "e6": b, "num": str(c.numerator), "den": str(c.denominator)}
-                for (a, b), c in sorted(self.poly.items(), reverse=True)
-            ],
-            "phi_vanishes": self.phi_vanishes,
-            "congruence": self.congruence.status,
-        }
 
 
 def build_chi(k: int, p: int, N: int) -> ChiReport:

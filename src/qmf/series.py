@@ -76,25 +76,21 @@ class QSeries:
         )
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-1) * other
+        return self + other.scale(-1)
 
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            p = min(self.prec, other.prec)
-            out = [Fraction(0)] * (p + 1)
-            for i in range(p + 1):
-                a = self.coeffs[i]
-                if a:
-                    for j in range(p + 1 - i):
-                        b = other.coeffs[j]
-                        if b:
-                            out[i + j] += a * b
-            return QSeries(self.weight + other.weight, tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        p = min(self.prec, other.prec)
+        out = [Fraction(0)] * (p + 1)
+        for i in range(p + 1):
+            a = self.coeffs[i]
+            if a:
+                for j in range(p + 1 - i):
+                    b = other.coeffs[j]
+                    if b:
+                        out[i + j] += a * b
+        return QSeries(self.weight + other.weight, tuple(out))
 
     def scale(self, c) -> "QSeries":
         c = Fraction(c)

@@ -18,7 +18,7 @@ keyed_walk is the one lattice walk here. It builds the dual ball of radius
 4N^2 once and gives each of its vectors t a histogram id, which stands for
 _hkey(t). For each (n, m) block it folds the ids once into class keys, so
 every index of the depth-N box is keyed by a list lookup, with no TMatrix
-built; iter_keyed views it one index at a time, and enumerate_psd keeps it
+built; iter_keyed views it one index at a time, and enumerate_psd lists it
 as index matrices. class_counts folds the same histogram keys, counted from
 Jacobi's four-square theorem instead of walked.
 """
@@ -26,7 +26,6 @@ Jacobi's four-square theorem instead of walked.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -142,24 +141,28 @@ def keyed_walk(N: int, item=str):
     """The depth-N box as blocks over one ball: (items, ids, blocks).
 
     items[i] = item(t) and ids[i] is the id of _hkey(t) for the i-th vector
-    t of the dual ball norm(t) <= 4N^2 in lex order. blocks yields (n, m, keys)
-    for each (n, m) in lex order, where keys[h] is the class key of (n, m, t)
-    for every t of id h, or None when t lies outside the block. The psd
-    condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only), so block
-    (n, m) holds the (n, m, t) with keys[h] not None, in the ball's order.
+    t of the dual ball norm(t) <= 4N^2 in lex order. blocks yields
+    (n, m, part, keys) for each (n, m) in lex order, where keys[h] is the
+    class key of (n, m, t) for every t of id h, or None when t lies outside
+    the block. The psd condition is norm(t) <= 4nm (for n*m = 0 it leaves
+    t = 0 only), so block (n, m) holds the (n, m, t) with keys[h] not None,
+    in the ball's order. Each has a^2 <= 4nm for t = (a, b, c, d), so all
+    lie in the ball's slice part, the vectors with |a| <= isqrt(4nm).
     """
     if N < 0:
         raise ValueError("keyed_walk: depth must be >= 0")
-    items, ids, index = [], [], {}
+    items, ids, index, first = [], [], {}, {}
     for t in iter_dual(4 * N * N):
+        first.setdefault(t.a, len(items))
         items.append(item(t))
         ids.append(index.setdefault(_hkey(t), len(index)))
 
     def blocks():
         for n in range(N + 1):
             for m in range(N + 1):
-                nm, g_nm = n * m, gcd(n, m)
-                yield n, m, [_class_key(nm, g_nm, hkey) for hkey in index]
+                nm, g_nm, s = n * m, gcd(n, m), isqrt(4 * n * m)
+                part = slice(first[-s], first.get(s + 1, len(items)))
+                yield n, m, part, [_class_key(nm, g_nm, hkey) for hkey in index]
 
     return items, ids, blocks()
 
@@ -170,17 +173,16 @@ def iter_keyed(N: int, item=str):
     items, ids, blocks = keyed_walk(N, item)
     return (
         (n, m, x, keys[h])
-        for n, m, keys in blocks
-        for x, h in zip(items, ids)
+        for n, m, part, keys in blocks
+        for x, h in zip(items[part], ids[part])
         if keys[h] is not None
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
     """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order:
-    the TMatrix view of iter_keyed, kept. Its length is the total of
-    class_counts(N)."""
+    the TMatrix view of iter_keyed, built anew on each call. Its length is
+    the total of class_counts(N)."""
     return tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
 
 

@@ -27,6 +27,13 @@ from qmf.series import QSeries, express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
 
 
+@lru_cache(maxsize=None)
+def whole_box(N):
+    """enumerate_psd(N), kept for the session: the library builds the box
+    anew on each call and keeps none of it."""
+    return enumerate_psd(N)
+
+
 # The FourierExpansion members these functions replace: the library's
 # expansions are read-only containers and define none of them.
 RING_MEMBERS = (
@@ -185,7 +192,7 @@ def cong_mod(f, g, p, N):
     f and g map an index to its coefficient."""
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
-    box = enumerate_psd(N)
+    box = whole_box(N)
     for i, T in enumerate(box):
         a = f(T)
         b = g(T)
@@ -221,7 +228,7 @@ def ramanujan_verdict(k, p, N):
     """The ramanujan verdict JSON with chi from ring_chi, G lifted from its
     table index by index, and the named target read from its table."""
     g = _table(f"G{k}H", N)
-    G = FourierExpansion(k, N, {T: g.coeff(T) for T in enumerate_psd(N)})
+    G = FourierExpansion(k, N, {T: g.coeff(T) for T in whole_box(N)})
     chi = ring_chi(k, p, N, G)
     witnesses = []
     if not siegel_phi(chi).is_zero():
@@ -262,7 +269,7 @@ def theta_verdicts(N):
 
 def _nonresidue_sweep(a, p, N, witnesses):
     checked = 0
-    for T in enumerate_psd(N):
+    for T in whole_box(N):
         if kronecker(-p, T.two_det()) != -1:
             continue
         checked += 1

@@ -9,7 +9,7 @@ with all nine certificates, and the structural properties of the lift.
 
 from fractions import Fraction
 
-from box_oracle import cong_mod, mul, ring_x14, siegel_phi
+from box_oracle import cong_mod, mul, ring_x14, siegel_phi, whole_box
 from qmf.congr import (
     build_chi,
     star_primes,
@@ -20,7 +20,7 @@ from qmf.congr import (
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.forms import build_form, x14_closed
 from qmf.series import eisenstein_q, tau
-from qmf.tmat import ZERO_TMATRIX, enumerate_psd, parse_tmatrix
+from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -56,7 +56,7 @@ def test_acceptance_1_headline_congruences():
 
     assert tuple(theta4(T) for T in PROBE) == (1, 6, 12)
     assert tuple(theta6(T) for T in PROBE) == (1, 18, 84)
-    assert all(theta4(T) == 0 for T in enumerate_psd(3) if T.rank() < 2)
+    assert all(theta4(T) == 0 for T in whole_box(3) if T.rank() < 2)
     assert cong_mod(theta4, F("X10").coeff, 5, 3).ok
     assert cong_mod(theta6, F("X14").coeff, 7, 3).ok
 
@@ -91,7 +91,7 @@ def test_acceptance_3_two_constructions_agree():
     """Ring-multiplication X14 equals its closed divisor-sum formula."""
     via_ring = ring_x14(3)
     checked = 0
-    for T in enumerate_psd(3):
+    for T in whole_box(3):
         if T.rank() != 2:
             assert via_ring.coeff(T) == 0
             continue
@@ -133,7 +133,7 @@ def test_acceptance_4_theorem_sweeps_and_certificates():
 
 def test_acceptance_5_structural_properties():
     """Lift structure, restriction homomorphism, and elliptic congruences."""
-    box = enumerate_psd(3)
+    box = whole_box(3)
 
     # cusp forms: integral, vanishing off rank 2, leading coefficient 1
     for f in (F("X10"), F("X12"), F("X14")):

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from box_oracle import RING_MEMBERS
+from box_oracle import RING_MEMBERS, whole_box
 from qmf import cli, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
 from qmf.series import tau_star
-from qmf.tmat import enumerate_psd
 from test_congr import perturb, refuse_walks
 from test_golden_cli import GOLDEN, digest
 
@@ -66,10 +65,10 @@ COEFF_FORMS = ("X10", "X12", "X14", "E4H", "E6H", "G10H", "G12H", "G16H")
 def test_coeff_matches_lifted_box(capsys, name):
     box = build_form(name, 3)
     capsys.readouterr()
-    for T in enumerate_psd(3):
+    for T in whole_box(3):
         cli._cmd_coeff(argparse.Namespace(form=name, T=str(T), mod=None))
     out = capsys.readouterr().out
-    assert out == "".join(f"{box.coeff(T)}\n" for T in enumerate_psd(3))
+    assert out == "".join(f"{box.coeff(T)}\n" for T in whole_box(3))
 
 
 def test_coeff_deep_index_builds_no_box(capsys, monkeypatch):
@@ -276,7 +275,7 @@ def test_table_failed_mod_names_first_index(capsys, form, mod):
     # the first index in box order whose coefficient is not integral mod M
     table = form_table(form, 8)
     first = next(
-        T for T in enumerate_psd(2) if table.coeff(T).denominator % mod == 0
+        T for T in whole_box(2) if table.coeff(T).denominator % mod == 0
     )
     for fmt in ("csv", "json"):
         argv = ["table", "--form", form, "--max", "2", "--mod", str(mod)]
@@ -333,7 +332,7 @@ def test_table_matches_lifted_box(capsys, name, mod):
         return str(residues[c])
 
     expected = []
-    for T in enumerate_psd(3):
+    for T in whole_box(3):
         c = box.coeff(T)
         row = {"T": str(T), "num": str(c.numerator), "den": str(c.denominator)}
         if mod is not None:
@@ -353,16 +352,18 @@ def test_table_matches_lifted_box(capsys, name, mod):
     assert entries == expected
 
 
-def test_table_and_build_form_keep_no_box(capsys):
-    tmat.enumerate_psd.cache_clear()
+def test_table_and_build_form_keep_no_box(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table and build_form must not list the box")
+
+    monkeypatch.setattr(tmat, "enumerate_psd", refuse)
     for fmt in ("csv", "json"):
         for extra in ([], ["--mod", "691"]):
             argv = ["table", "--form", "X12", "--max", "3", "--format", fmt]
             assert run(capsys, argv + extra)[0] == 0
         argv = ["table", "--form", "E10H", "--max", "2", "--mod", "17"]
         assert run(capsys, argv + ["--format", fmt])[0] == 1
-    build_form("X10", 3)
-    assert tmat.enumerate_psd.cache_info().currsize == 0
+    assert build_form("X10", 3).coeff(tmat.parse_tmatrix("1,1,1,1,0,0")) == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

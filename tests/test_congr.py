@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import box_oracle
-from box_oracle import cong_mod, ring_chi
+from box_oracle import cong_mod, ring_chi, whole_box
 from qmf import congr, fexp, forms, tmat
 from qmf.congr import (
     build_chi,
@@ -22,7 +22,7 @@ from qmf.congr import (
 )
 from qmf.exactnum import kronecker
 from qmf.forms import build_form, form_table
-from qmf.tmat import enumerate_psd, parse_tmatrix
+from qmf.tmat import parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -137,14 +137,6 @@ def test_build_chi_depth_check():
     assert build_chi(12, 31, 1).ok
 
 
-def test_build_chi_report_json():
-    j = build_chi(10, 17, 2).to_json()
-    assert j["k"] == 10 and j["p"] == 17 and j["depth"] == 2
-    assert j["poly"] == [{"e4": 1, "e6": 1, "num": "1", "den": "8448"}]
-    assert j["phi_vanishes"] is True
-    assert j["congruence"] == "holds"
-
-
 def test_ramanujan_verdict():
     v = ramanujan_verdict(10, 17, 2)
     assert v.ok
@@ -163,7 +155,7 @@ def test_verify_ep_minus_one():
     for p in (5, 7, 11, 13):
         v = verify_ep_minus_one(p, 2)
         assert v.ok
-        assert v.checked == len(enumerate_psd(2))
+        assert v.checked == len(whole_box(2))
     with pytest.raises(ValueError):
         verify_ep_minus_one(9, 2)
     with pytest.raises(ValueError):
@@ -183,8 +175,8 @@ def test_verify_mod23():
     assert v.ok
     assert v.params == {"p": 23, "depth": 2}
     # the sweep saw both the direct checks and the corollary comparison
-    direct = sum(1 for T in enumerate_psd(2) if kronecker(-23, T.two_det()) == -1)
-    assert v.checked == direct + len(enumerate_psd(2))
+    direct = sum(1 for T in whole_box(2) if kronecker(-23, T.two_det()) == -1)
+    assert v.checked == direct + len(whole_box(2))
 
 
 def test_verify_cong_eis_holds():
@@ -219,12 +211,12 @@ def bump(table, R=None, phi0=None):
 
 
 def refuse_box(*args):
-    raise AssertionError("a verifier sweep must not build the cached box")
+    raise AssertionError("a verifier sweep must not list the box")
 
 
 def perturb(monkeypatch, name, R=None, phi0=None):
     """Make every table lookup of the named form in congr see the bumps, and
-    refuse the cached box: a failing sweep walks iter_keyed, keeping nothing."""
+    refuse enumerate_psd: a failing sweep walks iter_keyed, keeping nothing."""
 
     def form_table(form, L):
         table = forms.form_table(form, L)
@@ -249,7 +241,7 @@ def refuse_walks(monkeypatch, refuse, modules):
 
 
 def nonresidues(p, N):
-    return [T for T in enumerate_psd(N) if kronecker(-p, T.two_det()) == -1]
+    return [T for T in whole_box(N) if kronecker(-p, T.two_det()) == -1]
 
 
 def test_verifiers_build_no_expansion(monkeypatch):
@@ -307,7 +299,7 @@ def test_ramanujan_verdict_matches_box_chi(k, p, N):
 
 def first_of(two_det, N=2):
     """The first index of the depth-N box with this two_det, in box order."""
-    return next(T for T in enumerate_psd(N) if T.two_det() == two_det)
+    return next(T for T in whole_box(N) if T.two_det() == two_det)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +324,7 @@ def test_ramanujan_perturbed_matches_box_chi(monkeypatch, k, p, name, bumps):
 def test_verdict_fails_path(monkeypatch):
     # theta: a bumped X10 fails at the first index of a bumped class in box
     # order, I2 (two_det 2) before the two_det 3 indices
-    box = enumerate_psd(2)
+    box = whole_box(2)
     assert I2 == first_of(2) and box.index(I2) < box.index(first_of(3))
     perturb(monkeypatch, "X10", R={2: 1, 3: 1})
     v10, v14 = verify_theta_cong(2)
@@ -346,7 +338,7 @@ def test_verify_mod23_fails_sweep_and_corollary(monkeypatch):
     # two_det 5 and 7 are the nonresidues mod 23 in the box; bumping the
     # row at 7 moves the two_det 7 indices only, and the sweep lists just
     # those
-    box = enumerate_psd(2)
+    box = whole_box(2)
     bad = nonresidues(23, 2)
     assert {T.two_det() for T in bad} == {5, 7}
     moved = [T for T in bad if T.two_det() == 7]
@@ -362,7 +354,7 @@ def test_verify_mod23_fails_sweep_and_corollary(monkeypatch):
 
 def test_verify_mod23_fails_corollary_only(monkeypatch):
     # at a residue index only the twisted-theta comparison reads the value
-    box = enumerate_psd(2)
+    box = whole_box(2)
     first = first_of(1)
     assert kronecker(-23, 1) == 1
     perturb(monkeypatch, "X14", R={1: Fraction(1, 23)})
@@ -395,7 +387,7 @@ def test_verify_cong_eis_fails(monkeypatch):
 
 
 def test_verify_ep_minus_one_fails(monkeypatch):
-    box = enumerate_psd(2)
+    box = whole_box(2)
     first = first_of(1)
     assert box.index(first) < box.index(first_of(2))
     perturb(monkeypatch, "E4H", R={1: 1, 2: 1})
@@ -406,7 +398,7 @@ def test_verify_ep_minus_one_fails(monkeypatch):
 
 
 def test_ramanujan_named_target_fails(monkeypatch):
-    box = enumerate_psd(2)
+    box = whole_box(2)
     perturb(monkeypatch, "X10", R={2: 1, 3: 1})
     v = ramanujan_verdict(10, 17, 2)
     assert v.status == "fails"

@@ -28,3 +28,28 @@ def test_every_export_resolves():
     found = {m.__name__: unresolved(m) for m in modules if hasattr(m, "__all__")}
     assert "qmf" in found and "qmf.tmat" in found
     assert {name: stale for name, stale in found.items() if stale} == {}
+
+
+# What perfbench/ reads of the library: run.py's point-query oracle and
+# trace_cli.py's tracer, which imports these modules and wraps their names.
+BENCHMARK_READS = {
+    "cli": ("main",),
+    "congr": (),
+    "exactnum": (),
+    "fexp": ("FourierExpansion",),
+    "forms": ("build_form", "x14_closed"),
+    "quatlat": (),
+    "series": (),
+    "tmat": ("enumerate_psd", "parse_tmatrix"),
+}
+
+
+def test_benchmark_reads_resolve():
+    for name, attrs in BENCHMARK_READS.items():
+        module = importlib.import_module(f"qmf.{name}")
+        assert [a for a in attrs if not hasattr(module, a)] == [], name
+    from qmf.forms import build_form, x14_closed
+    from qmf.tmat import parse_tmatrix
+
+    T0 = parse_tmatrix("1,1,1,1,0,0")
+    assert build_form("X10", 1).coeff(T0) == x14_closed(T0) == 1

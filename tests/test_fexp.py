@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from box_oracle import add, constant, mul, scale, siegel_phi, sub, zero
+from box_oracle import add, constant, mul, scale, siegel_phi, sub, whole_box, zero
 from box_oracle import cong_mod as oracle_cong_mod
 from qmf.fexp import FourierExpansion, cong_mod
 from qmf.forms import build_form, form_table
 from qmf.quatlat import QuatCoord
 from qmf.series import eisenstein_q
-from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, enumerate_psd, parse_tmatrix
+from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 
@@ -26,7 +26,7 @@ def x10(N):
 
 def brute_mul(f, g, N):
     """Reference product: direct sum over psd decompositions T = T1 + T2."""
-    box = enumerate_psd(N)
+    box = whole_box(N)
     out = {}
     for T in box:
         acc = Fraction(0)

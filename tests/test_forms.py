@@ -13,6 +13,7 @@ from box_oracle import (
     ring_x14,
     scale,
     siegel_phi,
+    whole_box,
 )
 from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
@@ -26,7 +27,7 @@ from qmf.forms import (
     x14_closed,
 )
 from qmf.series import QSeries, eisenstein_q, tau_star
-from qmf.tmat import ZERO_TMATRIX, enumerate_psd, parse_tmatrix
+from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -96,7 +97,7 @@ def test_g_h_primitive_coefficients_are_divisor_sums():
     # divisor power sum; singular indices carry a different value
     for k in (4, 6, 10, 14):
         g = G(k, 2)
-        for T in enumerate_psd(2):
+        for T in whole_box(2):
             if T == ZERO_TMATRIX or T.two_det() == 0 or T.epsilon() != 1:
                 continue
             ell = T.two_det()
@@ -194,7 +195,7 @@ def test_table_product_matches_box_product_restriction():
     cube = e4 * e4 * e4
     box = monomial_h(3, 0, N)
     assert cube.phi0.truncate(N) == siegel_phi(box)
-    for T in enumerate_psd(N):
+    for T in whole_box(N):
         if T.n == 1:
             assert box.coeff(T) == cube.R[T.two_det()]
 
@@ -230,7 +231,7 @@ def test_x14_closed_form():
 
 def test_x14_ring_equals_closed_form_depth2():
     X = ring_x14(2)
-    for T in enumerate_psd(2):
+    for T in whole_box(2):
         if T.two_det() > 0:
             assert X.coeff(T) == x14_closed(T)
 
@@ -240,7 +241,7 @@ def test_maass_dependence_on_content_and_det():
     for name in ("E4H", "E6H", "E10H", "E12H", "X10", "X12", "X14"):
         f = build_form(name, 3)
         seen = {}
-        for T in enumerate_psd(3):
+        for T in whole_box(3):
             if T == ZERO_TMATRIX:
                 continue
             key = (T.epsilon(), T.two_det())
@@ -259,7 +260,7 @@ def test_memoized_coeff_equals_divisor_sum(name):
     # key, return the divisor sum evaluated afresh at that index
     table = form_table(name, 32)
     k1 = table.weight - 1
-    for T in enumerate_psd(4):
+    for T in whole_box(4):
         if T == ZERO_TMATRIX:
             expected = table.phi0.coeffs[0]
         else:
@@ -278,11 +279,11 @@ def test_andrianov_divisor_relation():
     for name, k in (("X10", 10), ("X12", 12), ("X14", 14), ("E4H", 4)):
         f = build_form(name, N)
         primitive = {}
-        for T in enumerate_psd(N):
+        for T in whole_box(N):
             if T != ZERO_TMATRIX and T.epsilon() == 1:
                 primitive.setdefault(T.two_det(), f.coeff(T))
         checked = skipped = 0
-        for T in enumerate_psd(N):
+        for T in whole_box(N):
             if T == ZERO_TMATRIX:
                 continue
             eps = T.epsilon()

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from box_oracle import whole_box
 from qmf.exactnum import divisors
 from qmf.quatlat import QuatCoord, ZERO_QUAT, iter_dual
 from qmf.tmat import (
@@ -79,7 +80,7 @@ def test_epsilon_definition_brute():
     # oracle: try every candidate divisor downward, at every nonzero index of
     # the depth-6 box and at its 2x and 3x multiples, which lie off the box,
     # so the class key is checked here apart from the walk
-    box = enumerate_psd(6)
+    box = whole_box(6)
     assert box[0] == ZERO_TMATRIX
     for n, m, (a, b, c, d) in box[1:]:
         for s in (1, 2, 3):
@@ -95,7 +96,7 @@ def test_epsilon_definition_brute():
 
 def test_scaled_matrix_divides_two_det():
     # for d | eps(T), T/d is a valid index matrix and d^2 | two_det(T)
-    for T in enumerate_psd(2):
+    for T in whole_box(2):
         if T == ZERO_TMATRIX:
             continue
         e = T.epsilon()
@@ -125,7 +126,7 @@ def test_is_psd_frozen():
 def test_is_psd_oracle_nonnegative_form():
     # psd matrices take nonnegative values at random integer vectors
     rng = random.Random(41)
-    box = enumerate_psd(2)
+    box = whole_box(2)
     for _ in range(500):
         T = rng.choice(box)
         x1 = tuple(rng.randrange(-3, 4) for _ in range(4))
@@ -163,7 +164,7 @@ def test_rank():
 
 def test_psd_cone_closed_under_addition():
     rng = random.Random(99)
-    box = [T for T in enumerate_psd(2)]
+    box = [T for T in whole_box(2)]
     for _ in range(500):
         A = rng.choice(box)
         B = rng.choice(box)
@@ -176,18 +177,18 @@ def test_psd_cone_closed_under_addition():
 
 
 def test_enumerate_psd_counts_frozen():
-    assert len(enumerate_psd(0)) == 1
-    assert len(enumerate_psd(1)) == 52
-    assert len(enumerate_psd(2)) == 1017
-    assert len(enumerate_psd(3)) == 8104
+    assert len(whole_box(0)) == 1
+    assert len(whole_box(1)) == 52
+    assert len(whole_box(2)) == 1017
+    assert len(whole_box(3)) == 8104
     # the (1,1) block alone: zero vector, 24 of norm 2, 24 of norm 4
-    block = [T for T in enumerate_psd(1) if T.n == 1 and T.m == 1]
+    block = [T for T in whole_box(1) if T.n == 1 and T.m == 1]
     assert len(block) == 49
 
 
 def test_box_size_counts_without_enumerating():
     for N in range(5):
-        assert box_size(N) == len(enumerate_psd(N))
+        assert box_size(N) == len(whole_box(N))
     assert [box_size(N) for N in range(5, 9)] == [121188, 329905, 780304, 1650105]
     with pytest.raises(ValueError):
         box_size(-1)
@@ -205,7 +206,7 @@ def test_class_key():
 
 def test_class_counts_match_box_histogram():
     for N in range(7):
-        box = Counter(T.class_key() for T in enumerate_psd(N))
+        box = Counter(T.class_key() for T in whole_box(N))
         assert class_counts(N) == box, N
     assert len(class_counts(4)) == 46
     with pytest.raises(ValueError):
@@ -235,7 +236,7 @@ def test_class_counts_and_box_size_frozen():
 
 
 def test_enumerate_psd_complete_and_ordered():
-    box = enumerate_psd(2)
+    box = whole_box(2)
     assert list(box) == sorted(box)
     assert len(set(box)) == len(box)
     assert all(T.is_psd() for T in box)
@@ -251,7 +252,7 @@ def test_enumerate_psd_complete_and_ordered():
 
 def test_enumerate_psd_block_sizes_match_dual_counts():
     N = 3
-    box = enumerate_psd(N)
+    box = whole_box(N)
     by_block = {}
     for T in box:
         by_block.setdefault((T.n, T.m), 0)
@@ -283,7 +284,7 @@ def per_radius_box(N):
 def test_enumerate_psd_is_the_per_radius_box():
     for N in range(7):
         walked = tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
-        assert walked == enumerate_psd(N) == per_radius_box(N), N
+        assert walked == whole_box(N) == per_radius_box(N), N
 
 
 def test_keyed_walk_is_the_box_with_its_class_keys():
@@ -302,15 +303,18 @@ def test_keyed_walk_is_the_box_with_its_class_keys():
 
 
 def test_keyed_walk_blocks():
-    # one ball, and per block one class key per histogram id, None outside
+    # one ball, and per block its slice |a| <= isqrt(4nm) of the ball and one
+    # class key per histogram id, None outside the block
+    ball = list(iter_dual(16))
     texts, ids, blocks = keyed_walk(2)
-    assert texts == [str(t) for t in iter_dual(16)]
+    assert texts == [str(t) for t in ball]
     assert len(set(ids)) == max(ids) + 1
     blocks = list(blocks)
-    assert [(n, m) for n, m, _ in blocks] == [(n, m) for n in range(3) for m in range(3)]
-    for n, m, keys in blocks:
+    assert [(n, m) for n, m, *_ in blocks] == [(n, m) for n in range(3) for m in range(3)]
+    for n, m, part, keys in blocks:
+        assert texts[part] == [str(t) for t in ball if t.a * t.a <= 4 * n * m]
         assert len(keys) == len(set(ids))
-        inside = [t for t, h in zip(texts, ids) if keys[h] is not None]
+        inside = [t for t, h in zip(texts[part], ids[part]) if keys[h] is not None]
         assert inside == [str(t) for t in iter_dual(4 * n * m)]
     with pytest.raises(ValueError, match="depth must be >= 0"):
         keyed_walk(-1)
