@@ -2,7 +2,8 @@
 modular forms over the Hurwitz order."""
 
 from .exactnum import bernoulli, is_prime, kronecker, ord_p, sigma
-from .fexp import CongCheck, FourierExpansion, cong_mod
+from .congr import CongCheck, cong_mod
+from .fexp import FourierExpansion
 from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
 from .quatlat import QuatCoord
 from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star

@@ -13,9 +13,10 @@ sweep checks one value per class and counts the indices of each class with
 class_counts, without the box; only a sweep that fails walks the box, one
 index at a time and without keeping it, reading each index's class from the
 keyed walk (tmat.iter_keyed), to name its witnesses as an index-by-index
-sweep would. The Ramanujan certificate's cusp form
-chi = G - p * P(E4H, E6H) need not lie in the Maass space, but chi ≡ G
-mod p wherever G is p-integral, so every check on chi reads G's table.
+sweep would; cong_mod is that sweep for a coefficientwise congruence. The
+Ramanujan certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in
+the Maass space, but chi ≡ G mod p wherever G is p-integral, so every check
+on chi reads G's table.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
-from .fexp import CongCheck, cong_mod
 from .forms import form_table
-from .series import e4_e6_monomials, express_in_e4_e6
-from .tmat import class_counts, iter_keyed
+from .series import QSeries, e4_e6_monomials, express_in_e4_e6
+from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
     "ChiReport",
+    "CongCheck",
     "Verdict",
     "build_chi",
+    "cong_mod",
     "ramanujan_verdict",
     "star_condition",
     "star_primes",
@@ -41,6 +43,56 @@ __all__ = [
     "verify_mod23",
     "verify_theta_cong",
 ]
+
+
+@dataclass(frozen=True)
+class CongCheck:
+    """Outcome of a coefficientwise congruence check modulo p.
+
+    status is "holds", "fails" (witness = first violating T in enumeration
+    order), or "not-p-integral" (witness = first T where either side has a
+    coefficient with p in the denominator, so the congruence is meaningless).
+    checked counts box entries examined.
+    """
+
+    status: str
+    witness: TMatrix | None
+    checked: int
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "holds"
+
+
+def cong_mod(f, g, p: int, N: int) -> CongCheck:
+    """Check f(T) == g(T) mod p for every T in the depth-N box.
+
+    f and g map a class key (two_det, content), T.class_key(), to the exact
+    coefficient at every T of that class: a MaassTable's class_coeff, or any
+    function of it such as a theta image. Each is evaluated once per class of
+    the box, and a sweep that holds has checked every index. Otherwise the
+    keyed walk reads the class of each index, without keeping the box or
+    building an index matrix but for the witness, up to the first T whose
+    class fails, so the witness and checked are those of an index-by-index
+    sweep. A source that cannot answer at some class raises ValueError there.
+    """
+    if not is_prime(p):
+        raise ValueError(f"cong_mod: modulus {p} is not prime")
+    counts = class_counts(N)
+    bad = {}
+    for key in counts:
+        a = f(key)
+        b = g(key)
+        if a.denominator % p == 0 or b.denominator % p == 0:
+            bad[key] = "not-p-integral"
+        elif a != b and (a - b).numerator % p:
+            bad[key] = "fails"
+    if not bad:
+        return CongCheck("holds", None, sum(counts.values()))
+    i, (n, m, t, key) = next(
+        (i, row) for i, row in enumerate(iter_keyed(N, lambda t: t)) if row[3] in bad
+    )
+    return CongCheck(bad[key], TMatrix(n, m, t), i + 1)
 
 
 @dataclass
@@ -126,12 +178,13 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
 
     Procedure: check that the depth N gives the q^0..q^N coefficients one
     equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
-    for k = 12), divide the degree-1 restriction of G by p, check the
-    quotient is p-integral, solve its first d coefficients for a polynomial
-    P in the elliptic weight-4/weight-6 generators (with p-integral
-    coefficients), and check that phi - p * P(E4, E6) vanishes at every
-    q^0..q^N, so chi restricts to 0 in degree 1: past q^(d-1) those checks
-    are not implied by how P was solved.
+    for k = 12), divide the degree-1 restriction phi of G, read from G's lift
+    as phi(j) = G.class_coeff((0, j)), by p, check the quotient is
+    p-integral, solve its first d coefficients for a polynomial P in the
+    elliptic weight-4/weight-6 generators (with p-integral coefficients), and
+    check that phi - p * P(E4, E6) vanishes at every q^0..q^N, so chi
+    restricts to 0 in degree 1: past q^(d-1) those checks are not implied by
+    how P was solved.
     Everything is read from G's one-variable table; chi itself is never
     built, because every fact the certificate states about it follows from
     G and P (the box construction lives in the tests as the oracle).
@@ -147,7 +200,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
             f"monomials in E4 and E6), got depth {N}"
         )
     G = form_table(f"G{k}H", 2 * N * N)
-    phi = G.phi0.truncate(N)
+    phi = QSeries(k, tuple(G.class_coeff((0, j)) for j in range(N + 1)))
     f = phi.scale(Fraction(1, p))
     if any(c.denominator % p == 0 for c in f.coeffs):
         raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")

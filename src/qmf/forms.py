@@ -1,8 +1,8 @@
 """The named degree-2 forms over the Hurwitz order.
 
 Every named form (E<k>H, G<k>H, X10, X12, X14) lies in the Maass space, so
-it is fixed by one-variable data: its Siegel restriction phi0 and its first
-Fourier-Jacobi row R. The coefficient at T != 0 is
+it is fixed by its weight, its constant term and its first Fourier-Jacobi
+row R, a function of one variable. The coefficient at T != 0 is
 sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
 (Eichler-Zagier, The Theory of Jacobi Forms; Krieg on the Maass space for
 quaternionic modular forms of degree 2). Eisenstein series have closed-form
@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .exactnum import bernoulli, divisors, sigma
 from .fexp import FourierExpansion
-from .series import QSeries, eisenstein_q
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -45,52 +44,53 @@ def _check_weight(k: int) -> None:
 
 @dataclass(frozen=True)
 class MaassTable:
-    """One-variable data of a form, exact up to a bound L.
-
-    phi0 is the Siegel restriction, phi0[j] = a((j, 0, 0)) for j <= L // 2;
-    its constant term is the form's. R is the first Fourier-Jacobi row,
-    R[l] = a((1, m, t)) at l = 2m - norm(t)/2, for 0 <= l <= L. Sums,
-    scalar multiples and products of tables are the tables of the sums,
-    multiples and products of the forms. coeff reads the Maass lift of the
+    """A form's weight, constant term const and first Fourier-Jacobi row R,
+    R[l] = a((1, m, t)) at l = 2m - norm(t)/2, exact for 0 <= l <= L. Sums
+    and scalar multiples of tables are the tables of the sums and multiples
+    of the forms (products: see __mul__). coeff reads the Maass lift of the
     table, which is the form itself only when the form lies in the Maass
     space: every named form does, but E4^3, say, does not.
 
     A coefficient at T != 0 depends on T only through the class key
     (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
-    coefficient function and coeff reads T's class through it.
+    coefficient function and coeff reads T's class through it. The Siegel
+    restriction is the lift's too: a((j, 0, 0)) = class_coeff((0, j)).
     """
 
-    phi0: QSeries
+    weight: int
+    const: Fraction
     R: tuple[Fraction, ...]
 
-    @property
-    def weight(self) -> int:
-        return self.phi0.weight
-
     def __add__(self, other: "MaassTable") -> "MaassTable":
-        return MaassTable(
-            self.phi0 + other.phi0, tuple(a + b for a, b in zip(self.R, other.R))
-        )
+        if self.weight != other.weight:
+            raise ValueError(f"weight mismatch in sum: {self.weight} vs {other.weight}")
+        R = tuple(a + b for a, b in zip(self.R, other.R))
+        return MaassTable(self.weight, self.const + other.const, R)
 
     def __sub__(self, other: "MaassTable") -> "MaassTable":
         return self + other.scale(-1)
 
     def scale(self, c) -> "MaassTable":
         c = Fraction(c)
-        return MaassTable(self.phi0.scale(c), tuple(c * a for a in self.R))
+        return MaassTable(self.weight, c * self.const, tuple(c * a for a in self.R))
 
     def __mul__(self, other: "MaassTable") -> "MaassTable":
         """The n1 + n2 = 1 part of the box convolution: (1, m, t) splits only
         as (0, j, 0) + (1, m - j, t) or the reverse, so
-        R_fg(l) = sum_j phi0_f(j) R_g(l - 2j) + R_f(l - 2j) phi0_g(j)."""
-        f0, g0 = self.phi0.coeffs, other.phi0.coeffs
+        R_fg(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with f0 and
+        g0 the restrictions of the factors' lifts. The row is exact when both
+        factors lie in the Maass space, as every factor the library
+        multiplies does (a factor like E4^3 would give a wrong row), and the
+        table is the product's when the product lies there too."""
         Rf, Rg = self.R, other.R
         L = min(len(Rf), len(Rg)) - 1
+        f0 = [self.class_coeff((0, j)) for j in range(L // 2 + 1)]
+        g0 = [other.class_coeff((0, j)) for j in range(L // 2 + 1)]
         R = tuple(
             sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
             for l in range(L + 1)
         )
-        return MaassTable(self.phi0 * other.phi0, R)
+        return MaassTable(self.weight + other.weight, self.const * other.const, R)
 
     def coeff(self, T: TMatrix) -> Fraction:
         """Coefficient of the Maass lift at T (0 when T is not psd); raises
@@ -101,7 +101,7 @@ class MaassTable:
         """Coefficient of the Maass lift at every psd T of class key =
         T.class_key(); raises ValueError when two_det > L."""
         if key == (0, 0):
-            return self.phi0.coeffs[0]
+            return self.const
         td, eps = key
         if td >= len(self.R):
             raise ValueError(
@@ -123,23 +123,6 @@ def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
     )
 
 
-@lru_cache(maxsize=None)
-def eisenstein_table(k: int, L: int) -> MaassTable:
-    """Closed-form table of the weight-k Eisenstein series, constant term 1:
-    R(0) = -2k/B_k and R(l) = c * (sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4))."""
-    _check_weight(k)
-    c0 = Fraction(-2 * k) / bernoulli(k)
-    cpos = Fraction(-4 * k * (k - 2)) / (
-        (2 ** (k - 2) - 1) * bernoulli(k) * bernoulli(k - 2)
-    )
-    twist = 2 ** (k - 2)
-    R = (c0,) + tuple(
-        cpos * (sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4)))
-        for ell in range(1, L + 1)
-    )
-    return MaassTable(eisenstein_q(k, L // 2), R)
-
-
 def g_constant(k: int) -> Fraction:
     """Normalizing scalar putting the weight-k Eisenstein series on the
     integral singular series sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
@@ -147,6 +130,21 @@ def g_constant(k: int) -> Fraction:
     return Fraction(-(2 ** (k - 2) - 1)) * bernoulli(k) * bernoulli(k - 2) / (
         4 * k * (k - 2)
     )
+
+
+@lru_cache(maxsize=None)
+def eisenstein_table(k: int, L: int) -> MaassTable:
+    """Closed-form table of the weight-k Eisenstein series, constant term 1:
+    R(0) = -2k/B_k and
+    R(l) = (sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4)) / g_constant(k)."""
+    cpos = 1 / g_constant(k)  # checks the weight before B_k is read
+    c0 = Fraction(-2 * k) / bernoulli(k)
+    twist = 2 ** (k - 2)
+    R = (c0,) + tuple(
+        cpos * (sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4)))
+        for ell in range(1, L + 1)
+    )
+    return MaassTable(k, Fraction(1), R)
 
 
 @lru_cache(maxsize=None)

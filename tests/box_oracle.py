@@ -19,8 +19,9 @@ from functools import lru_cache
 from math import lcm
 
 from qmf import congr
+from qmf.congr import CongCheck
 from qmf.exactnum import is_prime, kronecker, sigma
-from qmf.fexp import CongCheck, FourierExpansion
+from qmf.fexp import FourierExpansion
 from qmf.forms import build_form
 from qmf.quatlat import ZERO_QUAT, QuatCoord
 from qmf.series import QSeries, express_in_e4_e6
@@ -176,11 +177,14 @@ RING = {"X10": ring_x10, "X12": ring_x12, "X14": ring_x14}
 
 
 def ring_chi(k, p, N, G=None):
-    """chi = G - p * P(E4H, E6H) on the depth-N box, where P expresses G's
-    degree-1 restriction divided by p; G defaults to the lifted G<k>H."""
+    """chi = G - p * P(E4H, E6H) on the depth-N box, where P expresses the
+    first d coefficients of G's degree-1 restriction divided by p, d the
+    number of weight-k monomials in E4 and E6 (so chi's restriction vanishes
+    exactly when G's is modular); G defaults to the lifted G<k>H."""
     if G is None:
         G = build_form(f"G{k}H", N)
-    poly = express_in_e4_e6(siegel_phi(G).scale(Fraction(1, p)))
+    d = sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
+    poly = express_in_e4_e6(siegel_phi(G).scale(Fraction(1, p)).truncate(d - 1))
     lift = zero(k, N)
     for (a, b), c in poly.items():
         lift = add(lift, scale(monomial_h(a, b, N), c))

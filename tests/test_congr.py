@@ -195,32 +195,27 @@ def test_verify_cong_eis_composite_rejected():
         verify_cong_eis(7, 2)
 
 
-def bump(table, R=None, phi0=None):
-    """A copy of table with R[l] += delta for each l: delta in R and
-    phi0[j] += delta for each j: delta in phi0. It is the table of another
-    Maass lift, so every index of a class still shares one coefficient."""
+def bump(table, R=None, const=0):
+    """A copy of table with R[l] += delta for each l: delta in R and the
+    constant term moved by const. It is the table of another Maass lift, so
+    every index of a class still shares one coefficient."""
     rows = list(table.R)
     for l, delta in (R or {}).items():
         rows[l] += delta
-    coeffs = list(table.phi0.coeffs)
-    for j, delta in (phi0 or {}).items():
-        coeffs[j] += delta
-    return replace(
-        table, phi0=replace(table.phi0, coeffs=tuple(coeffs)), R=tuple(rows)
-    )
+    return replace(table, const=table.const + const, R=tuple(rows))
 
 
 def refuse_box(*args):
     raise AssertionError("a verifier sweep must not list the box")
 
 
-def perturb(monkeypatch, name, R=None, phi0=None):
+def perturb(monkeypatch, name, R=None, const=0):
     """Make every table lookup of the named form in congr see the bumps, and
     refuse enumerate_psd: a failing sweep walks iter_keyed, keeping nothing."""
 
     def form_table(form, L):
         table = forms.form_table(form, L)
-        return bump(table, R, phi0) if form == name else table
+        return bump(table, R, const) if form == name else table
 
     monkeypatch.setattr(congr, "form_table", form_table)
     for module in (fexp, congr, tmat):
@@ -412,14 +407,15 @@ def test_ramanujan_named_target_fails(monkeypatch):
 
 @pytest.mark.parametrize("k, p, N", [(10, 17, 2), (12, 31, 2), (14, 691, 3)])
 def test_ramanujan_restriction_certificate(monkeypatch, k, p, N):
-    # P is solved from the first d coefficients of the restriction, so a
-    # bump by p at q^N (N >= d) leaves P p-integral and unchanged, and only
-    # the restriction checks past q^(d-1) see it
-    perturb(monkeypatch, f"G{k}H", phi0={N: p})
-    v = ramanujan_verdict(k, p, N)
-    # the box chi takes G's restriction from the lifted rows, which the
-    # bump leaves alone: all but the restriction claim agree with it
+    # a bump of R(0) by p moves the restriction a((j, 0, 0)) = R(0) *
+    # sigma_(k-1)(j) by p * sigma_(k-1)(j) at every j >= 1: P stays
+    # p-integral, but the restriction of chi is then no modular form and
+    # cannot vanish, while every other coefficient of G moves by a multiple
+    # of p or not at all, so all but the restriction claim agree with the
+    # verdict on the clean tables
     clean = box_oracle.ramanujan_verdict(k, p, N)
+    perturb(monkeypatch, f"G{k}H", R={0: p})
+    v = ramanujan_verdict(k, p, N)
     assert v.status == "fails"
     assert v.witnesses[0] == {"claim": "degree-1 restriction of chi vanishes"}
     assert v.witnesses[1:] == clean["witnesses"] == []
@@ -430,17 +426,20 @@ def test_ramanujan_restriction_certificate(monkeypatch, k, p, N):
 def _bumps(rng, N, p, ramanujan):
     """Random bumps of up to three rows and, half the time, of the constant
     term: a third of the time by multiples of p, which keep every congruence,
-    else by 1, p, 1/p or a small integer. For ramanujan neither R[0] nor phi0
-    moves: the box chi reads G's degree-1 restriction from the lifted R[0],
-    build_chi reads it from phi0, and the two agree only on a Maass form."""
+    else by 1, p, 1/p or a small integer. The box chi and build_chi both read
+    G's degree-1 restriction from the lift, so for ramanujan R[0] moves too,
+    by multiples of p only, and the constant term not at all: build_chi
+    refuses, before any sweep, a G whose restriction p does not divide."""
     if rng.random() < 1 / 3:
         deltas = (p, -2 * p)
     else:
         deltas = (1, p, Fraction(1, p), rng.randint(-3, 3))
-    rows = range(1 if ramanujan else 0, 2 * N * N + 1)
-    R = {rng.choice(rows): rng.choice(deltas) for _ in range(rng.randint(1, 3))}
-    phi0 = {} if ramanujan or rng.random() < 0.5 else {0: rng.choice(deltas)}
-    return R, phi0
+    R = {}
+    for _ in range(rng.randint(1, 3)):
+        l = rng.randrange(2 * N * N + 1)
+        R[l] = rng.choice((p, -2 * p) if ramanujan and l == 0 else deltas)
+    const = 0 if ramanujan or rng.random() < 0.5 else rng.choice(deltas)
+    return R, const
 
 
 DIFFERENTIAL = {
@@ -484,10 +483,10 @@ def test_class_sweep_matches_index_oracle(monkeypatch, name):
         # the ramanujan oracle multiplies whole boxes, seconds each at N = 4
         N = rng.choice((1, 2, 3, 4) if name != "ramanujan" else (1, 2, 3))
         form = rng.choice(sorted(moduli))
-        R, phi0 = _bumps(rng, N, moduli[form], name == "ramanujan")
+        R, const = _bumps(rng, N, moduli[form], name == "ramanujan")
         with monkeypatch.context() as m:
-            perturb(m, form, R=R, phi0=phi0)
+            perturb(m, form, R=R, const=const)
             got = verifier(N)
-            assert got == oracle(N), (N, form, R, phi0)
+            assert got == oracle(N), (N, form, R, const)
         statuses.update(v["status"] for v in (got if isinstance(got, list) else [got]))
     assert statuses == {"holds", "fails"}

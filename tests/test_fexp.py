@@ -1,4 +1,5 @@
-"""Expansions: the box-ring oracle, Siegel restriction, congruence sweep."""
+"""Expansions: the box-ring oracle, Siegel restriction, and the congruence
+sweep congr.cong_mod runs over a box."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 
 from box_oracle import add, constant, mul, scale, siegel_phi, sub, whole_box, zero
 from box_oracle import cong_mod as oracle_cong_mod
-from qmf.fexp import FourierExpansion, cong_mod
+from qmf.congr import cong_mod
+from qmf.fexp import FourierExpansion
 from qmf.forms import build_form, form_table
 from qmf.quatlat import QuatCoord
 from qmf.series import eisenstein_q

@@ -1,5 +1,6 @@
 """Named forms: frozen coefficient tables, Maass structure, cusp properties."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -123,18 +124,15 @@ def test_maass_lift_reproduces_eisenstein():
                 sigma(k - 3, ell) - 2 ** (k - 2) * sigma(k - 3, Fraction(ell, 4))
             )
 
-        table = MaassTable(
-            eisenstein_q(k, N * N), tuple(astar(ell) for ell in range(2 * N * N + 1))
-        )
-        assert maass_lift(table, N) == E(k, N)
+        R = tuple(astar(ell) for ell in range(2 * N * N + 1))
+        assert maass_lift(MaassTable(k, Fraction(1), R), N) == E(k, N)
 
 
 def test_maass_lift_tau_star_is_x14():
     # the weight-14 cusp form is the lift of the twisted tau series
     N = 2
-    zero = QSeries(14, (0,) * (N * N + 1))
     R = tuple(Fraction(tau_star(ell)) for ell in range(2 * N * N + 1))
-    table = MaassTable(zero, R)
+    table = MaassTable(14, Fraction(0), R)
     assert maass_lift(table, N) == ring_x14(N)
 
 
@@ -159,7 +157,7 @@ def test_e4_e6_tables_integral():
     # build_chi's certificate rests on it
     for k in (4, 6):
         table = eisenstein_table(k, 400)
-        assert all(c.denominator == 1 for c in table.phi0.coeffs)
+        assert all(table.class_coeff((0, j)).denominator == 1 for j in range(201))
         R = table.R
         assert R[0].denominator == 1 and R[1].denominator == 1
         twist = 2 ** (k - 2)
@@ -188,16 +186,61 @@ def test_named_forms_use_no_box_product():
 
 
 def test_table_product_matches_box_product_restriction():
-    # phi0 and the first Fourier-Jacobi row of a product that is not a Maass
-    # lift (E4^3 lies outside the weight-12 Maass space) still multiply
+    # the first Fourier-Jacobi row of a product that is not a Maass lift
+    # (E4^3 lies outside the weight-12 Maass space) is still the product's,
+    # as both factors, E4 * E4 = E8 and E4, lie in the Maass space
     N = 3
     e4 = eisenstein_table(4, 2 * N * N)
     cube = e4 * e4 * e4
     box = monomial_h(3, 0, N)
-    assert cube.phi0.truncate(N) == siegel_phi(box)
     for T in whole_box(N):
         if T.n == 1:
             assert box.coeff(T) == cube.R[T.two_det()]
+
+
+def restriction(table, J):
+    """The Siegel restriction of table's lift, a((j, 0, 0)) for j <= J."""
+    return QSeries(table.weight, tuple(table.class_coeff((0, j)) for j in range(J + 1)))
+
+
+def test_table_restriction_is_the_lifts():
+    # a table stores no restriction: it is read from the lift, and is the
+    # elliptic Eisenstein series for E<k>H and, for a product lying in the
+    # Maass space, the product of the factors' restrictions
+    e = {k: eisenstein_table(k, 200) for k in (4, 6, 8, 10, 12)}
+    for k, table in e.items():
+        assert restriction(table, 100) == eisenstein_q(k, 100)
+    assert e[4] * e[4] == e[8]  # E8 spans the weight-8 forms
+    x10 = form_table("X10", 200)
+    assert restriction(x10, 100).is_zero()
+    for f, g in ((e[4], e[6]), (e[4], e[4]), (e[4], x10)):
+        assert restriction(f * g, 100) == restriction(f, 100) * restriction(g, 100)
+
+
+def test_table_sum_needs_one_weight():
+    with pytest.raises(ValueError, match="weight mismatch in sum: 4 vs 6"):
+        eisenstein_table(4, 4) + eisenstein_table(6, 4)
+
+
+# sha256 of repr(form_table(name, 400).R) for the rows past the l <= 32 the
+# box oracle reaches, recorded from tables that multiplied stored q-series
+# restrictions, so they check the restrictions read from the lifts
+ROW_SHA256 = {
+    "X10": "d3bd8f96fb177028e45a4998c149a39486910290920715889d25de2415f47b4f",
+    "X12": "2d1fb007ec9f906dc4ec1b15ced1b2dfac2eb2b1eace3f99237b859910cacee4",
+    "X14": "dcaf719531e0c1dc625588e870f3bc524ab6e806f754d3666f97fd6efc8e650f",
+    "E4H": "3401cbb6c0dc9450c9b45ae219e37d4e2533dd599b339628670a262a9fc1df89",
+    "E10H": "b35389090b0b939d699456338f607ad33c3a30b94d64575a4980e7edd7d88bc9",
+    "G12H": "73ffc371fd005e367e8287ae723751bfdc1450eed4d3912e36b95828f1575d6d",
+}
+
+
+def test_rows_to_400_frozen():
+    for name, want in ROW_SHA256.items():
+        R = form_table(name, 400).R
+        assert len(R) == 401, name
+        assert hashlib.sha256(repr(R).encode()).hexdigest() == want, name
+
 
 def test_cusp_forms_normalized_cuspidal_integral():
     for name in ("X10", "X12", "X14"):
@@ -262,7 +305,7 @@ def test_memoized_coeff_equals_divisor_sum(name):
     k1 = table.weight - 1
     for T in whole_box(4):
         if T == ZERO_TMATRIX:
-            expected = table.phi0.coeffs[0]
+            expected = table.const
         else:
             td = T.two_det()
             expected = sum(

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from functools import cache
 from math import gcd
 
 import pytest
@@ -79,17 +80,26 @@ def test_epsilon_frozen():
 def test_epsilon_definition_brute():
     # oracle: try every candidate divisor downward, at every nonzero index of
     # the depth-6 box and at its 2x and 3x multiples, which lie off the box,
-    # so the class key is checked here apart from the walk
+    # so the class key is checked here apart from the walk. The oracle reads
+    # an index only through gcd(n, m, t) and t, so it runs once per pair,
+    # and each scaled t is built once
+    @cache
+    def content(g, t):
+        return next(
+            e for e in reversed(divisors(g)) if QuatCoord(*(v // e for v in t)).in_dual()
+        )
+
+    @cache
+    def times(s, t):
+        return QuatCoord(*(s * v for v in t))
+
     box = whole_box(6)
     assert box[0] == ZERO_TMATRIX
-    for n, m, (a, b, c, d) in box[1:]:
+    for T in box[1:]:
+        g = gcd(T.n, T.m, *T.t)
         for s in (1, 2, 3):
-            S = TMatrix(s * n, s * m, QuatCoord(s * a, s * b, s * c, s * d))
-            g = gcd(S.n, S.m, *S.t)
-            best = next(
-                e for e in reversed(divisors(g))
-                if QuatCoord(*(v // e for v in S.t)).in_dual()
-            )
+            S = T if s == 1 else TMatrix(s * T.n, s * T.m, times(s, T.t))
+            best = content(s * g, S.t)
             assert S.epsilon() == best, S
             assert S.class_key() == (S.two_det(), best), S
 
@@ -265,9 +275,11 @@ def test_enumerate_psd_block_sizes_match_dual_counts():
                 assert by_block[n, m] == len(list(iter_dual(4 * n * m)))
 
 
+@cache
 def per_radius_box(N):
     """The box as enumerate_psd built it before the keyed walk: one
-    enumeration of the dual ball per block radius 4nm."""
+    enumeration of the dual ball per block radius 4nm, kept for the
+    session like whole_box."""
     balls = {}
     out = []
     for n in range(N + 1):
@@ -290,14 +302,14 @@ def test_enumerate_psd_is_the_per_radius_box():
 def test_keyed_walk_is_the_box_with_its_class_keys():
     # the keyed walk against the box built independently above, index by
     # index and key by key; the table renders each row from n, m and the
-    # text of t, which must read as str(T)
+    # text of t, which must read as str(T). A row (n, m, t, key) equals
+    # (*T, T.class_key()) exactly when it is T = TMatrix(n, m, t) with its
+    # class key
     for N in range(7):
         box = per_radius_box(N)
         rows = list(iter_keyed(N))
-        same = iter_keyed(N, lambda t: t)
-        assert [(TMatrix(n, m, t), key) for n, m, t, key in same] == [
-            (T, T.class_key()) for T in box
-        ], N
+        same = list(iter_keyed(N, lambda t: t))
+        assert same == [(*T, T.class_key()) for T in box], N
         assert [f"{n},{m},{text}" for n, m, text, _ in rows] == [str(T) for T in box]
         assert Counter(key for *_, key in rows) == class_counts(N), N
 
