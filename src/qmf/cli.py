@@ -66,14 +66,15 @@ def _residue(a: Fraction, modulus: int):
 
 def _cmd_coeff(args) -> int:
     T = parse_tmatrix(args.T)
+    # the form is resolved first, so an unknown one is an error at any T;
+    # off the psd cone two_det can be large, and the table answers 0 there
+    table = form_table(args.form, T.two_det() if T.is_psd() else 0)
     if not T.is_psd():
         print(
             f"warning: {T} is not positive semidefinite; coefficient is 0",
             file=sys.stderr,
         )
-        a = Fraction(0)
-    else:
-        a = form_table(args.form, T.two_det()).coeff(T)
+    a = table.coeff(T)
     line = f"{a}\n"
     if args.mod is not None:
         r = _residue(a, args.mod)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
-from .forms import form_table
+from .forms import _check_weight, form_table
 from .series import QSeries, e4_e6_monomials, express_in_e4_e6
 from .tmat import TMatrix, class_counts, iter_keyed
 
@@ -130,16 +130,19 @@ def _witnesses(check: CongCheck, claim: str = "") -> list:
 
 def _star_q1(k: int) -> Fraction:
     """(2^(k-2)-1) B_(k-2) / (k-2), for an even weight k >= 4."""
-    if k < 4 or k % 2:
-        raise ValueError(f"weight must be even and >= 4, got {k}")
+    _check_weight(k)
     return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
+
+
+def _check_modulus(p: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"modulus must be a prime >= 5, got {p}")
 
 
 def star_condition(k: int, p: int) -> bool:
     """True when ord_p((2^(k-2)-1) B_(k-2) / (k-2)) > 0 and ord_p(B_k / k) >= 0."""
     q1 = _star_q1(k)
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"modulus must be a prime >= 5, got {p}")
+    _check_modulus(p)
     return ord_p(q1, p) > 0 and ord_p(bernoulli(k) / k, p) >= 0
 
 
@@ -259,8 +262,7 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     Requires p >= 5 prime and B_(p-3) nonzero mod p (the two known prime
     exceptions are far beyond desk scale).
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"modulus must be a prime >= 5, got {p}")
+    _check_modulus(p)
     if ord_p(bernoulli(p - 3), p) != 0:
         raise ValueError(f"hypothesis fails: B_{p - 3} ≡ 0 mod {p}")
     E = form_table(f"E{p - 1}H", 2 * N * N)
@@ -338,8 +340,7 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     kronecker(-p, two_det(T)) = -1, plus the divisor-sum identity behind it:
     sigma_((p-1)/2)(l) ≡ 0 mod p for every l <= 500 with kronecker(-p, l) = -1.
     """
-    if k < 4 or k % 2:
-        raise ValueError(f"weight must be even and >= 4, got {k}")
+    _check_weight(k)
     p = 2 * k - 5
     if not is_prime(p):
         raise ValueError(f"2k-5 = {p} is composite, theorem does not apply")

@@ -6,13 +6,14 @@ row R, a function of one variable. The coefficient at T != 0 is
 sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
 (Eichler-Zagier, The Theory of Jacobi Forms; Krieg on the Maass space for
 quaternionic modular forms of degree 2). Eisenstein series have closed-form
-tables; the cusp forms in weights 10, 12 and 14 are exact rational
+tables. The cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
-T_0 = (1, 1, (1, 1, 0, 0)) equals 1, and their tables come from the
-one-variable product rule of MaassTable. A table is the form: callers read
-coefficients from it. build_form lifts a table to a read-only
-FourierExpansion on a whole box, which the library never does arithmetic
-on; the tests multiply such boxes in their oracle for the tables.
+T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
+the first Fourier-Jacobi rows of products, read by the one-variable product
+rule _product_row. A table is the form: callers read coefficients from it.
+build_form lifts a table to a read-only FourierExpansion on a whole box,
+which the library never does arithmetic on; the tests multiply such boxes
+in their oracle for the tables.
 """
 
 from __future__ import annotations
@@ -44,12 +45,9 @@ def _check_weight(k: int) -> None:
 
 @dataclass(frozen=True)
 class MaassTable:
-    """A form's weight, constant term const and first Fourier-Jacobi row R,
-    R[l] = a((1, m, t)) at l = 2m - norm(t)/2, exact for 0 <= l <= L. Sums
-    and scalar multiples of tables are the tables of the sums and multiples
-    of the forms (products: see __mul__). coeff reads the Maass lift of the
-    table, which is the form itself only when the form lies in the Maass
-    space: every named form does, but E4^3, say, does not.
+    """A Maass-space form's weight, constant term const and first
+    Fourier-Jacobi row R, R[l] = a((1, m, t)) at l = 2m - norm(t)/2, exact
+    for 0 <= l <= L; coeff reads the form's Maass lift.
 
     A coefficient at T != 0 depends on T only through the class key
     (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
@@ -60,37 +58,6 @@ class MaassTable:
     weight: int
     const: Fraction
     R: tuple[Fraction, ...]
-
-    def __add__(self, other: "MaassTable") -> "MaassTable":
-        if self.weight != other.weight:
-            raise ValueError(f"weight mismatch in sum: {self.weight} vs {other.weight}")
-        R = tuple(a + b for a, b in zip(self.R, other.R))
-        return MaassTable(self.weight, self.const + other.const, R)
-
-    def __sub__(self, other: "MaassTable") -> "MaassTable":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "MaassTable":
-        c = Fraction(c)
-        return MaassTable(self.weight, c * self.const, tuple(c * a for a in self.R))
-
-    def __mul__(self, other: "MaassTable") -> "MaassTable":
-        """The n1 + n2 = 1 part of the box convolution: (1, m, t) splits only
-        as (0, j, 0) + (1, m - j, t) or the reverse, so
-        R_fg(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with f0 and
-        g0 the restrictions of the factors' lifts. The row is exact when both
-        factors lie in the Maass space, as every factor the library
-        multiplies does (a factor like E4^3 would give a wrong row), and the
-        table is the product's when the product lies there too."""
-        Rf, Rg = self.R, other.R
-        L = min(len(Rf), len(Rg)) - 1
-        f0 = [self.class_coeff((0, j)) for j in range(L // 2 + 1)]
-        g0 = [other.class_coeff((0, j)) for j in range(L // 2 + 1)]
-        R = tuple(
-            sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
-            for l in range(L + 1)
-        )
-        return MaassTable(self.weight + other.weight, self.const * other.const, R)
 
     def coeff(self, T: TMatrix) -> Fraction:
         """Coefficient of the Maass lift at T (0 when T is not psd); raises
@@ -147,34 +114,54 @@ def eisenstein_table(k: int, L: int) -> MaassTable:
     return MaassTable(k, Fraction(1), R)
 
 
+def _product_row(f: MaassTable, g: MaassTable) -> tuple[Fraction, ...]:
+    """The first Fourier-Jacobi row of the product fg, up to the shorter
+    row's L: the n1 + n2 = 1 part of the box convolution, as (1, m, t) splits
+    only as (0, j, 0) + (1, m - j, t) or the reverse, so
+    R(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with
+    f0(j) = f.class_coeff((0, j)) the restriction of f and g0 that of g.
+    Exact whether or not fg lies in the Maass space, as f and g do."""
+    Rf, Rg = f.R, g.R
+    L = min(len(Rf), len(Rg)) - 1
+    f0 = [f.class_coeff((0, j)) for j in range(L // 2 + 1)]
+    g0 = [g.class_coeff((0, j)) for j in range(L // 2 + 1)]
+    return tuple(
+        sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
+        for l in range(L + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def _g_table(k: int, L: int) -> MaassTable:
     """Table of g_constant(k) times the weight-k Eisenstein series: at any T
     with eps(T) = 1 and two_det(T) = l > 0 its coefficient is the integer
     sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
-    return eisenstein_table(k, L).scale(g_constant(k))
+    c = g_constant(k)
+    return MaassTable(k, c, tuple(c * a for a in eisenstein_table(k, L).R))
 
 
 @lru_cache(maxsize=None)
 def _x10_table(L: int) -> MaassTable:
     e = eisenstein_table
-    return (e(4, L) * e(6, L) - e(10, L)).scale(Fraction(17, 161280))
+    c = Fraction(17, 161280)
+    R = zip(_product_row(e(4, L), e(6, L)), e(10, L).R)
+    return MaassTable(10, Fraction(0), tuple(c * (a - b) for a, b in R))
 
 
 @lru_cache(maxsize=None)
 def _x12_table(L: int) -> MaassTable:
-    e4, e6 = eisenstein_table(4, L), eisenstein_table(6, L)
-    comb = (
-        (e4 * e4 * e4).scale(Fraction(441, 691))
-        + (e6 * e6).scale(Fraction(250, 691))
-        - eisenstein_table(12, L)
-    )
-    return comb.scale(Fraction(21421, 203212800))
+    """(441/691 E4^3 + 250/691 E6^2 - E12) * 21421/203212800, with E4^3
+    read as E8 E4 (E8 = E4^2 spans the weight-8 forms)."""
+    e = eisenstein_table
+    c, u, v = Fraction(21421, 203212800), Fraction(441, 691), Fraction(250, 691)
+    R = zip(_product_row(e(8, L), e(4, L)), _product_row(e(6, L), e(6, L)), e(12, L).R)
+    return MaassTable(12, Fraction(0), tuple(c * (u * a + v * b - z) for a, b, z in R))
 
 
 @lru_cache(maxsize=None)
 def _x14_table(L: int) -> MaassTable:
-    return eisenstein_table(4, L) * _x10_table(L)
+    R = _product_row(eisenstein_table(4, L), _x10_table(L))
+    return MaassTable(14, Fraction(0), R)
 
 
 def x14_closed(T: TMatrix) -> Fraction:

@@ -87,11 +87,21 @@ def test_coeff_deep_index_builds_no_box(capsys, monkeypatch):
         assert code == 0 and err == ""
 
 
+NOT_PSD = ("0,-1,0,0,0,0", "1,0,1,1,0,0", "-40,-40,0,0,0,0")
+
+
 def test_coeff_not_psd_warns_and_prints_zero(capsys):
     code, out, err = run(capsys, ["coeff", "--form", "X10", "--T", "1,1,2,2,0,0"])
     assert code == 0
     assert out == "0\n"
     assert "not positive semidefinite" in err
+    # -40,-40 has two_det 3200: no table is built that far for a 0
+    for form in ("X12", "G12H"):
+        for T in NOT_PSD:
+            argv = ["coeff", "--form", form, f"--T={T}", "--mod", "4"]
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (0, "0 ≡ 0 (mod 4)\n")
+            assert err == f"warning: {T} is not positive semidefinite; coefficient is 0\n"
 
 
 def test_coeff_parse_error_exit2(capsys):
@@ -105,6 +115,13 @@ def test_coeff_unknown_form_exit2(capsys):
     code, out, err = run(capsys, ["coeff", "--form", "X11", "--T", T0])
     assert code == 2
     assert "error:" in err
+    # the form is resolved before T is read, so the psd error is the error
+    for form in ("NOPE", "X11", "G2H", "E3H"):
+        want = run(capsys, ["coeff", "--form", form, "--T", T0])
+        assert want[0] == 2 and want[1] == "" and want[2].startswith("error: ")
+        for T in NOT_PSD:
+            for mod in ([], ["--mod", "4"]):
+                assert run(capsys, ["coeff", "--form", form, f"--T={T}", *mod]) == want
 
 
 def test_coeff_nonintegral_mod_exit1(capsys):

@@ -10,7 +10,7 @@ from box_oracle import add, constant, mul, scale, siegel_phi, sub, whole_box, ze
 from box_oracle import cong_mod as oracle_cong_mod
 from qmf.congr import cong_mod
 from qmf.fexp import FourierExpansion
-from qmf.forms import build_form, form_table
+from qmf.forms import MaassTable, build_form, form_table
 from qmf.quatlat import QuatCoord
 from qmf.series import eisenstein_q
 from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, parse_tmatrix
@@ -177,7 +177,7 @@ def test_cong_mod_holds_counts_every_index():
 
 
 def test_cong_mod_not_p_integral():
-    z = form_table("X10", 2).scale(0)
+    z = MaassTable(10, Fraction(0), (Fraction(0),) * 3)
     f = bump_rows(z, {1: Fraction(1, 17)})
     check = cong_mod(f.class_coeff, z.class_coeff, 17, 1)
     assert check.status == "not-p-integral"

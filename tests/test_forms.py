@@ -20,6 +20,7 @@ from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
+    _product_row,
     build_form,
     eisenstein_table,
     form_table,
@@ -178,24 +179,30 @@ def test_build_form_matches_box_product(name, N):
     assert build_form(name, N) == RING[name](N)
 
 
+TABLE_ARITHMETIC = ("__add__", "__sub__", "__mul__", "scale")
+
+
 def test_named_forms_use_no_box_product():
     # the library cannot multiply expansions: named forms are table lifts
     assert [m for m in RING_MEMBERS if hasattr(FourierExpansion, m)] == []
+    # nor tables: each is a Maass-space form's, and sums are built from rows
+    assert [m for m in TABLE_ARITHMETIC if hasattr(MaassTable, m)] == []
     for name in ("X10", "X12", "X14", "E4H", "G10H", "G16H"):
         assert build_form(name, 2).coeff(T0) == form_table(name, 2).coeff(T0)
 
 
 def test_table_product_matches_box_product_restriction():
     # the first Fourier-Jacobi row of a product that is not a Maass lift
-    # (E4^3 lies outside the weight-12 Maass space) is still the product's,
-    # as both factors, E4 * E4 = E8 and E4, lie in the Maass space
+    # (E4^3 and E6^2 lie outside the weight-12 Maass space) is still the
+    # product's, as both factors, E8 = E4^2 and E4 or E6 and E6, lie in it
     N = 3
-    e4 = eisenstein_table(4, 2 * N * N)
-    cube = e4 * e4 * e4
-    box = monomial_h(3, 0, N)
-    for T in whole_box(N):
-        if T.n == 1:
-            assert box.coeff(T) == cube.R[T.two_det()]
+    e = {k: eisenstein_table(k, 2 * N * N) for k in (4, 6, 8)}
+    rows = {(3, 0): _product_row(e[8], e[4]), (0, 2): _product_row(e[6], e[6])}
+    for (a, b), row in rows.items():
+        box = monomial_h(a, b, N)
+        for T in whole_box(N):
+            if T.n == 1:
+                assert box.coeff(T) == row[T.two_det()], (a, b, T)
 
 
 def restriction(table, J):
@@ -210,16 +217,14 @@ def test_table_restriction_is_the_lifts():
     e = {k: eisenstein_table(k, 200) for k in (4, 6, 8, 10, 12)}
     for k, table in e.items():
         assert restriction(table, 100) == eisenstein_q(k, 100)
-    assert e[4] * e[4] == e[8]  # E8 spans the weight-8 forms
     x10 = form_table("X10", 200)
     assert restriction(x10, 100).is_zero()
     for f, g in ((e[4], e[6]), (e[4], e[4]), (e[4], x10)):
-        assert restriction(f * g, 100) == restriction(f, 100) * restriction(g, 100)
-
-
-def test_table_sum_needs_one_weight():
-    with pytest.raises(ValueError, match="weight mismatch in sum: 4 vs 6"):
-        eisenstein_table(4, 4) + eisenstein_table(6, 4)
+        fg = MaassTable(f.weight + g.weight, f.const * g.const, _product_row(f, g))
+        assert restriction(fg, 100) == restriction(f, 100) * restriction(g, 100)
+    # E8 spans the weight-8 forms, so X12 may read E4^3 as E8 E4
+    e4 = eisenstein_table(4, 400)
+    assert _product_row(e4, e4) == eisenstein_table(8, 400).R
 
 
 # sha256 of repr(form_table(name, 400).R) for the rows past the l <= 32 the
