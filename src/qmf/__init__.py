@@ -6,7 +6,7 @@ from .congr import CongCheck, cong_mod
 from .fexp import FourierExpansion
 from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
 from .quatlat import QuatCoord
-from .series import QSeries, delta_q, eisenstein_q, express_in_e4_e6, tau, tau_star
+from .series import QSeries, express_in_e4_e6
 from .tmat import TMatrix, parse_tmatrix
 
 __version__ = "0.1.0"
@@ -21,8 +21,6 @@ __all__ = [
     "bernoulli",
     "build_form",
     "cong_mod",
-    "delta_q",
-    "eisenstein_q",
     "express_in_e4_e6",
     "form_table",
     "is_prime",
@@ -31,7 +29,5 @@ __all__ = [
     "ord_p",
     "parse_tmatrix",
     "sigma",
-    "tau",
-    "tau_star",
     "x14_closed",
 ]

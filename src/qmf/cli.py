@@ -236,8 +236,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # "--T v" is read as "--T=v": argparse takes an index such as
+    # -1,-1,0,0,0,0, which starts with "-", for an option
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--T":
+            joined[-1] = f"--T={arg}"
+        else:
+            joined.append(arg)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(joined)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
-from .forms import _check_weight, form_table
+from .forms import _check_weight, _star_q1, form_table
 from .series import QSeries, e4_e6_monomials, express_in_e4_e6
 from .tmat import TMatrix, class_counts, iter_keyed
 
@@ -128,12 +128,6 @@ def _witnesses(check: CongCheck, claim: str = "") -> list:
     return [{"claim": claim, **entry} if claim else entry]
 
 
-def _star_q1(k: int) -> Fraction:
-    """(2^(k-2)-1) B_(k-2) / (k-2), for an even weight k >= 4."""
-    _check_weight(k)
-    return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
-
-
 def _check_modulus(p: int) -> None:
     if p < 5 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
@@ -194,8 +188,9 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     """
     if not star_condition(k, p):
         raise ValueError(f"pair (k={k}, p={p}) fails the star condition")
-    monomials = e4_e6_monomials(k, N)
-    # P has one unknown per monomial, solved from the q^0..q^N coefficients
+    # P has one unknown per monomial, solved from the q^0..q^N coefficients;
+    # a negative N is refused below, so the monomials are formed at N >= 0
+    monomials = e4_e6_monomials(k, max(N, 0))
     d = len(monomials)
     if N < d - 1:
         raise ValueError(

@@ -43,6 +43,13 @@ def _check_weight(k: int) -> None:
         raise ValueError(f"weight must be even and >= 4, got {k}")
 
 
+def _star_q1(k: int) -> Fraction:
+    """(2^(k-2)-1) B_(k-2) / (k-2), for an even weight k >= 4: the quantity
+    whose p-adic valuation the star condition reads."""
+    _check_weight(k)
+    return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
+
+
 @dataclass(frozen=True)
 class MaassTable:
     """A Maass-space form's weight, constant term const and first
@@ -92,11 +99,9 @@ def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
 
 def g_constant(k: int) -> Fraction:
     """Normalizing scalar putting the weight-k Eisenstein series on the
-    integral singular series sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
-    _check_weight(k)
-    return Fraction(-(2 ** (k - 2) - 1)) * bernoulli(k) * bernoulli(k - 2) / (
-        4 * k * (k - 2)
-    )
+    integral singular series sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4):
+    -_star_q1(k) B_k / (4k)."""
+    return -_star_q1(k) * bernoulli(k) / (4 * k)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +171,8 @@ def _x14_table(L: int) -> MaassTable:
 
 def x14_closed(T: TMatrix) -> Fraction:
     """The weight-14 cusp coefficient at a rank-2 index, read off the X14
-    table alone: sum_{d | eps(T)} d^13 R(two_det(T)/d^2), R = tau_star."""
+    table alone: sum_{d | eps(T)} d^13 R(two_det(T)/d^2), R = τ*, the X14
+    row."""
     if T.rank() != 2:
         raise ValueError(f"closed form needs rank 2, got {T}")
     return _x14_table(T.two_det()).coeff(T)

@@ -1,13 +1,14 @@
-"""Elliptic modular forms as exact q-expansions.
+"""The elliptic algebra of the Ramanujan certificate.
 
 A QSeries is a weight-labelled truncated power series in q with Fraction
 coefficients, indexed 0..prec. Products truncate to the smaller precision of
 the two factors; all arithmetic is exact.
 
-The level-1 generators are normalized with constant term 1:
-eisenstein_q(k) = 1 - (2k/B_k) * sum sigma_{k-1}(n) q^n, and the weight-12
-cusp form delta_q = (eisenstein_q(4)^3 - eisenstein_q(6)^2) / 1728 carries
-the tau coefficients.
+The level-1 generators E4 and E6 (constant term 1) are not stated here: they
+are the Siegel restrictions of the Eisenstein tables, read from the lift as
+forms.eisenstein_table(w, 0).class_coeff((0, j)), the reading build_chi
+uses for the restriction of G. This module only forms their monomials and
+writes a series in them.
 """
 
 from __future__ import annotations
@@ -15,20 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import bernoulli, sigma
+from .forms import eisenstein_table
 
-__all__ = [
-    "DEFAULT_PREC",
-    "QSeries",
-    "delta_q",
-    "e4_e6_monomials",
-    "eisenstein_q",
-    "express_in_e4_e6",
-    "tau",
-    "tau_star",
-]
-
-DEFAULT_PREC = 64
+__all__ = ["QSeries", "e4_e6_monomials", "express_in_e4_e6"]
 
 
 @dataclass(frozen=True)
@@ -97,67 +87,18 @@ class QSeries:
         return QSeries(self.weight, tuple(c * x for x in self.coeffs))
 
 
-def eisenstein_q(k: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """Weight-k level-1 Eisenstein series, constant term 1."""
-    if k < 4 or k % 2:
-        raise ValueError(f"eisenstein_q: weight must be even and >= 4, got {k}")
-    c = Fraction(-2 * k) / bernoulli(k)
-    return QSeries(
-        k, (Fraction(1),) + tuple(c * sigma(k - 1, n) for n in range(1, prec + 1))
-    )
-
-
-# tau coefficients, grown on demand: _tau_ints[n] = tau(n), index 0 unused (0).
-_tau_ints: list[int] = [0]
-
-
-def _ensure_tau(n: int) -> None:
-    if n < len(_tau_ints):
-        return
-    prec = max(2 * (len(_tau_ints) - 1), n, DEFAULT_PREC)
-    e4 = eisenstein_q(4, prec)
-    e6 = eisenstein_q(6, prec)
-    delta = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
-    del _tau_ints[1:]
-    for c in delta.coeffs[1:]:
-        assert c.denominator == 1
-        _tau_ints.append(c.numerator)
-
-
-def tau(n: int) -> int:
-    """Coefficient of q^n in the weight-12 cusp form delta_q; tau(0) = 0."""
-    if n < 0:
-        raise ValueError("tau: index must be >= 0")
-    if n == 0:
-        return 0
-    _ensure_tau(n)
-    return _tau_ints[n]
-
-
-def tau_star(ell: int) -> int:
-    """tau(ell) - 2^12 * tau(ell/4), the level-4 twist of tau; 0 at ell = 0."""
-    if ell < 0:
-        raise ValueError("tau_star: index must be >= 0")
-    value = tau(ell)
-    if ell % 4 == 0 and ell > 0:
-        value -= 4096 * tau(ell // 4)
-    return value
-
-
-def delta_q(prec: int = DEFAULT_PREC) -> QSeries:
-    """The normalized weight-12 cusp form, coefficients tau(n)."""
-    _ensure_tau(prec)
-    return QSeries(12, tuple(Fraction(tau(n)) for n in range(prec + 1)))
-
-
 def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], QSeries]:
     """The monomials E4^a * E6^b of weight 4a + 6b = k to precision prec,
-    keyed by (a, b) in decreasing a; empty when there are none."""
+    keyed by (a, b) in decreasing a; empty when there are none. E4 and E6
+    are the Siegel restrictions of the weight-4 and weight-6 Eisenstein
+    tables."""
     out: dict[tuple[int, int], QSeries] = {}
     if k < 0 or k % 2:
         return out
-    e4 = eisenstein_q(4, prec)
-    e6 = eisenstein_q(6, prec)
+    e4, e6 = (
+        QSeries(E.weight, tuple(E.class_coeff((0, j)) for j in range(prec + 1)))
+        for E in (eisenstein_table(4, 0), eisenstein_table(6, 0))
+    )
     one = QSeries(0, (Fraction(1),) + (Fraction(0),) * prec)
     for b in range(k // 6 + 1):
         rem = k - 6 * b

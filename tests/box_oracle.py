@@ -7,6 +7,11 @@ FourierExpansion container. The forms built with it multiply whole
 expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
+The elliptic series below (eisenstein_q from the sigma formula, tau and
+tau_star from the 24th power of Euler's pentagonal series) are stated
+independently of the Eisenstein and X14 tables, whose Siegel restriction
+and first Fourier-Jacobi row they check.
+
 cong_mod and the verdicts below sweep the depth-N box one index at a time,
 reading each named form's table through congr.form_table (so a test that
 patches it sees the same tables as the verifiers). They are the sweeps the
@@ -20,12 +25,66 @@ from math import lcm
 
 from qmf import congr
 from qmf.congr import CongCheck
-from qmf.exactnum import is_prime, kronecker, sigma
+from qmf.exactnum import bernoulli, is_prime, kronecker, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import build_form
 from qmf.quatlat import ZERO_QUAT, QuatCoord
 from qmf.series import QSeries, express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
+
+
+def eisenstein_q(k, prec):
+    """The weight-k level-1 Eisenstein series to q^prec, constant term 1:
+    1 - (2k/B_k) sum sigma_(k-1)(n) q^n."""
+    c = Fraction(-2 * k) / bernoulli(k)
+    return QSeries(k, (1,) + tuple(c * sigma(k - 1, n) for n in range(1, prec + 1)))
+
+
+def eta24_oracle(prec):
+    """Independent tau oracle: 24th power of the pentagonal-number series."""
+    e = [0] * (prec + 1)
+    e[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 <= prec:
+        s = -1 if k % 2 else 1
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= prec:
+                e[g] += s
+        k += 1
+
+    def pmul(a, b):
+        out = [0] * (prec + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(prec - i + 1):
+                    if b[j]:
+                        out[i + j] += ai * b[j]
+        return out
+
+    e2 = pmul(e, e)
+    e4 = pmul(e2, e2)
+    e8 = pmul(e4, e4)
+    e16 = pmul(e8, e8)
+    e24 = pmul(e16, e8)
+    return [0] + e24[:prec]  # shift: the weight-12 cusp form starts at q^1
+
+
+@lru_cache(maxsize=None)
+def _tau_row(prec):
+    return tuple(eta24_oracle(prec))
+
+
+def tau(n):
+    """Ramanujan's tau(n) for 0 <= n (tau(0) = 0), from eta24_oracle to
+    q^400, one row shared by every test, or to q^n past that."""
+    if n < 0:
+        raise ValueError("tau: index must be >= 0")
+    return _tau_row(max(n, 400))[n]
+
+
+def tau_star(ell):
+    """tau(ell) - 2^12 tau(ell/4), 0 at ell = 0."""
+    return tau(ell) - (4096 * tau(ell // 4) if ell % 4 == 0 else 0)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,15 @@ with all nine certificates, and the structural properties of the lift.
 
 from fractions import Fraction
 
-from box_oracle import cong_mod, mul, ring_x14, siegel_phi, whole_box
+from box_oracle import (
+    cong_mod,
+    eisenstein_q,
+    mul,
+    ring_x14,
+    siegel_phi,
+    tau,
+    whole_box,
+)
 from qmf.congr import (
     build_chi,
     star_primes,
@@ -19,7 +27,6 @@ from qmf.congr import (
 )
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.forms import build_form, x14_closed
-from qmf.series import eisenstein_q, tau
 from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")

@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from box_oracle import RING_MEMBERS, whole_box
+from box_oracle import RING_MEMBERS, tau_star, whole_box
 from qmf import cli, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
-from qmf.series import tau_star
 from test_congr import perturb, refuse_walks
 from test_golden_cli import GOLDEN, digest
 
@@ -102,6 +101,21 @@ def test_coeff_not_psd_warns_and_prints_zero(capsys):
             code, out, err = run(capsys, argv)
             assert (code, out) == (0, "0 ≡ 0 (mod 4)\n")
             assert err == f"warning: {T} is not positive semidefinite; coefficient is 0\n"
+
+
+def test_coeff_index_with_leading_minus_parses_spaced_or_joined(capsys):
+    # "--T -1,..." starts with "-", which argparse would take for an option
+    for T in ("-1,-1,0,0,0,0", "-40,-40,0,0,0,0", "1,1,1,1,0,0"):
+        spaced = run(capsys, ["coeff", "--form", "X12", "--T", T])
+        joined = run(capsys, ["coeff", "--form", "X12", f"--T={T}"])
+        assert spaced == joined
+        assert spaced[0] == 0
+    warning = "warning: -1,-1,0,0,0,0 is not positive semidefinite; coefficient is 0\n"
+    assert run(capsys, ["coeff", "--form", "X12", "--T", "-1,-1,0,0,0,0"]) == (
+        0, "0\n", warning)
+    # a --T with no value is still a usage error
+    code, out, err = run(capsys, ["coeff", "--form", "X12", "--T"])
+    assert code == 2 and out == "" and "expected one argument" in err
 
 
 def test_coeff_parse_error_exit2(capsys):

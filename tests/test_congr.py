@@ -131,6 +131,12 @@ def test_build_chi_depth_check():
         build_chi(12, 31, 0)
     with pytest.raises(ValueError, match="needs depth >= 1.*got depth 0"):
         build_chi(16, 43, 0)  # E4^4 and E4 E6^2
+    # a negative depth is refused with the same message, also where the
+    # monomials need only q^0
+    with pytest.raises(ValueError, match="needs depth >= 0.*got depth -1"):
+        build_chi(10, 17, -1)
+    with pytest.raises(ValueError, match="needs depth >= 0.*got depth -2"):
+        build_chi(14, 691, -2)
     # weight 10 has one monomial, E4 E6: depth 0 suffices
     report = build_chi(10, 17, 0)
     assert report.ok and report.congruence.checked == 1

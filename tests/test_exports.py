@@ -30,6 +30,17 @@ def test_every_export_resolves():
     assert {name: stale for name, stale in found.items() if stale} == {}
 
 
+# Second statements of tau and E_k, removed: tau* is the X14 row and E_k the
+# Siegel restriction of the Eisenstein table.
+REMOVED = ("tau", "tau_star", "delta_q", "eisenstein_q")
+
+
+def test_removed_series_names_stay_removed():
+    for module in (qmf, importlib.import_module("qmf.series")):
+        assert [name for name in REMOVED if hasattr(module, name)] == []
+        assert not set(REMOVED) & set(module.__all__)
+
+
 # What perfbench/ reads of the library: run.py's point-query oracle and
 # trace_cli.py's tracer, which imports these modules and wraps their names.
 BENCHMARK_READS = {

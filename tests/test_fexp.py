@@ -6,13 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from box_oracle import add, constant, mul, scale, siegel_phi, sub, whole_box, zero
+from box_oracle import (
+    add,
+    constant,
+    eisenstein_q,
+    mul,
+    scale,
+    siegel_phi,
+    sub,
+    whole_box,
+    zero,
+)
 from box_oracle import cong_mod as oracle_cong_mod
 from qmf.congr import cong_mod
 from qmf.fexp import FourierExpansion
 from qmf.forms import MaassTable, build_form, form_table
 from qmf.quatlat import QuatCoord
-from qmf.series import eisenstein_q
 from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")

@@ -9,11 +9,13 @@ from box_oracle import (
     RING,
     RING_MEMBERS,
     constant,
+    eisenstein_q,
     monomial_h,
     mul,
     ring_x14,
     scale,
     siegel_phi,
+    tau_star,
     whole_box,
 )
 from qmf.exactnum import bernoulli, divisors, sigma
@@ -28,7 +30,7 @@ from qmf.forms import (
     maass_lift,
     x14_closed,
 )
-from qmf.series import QSeries, eisenstein_q, tau_star
+from qmf.series import QSeries
 from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -168,8 +170,8 @@ def test_e4_e6_tables_integral():
 
 
 def test_x14_table_is_tau_star():
-    R = form_table("X14", 200).R
-    assert R == tuple(tau_star(ell) for ell in range(201))
+    R = form_table("X14", 400).R
+    assert R == tuple(tau_star(ell) for ell in range(401))
 
 
 @pytest.mark.parametrize(

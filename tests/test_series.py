@@ -1,76 +1,55 @@
-"""Elliptic q-expansions: frozen tables, eta-product oracle, basis algebra."""
+"""The certificate's elliptic algebra: E4 and E6 read from the Eisenstein
+tables, tau from the X14 row, both against frozen values and the oracles'
+sigma formula and eta product; the basis algebra."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from box_oracle import eisenstein_q, eta24_oracle, tau, tau_star
 from qmf.exactnum import bernoulli, ord_p, sigma
-from qmf.series import (
-    QSeries,
-    delta_q,
-    eisenstein_q,
-    express_in_e4_e6,
-    tau,
-    tau_star,
-)
+from qmf.forms import eisenstein_table, form_table
+from qmf.series import QSeries, e4_e6_monomials, express_in_e4_e6
 
 
-def eta24_oracle(prec):
-    """Independent tau oracle: 24th power of the pentagonal-number series."""
-    e = [0] * (prec + 1)
-    e[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= prec:
-        s = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= prec:
-                e[g] += s
-        k += 1
+def restricted_e(k, prec):
+    """The library's E_k: the Siegel restriction of the weight-k Eisenstein
+    table, read from its lift."""
+    E = eisenstein_table(k, 0)
+    return QSeries(k, tuple(E.class_coeff((0, j)) for j in range(prec + 1)))
 
-    def pmul(a, b):
-        out = [0] * (prec + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(prec - i + 1):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return out
 
-    e2 = pmul(e, e)
-    e4 = pmul(e2, e2)
-    e8 = pmul(e4, e4)
-    e16 = pmul(e8, e8)
-    e24 = pmul(e16, e8)
-    return [0] + e24[:prec]  # shift: the weight-12 cusp form starts at q^1
+def delta_q(prec):
+    """The weight-12 cusp form, with the oracle's tau as coefficients."""
+    return QSeries(12, tuple(Fraction(tau(n)) for n in range(prec + 1)))
 
 
 TAU_FROZEN = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
 
 def test_eisenstein_q_frozen():
-    e4 = eisenstein_q(4, 8)
-    assert [e4.coeff(n) for n in range(9)] == [
-        1, 240, 2160, 6720, 17520, 30240, 60480, 82560, 140400]
-    e6 = eisenstein_q(6, 3)
-    assert [e6.coeff(n) for n in range(4)] == [1, -504, -16632, -122976]
-    e10 = eisenstein_q(10, 2)
-    assert e10.coeff(1) == -264
-    assert e10.coeff(2) == -264 * sigma(9, 2)
+    for e_q in (restricted_e, eisenstein_q):
+        e4 = e_q(4, 8)
+        assert [e4.coeff(n) for n in range(9)] == [
+            1, 240, 2160, 6720, 17520, 30240, 60480, 82560, 140400]
+        e6 = e_q(6, 3)
+        assert [e6.coeff(n) for n in range(4)] == [1, -504, -16632, -122976]
+        e10 = e_q(10, 2)
+        assert e10.coeff(1) == -264
+        assert e10.coeff(2) == -264 * sigma(9, 2)
 
 
 def test_eisenstein_q_matches_bernoulli_normalization():
     for k in (4, 6, 8, 10, 12, 14):
-        e = eisenstein_q(k, 6)
+        e = restricted_e(k, 6)
         c = Fraction(-2 * k) / bernoulli(k)
         for n in range(1, 7):
             assert e.coeff(n) == c * sigma(k - 1, n)
-
-
-def test_eisenstein_q_invalid_weight():
-    for k in (0, 2, 3, 5, -4):
-        with pytest.raises(ValueError):
-            eisenstein_q(k, 4)
+        assert e == eisenstein_q(k, 6)
+    # the certificate's generators are these restrictions
+    assert e4_e6_monomials(4, 30) == {(1, 0): eisenstein_q(4, 30)}
+    assert e4_e6_monomials(6, 30) == {(0, 1): eisenstein_q(6, 30)}
 
 
 def test_tau_frozen_and_eta_oracle():
@@ -78,12 +57,16 @@ def test_tau_frozen_and_eta_oracle():
     assert tau(4) == -1472
     assert tau(0) == 0
     oracle = eta24_oracle(50)
+    R = form_table("X14", 50).R
     for n in range(1, 51):
         assert tau(n) == oracle[n]
+        # the X14 row is tau away from multiples of 4
+        if n % 4:
+            assert R[n] == oracle[n]
 
 
 def test_tau_hecke_properties():
-    # multiplicativity and the prime-square recursion pin the generator route
+    # multiplicativity and the prime-square recursion pin the oracle
     assert tau(6) == tau(2) * tau(3)
     assert tau(10) == tau(2) * tau(5)
     assert tau(12) == tau(3) * tau(4)
@@ -94,27 +77,22 @@ def test_tau_hecke_properties():
 
 
 def test_tau_star_frozen():
-    assert tau_star(0) == 0
-    assert tau_star(1) == 1
-    assert tau_star(2) == -24
-    assert tau_star(3) == 252
-    assert tau_star(4) == -1472 - 4096 == -5568
-    assert tau_star(5) == 4830
-    assert tau_star(8) == 84480 - 4096 * (-24) == 182784
-    assert tau_star(7) == tau(7)
-
-
-def test_delta_q():
-    d = delta_q(12)
-    assert d.weight == 12
-    assert d.coeff(0) == 0
-    assert [d.coeff(n) for n in range(1, 11)] == TAU_FROZEN
+    R = form_table("X14", 8).R
+    for tau_star_of in (tau_star, R.__getitem__):
+        assert tau_star_of(0) == 0
+        assert tau_star_of(1) == 1
+        assert tau_star_of(2) == -24
+        assert tau_star_of(3) == 252
+        assert tau_star_of(4) == -1472 - 4096 == -5568
+        assert tau_star_of(5) == 4830
+        assert tau_star_of(8) == 84480 - 4096 * (-24) == 182784
+        assert tau_star_of(7) == tau(7)
 
 
 def test_delta_identity_with_eisenstein():
-    e4 = eisenstein_q(4, 16)
-    e6 = eisenstein_q(6, 16)
-    lhs = e4 * e4 * e4 - e6 * e6
+    # E4^3 - E6^2 = 1728 Delta, from the certificate's own monomials
+    mons = e4_e6_monomials(12, 16)
+    lhs = mons[(3, 0)] - mons[(0, 2)]
     d = delta_q(16)
     for n in range(17):
         assert lhs.coeff(n) == 1728 * d.coeff(n)
