@@ -1,13 +1,12 @@
 """Exact Fourier coefficients and congruences of degree-2 quaternionic
-modular forms over the Hurwitz order."""
+modular forms over the Hurwitz order.
 
-from .exactnum import bernoulli, is_prime, kronecker, ord_p, sigma
-from .congr import CongCheck, cong_mod
-from .fexp import FourierExpansion
-from .forms import MaassTable, build_form, form_table, maass_lift, x14_closed
-from .quatlat import QuatCoord
-from .series import QSeries, express_in_e4_e6
-from .tmat import TMatrix, parse_tmatrix
+The names below are read from their modules on first use (PEP 562), so
+importing qmf, which importing any of its modules such as qmf.cli does
+first, loads none of them.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -31,3 +30,37 @@ __all__ = [
     "sigma",
     "x14_closed",
 ]
+
+# The module of each name in __all__.
+_HOME = {
+    "CongCheck": "congr",
+    "FourierExpansion": "fexp",
+    "MaassTable": "forms",
+    "QSeries": "series",
+    "QuatCoord": "quatlat",
+    "TMatrix": "tmat",
+    "bernoulli": "exactnum",
+    "build_form": "forms",
+    "cong_mod": "congr",
+    "express_in_e4_e6": "series",
+    "form_table": "forms",
+    "is_prime": "exactnum",
+    "kronecker": "exactnum",
+    "maass_lift": "forms",
+    "ord_p": "exactnum",
+    "parse_tmatrix": "tmat",
+    "sigma": "exactnum",
+    "x14_closed": "forms",
+}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,23 +11,28 @@ reduction failure, 2 usage or precondition error (a negative --depth or
 never as floats, and the same invocation always writes the same bytes.
 Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
-command's own (a failing verify still exits 1).
+command's own (a failing verify still exits 1). `table` writes its rows in
+chunks of at most _CHUNK_ROWS rows, one write per chunk whatever the
+buffering of stdout. Each subcommand imports only what it runs: `coeff` and
+`table` load no verifier and no json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
+from itertools import islice
 
-from . import congr
 from .forms import form_table
 from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
+# Rows per write of `table`: a write is a system call when stdout is
+# unbuffered (python -u, PYTHONUNBUFFERED), so rows are joined into chunks,
+# which also bounds the output held at once.
+_CHUNK_ROWS = 2048
 
 
 def _check_depth(N: int, flag: str) -> None:
@@ -53,8 +58,9 @@ def _emit(path, write) -> None:
         os.close(devnull)
 
 
-def _residue(a: Fraction, modulus: int):
-    """a mod modulus in 0..modulus-1, or None when a is not integral mod it."""
+def _residue(a, modulus: int):
+    """The Fraction a mod modulus in 0..modulus-1, or None when a is not
+    integral mod it."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     try:
@@ -90,13 +96,14 @@ def _cmd_coeff(args) -> int:
 
 
 # Each theorem of `qmf verify`: the flags it needs and its sweep. Runners
-# read congr's functions when called, so a patched verifier is the one run.
+# are passed the congr module and read its functions when called, so a
+# patched verifier is the one run.
 _THEOREMS = {
-    "ramanujan": (("k", "p"), lambda a, N: [congr.ramanujan_verdict(a.k, a.p, N)]),
-    "theta": ((), lambda a, N: congr.verify_theta_cong(N)),
-    "mod23": ((), lambda a, N: [congr.verify_mod23(N)]),
-    "congeis": (("k",), lambda a, N: [congr.verify_cong_eis(a.k, N)]),
-    "ep1": (("p",), lambda a, N: [congr.verify_ep_minus_one(a.p, N)]),
+    "ramanujan": (("k", "p"), lambda congr, a, N: [congr.ramanujan_verdict(a.k, a.p, N)]),
+    "theta": ((), lambda congr, a, N: congr.verify_theta_cong(N)),
+    "mod23": ((), lambda congr, a, N: [congr.verify_mod23(N)]),
+    "congeis": (("k",), lambda congr, a, N: [congr.verify_cong_eis(a.k, N)]),
+    "ep1": (("p",), lambda congr, a, N: [congr.verify_ep_minus_one(a.p, N)]),
 }
 
 
@@ -108,7 +115,11 @@ def _cmd_verify(args) -> int:
         needs = " and ".join("--" + f for f in flags)
         print(f"error: verify {args.theorem} needs {needs}", file=sys.stderr)
         return 2
-    verdicts = run(args, N)
+    import json
+
+    from . import congr
+
+    verdicts = run(congr, args, N)
     payload = [v.to_json() for v in verdicts]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     _emit(args.out, lambda fh: fh.write(text + "\n"))
@@ -134,8 +145,10 @@ def _cmd_table(args) -> int:
     box order whose class fails. Then write the box a block at a time: each
     (n, m) block of keyed_walk maps the histogram id of a ball vector to its
     row tail once, and each row is its block's prefix, the text of a vector
-    in the block's slice of the ball and that tail, joined as it is written.
-    No TMatrix is built, and neither the box nor a block of output is kept."""
+    in the block's slice of the ball and that tail. A block's rows are
+    joined and written _CHUNK_ROWS at a time, one write per chunk whether or
+    not stdout is buffered. No TMatrix is built, and neither the box nor
+    more than a chunk of output is kept."""
     N = args.max
     _check_depth(N, "--max")
     counts = class_counts(N)
@@ -177,11 +190,13 @@ def _cmd_table(args) -> int:
             # only T = 0, the one row of block (0, 0), has no separator
             prefix = (sep if n or m else "") + start.format(n, m)
             tails = [key and rest[key] for key in keys]
-            fh.writelines(
+            rows = (
                 prefix + t + tails[h]
                 for t, h in zip(texts[part], ids[part])
                 if tails[h]
             )
+            while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+                fh.write(chunk)
         fh.write(tail)
 
     _emit(args.out, write)

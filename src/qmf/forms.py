@@ -13,18 +13,17 @@ the first Fourier-Jacobi rows of products, read by the one-variable product
 rule _product_row. A table is the form: callers read coefficients from it.
 build_form lifts a table to a read-only FourierExpansion on a whole box,
 which the library never does arithmetic on; the tests multiply such boxes
-in their oracle for the tables.
+in their oracle for the tables. Only the lift imports fexp, so reading a
+table's coefficients loads no expansion code.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import bernoulli, divisors, sigma
-from .fexp import FourierExpansion
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -50,7 +49,6 @@ def _star_q1(k: int) -> Fraction:
     return (2 ** (k - 2) - 1) * bernoulli(k - 2) / (k - 2)
 
 
-@dataclass(frozen=True)
 class MaassTable:
     """A Maass-space form's weight, constant term const and first
     Fourier-Jacobi row R, R[l] = a((1, m, t)) at l = 2m - norm(t)/2, exact
@@ -60,11 +58,15 @@ class MaassTable:
     (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
     coefficient function and coeff reads T's class through it. The Siegel
     restriction is the lift's too: a((j, 0, 0)) = class_coeff((0, j)).
+    Tables are cached and shared: treat them as read-only.
     """
 
-    weight: int
-    const: Fraction
-    R: tuple[Fraction, ...]
+    __slots__ = ("weight", "const", "R")
+
+    def __init__(self, weight: int, const: Fraction, R: tuple[Fraction, ...]):
+        self.weight = weight
+        self.const = const
+        self.R = R
 
     def coeff(self, T: TMatrix) -> Fraction:
         """Coefficient of the Maass lift at T (0 when T is not psd); raises
@@ -85,9 +87,11 @@ class MaassTable:
         return sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
 
 
-def maass_lift(table: MaassTable, N: int) -> FourierExpansion:
-    """The Maass lift of table on the depth-N box, each class evaluated
-    once; needs L >= 2*N^2, the largest two_det in the box."""
+def maass_lift(table: MaassTable, N: int):
+    """The Maass lift of table on the depth-N box as a FourierExpansion, each
+    class evaluated once; needs L >= 2*N^2, the largest two_det in the box."""
+    from .fexp import FourierExpansion
+
     _check_weight(table.weight)
     coeffs = {key: table.class_coeff(key) for key in class_counts(N)}
     return FourierExpansion(
@@ -196,7 +200,7 @@ def form_table(name: str, L: int) -> MaassTable:
     )
 
 
-def build_form(name: str, N: int) -> FourierExpansion:
-    """The Maass lift on the depth-N box of a named form: X10, X12, X14,
-    E<k>H or G<k>H."""
+def build_form(name: str, N: int):
+    """The Maass lift on the depth-N box of a named form, as a
+    FourierExpansion: X10, X12, X14, E<k>H or G<k>H."""
     return maass_lift(form_table(name, 2 * N * N), N)

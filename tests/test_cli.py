@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from box_oracle import RING_MEMBERS, tau_star, whole_box
-from qmf import cli, fexp, forms, tmat
+from qmf import cli, congr, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
 from test_congr import perturb, refuse_walks
@@ -21,6 +22,7 @@ from test_golden_cli import GOLDEN, digest
 
 T0 = "1,1,1,1,0,0"
 I2 = "1,1,0,0,0,0"
+GOLDEN_TABLES = json.loads(GOLDEN.read_text(encoding="utf-8"))["table"]
 
 
 def run(capsys, argv):
@@ -331,8 +333,6 @@ def test_table_builds_no_index_matrix_per_row(capsys, monkeypatch):
     # each row is joined from its block's prefix, the ball vector's text and
     # a lookup of its class: no index matrix is keyed or printed, and every
     # byte is still the golden one
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["table"]
-
     def refuse(self):
         raise AssertionError("table must not key or print an index matrix per row")
 
@@ -341,8 +341,8 @@ def test_table_builds_no_index_matrix_per_row(capsys, monkeypatch):
     for fmt in ([], ["--format", "json"]):
         for mod in ([], ["--mod", "691"]):
             argv = ["table", "--form", "X14", "--max", "3", *fmt, *mod]
-            assert digest(argv) == golden[" ".join(argv)]
-            assert golden[" ".join(argv)]["exit"] == 0
+            assert digest(argv) == GOLDEN_TABLES[" ".join(argv)]
+            assert GOLDEN_TABLES[" ".join(argv)]["exit"] == 0
     # a failing --mod names its first index from the same walk
     code, out, err = run(capsys, ["table", "--form", "E12H", "--max", "3", "--mod", "31"])
     assert (code, out) == (1, "")
@@ -496,24 +496,128 @@ def test_negative_depth_names_flag_exit2(capsys, argv, flag):
     assert err == f"error: {flag} must be >= 0, got {argv[-1]}\n"
 
 
-def test_table_into_closed_pipe_exits_0_silently():
-    # the reader stops after two lines, as `qmf table ... | head -2` does
+def cli_env(**extra):
+    """The environment for running the CLI from this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "qmf.cli", "table", "--form", "X10", "--max", "4"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
+    return env
+
+
+def test_table_into_closed_pipe_exits_0_silently():
+    # the reader stops after two lines, as `qmf table ... | head -2` does,
+    # or after several chunks of the 35,929 rows; stdout is unbuffered, so
+    # the chunk writes themselves meet the closed pipe
+    assert sum(tmat.class_counts(4).values()) > 8 * cli._CHUNK_ROWS
+    for lines in (2, 3 * cli._CHUNK_ROWS):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qmf.cli", "table", "--form", "X10", "--max", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(PYTHONUNBUFFERED="1"),
+        )
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+        assert head[:2] == [b"T,num,den\n", b'"0,0,0,0,0,0",0,1\n']
+        assert len(head) == lines and all(row.endswith(b"\n") for row in head)
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--form", "X14", "--max", "4", "--format", "json"],
+        ["table", "--form", "G10H", "--max", "4"],
+        ["table", "--form", "X12", "--max", "4", "--mod", "691"],
+    ],
+)
+def test_table_writes_rows_in_chunks(monkeypatch, argv):
+    # one write per chunk of at most _CHUNK_ROWS rows, not one per row, and
+    # the bytes are the golden table's
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    rows = sum(tmat.class_counts(4).values())
+    mark = '"T": ' if "json" in argv else "\n"  # one per row (CSV: and the head)
+    assert sum(text.count(mark) for text in out.writes) == rows + (mark == "\n")
+    assert max(text.count(mark) for text in out.writes) <= cli._CHUNK_ROWS
+    # a head, a tail and, in each of the 25 (n, m) blocks, its full chunks
+    # and one partial one
+    assert len(out.writes) <= 2 + 25 + rows // cli._CHUNK_ROWS
+    sha256 = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert sha256 == GOLDEN_TABLES[" ".join(argv)]["sha256"]
+
+
+def test_table_unbuffered_stdout_matches_golden():
+    # under PYTHONUNBUFFERED each write reaches the pipe as it is made
+    argv = ["table", "--form", "G10H", "--max", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmf.cli", *argv],
+        capture_output=True,
+        env=cli_env(PYTHONUNBUFFERED="1"),
+        check=True,
     )
-    head = [proc.stdout.readline() for _ in range(2)]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 0
-    assert err == b""
-    assert head == [b"T,num,den\n", b'"0,0,0,0,0,0",0,1\n']
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_TABLES[" ".join(argv)]["sha256"]
+
+
+# Modules a subcommand that does not verify has no use for: the verifiers,
+# the elliptic algebra, expansions and what only they or verify import.
+NOT_IMPORTED = ("dataclasses", "json", "qmf.congr", "qmf.series", "qmf.fexp")
+PROBE = (
+    "import sys\n"
+    "from qmf.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--form", "X14", "--T", "1,3,1,1,0,0", "--mod", "23"],
+        ["table", "--form", "G12H", "--max", "2", "--format", "json", "--mod", "691"],
+        ["--help"],
+    ],
+)
+def test_subcommand_imports_only_what_it_runs(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, env=cli_env(), check=True
+    )
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert {"qmf.cli", "qmf.forms"} <= loaded
+    assert [name for name in NOT_IMPORTED if name in loaded] == []
+
+
+def test_verify_runs_the_verifier_patched_on_congr(capsys, monkeypatch):
+    # verify imports congr when it runs, and reads the verifier from it then
+    class Stub:
+        ok = False
+
+        def to_json(self):
+            return {"theorem": "stub"}
+
+    calls = []
+    monkeypatch.setattr(congr, "verify_mod23", lambda N: calls.append(N) or Stub())
+    code, out, err = run(capsys, ["verify", "mod23", "--depth", "2"])
+    assert (code, calls, json.loads(out), err) == (1, [2], {"theorem": "stub"}, "")
 
 
 def test_failing_verify_into_closed_pipe_exits_1(monkeypatch):

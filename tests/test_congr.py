@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from qmf.congr import (
     verify_theta_cong,
 )
 from qmf.exactnum import kronecker
-from qmf.forms import build_form, form_table
+from qmf.forms import MaassTable, build_form, form_table
 from qmf.tmat import parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -208,7 +207,7 @@ def bump(table, R=None, const=0):
     rows = list(table.R)
     for l, delta in (R or {}).items():
         rows[l] += delta
-    return replace(table, const=table.const + const, R=tuple(rows))
+    return MaassTable(table.weight, table.const + const, tuple(rows))
 
 
 def refuse_box(*args):

@@ -1,7 +1,12 @@
 """Every name the library exports resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qmf
 
@@ -28,6 +33,23 @@ def test_every_export_resolves():
     found = {m.__name__: unresolved(m) for m in modules if hasattr(m, "__all__")}
     assert "qmf" in found and "qmf.tmat" in found
     assert {name: stale for name, stale in found.items() if stale} == {}
+
+
+def test_exports_load_lazily():
+    # importing qmf loads none of its modules; each exported name is listed
+    # by dir(qmf) and read, on first use, from the module that defines it
+    probe = "import sys, qmf; print(*sorted(m for m in sys.modules if m.startswith('qmf')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["qmf"]
+    assert sorted(qmf._HOME) == sorted(qmf.__all__)
+    assert set(qmf.__all__) <= set(dir(qmf))
+    for name, home in qmf._HOME.items():
+        assert getattr(qmf, name) is getattr(importlib.import_module(f"qmf.{home}"), name)
+    with pytest.raises(AttributeError):
+        qmf.iter_psd
 
 
 # Second statements of tau and E_k, removed: tau* is the X14 row and E_k the
