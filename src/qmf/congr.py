@@ -21,8 +21,8 @@ on chi reads G's table.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
 from .forms import _check_weight, _star_q1, form_table
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CongCheck:
+class CongCheck(NamedTuple):
     """Outcome of a coefficientwise congruence check modulo p.
 
     status is "holds", "fails" (witness = first violating T in enumeration
@@ -95,8 +94,7 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     return CongCheck(bad[key], TMatrix(n, m, t), i + 1)
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one theorem sweep over a truncation box."""
 
     theorem: str
@@ -111,7 +109,7 @@ class Verdict:
 
     def to_json(self) -> dict:
         """The verdict JSON: the fields, in their order, as its keys."""
-        return asdict(self)
+        return self._asdict()
 
 
 def _verdict(theorem: str, params: dict, witnesses: list, checked: int) -> Verdict:
@@ -152,8 +150,7 @@ def star_primes(k: int) -> list[int]:
     return [q for q in cands if star_condition(k, q)]
 
 
-@dataclass
-class ChiReport:
+class ChiReport(NamedTuple):
     """Certificate data from one cusp-witness construction."""
 
     k: int
@@ -212,9 +209,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     # exactly where G(T) is, and then chi(T) ≡ G(T) mod p: sweeping G
     # against itself gives the status, witness and count of G against chi.
     congruence = cong_mod(G.class_coeff, G.class_coeff, p, N)
-    return ChiReport(
-        k=k, p=p, N=N, poly=poly, phi_vanishes=phi.is_zero(), congruence=congruence
-    )
+    return ChiReport(k, p, N, poly, phi.is_zero(), congruence)
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.

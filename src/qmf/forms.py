@@ -10,18 +10,18 @@ tables. The cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
 the first Fourier-Jacobi rows of products, read by the one-variable product
-rule _product_row. A table is the form: callers read coefficients from it.
-build_form lifts a table to a read-only FourierExpansion on a whole box,
-which the library never does arithmetic on; the tests multiply such boxes
-in their oracle for the tables. Only the lift imports fexp, so reading a
-table's coefficients loads no expansion code.
+rule _product_row. A table is the form: callers read coefficients from it,
+and form_table holds one per form, the longest built so far, for callers
+and cusp rows alike. build_form lifts a table to a read-only
+FourierExpansion on a whole box, which the library never does arithmetic
+on; the tests multiply such boxes in their oracle for the tables. Only the
+lift imports fexp, so reading a table's coefficients loads no expansion code.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import bernoulli, divisors, sigma
 from .tmat import TMatrix, class_counts, iter_keyed
@@ -29,7 +29,6 @@ from .tmat import TMatrix, class_counts, iter_keyed
 __all__ = [
     "MaassTable",
     "build_form",
-    "eisenstein_table",
     "form_table",
     "g_constant",
     "maass_lift",
@@ -52,13 +51,13 @@ def _star_q1(k: int) -> Fraction:
 class MaassTable:
     """A Maass-space form's weight, constant term const and first
     Fourier-Jacobi row R, R[l] = a((1, m, t)) at l = 2m - norm(t)/2, exact
-    for 0 <= l <= L; coeff reads the form's Maass lift.
+    for 0 <= l < len(R); coeff reads the form's Maass lift.
 
     A coefficient at T != 0 depends on T only through the class key
     (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
     coefficient function and coeff reads T's class through it. The Siegel
     restriction is the lift's too: a((j, 0, 0)) = class_coeff((0, j)).
-    Tables are cached and shared: treat them as read-only.
+    Tables are shared, one per form: treat them as read-only.
     """
 
     __slots__ = ("weight", "const", "R")
@@ -70,12 +69,12 @@ class MaassTable:
 
     def coeff(self, T: TMatrix) -> Fraction:
         """Coefficient of the Maass lift at T (0 when T is not psd); raises
-        ValueError when two_det(T) > L."""
+        ValueError when two_det(T) is past the end of R."""
         return self.class_coeff(T.class_key()) if T.is_psd() else Fraction(0)
 
     def class_coeff(self, key: tuple[int, int]) -> Fraction:
         """Coefficient of the Maass lift at every psd T of class key =
-        T.class_key(); raises ValueError when two_det > L."""
+        T.class_key(); raises ValueError when two_det is past the end of R."""
         if key == (0, 0):
             return self.const
         td, eps = key
@@ -89,7 +88,7 @@ class MaassTable:
 
 def maass_lift(table: MaassTable, N: int):
     """The Maass lift of table on the depth-N box as a FourierExpansion, each
-    class evaluated once; needs L >= 2*N^2, the largest two_det in the box."""
+    class evaluated once; R must reach 2*N^2, the largest two_det in the box."""
     from .fexp import FourierExpansion
 
     _check_weight(table.weight)
@@ -108,8 +107,7 @@ def g_constant(k: int) -> Fraction:
     return -_star_q1(k) * bernoulli(k) / (4 * k)
 
 
-@lru_cache(maxsize=None)
-def eisenstein_table(k: int, L: int) -> MaassTable:
+def _eisenstein_table(k: int, L: int) -> MaassTable:
     """Closed-form table of the weight-k Eisenstein series, constant term 1:
     R(0) = -2k/B_k and
     R(l) = (sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4)) / g_constant(k)."""
@@ -123,15 +121,14 @@ def eisenstein_table(k: int, L: int) -> MaassTable:
     return MaassTable(k, Fraction(1), R)
 
 
-def _product_row(f: MaassTable, g: MaassTable) -> tuple[Fraction, ...]:
-    """The first Fourier-Jacobi row of the product fg, up to the shorter
-    row's L: the n1 + n2 = 1 part of the box convolution, as (1, m, t) splits
-    only as (0, j, 0) + (1, m - j, t) or the reverse, so
-    R(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with
+def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
+    """The first Fourier-Jacobi row of the product fg up to l = L, reading
+    each factor's row only that far: the n1 + n2 = 1 part of the box
+    convolution, as (1, m, t) splits only as (0, j, 0) + (1, m - j, t) or the
+    reverse, so R(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with
     f0(j) = f.class_coeff((0, j)) the restriction of f and g0 that of g.
     Exact whether or not fg lies in the Maass space, as f and g do."""
     Rf, Rg = f.R, g.R
-    L = min(len(Rf), len(Rg)) - 1
     f0 = [f.class_coeff((0, j)) for j in range(L // 2 + 1)]
     g0 = [g.class_coeff((0, j)) for j in range(L // 2 + 1)]
     return tuple(
@@ -140,36 +137,32 @@ def _product_row(f: MaassTable, g: MaassTable) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def _g_table(k: int, L: int) -> MaassTable:
     """Table of g_constant(k) times the weight-k Eisenstein series: at any T
     with eps(T) = 1 and two_det(T) = l > 0 its coefficient is the integer
     sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
     c = g_constant(k)
-    return MaassTable(k, c, tuple(c * a for a in eisenstein_table(k, L).R))
+    return MaassTable(k, c, tuple(c * a for a in form_table(f"E{k}H", L).R[: L + 1]))
 
 
-@lru_cache(maxsize=None)
 def _x10_table(L: int) -> MaassTable:
-    e = eisenstein_table
+    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 10)}
     c = Fraction(17, 161280)
-    R = zip(_product_row(e(4, L), e(6, L)), e(10, L).R)
+    R = zip(_product_row(e[4], e[6], L), e[10].R)
     return MaassTable(10, Fraction(0), tuple(c * (a - b) for a, b in R))
 
 
-@lru_cache(maxsize=None)
 def _x12_table(L: int) -> MaassTable:
     """(441/691 E4^3 + 250/691 E6^2 - E12) * 21421/203212800, with E4^3
     read as E8 E4 (E8 = E4^2 spans the weight-8 forms)."""
-    e = eisenstein_table
+    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8, 12)}
     c, u, v = Fraction(21421, 203212800), Fraction(441, 691), Fraction(250, 691)
-    R = zip(_product_row(e(8, L), e(4, L)), _product_row(e(6, L), e(6, L)), e(12, L).R)
+    R = zip(_product_row(e[8], e[4], L), _product_row(e[6], e[6], L), e[12].R)
     return MaassTable(12, Fraction(0), tuple(c * (u * a + v * b - z) for a, b, z in R))
 
 
-@lru_cache(maxsize=None)
 def _x14_table(L: int) -> MaassTable:
-    R = _product_row(eisenstein_table(4, L), _x10_table(L))
+    R = _product_row(form_table("E4H", L), form_table("X10", L), L)
     return MaassTable(14, Fraction(0), R)
 
 
@@ -179,25 +172,34 @@ def x14_closed(T: TMatrix) -> Fraction:
     row."""
     if T.rank() != 2:
         raise ValueError(f"closed form needs rank 2, got {T}")
-    return _x14_table(T.two_det()).coeff(T)
+    return form_table("X14", T.two_det()).coeff(T)
 
 
 _FORM_RE = re.compile(r"([EG])(\d+)H", re.IGNORECASE)
 _CUSP_TABLES = {"X10": _x10_table, "X12": _x12_table, "X14": _x14_table}
+_TABLES: dict[str, MaassTable] = {}
 
 
 def form_table(name: str, L: int) -> MaassTable:
-    """Table up to l = L of a named form: X10, X12, X14, E<k>H or G<k>H."""
+    """The one table of a named form, X10, X12, X14, E<k>H or G<k>H ("E04H"
+    and " e4h " name E4H), reaching at least l = L. A shorter table is
+    replaced by the form built at exactly L: a cusp row costs O(L^2), so
+    building past L would cost more than the request needs."""
     key = name.strip().upper()
-    if key in _CUSP_TABLES:
-        return _CUSP_TABLES[key](L)
-    m = _FORM_RE.fullmatch(key)
-    if m:
+    build, args = _CUSP_TABLES.get(key), ()
+    if build is None:
+        m = _FORM_RE.fullmatch(key)
+        if not m:
+            raise ValueError(
+                f"unknown form {name!r}: expected X10, X12, X14, E<k>H or G<k>H"
+            )
         k = int(m.group(2))
-        return eisenstein_table(k, L) if m.group(1) == "E" else _g_table(k, L)
-    raise ValueError(
-        f"unknown form {name!r}: expected X10, X12, X14, E<k>H or G<k>H"
-    )
+        key, args = f"{m.group(1)}{k}H", (k,)
+        build = _eisenstein_table if m.group(1) == "E" else _g_table
+    table = _TABLES.get(key)
+    if table is None or len(table.R) <= L:
+        table = _TABLES[key] = build(*args, L)
+    return table
 
 
 def build_form(name: str, N: int):

@@ -6,34 +6,34 @@ the two factors; all arithmetic is exact.
 
 The level-1 generators E4 and E6 (constant term 1) are not stated here: they
 are the Siegel restrictions of the Eisenstein tables, read from the lift as
-forms.eisenstein_table(w, 0).class_coeff((0, j)), the reading build_chi
+forms.form_table(f"E{w}H", 0).class_coeff((0, j)), the reading build_chi
 uses for the restriction of G. This module only forms their monomials and
 writes a series in them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import eisenstein_table
+from .forms import form_table
 
 __all__ = ["QSeries", "e4_e6_monomials", "express_in_e4_e6"]
 
 
-@dataclass(frozen=True)
 class QSeries:
     """Truncated q-expansion of a (formal) modular form of the given weight."""
 
-    weight: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("weight", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+    def __init__(self, weight: int, coeffs):
+        self.weight = weight
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("QSeries: need at least the constant coefficient")
+
+    def __eq__(self, other):
+        same = isinstance(other, QSeries) and self.weight == other.weight
+        return same and self.coeffs == other.coeffs
 
     @property
     def prec(self) -> int:
@@ -97,7 +97,7 @@ def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], QSeries]:
         return out
     e4, e6 = (
         QSeries(E.weight, tuple(E.class_coeff((0, j)) for j in range(prec + 1)))
-        for E in (eisenstein_table(4, 0), eisenstein_table(6, 0))
+        for E in (form_table("E4H", 0), form_table("E6H", 0))
     )
     one = QSeries(0, (Fraction(1),) + (Fraction(0),) * prec)
     for b in range(k // 6 + 1):

@@ -18,13 +18,13 @@ from box_oracle import (
     tau_star,
     whole_box,
 )
+from qmf import forms
 from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
     _product_row,
     build_form,
-    eisenstein_table,
     form_table,
     g_constant,
     maass_lift,
@@ -68,7 +68,7 @@ def test_eisenstein_h_invalid_weight():
         with pytest.raises(ValueError):
             E(k, 1)
         with pytest.raises(ValueError):
-            eisenstein_table(k, 2)
+            form_table(f"E{k}H", 2)
 
 
 def test_g_constant_frozen():
@@ -139,13 +139,20 @@ def test_maass_lift_tau_star_is_x14():
     assert maass_lift(table, N) == ring_x14(N)
 
 
+def short_table(name, L):
+    """The named form's table cut to reach exactly l = L, however long the
+    shared table is."""
+    table = form_table(name, L)
+    return MaassTable(table.weight, table.const, table.R[: L + 1])
+
+
 def test_maass_lift_rejects_short_table():
     with pytest.raises(ValueError):
-        maass_lift(eisenstein_table(4, 7), 2)
+        maass_lift(short_table("E4H", 7), 2)
 
 
 def test_table_coeff_raises_past_its_bound():
-    table = form_table("X10", 7)
+    table = short_table("X10", 7)
     assert table.coeff(parse_tmatrix("2,2,1,1,0,0")) == table.R[7]  # two_det 7
     with pytest.raises(ValueError):
         table.coeff(parse_tmatrix("2,2,0,0,0,0"))  # two_det 8
@@ -159,7 +166,7 @@ def test_e4_e6_tables_integral():
     # chi = G - p * P(E4H, E6H) is p-integral once P is, because of this;
     # build_chi's certificate rests on it
     for k in (4, 6):
-        table = eisenstein_table(k, 400)
+        table = form_table(f"E{k}H", 400)
         assert all(table.class_coeff((0, j)).denominator == 1 for j in range(201))
         R = table.R
         assert R[0].denominator == 1 and R[1].denominator == 1
@@ -169,9 +176,16 @@ def test_e4_e6_tables_integral():
             assert R[ell] == R[1] * singular
 
 
+def row_to_400(name):
+    """The first 401 entries of the named form's row, read from a table built
+    past l = 400, so they are the same whatever was built before."""
+    R = form_table(name, 420).R
+    assert len(R) > 401, name
+    return R[:401]
+
+
 def test_x14_table_is_tau_star():
-    R = form_table("X14", 400).R
-    assert R == tuple(tau_star(ell) for ell in range(401))
+    assert row_to_400("X14") == tuple(tau_star(ell) for ell in range(401))
 
 
 @pytest.mark.parametrize(
@@ -198,8 +212,9 @@ def test_table_product_matches_box_product_restriction():
     # (E4^3 and E6^2 lie outside the weight-12 Maass space) is still the
     # product's, as both factors, E8 = E4^2 and E4 or E6 and E6, lie in it
     N = 3
-    e = {k: eisenstein_table(k, 2 * N * N) for k in (4, 6, 8)}
-    rows = {(3, 0): _product_row(e[8], e[4]), (0, 2): _product_row(e[6], e[6])}
+    L = 2 * N * N
+    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8)}
+    rows = {(3, 0): _product_row(e[8], e[4], L), (0, 2): _product_row(e[6], e[6], L)}
     for (a, b), row in rows.items():
         box = monomial_h(a, b, N)
         for T in whole_box(N):
@@ -216,20 +231,20 @@ def test_table_restriction_is_the_lifts():
     # a table stores no restriction: it is read from the lift, and is the
     # elliptic Eisenstein series for E<k>H and, for a product lying in the
     # Maass space, the product of the factors' restrictions
-    e = {k: eisenstein_table(k, 200) for k in (4, 6, 8, 10, 12)}
+    e = {k: form_table(f"E{k}H", 200) for k in (4, 6, 8, 10, 12)}
     for k, table in e.items():
         assert restriction(table, 100) == eisenstein_q(k, 100)
     x10 = form_table("X10", 200)
     assert restriction(x10, 100).is_zero()
     for f, g in ((e[4], e[6]), (e[4], e[4]), (e[4], x10)):
-        fg = MaassTable(f.weight + g.weight, f.const * g.const, _product_row(f, g))
+        fg = MaassTable(f.weight + g.weight, f.const * g.const, _product_row(f, g, 200))
         assert restriction(fg, 100) == restriction(f, 100) * restriction(g, 100)
     # E8 spans the weight-8 forms, so X12 may read E4^3 as E8 E4
-    e4 = eisenstein_table(4, 400)
-    assert _product_row(e4, e4) == eisenstein_table(8, 400).R
+    e4 = form_table("E4H", 400)
+    assert _product_row(e4, e4, 400) == row_to_400("E8H")
 
 
-# sha256 of repr(form_table(name, 400).R) for the rows past the l <= 32 the
+# sha256 of repr(form_table(name, 400).R[:401]) for the rows past the l <= 32 the
 # box oracle reaches, recorded from tables that multiplied stored q-series
 # restrictions, so they check the restrictions read from the lifts
 ROW_SHA256 = {
@@ -244,9 +259,55 @@ ROW_SHA256 = {
 
 def test_rows_to_400_frozen():
     for name, want in ROW_SHA256.items():
-        R = form_table(name, 400).R
-        assert len(R) == 401, name
+        R = row_to_400(name)
         assert hashlib.sha256(repr(R).encode()).hexdigest() == want, name
+
+
+def counted(monkeypatch, name):
+    """An empty table cache whose builds of the named cusp form are listed,
+    by the L each is built at, in the returned list."""
+    monkeypatch.setattr(forms, "_TABLES", {})
+    build, built = forms._CUSP_TABLES[name], []
+    monkeypatch.setitem(forms._CUSP_TABLES, name, lambda L: built.append(L) or build(L))
+    return built
+
+
+def test_form_table_is_one_table_per_form(monkeypatch):
+    built = counted(monkeypatch, "X10")
+    e4 = form_table("E4H", 6)
+    assert all(form_table(name, 6) is e4 for name in ("E04H", " e4h ", "e4H"))
+    g10 = form_table("G10H", 6)
+    assert form_table(" g010h", 3) is g10
+    x10 = form_table("X10", 20)
+    assert form_table(" x10 ", 20) is x10
+    assert sorted(forms._TABLES) == ["E10H", "E4H", "E6H", "G10H", "X10"]
+    # a shorter request reads the longer table and builds nothing
+    assert form_table("X10", 12) is x10 and form_table("X10", 0) is x10
+    assert built == [20]
+    # a longer one builds the form at exactly L, in place of the old table
+    longer = form_table("X10", 30)
+    assert built == [20, 30] and forms._TABLES["X10"] is longer
+    assert len(longer.R) == 31 and longer.R[:21] == x10.R
+
+
+def test_form_table_caches_nothing_it_cannot_build(monkeypatch):
+    monkeypatch.setattr(forms, "_TABLES", {})
+    for bad in ("E3H", "G2H", "E7H", "X11", "E4", ""):
+        with pytest.raises(ValueError):
+            form_table(bad, 4)
+    assert forms._TABLES == {}
+
+
+def test_nearby_x14_reads_build_each_row_once(monkeypatch):
+    # two_det 40, 42 and 38 in one process: the third read is answered by
+    # the second's table, and each factor is held once
+    built = counted(monkeypatch, "X14")
+    for text in ("4,5,0,0,0,0", "3,7,0,0,0,0", "1,19,0,0,0,0"):
+        T = parse_tmatrix(text)
+        assert x14_closed(T) == tau_star(T.two_det())
+    assert built == [40, 42]
+    assert sorted(forms._TABLES) == ["E10H", "E4H", "E6H", "X10", "X14"]
+    assert len(forms._TABLES["X14"].R) == 43
 
 
 def test_cusp_forms_normalized_cuspidal_integral():
@@ -371,7 +432,7 @@ def test_x14_is_e4_times_x10():
 def test_build_form_registry():
     assert build_form("X10", 1) == maass_lift(form_table("X10", 2), 1)
     assert build_form("x12", 1) == build_form("X12", 1)
-    assert build_form("E4H", 1) == maass_lift(eisenstein_table(4, 2), 1)
+    assert build_form("E4H", 1) == maass_lift(form_table("E4H", 2), 1)
     assert build_form("g10h", 1) == G(10, 1)
     assert build_form("G20H", 1).weight == 20
     for bad in ("X11", "E4", "H4E", "G0H", "", "X14Y"):

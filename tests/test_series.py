@@ -9,14 +9,14 @@ import pytest
 
 from box_oracle import eisenstein_q, eta24_oracle, tau, tau_star
 from qmf.exactnum import bernoulli, ord_p, sigma
-from qmf.forms import eisenstein_table, form_table
+from qmf.forms import form_table
 from qmf.series import QSeries, e4_e6_monomials, express_in_e4_e6
 
 
 def restricted_e(k, prec):
     """The library's E_k: the Siegel restriction of the weight-k Eisenstein
     table, read from its lift."""
-    E = eisenstein_table(k, 0)
+    E = form_table(f"E{k}H", 0)
     return QSeries(k, tuple(E.class_coeff((0, j)) for j in range(prec + 1)))
 
 
