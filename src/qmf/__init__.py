@@ -14,7 +14,6 @@ __all__ = [
     "CongCheck",
     "FourierExpansion",
     "MaassTable",
-    "QSeries",
     "QuatCoord",
     "TMatrix",
     "bernoulli",
@@ -36,7 +35,6 @@ _HOME = {
     "CongCheck": "congr",
     "FourierExpansion": "fexp",
     "MaassTable": "forms",
-    "QSeries": "series",
     "QuatCoord": "quatlat",
     "TMatrix": "tmat",
     "bernoulli": "exactnum",

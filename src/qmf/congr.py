@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
 from .forms import _check_weight, _star_q1, form_table
-from .series import QSeries, e4_e6_monomials, express_in_e4_e6
+from .series import e4_e6_monomials, express_in_e4_e6
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -195,21 +195,21 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
             f"monomials in E4 and E6), got depth {N}"
         )
     G = form_table(f"G{k}H", 2 * N * N)
-    phi = QSeries(k, tuple(G.class_coeff((0, j)) for j in range(N + 1)))
-    f = phi.scale(Fraction(1, p))
-    if any(c.denominator % p == 0 for c in f.coeffs):
+    phi = [G.class_coeff((0, j)) for j in range(N + 1)]
+    f = [c / p for c in phi]
+    if any(c.denominator % p == 0 for c in f):
         raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")
-    poly = express_in_e4_e6(f.truncate(d - 1))
+    poly = express_in_e4_e6(k, f[:d])
     if any(ord_p(c, p) < 0 for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
     for ab, c in poly.items():
-        phi = phi - monomials[ab].scale(p * c)
+        phi = [x - p * c * y for x, y in zip(phi, monomials[ab])]
     # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
     # (checked above) and E4H, E6H are integral. So chi(T) is p-integral
     # exactly where G(T) is, and then chi(T) ≡ G(T) mod p: sweeping G
     # against itself gives the status, witness and count of G against chi.
     congruence = cong_mod(G.class_coeff, G.class_coeff, p, N)
-    return ChiReport(k, p, N, poly, phi.is_zero(), congruence)
+    return ChiReport(k, p, N, poly, not any(phi), congruence)
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.
@@ -281,13 +281,13 @@ def _kronecker_table(p: int, N: int) -> list[int]:
     return [kronecker(-p, l) for l in range(2 * N * N + 1)]
 
 
-def _nonresidue_sweep(a, p: int, N: int, witnesses: list) -> int:
+def _nonresidue_sweep(a, p: int, chi: list[int], N: int, witnesses: list) -> int:
     """Append a witness for every box index T with kronecker(-p, two_det(T))
     = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked.
 
-    a maps a class key to the coefficient of its class; the keyed walk runs
-    only to list the indices of the classes that fail, as text."""
-    chi = _kronecker_table(p, N)
+    a maps a class key to the coefficient of its class and chi is
+    _kronecker_table(p, N); the keyed walk runs only to list the indices of
+    the classes that fail, as text."""
     counts = class_counts(N)
     nonresidue = [key for key in counts if chi[key[0]] == -1]
     bad = set()
@@ -307,10 +307,9 @@ def verify_mod23(N: int) -> Verdict:
     twisted-theta corollary: a(T) two_det(T) kronecker(-23, two_det(T)) ≡
     a(T) two_det(T) mod 23."""
     a = form_table("X14", 2 * N * N).class_coeff
-    witnesses: list = []
-    checked = _nonresidue_sweep(a, 23, N, witnesses)
-
     chi = _kronecker_table(23, N)
+    witnesses: list = []
+    checked = _nonresidue_sweep(a, 23, chi, N, witnesses)
 
     def twisted(key):
         td = key[0]
@@ -336,7 +335,7 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
         raise ValueError(f"2k-5 = {p} is composite, theorem does not apply")
     witnesses: list = []
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
-    checked = _nonresidue_sweep(G, p, N, witnesses)
+    checked = _nonresidue_sweep(G, p, _kronecker_table(p, N), N, witnesses)
     half = (p - 1) // 2
     for ell in range(1, _SIGMA_SWEEP + 1):
         if kronecker(-p, ell) != -1:

@@ -29,15 +29,15 @@ from qmf.exactnum import bernoulli, is_prime, kronecker, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import build_form
 from qmf.quatlat import ZERO_QUAT, QuatCoord
-from qmf.series import QSeries, express_in_e4_e6
+from qmf.series import express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
 
 
 def eisenstein_q(k, prec):
-    """The weight-k level-1 Eisenstein series to q^prec, constant term 1:
-    1 - (2k/B_k) sum sigma_(k-1)(n) q^n."""
+    """The weight-k level-1 Eisenstein series to q^prec as a coefficient
+    tuple, constant term 1: 1 - (2k/B_k) sum sigma_(k-1)(n) q^n."""
     c = Fraction(-2 * k) / bernoulli(k)
-    return QSeries(k, (1,) + tuple(c * sigma(k - 1, n) for n in range(1, prec + 1)))
+    return (Fraction(1),) + tuple(c * sigma(k - 1, n) for n in range(1, prec + 1))
 
 
 def eta24_oracle(prec):
@@ -188,11 +188,8 @@ def _int_blocks(f):
 
 
 def siegel_phi(f):
-    """Restriction to degree 1: the q-series of coefficients a((n, 0, 0))."""
-    return QSeries(
-        f.weight,
-        tuple(f.coeff(TMatrix(n, 0, ZERO_QUAT)) for n in range(f.N + 1)),
-    )
+    """Restriction to degree 1: the coefficient tuple of a((n, 0, 0)), n <= N."""
+    return tuple(f.coeff(TMatrix(n, 0, ZERO_QUAT)) for n in range(f.N + 1))
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +240,7 @@ def ring_chi(k, p, N, G=None):
     if G is None:
         G = build_form(f"G{k}H", N)
     d = sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
-    poly = express_in_e4_e6(siegel_phi(G).scale(Fraction(1, p)).truncate(d - 1))
+    poly = express_in_e4_e6(k, tuple(Fraction(c, p) for c in siegel_phi(G)[:d]))
     lift = zero(k, N)
     for (a, b), c in poly.items():
         lift = add(lift, scale(monomial_h(a, b, N), c))
@@ -294,7 +291,7 @@ def ramanujan_verdict(k, p, N):
     G = FourierExpansion(k, N, {T: g.coeff(T) for T in whole_box(N)})
     chi = ring_chi(k, p, N, G)
     witnesses = []
-    if not siegel_phi(chi).is_zero():
+    if any(siegel_phi(chi)):
         witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
     cert = cong_mod(G.coeff, chi.coeff, p, N)
     witnesses += _failed(cert, f"g_h({k}) ≡ chi mod {p}")

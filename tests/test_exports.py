@@ -53,8 +53,9 @@ def test_exports_load_lazily():
 
 
 # Second statements of tau and E_k, removed: tau* is the X14 row and E_k the
-# Siegel restriction of the Eisenstein table.
-REMOVED = ("tau", "tau_star", "delta_q", "eisenstein_q")
+# Siegel restriction of the Eisenstein table. QSeries, a second representation
+# of a q-series, removed: a q-series is a tuple of Fraction coefficients.
+REMOVED = ("tau", "tau_star", "delta_q", "eisenstein_q", "QSeries")
 
 
 def test_removed_series_names_stay_removed():

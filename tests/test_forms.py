@@ -30,7 +30,7 @@ from qmf.forms import (
     maass_lift,
     x14_closed,
 )
-from qmf.series import QSeries
+from qmf.series import _mul
 from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -224,7 +224,7 @@ def test_table_product_matches_box_product_restriction():
 
 def restriction(table, J):
     """The Siegel restriction of table's lift, a((j, 0, 0)) for j <= J."""
-    return QSeries(table.weight, tuple(table.class_coeff((0, j)) for j in range(J + 1)))
+    return tuple(table.class_coeff((0, j)) for j in range(J + 1))
 
 
 def test_table_restriction_is_the_lifts():
@@ -235,10 +235,10 @@ def test_table_restriction_is_the_lifts():
     for k, table in e.items():
         assert restriction(table, 100) == eisenstein_q(k, 100)
     x10 = form_table("X10", 200)
-    assert restriction(x10, 100).is_zero()
+    assert not any(restriction(x10, 100))
     for f, g in ((e[4], e[6]), (e[4], e[4]), (e[4], x10)):
         fg = MaassTable(f.weight + g.weight, f.const * g.const, _product_row(f, g, 200))
-        assert restriction(fg, 100) == restriction(f, 100) * restriction(g, 100)
+        assert restriction(fg, 100) == _mul(restriction(f, 100), restriction(g, 100))
     # E8 spans the weight-8 forms, so X12 may read E4^3 as E8 E4
     e4 = form_table("E4H", 400)
     assert _product_row(e4, e4, 400) == row_to_400("E8H")
@@ -319,7 +319,7 @@ def test_cusp_forms_normalized_cuspidal_integral():
         assert all(T.rank() == 2 for T in f.support())
         # integral: every coefficient is an integer
         assert all(c.denominator == 1 for _, c in f.items())
-        assert siegel_phi(f).is_zero()
+        assert not any(siegel_phi(f))
 
 
 def test_cusp_form_frozen_rows():

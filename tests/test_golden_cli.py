@@ -90,6 +90,11 @@ def _verify_commands():
     for k, p in (("16", "43"), ("16", "127"), ("18", "257"), ("18", "3617"),
                  ("20", "73"), ("20", "43867")):
         yield ["verify", "ramanujan", "--k", k, "--p", p, "--depth", "2"]
+    # 3 and 4 monomials in E4 and E6: elimination sizes the pairs above miss
+    yield ["verify", "ramanujan", "--k", "24", "--p", "89", "--depth", "2"]
+    yield ["verify", "ramanujan", "--k", "28", "--p", "2731", "--depth", "2"]
+    yield ["verify", "ramanujan", "--k", "36", "--p", "43691", "--depth", "3"]
+    yield ["verify", "ramanujan", "--k", "24", "--p", "89", "--depth", "1"]
     yield ["verify", "ramanujan", "--k", "12", "--p", "31", "--depth", "0"]
     yield ["verify", "theta", "--depth", "5"]
     yield ["verify", "mod23", "--depth", "5"]

@@ -1,6 +1,7 @@
 """The certificate's elliptic algebra: E4 and E6 read from the Eisenstein
 tables, tau from the X14 row, both against frozen values and the oracles'
-sigma formula and eta product; the basis algebra."""
+sigma formula and eta product; the product of coefficient tuples and the
+basis algebra."""
 
 import random
 from fractions import Fraction
@@ -10,19 +11,19 @@ import pytest
 from box_oracle import eisenstein_q, eta24_oracle, tau, tau_star
 from qmf.exactnum import bernoulli, ord_p, sigma
 from qmf.forms import form_table
-from qmf.series import QSeries, e4_e6_monomials, express_in_e4_e6
+from qmf.series import _mul, e4_e6_monomials, express_in_e4_e6
 
 
 def restricted_e(k, prec):
     """The library's E_k: the Siegel restriction of the weight-k Eisenstein
     table, read from its lift."""
     E = form_table(f"E{k}H", 0)
-    return QSeries(k, tuple(E.class_coeff((0, j)) for j in range(prec + 1)))
+    return tuple(E.class_coeff((0, j)) for j in range(prec + 1))
 
 
 def delta_q(prec):
     """The weight-12 cusp form, with the oracle's tau as coefficients."""
-    return QSeries(12, tuple(Fraction(tau(n)) for n in range(prec + 1)))
+    return tuple(Fraction(tau(n)) for n in range(prec + 1))
 
 
 TAU_FROZEN = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
@@ -31,13 +32,11 @@ TAU_FROZEN = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 def test_eisenstein_q_frozen():
     for e_q in (restricted_e, eisenstein_q):
         e4 = e_q(4, 8)
-        assert [e4.coeff(n) for n in range(9)] == [
-            1, 240, 2160, 6720, 17520, 30240, 60480, 82560, 140400]
-        e6 = e_q(6, 3)
-        assert [e6.coeff(n) for n in range(4)] == [1, -504, -16632, -122976]
+        assert e4 == (1, 240, 2160, 6720, 17520, 30240, 60480, 82560, 140400)
+        assert e_q(6, 3) == (1, -504, -16632, -122976)
         e10 = e_q(10, 2)
-        assert e10.coeff(1) == -264
-        assert e10.coeff(2) == -264 * sigma(9, 2)
+        assert e10[1] == -264
+        assert e10[2] == -264 * sigma(9, 2)
 
 
 def test_eisenstein_q_matches_bernoulli_normalization():
@@ -45,7 +44,7 @@ def test_eisenstein_q_matches_bernoulli_normalization():
         e = restricted_e(k, 6)
         c = Fraction(-2 * k) / bernoulli(k)
         for n in range(1, 7):
-            assert e.coeff(n) == c * sigma(k - 1, n)
+            assert e[n] == c * sigma(k - 1, n)
         assert e == eisenstein_q(k, 6)
     # the certificate's generators are these restrictions
     assert e4_e6_monomials(4, 30) == {(1, 0): eisenstein_q(4, 30)}
@@ -92,101 +91,104 @@ def test_tau_star_frozen():
 def test_delta_identity_with_eisenstein():
     # E4^3 - E6^2 = 1728 Delta, from the certificate's own monomials
     mons = e4_e6_monomials(12, 16)
-    lhs = mons[(3, 0)] - mons[(0, 2)]
     d = delta_q(16)
     for n in range(17):
-        assert lhs.coeff(n) == 1728 * d.coeff(n)
+        assert mons[(3, 0)][n] - mons[(0, 2)][n] == 1728 * d[n]
 
 
-def test_qseries_algebra():
+def power(f, n):
+    """f**n as a coefficient tuple, by repeated truncated products."""
+    out = (Fraction(1),) + (Fraction(0),) * (len(f) - 1)
+    for _ in range(n):
+        out = _mul(out, f)
+    return out
+
+
+def test_truncated_product():
     e4 = eisenstein_q(4, 10)
     e6 = eisenstein_q(6, 10)
-    assert (e4 * e6).weight == 10
-    assert (e4 * e6).prec == 10
-    assert e4 * e6 == e6 * e4
-    assert (e4 * e4) * e6 == e4 * (e4 * e6)
-    assert (e4 + e4) == e4.scale(2)
-    assert (e4 - e4).is_zero()
-    assert e4.scale(Fraction(1, 3)).coeff(1) == 80
+    assert _mul(e4, e6) == _mul(e6, e4) == eisenstein_q(10, 10)
+    assert _mul(_mul(e4, e4), e6) == _mul(e4, _mul(e4, e6))
+    assert power(e4, 0) == (1,) + (0,) * 10
+    # the product truncates to the shorter factor
     short = eisenstein_q(4, 5)
-    assert (e4 + short).prec == 5
-    with pytest.raises(ValueError):
-        e4 + e6  # weight mismatch
-    with pytest.raises(IndexError):
-        e4.coeff(11)
-    assert e4.truncate(4).prec == 4
-    with pytest.raises(ValueError):
-        e4.truncate(20)
+    assert _mul(e6, short) == _mul(short, e6) == eisenstein_q(10, 5)
+    assert _mul(e4, ()) == ()
 
 
 def test_express_frozen_cases():
-    e4 = eisenstein_q(4, 6)
-    assert express_in_e4_e6(e4) == {(1, 0): Fraction(1)}
-    e10 = eisenstein_q(10, 6)
-    assert express_in_e4_e6(e10) == {(1, 1): Fraction(1)}
-    e14 = eisenstein_q(14, 6)
-    assert express_in_e4_e6(e14) == {(2, 1): Fraction(1)}
-    d = delta_q(8)
-    assert express_in_e4_e6(d) == {
+    assert express_in_e4_e6(4, eisenstein_q(4, 6)) == {(1, 0): Fraction(1)}
+    assert express_in_e4_e6(10, eisenstein_q(10, 6)) == {(1, 1): Fraction(1)}
+    assert express_in_e4_e6(14, eisenstein_q(14, 6)) == {(2, 1): Fraction(1)}
+    assert express_in_e4_e6(12, delta_q(8)) == {
         (3, 0): Fraction(1, 1728),
         (0, 2): Fraction(-1, 1728),
     }
     # the classical two-term expression in weight 12
-    e12 = eisenstein_q(12, 8)
-    assert express_in_e4_e6(e12) == {
+    assert express_in_e4_e6(12, eisenstein_q(12, 8)) == {
         (3, 0): Fraction(441, 691),
         (0, 2): Fraction(250, 691),
     }
+
+
+# the weight-k monomials E4^a E6^b: 2, 3 and 4 unknowns to eliminate
+MONOMIALS = {
+    16: ((4, 0), (1, 2)),
+    24: ((6, 0), (3, 2), (0, 4)),
+    36: ((9, 0), (6, 2), (3, 4), (0, 6)),
+}
 
 
 def test_express_random_roundtrip():
     rng = random.Random(2)
     e4 = eisenstein_q(4, 10)
     e6 = eisenstein_q(6, 10)
-    mons = {
-        (4, 0): e4 * e4 * e4 * e4,
-        (1, 2): e4 * e6 * e6,
-    }
-    for _ in range(20):
-        coeffs = {
-            ab: Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
-            for ab in mons
-        }
-        f = QSeries(16, tuple(
-            sum(c * mons[ab].coeff(n) for ab, c in coeffs.items())
-            for n in range(11)
-        ))
-        got = express_in_e4_e6(f)
-        assert got == {ab: c for ab, c in coeffs.items() if c != 0}
+    for k, pairs in MONOMIALS.items():
+        mons = {(a, b): _mul(power(e4, a), power(e6, b)) for a, b in pairs}
+        assert e4_e6_monomials(k, 10) == mons
+        for _ in range(20):
+            coeffs = {
+                ab: Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
+                for ab in mons
+            }
+            f = tuple(
+                sum(c * mons[ab][n] for ab, c in coeffs.items()) for n in range(11)
+            )
+            got = express_in_e4_e6(k, f)
+            assert got == {ab: c for ab, c in coeffs.items() if c != 0}, k
 
 
 def test_express_rejects_non_span():
     e4 = eisenstein_q(4, 8)
-    perturbed = QSeries(4, tuple(
-        e4.coeff(n) + (1 if n == 5 else 0) for n in range(9)
-    ))
-    with pytest.raises(ValueError):
-        express_in_e4_e6(perturbed)
+    perturbed = tuple(c + (1 if n == 5 else 0) for n, c in enumerate(e4))
+    with pytest.raises(ValueError, match="residual mismatch at q\\^5"):
+        express_in_e4_e6(4, perturbed)
 
 
 def test_express_rejects_bad_weight_and_precision():
-    with pytest.raises(ValueError):
-        express_in_e4_e6(QSeries(5, (Fraction(1), Fraction(0))))
+    with pytest.raises(ValueError, match="no monomials"):
+        express_in_e4_e6(5, (Fraction(1), Fraction(0)))
     # weight-2 space is empty: only the zero series passes
-    assert express_in_e4_e6(QSeries(2, (Fraction(0), Fraction(0)))) == {}
-    with pytest.raises(ValueError):
-        express_in_e4_e6(QSeries(2, (Fraction(1), Fraction(0))))
-    with pytest.raises(ValueError):
-        express_in_e4_e6(QSeries(12, (Fraction(1),)))  # needs 2 coefficients
+    assert express_in_e4_e6(2, (Fraction(0), Fraction(0))) == {}
+    with pytest.raises(ValueError, match="no monomials"):
+        express_in_e4_e6(2, (Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match="need at least 1"):
+        express_in_e4_e6(12, (Fraction(1),))  # needs 2 coefficients
+    # a series has a constant term, in every weight
+    for k in (2, 4, 5):
+        with pytest.raises(ValueError, match="constant coefficient"):
+            express_in_e4_e6(k, ())
+    with pytest.raises(ValueError, match="constant coefficient"):
+        e4_e6_monomials(4, -1)
 
 
 def test_elliptic_weight12_congruence_mod_691():
     # classical pairing of the weight-12 Eisenstein and cusp coefficients
     prec = 20
-    g12 = eisenstein_q(12, prec).scale(-bernoulli(12) / 24)
+    g12 = tuple(-bernoulli(12) / 24 * c for c in eisenstein_q(12, prec))
     d = delta_q(prec)
     for n in range(prec + 1):
-        assert ord_p(g12.coeff(n) - d.coeff(n), 691) >= 1
-    assert g12.coeff(0) == Fraction(691, 65520)
+        assert ord_p(g12[n] - d[n], 691) >= 1
+    assert g12[0] == Fraction(691, 65520)
     for n in range(1, prec + 1):
-        assert g12.coeff(n) == sigma(11, n)
+        assert g12[n] == sigma(11, n)
