@@ -24,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma
+from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma_row
 from .forms import _check_weight, _star_q1, form_table
-from .series import e4_e6_monomials, express_in_e4_e6
+from .series import _express, e4_e6_monomials
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -199,7 +199,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     f = [c / p for c in phi]
     if any(c.denominator % p == 0 for c in f):
         raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")
-    poly = express_in_e4_e6(k, f[:d])
+    poly = _express(k, monomials, f[:d])
     if any(ord_p(c, p) < 0 for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
     for ab, c in poly.items():
@@ -336,12 +336,9 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     witnesses: list = []
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     checked = _nonresidue_sweep(G, p, _kronecker_table(p, N), N, witnesses)
-    half = (p - 1) // 2
-    for ell in range(1, _SIGMA_SWEEP + 1):
-        if kronecker(-p, ell) != -1:
-            continue
-        checked += 1
-        if sigma(half, ell) % p:
-            witnesses.append({"ell": ell, "sigma": str(sigma(half, ell))})
+    s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
+    sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if kronecker(-p, ell) == -1]
+    checked += len(sweep)
+    witnesses += [{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p]
     params = {"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP}
     return _verdict("eisenstein-nonresidue-vanishing", params, witnesses, checked)

@@ -3,13 +3,13 @@
 All arithmetic in this package is exact: rationals are `fractions.Fraction`
 over Python's arbitrary-precision integers, and nothing here ever touches a
 float (the sole exception is `math.inf`, returned by `ord_p` at zero so that
-valuation comparisons like ``ord_p(x, p) >= 1`` behave uniformly).
+valuation comparisons like ``ord_p(x, p) >= 1`` behave uniformly). Divisor
+sums come at one point (`sigma`) or as one sieved row (`sigma_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import comb, gcd, inf, isqrt
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "kronecker",
     "ord_p",
     "sigma",
+    "sigma_row",
 ]
 
 
@@ -43,9 +44,8 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-@cache
 def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n > 0, sorted ascending."""
+    """Positive divisors of n > 0, sorted ascending; not memoized."""
     if n <= 0:
         raise ValueError("divisors: argument must be positive")
     small = []
@@ -73,6 +73,15 @@ def sigma(m: int, ell) -> int:
     if not isinstance(ell, int) or ell <= 0:
         return 0
     return sum(d**m for d in divisors(ell))
+
+
+def sigma_row(m: int, L: int) -> list[int]:
+    """[sigma_m(l) for l = 0..L], sigma_m(0) = 0, sieved in O(L log L) adds."""
+    row = [0] * (L + 1)
+    for d in range(1, L + 1):
+        dm = d**m  # added to every multiple of d
+        row[d::d] = [x + dm for x in row[d::d]]
+    return row
 
 
 def kronecker(a: int, n: int) -> int:

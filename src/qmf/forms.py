@@ -5,8 +5,8 @@ it is fixed by its weight, its constant term and its first Fourier-Jacobi
 row R, a function of one variable. The coefficient at T != 0 is
 sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
 (Eichler-Zagier, The Theory of Jacobi Forms; Krieg on the Maass space for
-quaternionic modular forms of degree 2). Eisenstein series have closed-form
-tables. The cusp forms in weights 10, 12 and 14 are exact rational
+quaternionic modular forms of degree 2). One builder gives the closed-form
+Eisenstein tables. The cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
 the first Fourier-Jacobi rows of products, read by the one-variable product
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exactnum import bernoulli, divisors, sigma
+from .exactnum import bernoulli, divisors, sigma_row
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -107,18 +107,14 @@ def g_constant(k: int) -> Fraction:
     return -_star_q1(k) * bernoulli(k) / (4 * k)
 
 
-def _eisenstein_table(k: int, L: int) -> MaassTable:
-    """Closed-form table of the weight-k Eisenstein series, constant term 1:
-    R(0) = -2k/B_k and
-    R(l) = (sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4)) / g_constant(k)."""
-    cpos = 1 / g_constant(k)  # checks the weight before B_k is read
-    c0 = Fraction(-2 * k) / bernoulli(k)
-    twist = 2 ** (k - 2)
-    R = (c0,) + tuple(
-        cpos * (sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4)))
-        for ell in range(1, L + 1)
-    )
-    return MaassTable(k, Fraction(1), R)
+def _eisenstein_table(k: int, u: Fraction, L: int) -> MaassTable:
+    """Table of u times the weight-k Eisenstein series, E<k>H at u = 1 and
+    G<k>H at u = g_constant(k): R(0) = -2k u / B_k and R(l) = u S(l) /
+    g_constant(k), S(l) = sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4)."""
+    cpos = u / g_constant(k)  # checks the weight before B_k is read
+    s, twist = sigma_row(k - 3, L), 2 ** (k - 2)
+    S = (s[l] - twist * s[l // 4] if l % 4 == 0 else s[l] for l in range(1, L + 1))
+    return MaassTable(k, u, (-2 * k * u / bernoulli(k),) + tuple(cpos * x for x in S))
 
 
 def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
@@ -135,14 +131,6 @@ def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
         sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
         for l in range(L + 1)
     )
-
-
-def _g_table(k: int, L: int) -> MaassTable:
-    """Table of g_constant(k) times the weight-k Eisenstein series: at any T
-    with eps(T) = 1 and two_det(T) = l > 0 its coefficient is the integer
-    sigma_{k-3}(l) - 2^(k-2) sigma_{k-3}(l/4)."""
-    c = g_constant(k)
-    return MaassTable(k, c, tuple(c * a for a in form_table(f"E{k}H", L).R[: L + 1]))
 
 
 def _x10_table(L: int) -> MaassTable:
@@ -194,8 +182,8 @@ def form_table(name: str, L: int) -> MaassTable:
                 f"unknown form {name!r}: expected X10, X12, X14, E<k>H or G<k>H"
             )
         k = int(m.group(2))
-        key, args = f"{m.group(1)}{k}H", (k,)
-        build = _eisenstein_table if m.group(1) == "E" else _g_table
+        key, build = f"{m.group(1)}{k}H", _eisenstein_table
+        args = (k, Fraction(1) if m.group(1) == "E" else g_constant(k))
     table = _TABLES.get(key)
     if table is None or len(table.R) <= L:
         table = _TABLES[key] = build(*args, L)

@@ -68,8 +68,12 @@ def express_in_e4_e6(k: int, coeffs) -> dict[tuple[int, int], Fraction]:
     series not in the span at weight k) raises ValueError, as do an empty
     series and insufficient precision.
     """
+    return _express(k, e4_e6_monomials(k, len(coeffs) - 1), coeffs)
+
+
+def _express(k: int, monomials: dict, coeffs) -> dict[tuple[int, int], Fraction]:
+    """express_in_e4_e6 on weight-k monomials formed to at least coeffs' prec."""
     prec = len(coeffs) - 1
-    monomials = e4_e6_monomials(k, prec)
     if not monomials:
         if not any(coeffs):
             return {}

@@ -20,7 +20,7 @@ _hkey(t). For each (n, m) block it folds the ids once into class keys, so
 every index of the depth-N box is keyed by a list lookup, with no TMatrix
 built; iter_keyed views it one index at a time, and enumerate_psd lists it
 as index matrices. class_counts folds the same histogram keys, counted from
-Jacobi's four-square theorem instead of walked.
+Jacobi's r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import Counter
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .exactnum import divisors
+from .exactnum import sigma_row
 from .quatlat import ZERO_QUAT, QuatCoord, iter_dual
 
 __all__ = [
@@ -195,8 +195,8 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
     _hkey(t) (_class_key), so a histogram of those keys over the ball of
     radius 4N^2 folds into the counts.
 
-    Z^4 holds r4(r) = 8 * (sum of the divisors of r not divisible by 4)
-    vectors of norm r, of which P(r) = r4(r) - sum(P(r / g^2) for g >= 2
+    Z^4 holds r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) vectors of norm r, read
+    off one sigma_row, of which P(r) = r4(r) - sum(P(r / g^2) for g >= 2
     with g^2 | r) are primitive. Write t = g*u with g = gcd(t) and u
     primitive: as x = x^2 mod 2, s / g has the parity of norm(u), so t is
     dual exactly when g * norm(u) is even, and the histogram holds P(norm(u))
@@ -207,7 +207,8 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
         raise ValueError("class_counts: depth must be >= 0")
     R = 4 * N * N
     # prim[r] is r4(r), and P(r) once the loop below has passed r
-    prim = [0] + [8 * sum(d for d in divisors(r) if d % 4) for r in range(1, R + 1)]
+    s1 = sigma_row(1, R)
+    prim = [8 * x - (32 * s1[r // 4] if r % 4 == 0 else 0) for r, x in enumerate(s1)]
     hist = Counter({(0, 0, 0): 1})
     for u in range(1, R + 1):
         if not prim[u]:  # 8 | u: no primitive vector has this norm

@@ -15,6 +15,7 @@ from qmf.exactnum import (
     kronecker,
     ord_p,
     sigma,
+    sigma_row,
 )
 
 # classical table, checked against the von Staudt-Clausen test below
@@ -72,6 +73,13 @@ def test_sigma_frozen():
     assert sigma(3, 4) == 73
     assert sigma(0, 12) == 6  # number of divisors
     assert sigma(13, 1) == 1
+
+
+def test_sigma_row_is_sigma_at_each_l():
+    L = 2000
+    for m in range(14):
+        assert sigma_row(m, L) == [0] + [sigma(m, ell) for ell in range(1, L + 1)]
+        assert sigma_row(m, 0) == [0]
 
 
 def test_sigma_off_domain_is_zero():

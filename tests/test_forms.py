@@ -111,24 +111,42 @@ def test_g_h_primitive_coefficients_are_divisor_sums():
             assert g.coeff(T) == expected
 
 
+def eisenstein_row(k, L):
+    """The row of the weight-k Eisenstein series to l = L and the scalar cpos
+    with R(l) = cpos * S(l) for l > 0, rebuilt from first principles: the
+    singular series S(l) = sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4) from the
+    point function sigma, and R(0) = -2k/B_k."""
+    c0 = Fraction(-2 * k) / bernoulli(k)
+    cpos = Fraction(-4 * k * (k - 2)) / (
+        (2 ** (k - 2) - 1) * bernoulli(k) * bernoulli(k - 2)
+    )
+    S = [
+        sigma(k - 3, ell) - 2 ** (k - 2) * sigma(k - 3, Fraction(ell, 4))
+        for ell in range(1, L + 1)
+    ]
+    return (c0,) + tuple(cpos * x for x in S), cpos
+
+
 def test_maass_lift_reproduces_eisenstein():
     # the same singular series, rebuilt here from first principles
     N = 2
     for k in (4, 6, 10):
-        c0 = Fraction(-2 * k) / bernoulli(k)
-        cpos = Fraction(-4 * k * (k - 2)) / (
-            (2 ** (k - 2) - 1) * bernoulli(k) * bernoulli(k - 2)
-        )
-
-        def astar(ell, c0=c0, cpos=cpos, k=k):
-            if ell == 0:
-                return c0
-            return cpos * (
-                sigma(k - 3, ell) - 2 ** (k - 2) * sigma(k - 3, Fraction(ell, 4))
-            )
-
-        R = tuple(astar(ell) for ell in range(2 * N * N + 1))
+        R, _ = eisenstein_row(k, 2 * N * N)
         assert maass_lift(MaassTable(k, Fraction(1), R), N) == E(k, N)
+
+
+def test_eisenstein_rows_are_the_sigma_formula():
+    # E4H..E16H and G4H..G16H at every l <= 2000, constant terms included;
+    # every entry is a Fraction, so equal rows have equal reprs
+    L = 2000
+    for k in range(4, 18, 2):
+        R, cpos = eisenstein_row(k, L)
+        e, g = form_table(f"E{k}H", L), form_table(f"G{k}H", L)
+        assert (e.weight, e.const, g.weight, g.const) == (k, 1, k, 1 / cpos)
+        assert e.R[: L + 1] == R
+        assert g.R[: L + 1] == tuple(a / cpos for a in R)
+        entries = (e.const, g.const) + e.R + g.R
+        assert {type(a) for a in entries} == {Fraction}, k
 
 
 def test_maass_lift_tau_star_is_x14():
@@ -278,6 +296,8 @@ def test_form_table_is_one_table_per_form(monkeypatch):
     assert all(form_table(name, 6) is e4 for name in ("E04H", " e4h ", "e4H"))
     g10 = form_table("G10H", 6)
     assert form_table(" g010h", 3) is g10
+    # G<k>H is built from its own sigma row, not from an E<k>H table
+    assert "E10H" not in forms._TABLES
     x10 = form_table("X10", 20)
     assert form_table(" x10 ", 20) is x10
     assert sorted(forms._TABLES) == ["E10H", "E4H", "E6H", "G10H", "X10"]
