@@ -276,9 +276,9 @@ def verify_theta_cong(N: int) -> list[Verdict]:
     return out
 
 
-def _kronecker_table(p: int, N: int) -> list[int]:
-    """kronecker(-p, l) for every two_det value l = 0..2N^2 of the depth-N box."""
-    return [kronecker(-p, l) for l in range(2 * N * N + 1)]
+def _kronecker_table(p: int, L: int) -> list[int]:
+    """kronecker(-p, l) for l = 0..L (L = 2N^2 covers the depth-N box)."""
+    return [kronecker(-p, l) for l in range(L + 1)]
 
 
 def _nonresidue_sweep(a, p: int, chi: list[int], N: int, witnesses: list) -> int:
@@ -286,8 +286,8 @@ def _nonresidue_sweep(a, p: int, chi: list[int], N: int, witnesses: list) -> int
     = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked.
 
     a maps a class key to the coefficient of its class and chi is
-    _kronecker_table(p, N); the keyed walk runs only to list the indices of
-    the classes that fail, as text."""
+    _kronecker_table(p, L) for an L >= 2N^2; the keyed walk runs only to list
+    the indices of the classes that fail, as text."""
     counts = class_counts(N)
     nonresidue = [key for key in counts if chi[key[0]] == -1]
     bad = set()
@@ -307,7 +307,7 @@ def verify_mod23(N: int) -> Verdict:
     twisted-theta corollary: a(T) two_det(T) kronecker(-23, two_det(T)) ≡
     a(T) two_det(T) mod 23."""
     a = form_table("X14", 2 * N * N).class_coeff
-    chi = _kronecker_table(23, N)
+    chi = _kronecker_table(23, 2 * N * N)
     witnesses: list = []
     checked = _nonresidue_sweep(a, 23, chi, N, witnesses)
 
@@ -335,9 +335,10 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
         raise ValueError(f"2k-5 = {p} is composite, theorem does not apply")
     witnesses: list = []
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
-    checked = _nonresidue_sweep(G, p, _kronecker_table(p, N), N, witnesses)
+    chi = _kronecker_table(p, max(2 * N * N, _SIGMA_SWEEP))
+    checked = _nonresidue_sweep(G, p, chi, N, witnesses)
     s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
-    sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if kronecker(-p, ell) == -1]
+    sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if chi[ell] == -1]
     checked += len(sweep)
     witnesses += [{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p]
     params = {"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP}

@@ -45,26 +45,19 @@ def bernoulli(m: int) -> Fraction:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n > 0, sorted ascending; not memoized."""
-    if n <= 0:
-        raise ValueError("divisors: argument must be positive")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """Positive divisors of n > 0, sorted ascending, from factorize(n); not
+    memoized."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def sigma(m: int, ell) -> int:
     """Divisor power sum sigma_m(ell) = sum of d^m over d | ell.
 
-    Returns 0 whenever ell is not a positive integer (in particular for the
-    fractional arguments ell/4 that arise in level-4 coefficient formulas).
+    Returns 0 whenever ell is not a positive integer; a Fraction counts as
+    its numerator when its denominator is 1.
     """
     if isinstance(ell, Fraction):
         if ell.denominator != 1:

@@ -9,13 +9,15 @@ quaternionic modular forms of degree 2). One builder gives the closed-form
 Eisenstein tables. The cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
-the first Fourier-Jacobi rows of products, read by the one-variable product
-rule _product_row. A table is the form: callers read coefficients from it,
-and form_table holds one per form, the longest built so far, for callers
-and cusp rows alike. build_form lifts a table to a read-only
-FourierExpansion on a whole box, which the library never does arithmetic
-on; the tests multiply such boxes in their oracle for the tables. Only the
-lift imports fexp, so reading a table's coefficients loads no expansion code.
+the first Fourier-Jacobi rows of products, which _product_row reads from the
+factors as two products of truncated q-series. Those go through _mul, the
+library's one convolution; qmf.series forms the E4/E6 monomials with it. A
+table is the form: callers read coefficients from it, and form_table holds
+one per form, the longest built so far, for callers and cusp rows alike.
+build_form lifts a table to a read-only FourierExpansion on a whole box,
+which the library never does arithmetic on; the tests multiply such boxes
+in their oracle for the tables. Only the lift imports fexp, so reading a
+table's coefficients loads no expansion code.
 """
 
 from __future__ import annotations
@@ -107,30 +109,43 @@ def g_constant(k: int) -> Fraction:
     return -_star_q1(k) * bernoulli(k) / (4 * k)
 
 
-def _eisenstein_table(k: int, u: Fraction, L: int) -> MaassTable:
-    """Table of u times the weight-k Eisenstein series, E<k>H at u = 1 and
-    G<k>H at u = g_constant(k): R(0) = -2k u / B_k and R(l) = u S(l) /
-    g_constant(k), S(l) = sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4)."""
-    cpos = u / g_constant(k)  # checks the weight before B_k is read
+def _eisenstein_table(k: int, g: bool, L: int) -> MaassTable:
+    """Table of the weight-k Eisenstein series, E<k>H or, when g, G<k>H =
+    g_constant(k) E<k>H: with u its constant term, R(0) = -2k u / B_k and
+    R(l) = u S(l) / g_constant(k), with S(l) = sigma_(k-3)(l) - 2^(k-2)
+    sigma_(k-3)(l/4)."""
+    gk = g_constant(k)  # checks the weight before B_k is read
+    u, cpos = (gk, Fraction(1)) if g else (Fraction(1), 1 / gk)
     s, twist = sigma_row(k - 3, L), 2 ** (k - 2)
     S = (s[l] - twist * s[l // 4] if l % 4 == 0 else s[l] for l in range(1, L + 1))
     return MaassTable(k, u, (-2 * k * u / bernoulli(k),) + tuple(cpos * x for x in S))
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The product of two truncated q-series, to the shorter precision; a's
+    zero coefficients cost nothing, so the sparser factor goes first."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            out[i:] = [c + x * y for c, y in zip(out[i:], b)]
+    return tuple(out)
 
 
 def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
     """The first Fourier-Jacobi row of the product fg up to l = L, reading
     each factor's row only that far: the n1 + n2 = 1 part of the box
     convolution, as (1, m, t) splits only as (0, j, 0) + (1, m - j, t) or the
-    reverse, so R(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j), with
-    f0(j) = f.class_coeff((0, j)) the restriction of f and g0 that of g.
-    Exact whether or not fg lies in the Maass space, as f and g do."""
-    Rf, Rg = f.R, g.R
-    f0 = [f.class_coeff((0, j)) for j in range(L // 2 + 1)]
-    g0 = [g.class_coeff((0, j)) for j in range(L // 2 + 1)]
-    return tuple(
-        sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
-        for l in range(L + 1)
+    reverse, so R = phi_f(q^2) R_g + phi_g(q^2) R_f as q-series in l, with
+    phi_f(q^2) = sum_j f.class_coeff((0, j)) q^(2j) the restriction of f at
+    q^2 and phi_g(q^2) that of g. Exact whether or not fg lies in the Maass
+    space, as f and g do."""
+    # the restrictions at q^2 go first: _mul skips their zeros at odd powers
+    f2, g2 = (
+        tuple(0 if l % 2 else h.class_coeff((0, l // 2)) for l in range(L + 1))
+        for h in (f, g)
     )
+    return tuple(a + b for a, b in zip(_mul(f2, g.R), _mul(g2, f.R)))
 
 
 def _x10_table(L: int) -> MaassTable:
@@ -183,7 +198,7 @@ def form_table(name: str, L: int) -> MaassTable:
             )
         k = int(m.group(2))
         key, build = f"{m.group(1)}{k}H", _eisenstein_table
-        args = (k, Fraction(1) if m.group(1) == "E" else g_constant(k))
+        args = (k, m.group(1) == "G")
     table = _TABLES.get(key)
     if table is None or len(table.R) <= L:
         table = _TABLES[key] = build(*args, L)

@@ -1,8 +1,9 @@
 """The elliptic algebra of the Ramanujan certificate.
 
 A truncated q-series is a tuple of Fraction coefficients indexed 0..prec, the
-shape of a Maass table row; its weight is the caller's to carry. Products
-truncate to the shorter of the two factors; all arithmetic is exact.
+shape of a Maass table row; its weight is the caller's to carry. Products are
+forms._mul, the product of table rows, which truncates to the shorter of the
+two factors; all arithmetic is exact.
 
 The level-1 generators E4 and E6 (constant term 1) are not stated here: they
 are the Siegel restrictions of the Eisenstein tables, read from the lift as
@@ -15,21 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import form_table
+from .forms import _mul, form_table
 
 __all__ = ["e4_e6_monomials", "express_in_e4_e6"]
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    """The product of two truncated q-series, to the shorter precision."""
-    n = min(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j in range(n - i):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return tuple(out)
 
 
 def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], tuple]:

@@ -7,6 +7,9 @@ FourierExpansion container. The forms built with it multiply whole
 expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
+product_row states the table product rule one l at a time, as the oracle
+of forms._product_row, which reads it as two q-series products.
+
 The elliptic series below (eisenstein_q from the sigma formula, tau and
 tau_star from the 24th power of Euler's pentagonal series) are stated
 independently of the Eisenstein and X14 tables, whose Siegel restriction
@@ -185,6 +188,20 @@ def _int_blocks(f):
             (tuple(T.t), c.numerator * (den // c.denominator))
         )
     return blocks, den
+
+
+def product_row(f, g, L):
+    """The first Fourier-Jacobi row of the product of the tables f and g to
+    l = L, one l at a time: R(l) = sum_j f0(j) R_g(l - 2j) + R_f(l - 2j) g0(j),
+    f0 and g0 the factors' Siegel restrictions read from their lifts. It
+    shares no code with the library's q-series product."""
+    Rf, Rg = f.R, g.R
+    f0 = [f.class_coeff((0, j)) for j in range(L // 2 + 1)]
+    g0 = [g.class_coeff((0, j)) for j in range(L // 2 + 1)]
+    return tuple(
+        sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
+        for l in range(L + 1)
+    )
 
 
 def siegel_phi(f):

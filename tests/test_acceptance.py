@@ -26,8 +26,7 @@ from qmf.congr import (
     verify_mod23,
 )
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
-from qmf.forms import build_form, x14_closed
-from qmf.series import _mul
+from qmf.forms import _mul, build_form, x14_closed
 from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")

@@ -19,9 +19,8 @@ from box_oracle import (
 from box_oracle import cong_mod as oracle_cong_mod
 from qmf.congr import cong_mod
 from qmf.fexp import FourierExpansion
-from qmf.forms import MaassTable, build_form, form_table
+from qmf.forms import MaassTable, _mul, build_form, form_table
 from qmf.quatlat import QuatCoord
-from qmf.series import _mul
 from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")

@@ -12,6 +12,7 @@ from box_oracle import (
     eisenstein_q,
     monomial_h,
     mul,
+    product_row,
     ring_x14,
     scale,
     siegel_phi,
@@ -23,6 +24,7 @@ from qmf.exactnum import bernoulli, divisors, sigma
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
+    _mul,
     _product_row,
     build_form,
     form_table,
@@ -30,7 +32,6 @@ from qmf.forms import (
     maass_lift,
     x14_closed,
 )
-from qmf.series import _mul
 from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -240,6 +241,26 @@ def test_table_product_matches_box_product_restriction():
                 assert box.coeff(T) == row[T.two_det()], (a, b, T)
 
 
+def test_product_row_is_the_per_l_rule_and_the_box_products_row():
+    # any two tables, modular or not, at every L: the rule needs only that
+    # each factor is a Maass lift, which the lift of any row is
+    N = 3
+    e4, e6, x10 = (form_table(name, 41) for name in ("E4H", "E6H", "X10"))
+    bumped = MaassTable(6, Fraction(3, 7), tuple(x + l % 3 for l, x in enumerate(e6.R)))
+    spike = MaassTable(4, Fraction(0), (Fraction(0), Fraction(1)) + (Fraction(0),) * 40)
+    pairs = (
+        (e4, e6), (e4, x10), (x10, e4), (bumped, e4), (bumped, bumped), (spike, bumped)
+    )
+    for f, g in pairs:
+        for L in (0, 1, 2, 7, 18, 41):
+            assert _product_row(f, g, L) == product_row(f, g, L), (f.R[:3], L)
+        box = mul(maass_lift(f, N), maass_lift(g, N))
+        row = _product_row(f, g, 2 * N * N)
+        for T in whole_box(N):
+            if T.n == 1:
+                assert box.coeff(T) == row[T.two_det()], (f.R[:3], T)
+
+
 def restriction(table, J):
     """The Siegel restriction of table's lift, a((j, 0, 0)) for j <= J."""
     return tuple(table.class_coeff((0, j)) for j in range(J + 1))
@@ -308,6 +329,16 @@ def test_form_table_is_one_table_per_form(monkeypatch):
     longer = form_table("X10", 30)
     assert built == [20, 30] and forms._TABLES["X10"] is longer
     assert len(longer.R) == 31 and longer.R[:21] == x10.R
+
+
+def test_cached_g_table_read_reads_no_bernoulli(monkeypatch):
+    # g_constant (two Bernoulli reads) runs when a G<k>H table is built only
+    monkeypatch.setattr(forms, "_TABLES", {})
+    g10 = form_table("G10H", 6)
+    calls = []
+    monkeypatch.setattr(forms, "g_constant", lambda k: calls.append(k))
+    assert form_table("G10H", 6) is g10 and form_table(" g010h ", 2) is g10
+    assert calls == []
 
 
 def test_form_table_caches_nothing_it_cannot_build(monkeypatch):

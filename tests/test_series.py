@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from box_oracle import eisenstein_q, eta24_oracle, tau, tau_star
+from qmf import forms, series
 from qmf.exactnum import bernoulli, ord_p, sigma
-from qmf.forms import form_table
-from qmf.series import _mul, e4_e6_monomials, express_in_e4_e6
+from qmf.forms import _mul, form_table
+from qmf.series import e4_e6_monomials, express_in_e4_e6
 
 
 def restricted_e(k, prec):
@@ -114,6 +115,11 @@ def test_truncated_product():
     short = eisenstein_q(4, 5)
     assert _mul(e6, short) == _mul(short, e6) == eisenstein_q(10, 5)
     assert _mul(e4, ()) == ()
+
+
+def test_one_truncated_product():
+    # the certificate's monomials and the cusp rows share one convolution
+    assert series._mul is forms._mul
 
 
 def test_express_frozen_cases():
