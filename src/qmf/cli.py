@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from itertools import islice
+from operator import add
 
 from .forms import form_table
 from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
@@ -144,11 +145,12 @@ def _cmd_table(args) -> int:
     nothing and creates no --out file; its error names the first index in
     box order whose class fails. Then write the box a block at a time: each
     (n, m) block of keyed_walk maps the histogram id of a ball vector to its
-    row tail once, and each row is its block's prefix, the text of a vector
-    in the block's slice of the ball and that tail. A block's rows are
-    joined and written _CHUNK_ROWS at a time, one write per chunk whether or
-    not stdout is buffered. No TMatrix is built, and neither the box nor
-    more than a chunk of output is kept."""
+    row tail once, and its rows are the texts of the vectors of its
+    sub-ball, each followed by the tail of its id and preceded by the
+    block's prefix. The rows are formed by C-level maps and joined and
+    written _CHUNK_ROWS at a time, one write per chunk whether or not stdout
+    is buffered, with no Python frame per row. No TMatrix is built, and
+    neither the box nor more than a chunk of output is kept."""
     N = args.max
     _check_depth(N, "--max")
     counts = class_counts(N)
@@ -186,17 +188,17 @@ def _cmd_table(args) -> int:
     def write(fh):
         texts, ids, blocks = keyed_walk(N)
         fh.write(head)
-        for n, m, part, keys in blocks:
+        for n, m, pos, keys in blocks:
             # only T = 0, the one row of block (0, 0), has no separator
             prefix = (sep if n or m else "") + start.format(n, m)
             tails = [key and rest[key] for key in keys]
-            rows = (
-                prefix + t + tails[h]
-                for t, h in zip(texts[part], ids[part])
-                if tails[h]
+            rows = map(
+                add,
+                map(texts.__getitem__, pos),
+                map(tails.__getitem__, map(ids.__getitem__, pos)),
             )
-            while chunk := "".join(islice(rows, _CHUNK_ROWS)):
-                fh.write(chunk)
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                fh.write(prefix + prefix.join(chunk))
         fh.write(tail)
 
     _emit(args.out, write)

@@ -89,7 +89,7 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
     i, (n, m, t, key) = next(
-        (i, row) for i, row in enumerate(iter_keyed(N, lambda t: t)) if row[3] in bad
+        (i, row) for i, row in enumerate(iter_keyed(N, quats=True)) if row[3] in bad
     )
     return CongCheck(bad[key], TMatrix(n, m, t), i + 1)
 

@@ -10,7 +10,8 @@ sums come at one point (`sigma`) or as one sieved row (`sigma_row`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, inf, isqrt
+from itertools import accumulate
+from math import gcd, inf, isqrt
 
 __all__ = [
     "bernoulli",
@@ -24,24 +25,38 @@ __all__ = [
 ]
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+# _tangent[n] is the tangent number T_n = tan^(2n-1)(0) for 1 <= n < len;
+# _seidel_row is row 2n of the Seidel-Entringer triangle for that last n
+_tangent: list[int] = [0]
+_seidel_row: list[int] = [1]
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, with the convention B_1 = -1/2.
 
-    Computed by the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 and
-    memoized, so a call for B_m fills the table up to m.
+    B_0 = 1 and B_m = 0 for odd m > 1. For m = 2n, B_m = (-1)^(n-1) 2n T_n /
+    (4^n (4^n - 1)) (Brent and Harvey, "Fast computation of Bernoulli,
+    tangent and secant numbers", arXiv:1108.0286), so only integers are
+    summed. The tangent number T_n is the last entry of row 2n - 1 of the
+    Seidel-Entringer triangle, in which each row is 0 followed by the
+    running sums of the row before it, reversed. The tangent numbers and
+    the last row are memoized, so a call past them adds two rows per n.
     """
     if m < 0:
         raise ValueError("bernoulli: index must be >= 0")
-    while len(_bernoulli_cache) <= m:
-        n = len(_bernoulli_cache)
-        acc = sum(
-            comb(n + 1, j) * _bernoulli_cache[j] for j in range(n)
-        )
-        _bernoulli_cache.append(Fraction(-acc, n + 1))
-    return _bernoulli_cache[m]
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    n = m // 2
+    row = _seidel_row
+    while len(_tangent) <= n:
+        odd = list(accumulate(reversed(row), initial=0))
+        _tangent.append(odd[-1])
+        row[:] = accumulate(reversed(odd), initial=0)
+    four_n = 4**n
+    sign = 1 if n % 2 else -1
+    return Fraction(sign * m * _tangent[n], four_n * (four_n - 1))
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -98,7 +98,7 @@ def maass_lift(table: MaassTable, N: int):
     return FourierExpansion(
         table.weight,
         N,
-        {TMatrix(n, m, t): coeffs[key] for n, m, t, key in iter_keyed(N, lambda t: t)},
+        {TMatrix(n, m, t): coeffs[key] for n, m, t, key in iter_keyed(N, quats=True)},
     )
 
 

@@ -14,23 +14,27 @@ of sum(t)/gcd(t)). _class_key is that fold, and the one statement of the
 content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.epsilon
 and TMatrix.class_key, the walk and the counts all read it.
 
-keyed_walk is the one lattice walk here. It builds the dual ball of radius
-4N^2 once and gives each of its vectors t a histogram id, which stands for
-_hkey(t). For each (n, m) block it folds the ids once into class keys, so
-every index of the depth-N box is keyed by a list lookup, with no TMatrix
-built; iter_keyed views it one index at a time, and enumerate_psd lists it
-as index matrices. class_counts folds the same histogram keys, counted from
-Jacobi's r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
+keyed_walk is the one lattice walk in the library. It builds the dual ball
+of radius 4N^2 once, in one loop that gives each vector t its text and a
+histogram id, which stands for _hkey(t). Block (n, m) of the depth-N box is
+the sub-ball of radius 4nm, held as the positions of its vectors in the
+ball; the ids are folded once per block into class keys, so every index is
+keyed by a list lookup, with no TMatrix built. iter_keyed views the walk one
+index at a time, and enumerate_psd lists it as index matrices. class_counts
+folds the same histogram keys, counted from Jacobi's r4(r) = 8 sigma_1(r) -
+32 sigma_1(r/4) instead of walked.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import sigma_row
-from .quatlat import ZERO_QUAT, QuatCoord, iter_dual
+from .quatlat import ZERO_QUAT, QuatCoord
 
 __all__ = [
     "TMatrix",
@@ -137,45 +141,89 @@ def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
     return (2 * nm - r // 2, _content(g_nm, hkey))
 
 
-def keyed_walk(N: int, item=str):
+def keyed_walk(N: int, quats: bool = False):
     """The depth-N box as blocks over one ball: (items, ids, blocks).
 
-    items[i] = item(t) and ids[i] is the id of _hkey(t) for the i-th vector
-    t of the dual ball norm(t) <= 4N^2 in lex order. blocks yields
-    (n, m, part, keys) for each (n, m) in lex order, where keys[h] is the
+    items[i] is the text "a,b,c,d" of the i-th vector t = (a, b, c, d) of
+    the dual ball norm(t) <= 4N^2 in lex order, or t as a QuatCoord when
+    quats, and ids[i] is the id of its histogram key _hkey(t). The ball is
+    one loop over a, b and c, pruned by the remaining norm budget, that
+    keeps the norm, gcd g and coordinate sum s of (a, b, c). The text of a
+    vector is the prefix "a,b,c," and the text of d. Its key costs one gcd,
+    and the ids of a row of d are fixed by that norm, g and s mod 2g, so
+    each such row is keyed once and the other rows reuse it.
+
+    blocks yields (n, m, pos, keys) for each (n, m) in lex order. The psd
+    condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only), so
+    block (n, m) is the sub-ball of radius 4nm: pos is the array of the
+    positions in items of its vectors, in lex order, and keys[h] is the
     class key of (n, m, t) for every t of id h, or None when t lies outside
-    the block. The psd condition is norm(t) <= 4nm (for n*m = 0 it leaves
-    t = 0 only), so block (n, m) holds the (n, m, t) with keys[h] not None,
-    in the ball's order. Each has a^2 <= 4nm for t = (a, b, c, d), so all
-    lie in the ball's slice part, the vectors with |a| <= isqrt(4nm).
+    the block. The sub-balls are nested by radius, so each is filtered from
+    the next larger one by the norms of its ids, and each radius is kept once.
     """
     if N < 0:
         raise ValueError("keyed_walk: depth must be >= 0")
-    items, ids, index, first = [], [], {}, {}
-    for t in iter_dual(4 * N * N):
-        first.setdefault(t.a, len(items))
-        items.append(item(t))
-        ids.append(index.setdefault(_hkey(t), len(index)))
+    R = 4 * N * N
+    items, ids, index, rows = [], [], {}, {}
+    ra = isqrt(R)
+    # the text of d is d_text[d + ra]
+    d_text = [str(d) for d in range(-ra, ra + 1)]
+    for a in range(-ra, ra + 1):
+        budget_a = R - a * a
+        rb = isqrt(budget_a)
+        for b in range(-rb, rb + 1):
+            budget_b = budget_a - b * b
+            g_ab, s_ab = gcd(a, b), a + b
+            rc = isqrt(budget_b)
+            for c in range(-rc, rc + 1):
+                budget_c = budget_b - c * c
+                norm, g, s = R - budget_c, gcd(g_ab, c), s_ab + c
+                rd = isqrt(budget_c)
+                # d makes a+b+c+d even, so it has the parity of s
+                lo = -rd + (rd + s) % 2
+                ds = range(lo, rd + 1, 2)
+                if quats:
+                    items += [QuatCoord(a, b, c, d) for d in ds]
+                else:
+                    items += map(f"{a},{b},{c},".__add__, d_text[lo + ra : rd + ra + 1 : 2])
+                # gcd(t) = gcd(g, d) divides g, so the parity of
+                # sum(t) / gcd(t) is fixed by s mod 2g
+                row_key = (norm, g, s % (2 * g) if g else 0)
+                if (row := rows.get(row_key)) is None:
+                    row = rows[row_key] = [
+                        index.setdefault(
+                            (norm + d * d, g_t := gcd(g, d), g_t and (s + d) // g_t % 2),
+                            len(index),
+                        )
+                        for d in ds
+                    ]
+                ids += row
+    # each sub-ball from the next larger one, with the ids of its vectors
+    norms = [hkey[0] for hkey in index]
+    pos, sub_ids, sub = range(len(items)), ids, {}
+    for r in sorted({4 * n * m for n in range(N + 1) for m in range(N + 1)}, reverse=True):
+        keep = bytes(map([x <= r for x in norms].__getitem__, sub_ids))
+        pos = sub[r] = array("I", compress(pos, keep))
+        sub_ids = list(compress(sub_ids, keep))
 
     def blocks():
         for n in range(N + 1):
             for m in range(N + 1):
-                nm, g_nm, s = n * m, gcd(n, m), isqrt(4 * n * m)
-                part = slice(first[-s], first.get(s + 1, len(items)))
-                yield n, m, part, [_class_key(nm, g_nm, hkey) for hkey in index]
+                nm, g_nm = n * m, gcd(n, m)
+                yield n, m, sub[4 * nm], [_class_key(nm, g_nm, hkey) for hkey in index]
 
     return items, ids, blocks()
 
 
-def iter_keyed(N: int, item=str):
-    """Yield (n, m, item(t), key) for every index (n, m, t) of the depth-N box
-    in (n, m, t) lex order, key = its class key: keyed_walk, row by row."""
-    items, ids, blocks = keyed_walk(N, item)
+def iter_keyed(N: int, quats: bool = False):
+    """Yield (n, m, t, key) for every index (n, m, t) of the depth-N box in
+    (n, m, t) lex order, t as text or as a QuatCoord when quats, key = its
+    class key: keyed_walk, row by row."""
+    items, ids, blocks = keyed_walk(N, quats)
     return (
-        (n, m, x, keys[h])
-        for n, m, part, keys in blocks
-        for x, h in zip(items[part], ids[part])
-        if keys[h] is not None
+        (n, m, items[i], keys[ids[i]])
+        for n, m, pos, keys in blocks
+        for i in pos
     )
 
 
@@ -183,7 +231,7 @@ def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
     """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order:
     the TMatrix view of iter_keyed, built anew on each call. Its length is
     the total of class_counts(N)."""
-    return tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
+    return tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, quats=True))
 
 
 def class_counts(N: int) -> dict[tuple[int, int], int]:

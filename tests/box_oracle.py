@@ -10,6 +10,12 @@ with the table-only Ramanujan certificate, and serve as their oracle.
 product_row states the table product rule one l at a time, as the oracle
 of forms._product_row, which reads it as two q-series products.
 
+bernoulli_row is the defining recurrence of the Bernoulli numbers, in
+Fraction, as the oracle of exactnum.bernoulli, which reads tangent numbers.
+
+iter_dual is the dual ball one vector at a time, as nested ranges pruned by
+the norm budget: the oracle of the ball and sub-balls tmat.keyed_walk builds.
+
 The elliptic series below (eisenstein_q from the sigma formula, tau and
 tau_star from the 24th power of Euler's pentagonal series) are stated
 independently of the Eisenstein and X14 tables, whose Siegel restriction
@@ -24,7 +30,7 @@ oracle of the class sweeps.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, isqrt, lcm
 
 from qmf import congr
 from qmf.congr import CongCheck
@@ -34,6 +40,41 @@ from qmf.forms import build_form
 from qmf.quatlat import ZERO_QUAT, QuatCoord
 from qmf.series import express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
+
+
+def bernoulli_row(m):
+    """[B_0, ..., B_m] by the recurrence sum_{j<=n} C(n+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for n in range(1, m + 1):
+        B.append(Fraction(-sum(comb(n + 1, j) * B[j] for j in range(n)), n + 1))
+    return B
+
+
+def iter_dual(R):
+    """Yield the dual-lattice vectors with norm(t) <= R in lexicographic
+    order, without keeping them.
+
+    Nested ranges are pruned by the remaining norm budget, so the cost is
+    proportional to the number of lattice points returned, not to the
+    enclosing box.
+    """
+    if R < 0:
+        raise ValueError("dual ball: bound must be >= 0")
+    ra = isqrt(R)
+    for a in range(-ra, ra + 1):
+        budget_a = R - a * a
+        rb = isqrt(budget_a)
+        for b in range(-rb, rb + 1):
+            budget_b = budget_a - b * b
+            rc = isqrt(budget_b)
+            for c in range(-rc, rc + 1):
+                budget_c = budget_b - c * c
+                rd = isqrt(budget_c)
+                parity = (a + b + c) % 2
+                # d must make a+b+c+d even, so d has the parity of a+b+c
+                start = -rd if (-rd) % 2 == parity else -rd + 1
+                for d in range(start, rd + 1, 2):
+                    yield QuatCoord(a, b, c, d)
 
 
 def eisenstein_q(k, prec):

@@ -413,6 +413,23 @@ def test_table_streams_rows(capsys, fmt):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_depth_6_peak(fmt):
+    # the ball, its ids and the positions of every sub-ball are what the
+    # walk keeps: at depth 6 (329,905 rows over a ball of 51,265 vectors)
+    # the peak stays under 6 MB; the form's table is built first
+    form_table("X14", 72)
+    tracemalloc.start()
+    try:
+        code = main(["table", "--form", "X14", "--max", "6", "--format", fmt,
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20
+
+
 def test_table_byte_stable(capsys):
     _, out1, _ = run(capsys, ["table", "--form", "X12", "--max", "2"])
     _, out2, _ = run(capsys, ["table", "--form", "X12", "--max", "2"])

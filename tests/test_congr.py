@@ -227,7 +227,7 @@ def perturb(monkeypatch, name, R=None, const=0):
         monkeypatch.setattr(module, "enumerate_psd", refuse_box, raising=False)
 
 
-WALKS = ("enumerate_psd", "iter_keyed", "keyed_walk", "iter_dual")
+WALKS = ("enumerate_psd", "iter_keyed", "keyed_walk")
 
 
 def refuse_walks(monkeypatch, refuse, modules):

@@ -6,6 +6,7 @@ from math import inf
 
 import pytest
 
+from box_oracle import bernoulli_row
 from qmf import exactnum
 from qmf.exactnum import (
     bernoulli,
@@ -53,6 +54,17 @@ def test_bernoulli_von_staudt_clausen():
             if is_prime(p) and m2 % (p - 1) == 0:
                 den *= p
         assert bernoulli(m2).denominator == den
+
+
+def test_bernoulli_is_the_recurrence(monkeypatch):
+    # the tangent-number formula against the defining recurrence for every
+    # m <= 400, from an empty memo filled at the top and one filled step by
+    # step
+    want = bernoulli_row(400)
+    for order in (range(400, -1, -1), range(401)):
+        monkeypatch.setattr(exactnum, "_tangent", [0])
+        monkeypatch.setattr(exactnum, "_seidel_row", [1])
+        assert {m: bernoulli(m) for m in order} == dict(enumerate(want))
 
 
 def test_bernoulli_negative_raises():

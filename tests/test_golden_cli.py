@@ -75,6 +75,12 @@ def _table_commands():
     yield ["table", "--form", "E12H", "--max", "5", "--mod", "31"]
     yield ["table", "--form", "X14", "--max", "3", "--mod", "691"]
     yield ["table", "--form", "X14", "--max", "3", "--format", "json", "--mod", "691"]
+    # the radius-0 ball, the single-radius ball and an odd depth past 6
+    yield ["table", "--form", "G12H", "--max", "0"]
+    yield ["table", "--form", "G12H", "--max", "0", "--format", "json"]
+    yield ["table", "--form", "G12H", "--max", "1"]
+    yield ["table", "--form", "G12H", "--max", "1", "--format", "json"]
+    yield ["table", "--form", "X10", "--max", "7"]
 
 
 def _verify_commands():

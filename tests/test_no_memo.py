@@ -1,6 +1,7 @@
 """The library applies no functools memo: an unbounded cache keeps one entry
 per argument for the life of the process, so none may come back unnoticed.
-form_table's table cache and the Bernoulli list are the library's memos."""
+form_table's table cache and the tangent numbers behind bernoulli (with the
+last row of the triangle they are read from) are the library's memos."""
 
 import ast
 from pathlib import Path

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qmf.quatlat import QuatCoord, ZERO_QUAT, iter_dual
+from box_oracle import iter_dual
+from qmf.quatlat import QuatCoord, ZERO_QUAT
 
 
 def brute_dual_ball(R):

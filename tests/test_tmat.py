@@ -8,12 +8,13 @@ from math import gcd
 
 import pytest
 
-from box_oracle import whole_box
+from box_oracle import iter_dual, whole_box
 from qmf.exactnum import divisors
-from qmf.quatlat import QuatCoord, ZERO_QUAT, iter_dual
+from qmf.quatlat import QuatCoord, ZERO_QUAT
 from qmf.tmat import (
     TMatrix,
     ZERO_TMATRIX,
+    _hkey,
     class_counts,
     enumerate_psd,
     iter_keyed,
@@ -295,7 +296,7 @@ def per_radius_box(N):
 
 def test_enumerate_psd_is_the_per_radius_box():
     for N in range(7):
-        walked = tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, lambda t: t))
+        walked = tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, quats=True))
         assert walked == whole_box(N) == per_radius_box(N), N
 
 
@@ -308,26 +309,37 @@ def test_keyed_walk_is_the_box_with_its_class_keys():
     for N in range(7):
         box = per_radius_box(N)
         rows = list(iter_keyed(N))
-        same = list(iter_keyed(N, lambda t: t))
+        same = list(iter_keyed(N, quats=True))
         assert same == [(*T, T.class_key()) for T in box], N
         assert [f"{n},{m},{text}" for n, m, text, _ in rows] == [str(T) for T in box]
         assert Counter(key for *_, key in rows) == class_counts(N), N
 
 
 def test_keyed_walk_blocks():
-    # one ball, and per block its slice |a| <= isqrt(4nm) of the ball and one
-    # class key per histogram id, None outside the block
-    ball = list(iter_dual(16))
-    texts, ids, blocks = keyed_walk(2)
-    assert texts == [str(t) for t in ball]
-    assert len(set(ids)) == max(ids) + 1
-    blocks = list(blocks)
-    assert [(n, m) for n, m, *_ in blocks] == [(n, m) for n in range(3) for m in range(3)]
-    for n, m, part, keys in blocks:
-        assert texts[part] == [str(t) for t in ball if t.a * t.a <= 4 * n * m]
-        assert len(keys) == len(set(ids))
-        inside = [t for t, h in zip(texts[part], ids[part]) if keys[h] is not None]
-        assert inside == [str(t) for t in iter_dual(4 * n * m)]
+    # one ball with one histogram id per key, and per block exactly its
+    # sub-ball norm(t) <= 4nm in lex order, with one class key per id, None
+    # for the ids outside the block; the oracle balls are shared by radius
+    sub_balls = {}
+    for N in range(9):
+        ball = list(iter_dual(4 * N * N))
+        texts, ids, blocks = keyed_walk(N)
+        assert texts == [str(t) for t in ball], N
+        hkeys = {}
+        for h, t in zip(ids, ball):
+            assert hkeys.setdefault(h, _hkey(t)) == _hkey(t)
+        assert sorted(hkeys) == list(range(len(hkeys)))
+        assert len(set(hkeys.values())) == len(hkeys)
+        quats, quat_ids, _ = keyed_walk(N, quats=True)
+        assert (quats, quat_ids) == (ball, ids)
+        assert {type(t) for t in quats} == {QuatCoord}
+        blocks = list(blocks)
+        assert [(n, m) for n, m, *_ in blocks] == [(n, m) for n in range(N + 1) for m in range(N + 1)]
+        for n, m, pos, keys in blocks:
+            r = 4 * n * m
+            if r not in sub_balls:
+                sub_balls[r] = [str(t) for t in iter_dual(r)]
+            assert [texts[i] for i in pos] == sub_balls[r], (N, n, m)
+            assert [key is None for key in keys] == [hkeys[h][0] > r for h in range(len(keys))]
     with pytest.raises(ValueError, match="depth must be >= 0"):
         keyed_walk(-1)
 
