@@ -12,9 +12,9 @@ never as floats, and the same invocation always writes the same bytes.
 Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
 command's own (a failing verify still exits 1). `table` writes its rows in
-chunks of at most _CHUNK_ROWS rows, one write per chunk whatever the
-buffering of stdout. Each subcommand imports only what it runs: `coeff` and
-`table` load no verifier and no json.
+chunks of whole lines, at most _CHUNK_ROWS rows per write, one write per
+chunk whatever the buffering of stdout. Each subcommand imports only what
+it runs: `coeff` and `table` load no verifier and no json.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
-from operator import add
+from bisect import bisect_right
+from itertools import accumulate
 
 from .forms import form_table
 from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
@@ -143,14 +143,16 @@ def _cmd_table(args) -> int:
     """Render the part of a row after t once per class and check --mod on
     every class before anything is written, so a failing --mod prints
     nothing and creates no --out file; its error names the first index in
-    box order whose class fails. Then write the box a block at a time: each
-    (n, m) block of keyed_walk maps the histogram id of a ball vector to its
-    row tail once, and its rows are the texts of the vectors of its
-    sub-ball, each followed by the tail of its id and preceded by the
-    block's prefix. The rows are formed by C-level maps and joined and
-    written _CHUNK_ROWS at a time, one write per chunk whether or not stdout
-    is buffered, with no Python frame per row. No TMatrix is built, and
-    neither the box nor more than a chunk of output is kept."""
+    box order whose class fails. Then write the box a block at a time. Each
+    (n, m) block of keyed_walk maps a histogram id to its row tail once and
+    renders the run of each of its shapes once, as the texts "d" + tail of
+    its rows. A line of the block is then P.join of its shape's rows, each
+    preceded by P = the block's prefix + the line's text "a,b,c,". The
+    lines are formed by C-level maps and written in chunks of whole lines,
+    at most _CHUNK_ROWS rows per write, found by bisect on the running row
+    count: one write per chunk whether or not stdout is buffered, with no
+    Python frame per line or row. No TMatrix is built, and neither the box
+    nor more than a chunk of output is kept."""
     N = args.max
     _check_depth(N, "--max")
     counts = class_counts(N)
@@ -186,19 +188,28 @@ def _cmd_table(args) -> int:
         return 1
 
     def write(fh):
-        texts, ids, blocks = keyed_walk(N)
         fh.write(head)
-        for n, m, pos, keys in blocks:
+        for n, m, lines, shapes, runs, keys in keyed_walk(N):
             # only T = 0, the one row of block (0, 0), has no separator
             prefix = (sep if n or m else "") + start.format(n, m)
             tails = [key and rest[key] for key in keys]
-            rows = map(
-                add,
-                map(texts.__getitem__, pos),
-                map(tails.__getitem__, map(ids.__getitem__, pos)),
-            )
-            while chunk := list(islice(rows, _CHUNK_ROWS)):
-                fh.write(prefix + prefix.join(chunk))
+            # P.join(rows[h]) is the rows of a line of shape h, each after
+            # P = prefix + the line's text
+            rows, sizes = {}, {}
+            for h, (ds, ids) in runs.items():
+                rows[h] = ["", *map("{}{}".format, ds, map(tails.__getitem__, ids))]
+                sizes[h] = len(ds)
+            # ends[i] rows precede line i; a chunk is the most whole lines
+            # that hold at most _CHUNK_ROWS rows
+            ends = list(accumulate(map(sizes.__getitem__, shapes), initial=0))
+            lo = 0
+            while lo < len(lines):
+                hi = bisect_right(ends, ends[lo] + _CHUNK_ROWS) - 1
+                segments = map(
+                    str.join, map(prefix.__add__, lines[lo:hi]), map(rows.__getitem__, shapes[lo:hi])
+                )
+                fh.write("".join(segments))
+                lo = hi
         fh.write(tail)
 
     _emit(args.out, write)

@@ -18,6 +18,18 @@ build_form lifts a table to a read-only FourierExpansion on a whole box,
 which the library never does arithmetic on; the tests multiply such boxes
 in their oracle for the tables. Only the lift imports fexp, so reading a
 table's coefficients loads no expansion code.
+
+A finite check of a row proves it at every l. The row of a weight-k form
+here is a modular form of weight k - 2 on Gamma0(4) with rational
+coefficients: an Eisenstein row is a multiple of E_(k-2)(z) - 2^(k-2)
+E_(k-2)(4z), and _product_row multiplies rows by the factors' Siegel
+restrictions, level-1 forms, at q^2. Two such forms that agree for
+l <= (k - 2)/2, the Sturm bound for Gamma0(4) (J. Sturm, "On the
+congruence of modular forms", LNM 1240, 1987), agree at every l. The cusp
+rows are eta products: R_X10 = f8 - 16 f8|V2, R_X12 = f10 + 32 f10|V2 and
+R_X14 = Delta - 2^12 Delta|V4, with f8 = eta(z)^8 eta(2z)^8, f10 =
+f8 (2 E2(2z) - E2(z)) and Delta = eta(z)^24. The tests check these
+identities in integers to l = 400, far past the bound.
 """
 
 from __future__ import annotations

@@ -15,19 +15,21 @@ content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.epsilon
 and TMatrix.class_key, the walk and the counts all read it.
 
 keyed_walk is the one lattice walk in the library. It builds the dual ball
-of radius 4N^2 once, in one loop that gives each vector t its text and a
-histogram id, which stands for _hkey(t). Block (n, m) of the depth-N box is
-the sub-ball of radius 4nm, held as the positions of its vectors in the
-ball; the ids are folded once per block into class keys, so every index is
-keyed by a list lookup, with no TMatrix built. iter_keyed views the walk one
-index at a time, and enumerate_psd lists it as index matrices. class_counts
-folds the same histogram keys, counted from Jacobi's r4(r) = 8 sigma_1(r) -
-32 sigma_1(r/4) instead of walked.
+of radius 4N^2 once, as its lines: the runs of d for fixed (a, b, c). A
+line is held as its text and its shape (norm, gcd and coordinate sum mod
+2 gcd of (a, b, c)), which fixes the histogram key of every vector on it.
+Block (n, m) of the depth-N box is the sub-ball of radius 4nm: its lines,
+and per shape the run of d it reaches there, each vector of the run with
+a histogram id that stands for _hkey(t). The ids are folded once per block
+into class keys, so every index is keyed by a list lookup, with no
+TMatrix built and no Python work per vector. iter_keyed expands the lines
+by their runs one index at a time, and enumerate_psd lists them as index
+matrices. class_counts folds the same histogram keys, counted from
+Jacobi's r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from itertools import compress
 from math import gcd, isqrt
@@ -142,88 +144,91 @@ def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
 
 
 def keyed_walk(N: int, quats: bool = False):
-    """The depth-N box as blocks over one ball: (items, ids, blocks).
+    """The depth-N box as blocks of lines over one ball: a generator of
+    (n, m, lines, shapes, runs, keys), one per (n, m) in lex order.
 
-    items[i] is the text "a,b,c,d" of the i-th vector t = (a, b, c, d) of
-    the dual ball norm(t) <= 4N^2 in lex order, or t as a QuatCoord when
-    quats, and ids[i] is the id of its histogram key _hkey(t). The ball is
-    one loop over a, b and c, pruned by the remaining norm budget, that
-    keeps the norm, gcd g and coordinate sum s of (a, b, c). The text of a
-    vector is the prefix "a,b,c," and the text of d. Its key costs one gcd,
-    and the ids of a row of d are fixed by that norm, g and s mod 2g, so
-    each such row is keyed once and the other rows reuse it.
+    The dual ball norm(t) <= 4N^2 is walked as its lines, the runs of d for
+    fixed (a, b, c), in lex order. A line is held as its text "a,b,c,", or
+    as (a, b, c) when quats, and the id of its shape (norm, g, s mod 2g),
+    with g the gcd and s the coordinate sum of (a, b, c): gcd(t) = gcd(g, d)
+    divides g, so the shape fixes the histogram key _hkey(t) of every
+    vector t on the line. The shapes of a row of c are fixed in turn by
+    a^2 + b^2, gcd(a, b) and (a + b) mod 2 gcd(a, b), so each such row is
+    shaped once and the other rows reuse it.
 
-    blocks yields (n, m, pos, keys) for each (n, m) in lex order. The psd
-    condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only), so
-    block (n, m) is the sub-ball of radius 4nm: pos is the array of the
-    positions in items of its vectors, in lex order, and keys[h] is the
-    class key of (n, m, t) for every t of id h, or None when t lies outside
-    the block. The sub-balls are nested by radius, so each is filtered from
-    the next larger one by the norms of its ids, and each radius is kept once.
+    The psd condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only),
+    so block (n, m) is the sub-ball of radius r = 4nm: lines and shapes are
+    its lines, in lex order, and their shape ids. runs maps each shape of
+    norm <= r to its run (ds, ids): the range of the d with
+    |d| <= isqrt(r - norm) that make a+b+c+d even, and the histogram ids of
+    their vectors. keys[h] is the class key of (n, m, t) for every t of
+    histogram id h, or None when t lies outside the block. The sub-balls are
+    nested by radius, so each is filtered from the next larger one by the
+    norms of its shapes; each radius is kept once, and each run once per
+    (shape, isqrt(r - norm)) for the whole walk.
     """
     if N < 0:
         raise ValueError("keyed_walk: depth must be >= 0")
     R = 4 * N * N
-    items, ids, index, rows = [], [], {}, {}
+    lines, line_shapes, shapes, c_rows = [], [], {}, {}
     ra = isqrt(R)
-    # the text of d is d_text[d + ra]
-    d_text = [str(d) for d in range(-ra, ra + 1)]
     for a in range(-ra, ra + 1):
-        budget_a = R - a * a
-        rb = isqrt(budget_a)
+        rb = isqrt(R - a * a)
         for b in range(-rb, rb + 1):
-            budget_b = budget_a - b * b
-            g_ab, s_ab = gcd(a, b), a + b
-            rc = isqrt(budget_b)
-            for c in range(-rc, rc + 1):
-                budget_c = budget_b - c * c
-                norm, g, s = R - budget_c, gcd(g_ab, c), s_ab + c
-                rd = isqrt(budget_c)
-                # d makes a+b+c+d even, so it has the parity of s
-                lo = -rd + (rd + s) % 2
-                ds = range(lo, rd + 1, 2)
-                if quats:
-                    items += [QuatCoord(a, b, c, d) for d in ds]
-                else:
-                    items += map(f"{a},{b},{c},".__add__, d_text[lo + ra : rd + ra + 1 : 2])
-                # gcd(t) = gcd(g, d) divides g, so the parity of
-                # sum(t) / gcd(t) is fixed by s mod 2g
-                row_key = (norm, g, s % (2 * g) if g else 0)
-                if (row := rows.get(row_key)) is None:
-                    row = rows[row_key] = [
+            nab, g_ab, s_ab = a * a + b * b, gcd(a, b), a + b
+            rc = isqrt(R - nab)
+            cs = range(-rc, rc + 1)
+            lines += [(a, b, c) for c in cs] if quats else map(f"{a},{b},{{}},".format, cs)
+            # g | g_ab, so s mod 2g is fixed by s_ab mod 2 g_ab (x % 1 = 0
+            # stands for g = 0, t = (0, 0, 0, d))
+            if (key := (nab, g_ab, s_ab % (2 * g_ab or 1))) not in c_rows:
+                c_rows[key] = [
+                    shapes.setdefault(
+                        (nab + c * c, g := gcd(g_ab, c), (s_ab + c) % (2 * g or 1)), len(shapes)
+                    )
+                    for c in cs
+                ]
+            line_shapes += c_rows[key]
+    # each sub-ball from the next larger one, and the runs of its shapes
+    index, runs, sub = {}, {}, {}
+    for r in sorted({4 * n * m for n in range(N + 1) for m in range(N + 1)}, reverse=True):
+        keep = bytes(map([shape[0] <= r for shape in shapes].__getitem__, line_shapes))
+        lines, line_shapes = list(compress(lines, keep)), list(compress(line_shapes, keep))
+        at_r = {}
+        for h, (norm, g, s) in enumerate(shapes):
+            if norm <= r:
+                rd = isqrt(r - norm)
+                if (h, rd) not in runs:
+                    # d has the parity of s; r is even, so the run is not empty
+                    ds = range(-rd + (rd + s) % 2, rd + 1, 2)
+                    runs[h, rd] = ds, [
                         index.setdefault(
-                            (norm + d * d, g_t := gcd(g, d), g_t and (s + d) // g_t % 2),
-                            len(index),
+                            (norm + d * d, g_t := gcd(g, d), g_t and (s + d) // g_t % 2), len(index)
                         )
                         for d in ds
                     ]
-                ids += row
-    # each sub-ball from the next larger one, with the ids of its vectors
-    norms = [hkey[0] for hkey in index]
-    pos, sub_ids, sub = range(len(items)), ids, {}
-    for r in sorted({4 * n * m for n in range(N + 1) for m in range(N + 1)}, reverse=True):
-        keep = bytes(map([x <= r for x in norms].__getitem__, sub_ids))
-        pos = sub[r] = array("I", compress(pos, keep))
-        sub_ids = list(compress(sub_ids, keep))
+                at_r[h] = runs[h, rd]
+        sub[r] = lines, line_shapes, at_r
 
     def blocks():
         for n in range(N + 1):
             for m in range(N + 1):
                 nm, g_nm = n * m, gcd(n, m)
-                yield n, m, sub[4 * nm], [_class_key(nm, g_nm, hkey) for hkey in index]
+                yield n, m, *sub[4 * nm], [_class_key(nm, g_nm, hkey) for hkey in index]
 
-    return items, ids, blocks()
+    return blocks()
 
 
 def iter_keyed(N: int, quats: bool = False):
     """Yield (n, m, t, key) for every index (n, m, t) of the depth-N box in
     (n, m, t) lex order, t as text or as a QuatCoord when quats, key = its
-    class key: keyed_walk, row by row."""
-    items, ids, blocks = keyed_walk(N, quats)
+    class key: keyed_walk, each line expanded by its run."""
+    join = (lambda line, d: QuatCoord(*line, d)) if quats else "{}{}".format
     return (
-        (n, m, items[i], keys[ids[i]])
-        for n, m, pos, keys in blocks
-        for i in pos
+        (n, m, join(line, d), keys[h])
+        for n, m, lines, shapes, runs, keys in keyed_walk(N, quats)
+        for line, shape in zip(lines, shapes)
+        for d, h in zip(*runs[shape])
     )
 
 

@@ -19,7 +19,8 @@ the norm budget: the oracle of the ball and sub-balls tmat.keyed_walk builds.
 The elliptic series below (eisenstein_q from the sigma formula, tau and
 tau_star from the 24th power of Euler's pentagonal series) are stated
 independently of the Eisenstein and X14 tables, whose Siegel restriction
-and first Fourier-Jacobi row they check.
+and first Fourier-Jacobi row they check. cusp_rows states the rows of X10,
+X12 and X14 as eta products in integers, independently of every table.
 
 cong_mod and the verdicts below sweep the depth-N box one index at a time,
 reading each named form's table through congr.form_table (so a test that
@@ -84,8 +85,9 @@ def eisenstein_q(k, prec):
     return (Fraction(1),) + tuple(c * sigma(k - 1, n) for n in range(1, prec + 1))
 
 
-def eta24_oracle(prec):
-    """Independent tau oracle: 24th power of the pentagonal-number series."""
+def pentagonal(prec):
+    """Euler's product prod_{n >= 1} (1 - q^n) to q^prec, from the
+    pentagonal number theorem: sum over k of (-1)^k q^(k(3k-1)/2)."""
     e = [0] * (prec + 1)
     e[0] = 1
     k = 1
@@ -95,22 +97,65 @@ def eta24_oracle(prec):
             if g <= prec:
                 e[g] += s
         k += 1
+    return e
 
-    def pmul(a, b):
-        out = [0] * (prec + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(prec - i + 1):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return out
 
+def pmul(a, b):
+    """The product of two integer q-series, to the shorter precision."""
+    prec = min(len(a), len(b)) - 1
+    out = [0] * (prec + 1)
+    for i, ai in enumerate(a[: prec + 1]):
+        if ai:
+            for j in range(prec - i + 1):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return out
+
+
+def v_op(f, m):
+    """f|V_m = f(q^m), to the precision of f: its coefficient at l is
+    f[l / m] when m | l and 0 otherwise."""
+    out = [0] * len(f)
+    out[::m] = f[: (len(f) - 1) // m + 1]
+    return out
+
+
+def eta24_oracle(prec):
+    """Independent tau oracle: 24th power of the pentagonal-number series."""
+    e = pentagonal(prec)
     e2 = pmul(e, e)
     e4 = pmul(e2, e2)
     e8 = pmul(e4, e4)
     e16 = pmul(e8, e8)
     e24 = pmul(e16, e8)
     return [0] + e24[:prec]  # shift: the weight-12 cusp form starts at q^1
+
+
+def cusp_rows(prec):
+    """The first Fourier-Jacobi rows of X10, X12 and X14 to l = prec, in
+    integers, from eta products alone: R_X10 = f8 - 16 f8|V2, R_X12 = f10 +
+    32 f10|V2 and R_X14 = Delta - 2^12 Delta|V4, with f8 = eta(z)^8 eta(2z)^8
+    (LMFDB 2.8.a.a), f10 = f8 (2 E2(2z) - E2(z)) (LMFDB 2.10.a.a) and Delta
+    = eta(z)^24. They share no code with the library's Eisenstein rows,
+    normalizing constants or q-series product."""
+    e = pentagonal(prec)
+    p = pmul(e, v_op(e, 2))
+    for _ in range(3):
+        p = pmul(p, p)
+    f8 = [0] + p[:prec]  # eta(z)^8 eta(2z)^8 = q prod (1 - q^n)^8 (1 - q^2n)^8
+    # 2 E2(2z) - E2(z) = 1 + 24 sum (sigma_1(n) - 2 sigma_1(n/2)) q^n
+    s1 = [0] * (prec + 1)
+    for d in range(1, prec + 1):
+        for n in range(d, prec + 1, d):
+            s1[n] += d
+    e2 = [1] + [24 * (s1[n] - (2 * s1[n // 2] if n % 2 == 0 else 0)) for n in range(1, prec + 1)]
+    f10 = pmul(f8, e2)
+    delta = eta24_oracle(prec)
+    return {
+        "X10": [x - 16 * y for x, y in zip(f8, v_op(f8, 2))],
+        "X12": [x + 32 * y for x, y in zip(f10, v_op(f10, 2))],
+        "X14": [x - 4096 * y for x, y in zip(delta, v_op(delta, 4))],
+    }
 
 
 @lru_cache(maxsize=None)

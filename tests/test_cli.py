@@ -415,9 +415,10 @@ def test_table_streams_rows(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_depth_6_peak(fmt):
-    # the ball, its ids and the positions of every sub-ball are what the
-    # walk keeps: at depth 6 (329,905 rows over a ball of 51,265 vectors)
-    # the peak stays under 6 MB; the form's table is built first
+    # the lines of every sub-ball, their shapes and one run per shape and
+    # radius are what the walk keeps: at depth 6 (329,905 rows over a ball
+    # of 51,265 vectors) the peak stays under 6 MB; the form's table is
+    # built first
     form_table("X14", 72)
     tracemalloc.start()
     try:
@@ -428,6 +429,23 @@ def test_table_depth_6_peak(fmt):
         tracemalloc.stop()
     assert code == 0
     assert peak < 6 * 2**20
+
+
+def test_table_depth_8_peak():
+    # the lines of the 31 sub-balls, their shapes and one run per shape and
+    # radius are what the walk keeps: at depth 8 (1,650,105 rows over a ball
+    # of 17,077 lines) the peak stays under 12 MB; the form's table is built
+    # first
+    form_table("X14", 128)
+    tracemalloc.start()
+    try:
+        code = main(["table", "--form", "X14", "--max", "8", "--format", "json",
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20
 
 
 def test_table_byte_stable(capsys):
@@ -578,6 +596,20 @@ def test_table_writes_rows_in_chunks(monkeypatch, argv):
     assert len(out.writes) <= 2 + 25 + rows // cli._CHUNK_ROWS
     sha256 = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert sha256 == GOLDEN_TABLES[" ".join(argv)]["sha256"]
+
+
+def test_table_depth_6_writes_whole_lines_in_chunks(monkeypatch):
+    # a chunk is the most whole lines that hold at most _CHUNK_ROWS rows; a
+    # line of depth 6 holds at most 13, so the chunks stay nearly full: 195
+    # writes, within a head, a tail and, in each of the 49 (n, m) blocks,
+    # one partial chunk more than its full ones
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["table", "--form", "G10H", "--max", "6"]) == 0
+    rows = sum(tmat.class_counts(6).values())
+    assert sum(text.count("\n") for text in out.writes) == rows + 1
+    assert max(text.count("\n") for text in out.writes) <= cli._CHUNK_ROWS
+    assert len(out.writes) <= 2 + 49 + rows // cli._CHUNK_ROWS
 
 
 def test_table_unbuffered_stdout_matches_golden():

@@ -9,6 +9,7 @@ from box_oracle import (
     RING,
     RING_MEMBERS,
     constant,
+    cusp_rows,
     eisenstein_q,
     monomial_h,
     mul,
@@ -205,6 +206,14 @@ def row_to_400(name):
 
 def test_x14_table_is_tau_star():
     assert row_to_400("X14") == tuple(tau_star(ell) for ell in range(401))
+
+
+def test_cusp_rows_are_eta_products():
+    # the eta products share no code with the tables; each row is a weight
+    # k - 2 form on Gamma0(4), so agreement past the Sturm bound (k - 2)/2
+    # proves the identity at every l (the forms module docstring)
+    for name, row in cusp_rows(400).items():
+        assert row_to_400(name) == tuple(row), name
 
 
 @pytest.mark.parametrize(

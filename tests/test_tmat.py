@@ -316,30 +316,37 @@ def test_keyed_walk_is_the_box_with_its_class_keys():
 
 
 def test_keyed_walk_blocks():
-    # one ball with one histogram id per key, and per block exactly its
-    # sub-ball norm(t) <= 4nm in lex order, with one class key per id, None
-    # for the ids outside the block; the oracle balls are shared by radius
+    # per block, its lines are the distinct (a, b, c) of its sub-ball
+    # norm(t) <= 4nm in lex order, as texts or as tuples, and the lines times
+    # the runs of their shapes are the sub-ball itself; each histogram id
+    # stands for one _hkey(t) over the walk, distinct ids for distinct keys,
+    # and keys[h] is None exactly for the ids outside the block; the oracle
+    # balls are shared by radius
     sub_balls = {}
     for N in range(9):
-        ball = list(iter_dual(4 * N * N))
-        texts, ids, blocks = keyed_walk(N)
-        assert texts == [str(t) for t in ball], N
-        hkeys = {}
-        for h, t in zip(ids, ball):
-            assert hkeys.setdefault(h, _hkey(t)) == _hkey(t)
-        assert sorted(hkeys) == list(range(len(hkeys)))
-        assert len(set(hkeys.values())) == len(hkeys)
-        quats, quat_ids, _ = keyed_walk(N, quats=True)
-        assert (quats, quat_ids) == (ball, ids)
-        assert {type(t) for t in quats} == {QuatCoord}
-        blocks = list(blocks)
-        assert [(n, m) for n, m, *_ in blocks] == [(n, m) for n in range(N + 1) for m in range(N + 1)]
-        for n, m, pos, keys in blocks:
+        blocks = list(zip(keyed_walk(N), keyed_walk(N, quats=True)))
+        assert [(n, m) for (n, m, *_), _ in blocks] == [(n, m) for n in range(N + 1) for m in range(N + 1)]
+        pairs = set()
+        for (n, m, lines, shapes, runs, keys), (*_, quat_lines, quat_shapes, quat_runs, quat_keys) in blocks:
             r = 4 * n * m
             if r not in sub_balls:
-                sub_balls[r] = [str(t) for t in iter_dual(r)]
-            assert [texts[i] for i in pos] == sub_balls[r], (N, n, m)
-            assert [key is None for key in keys] == [hkeys[h][0] > r for h in range(len(keys))]
+                ball = list(iter_dual(r))
+                prefixes = list(dict.fromkeys(t[:3] for t in ball))
+                sub_balls[r] = prefixes, [str(t) for t in ball], [_hkey(t) for t in ball]
+            prefixes, texts, hkeys = sub_balls[r]
+            assert quat_lines == prefixes, (N, n, m)
+            assert lines == [f"{a},{b},{c}," for a, b, c in prefixes]
+            assert (quat_shapes, quat_runs, quat_keys) == (shapes, runs, keys)
+            # a run for each shape of the block and for no other
+            assert set(runs) == set(shapes)
+            line_runs = [runs[s] for s in shapes]
+            assert [f"{line}{d}" for line, (ds, _) in zip(lines, line_runs) for d in ds] == texts
+            pairs.update(zip([h for _, ids in line_runs for h in ids], hkeys))
+        hkeys = dict(pairs)
+        assert len(hkeys) == len(pairs) and sorted(hkeys) == list(range(len(hkeys)))
+        assert len(set(hkeys.values())) == len(hkeys)
+        for (n, m, *_, keys), _ in blocks:
+            assert [key is None for key in keys] == [hkeys[h][0] > 4 * n * m for h in range(len(keys))]
     with pytest.raises(ValueError, match="depth must be >= 0"):
         keyed_walk(-1)
 
