@@ -10,27 +10,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongCheck",
-    "FourierExpansion",
-    "MaassTable",
-    "QuatCoord",
-    "TMatrix",
-    "bernoulli",
-    "build_form",
-    "cong_mod",
-    "express_in_e4_e6",
-    "form_table",
-    "is_prime",
-    "kronecker",
-    "maass_lift",
-    "ord_p",
-    "parse_tmatrix",
-    "sigma",
-    "x14_closed",
-]
-
-# The module of each name in __all__.
+# The module of each exported name; __all__ is its keys.
 _HOME = {
     "CongCheck": "congr",
     "FourierExpansion": "fexp",
@@ -45,11 +25,12 @@ _HOME = {
     "is_prime": "exactnum",
     "kronecker": "exactnum",
     "maass_lift": "forms",
-    "ord_p": "exactnum",
     "parse_tmatrix": "tmat",
+    "residue": "exactnum",
     "sigma": "exactnum",
     "x14_closed": "forms",
 }
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

@@ -9,6 +9,9 @@ Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error (a negative --depth or
 --max among them). Rationals are always printed exactly (num/den strings),
 never as floats, and the same invocation always writes the same bytes.
+`--mod M` reduces with exactnum.residue, the library's one reduction: a
+coefficient whose denominator shares a factor with M has no residue, a
+reduction failure.
 Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
 command's own (a failing verify still exits 1). `table` writes its rows in
@@ -25,6 +28,7 @@ import sys
 from bisect import bisect_right
 from itertools import accumulate
 
+from .exactnum import residue
 from .forms import form_table
 from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
 
@@ -59,18 +63,6 @@ def _emit(path, write) -> None:
         os.close(devnull)
 
 
-def _residue(a, modulus: int):
-    """The Fraction a mod modulus in 0..modulus-1, or None when a is not
-    integral mod it."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    try:
-        inv = pow(a.denominator, -1, modulus)
-    except ValueError:
-        return None
-    return a.numerator * inv % modulus
-
-
 def _cmd_coeff(args) -> int:
     T = parse_tmatrix(args.T)
     # the form is resolved first, so an unknown one is an error at any T;
@@ -84,7 +76,7 @@ def _cmd_coeff(args) -> int:
     a = table.coeff(T)
     line = f"{a}\n"
     if args.mod is not None:
-        r = _residue(a, args.mod)
+        r = residue(a, args.mod)
         if r is None:
             print(
                 f"error: coefficient {a} is not integral mod {args.mod}",
@@ -174,14 +166,14 @@ def _cmd_table(args) -> int:
     rest, bad = {}, set()
     for key in counts:
         c = table.class_coeff(key)
-        residue = ""
+        column = ""
         if mod is not None:
-            r = _residue(c, mod)
+            r = residue(c, mod)
             if r is None:
                 bad.add(key)
                 continue
-            residue = residue_fmt.format(r)
-        rest[key] = rest_fmt.format(c.numerator, c.denominator, residue)
+            column = residue_fmt.format(r)
+        rest[key] = rest_fmt.format(c.numerator, c.denominator, column)
     if bad:
         n, m, t, _ = next(row for row in iter_keyed(N) if row[3] in bad)
         print(f"error: coefficient at {n},{m},{t} is not integral mod {mod}", file=sys.stderr)

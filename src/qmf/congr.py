@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import bernoulli, factorize, is_prime, kronecker, ord_p, sigma_row
+from .exactnum import bernoulli, factorize, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
 from .series import _express, e4_e6_monomials
 from .tmat import TMatrix, class_counts, iter_keyed
@@ -73,18 +73,20 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     keyed walk reads the class of each index, without keeping the box or
     building an index matrix but for the witness, up to the first T whose
     class fails, so the witness and checked are those of an index-by-index
-    sweep. A source that cannot answer at some class raises ValueError there.
+    sweep. A class fails as "not-p-integral" when residue(., p) is None on
+    either side, and as "fails" when the two residues differ. A source that
+    cannot answer at some class raises ValueError there.
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
     counts = class_counts(N)
     bad = {}
     for key in counts:
-        a = f(key)
-        b = g(key)
-        if a.denominator % p == 0 or b.denominator % p == 0:
+        a = residue(f(key), p)
+        b = residue(g(key), p)
+        if a is None or b is None:
             bad[key] = "not-p-integral"
-        elif a != b and (a - b).numerator % p:
+        elif a != b:
             bad[key] = "fails"
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
@@ -132,10 +134,16 @@ def _check_modulus(p: int) -> None:
 
 
 def star_condition(k: int, p: int) -> bool:
-    """True when ord_p((2^(k-2)-1) B_(k-2) / (k-2)) > 0 and ord_p(B_k / k) >= 0."""
+    """The paper's star condition at weight k and a prime p >= 5:
+    v_p((2^(k-2)-1) B_(k-2) / (k-2)) > 0 and v_p(B_k / k) >= 0.
+
+    Both are read from residues mod p: the first quantity has residue 0
+    (it is p-integral and p divides it), and B_k / k has a residue (p does
+    not divide its denominator).
+    """
     q1 = _star_q1(k)
     _check_modulus(p)
-    return ord_p(q1, p) > 0 and ord_p(bernoulli(k) / k, p) >= 0
+    return residue(q1, p) == 0 and residue(bernoulli(k) / k, p) is not None
 
 
 def star_primes(k: int) -> list[int]:
@@ -197,10 +205,10 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     G = form_table(f"G{k}H", 2 * N * N)
     phi = [G.class_coeff((0, j)) for j in range(N + 1)]
     f = [c / p for c in phi]
-    if any(c.denominator % p == 0 for c in f):
+    if any(residue(c, p) is None for c in f):
         raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")
     poly = _express(k, monomials, f[:d])
-    if any(ord_p(c, p) < 0 for c in poly.values()):
+    if any(residue(c, p) is None for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
     for ab, c in poly.items():
         phi = [x - p * c * y for x, y in zip(phi, monomials[ab])]
@@ -253,7 +261,7 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     exceptions are far beyond desk scale).
     """
     _check_modulus(p)
-    if ord_p(bernoulli(p - 3), p) != 0:
+    if residue(bernoulli(p - 3), p) in (None, 0):
         raise ValueError(f"hypothesis fails: B_{p - 3} ≡ 0 mod {p}")
     E = form_table(f"E{p - 1}H", 2 * N * N)
     check = cong_mod(E.class_coeff, _one, p, N)
@@ -292,8 +300,7 @@ def _nonresidue_sweep(a, p: int, chi: list[int], N: int, witnesses: list) -> int
     nonresidue = [key for key in counts if chi[key[0]] == -1]
     bad = set()
     for key in nonresidue:
-        c = a(key)
-        if c.denominator % p == 0 or c.numerator % p:
+        if residue(a(key), p) != 0:
             bad.add(key)
     if bad:
         for n, m, t, key in iter_keyed(N):

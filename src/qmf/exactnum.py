@@ -2,16 +2,16 @@
 
 All arithmetic in this package is exact: rationals are `fractions.Fraction`
 over Python's arbitrary-precision integers, and nothing here ever touches a
-float (the sole exception is `math.inf`, returned by `ord_p` at zero so that
-valuation comparisons like ``ord_p(x, p) >= 1`` behave uniformly). Divisor
-sums come at one point (`sigma`) or as one sieved row (`sigma_row`).
+float. Every "mod m" fact about a rational is read from `residue`, its one
+reduction. Divisor sums come at one point (`sigma`) or as one sieved row
+(`sigma_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 
 __all__ = [
     "bernoulli",
@@ -19,7 +19,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "kronecker",
-    "ord_p",
+    "residue",
     "sigma",
     "sigma_row",
 ]
@@ -121,23 +121,17 @@ def kronecker(a: int, n: int) -> int:
     return r if n == 1 else 0
 
 
-def ord_p(x, p: int):
-    """p-adic valuation of the rational x; returns math.inf for x = 0."""
-    if not is_prime(p):
-        raise ValueError(f"ord_p: modulus {p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        return inf
-    v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+def residue(x, m: int) -> int | None:
+    """The rational x (an int or a Fraction) mod m, in 0..m-1, or None when
+    the denominator of x shares a factor with m. For a prime p, residue(x, p)
+    is None exactly when v_p(x) < 0 and 0 exactly when v_p(x) > 0."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    try:
+        inv = pow(x.denominator, -1, m)
+    except ValueError:
+        return None
+    return x.numerator * inv % m
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13, the

@@ -88,10 +88,14 @@ class MaassTable:
 
     def class_coeff(self, key: tuple[int, int]) -> Fraction:
         """Coefficient of the Maass lift at every psd T of class key =
-        T.class_key(); raises ValueError when two_det is past the end of R."""
+        T.class_key(); raises ValueError when two_det is past the end of R,
+        and at a key no psd T has (a negative two_det, or a content below 1
+        but at (0, 0))."""
         if key == (0, 0):
             return self.const
         td, eps = key
+        if td < 0 or eps < 1:
+            raise ValueError(f"class {key} is the class key of no psd index")
         if td >= len(self.R):
             raise ValueError(
                 f"table reaches l = {len(self.R) - 1}; class {key} needs l = {td}"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd
 
 import pytest
 
@@ -14,7 +14,7 @@ from qmf.exactnum import (
     factorize,
     is_prime,
     kronecker,
-    ord_p,
+    residue,
     sigma,
     sigma_row,
 )
@@ -72,10 +72,11 @@ def test_bernoulli_negative_raises():
         bernoulli(-1)
 
 
-def test_ord_p_of_bernoulli_p_minus_one():
-    # von Staudt-Clausen: p exactly divides the denominator of B_(p-1)
-    for p in (5, 7, 11, 13, 17, 19, 23):
-        assert ord_p(bernoulli(p - 1), p) == -1
+def test_residue_of_bernoulli_p_minus_one():
+    # von Staudt-Clausen: B_(p-1) is not p-integral and p B_(p-1) ≡ -1 mod p
+    for p in (5, 7, 11, 13, 691):
+        assert residue(bernoulli(p - 1), p) is None
+        assert residue(p * bernoulli(p - 1), p) == p - 1
 
 
 def test_sigma_frozen():
@@ -166,15 +167,26 @@ def test_kronecker_periodic_mod_8_in_even_part():
         assert kronecker(a, 2) == kronecker(a + 8, 2)
 
 
-def test_ord_p():
-    assert ord_p(50, 5) == 2
-    assert ord_p(Fraction(3, 8), 2) == -3
-    assert ord_p(Fraction(-17, 5), 17) == 1
-    assert ord_p(Fraction(9, 17), 17) == -1
-    assert ord_p(0, 7) == inf
-    assert ord_p(1, 13) == 0
-    with pytest.raises(ValueError):
-        ord_p(10, 6)
+def test_residue_against_brute_force():
+    # None exactly when gcd(den, m) > 1, else the one r in range(m) with
+    # m | num - r den; zero, negatives and shared factors are all drawn
+    rng = random.Random(23)
+    values = [Fraction(0), Fraction(-1), Fraction(7, 6), Fraction(-25, 12)]
+    for _ in range(200):
+        den = rng.choice((1, 2, 6, 30, 49, rng.randrange(1, 10**4)))
+        values.append(Fraction(rng.randrange(-(10**6), 10**6), den))
+    for m in range(2, 61):
+        for x in values:
+            got = residue(x, m)
+            if gcd(x.denominator, m) > 1:
+                assert got is None, (x, m)
+            else:
+                want = [r for r in range(m) if (x.numerator - r * x.denominator) % m == 0]
+                assert [got] == want, (x, m)
+    assert residue(-3, 5) == 2
+    for m in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {m}"):
+            residue(Fraction(1, 3), m)
 
 
 def test_is_prime_against_sieve():

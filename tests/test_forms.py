@@ -1,6 +1,7 @@
 """Named forms: frozen coefficient tables, Maass structure, cusp properties."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,16 @@ def test_table_coeff_raises_past_its_bound():
         table.class_coeff((8, 2))
     # rank <= 1 indices need only R(0), at any depth
     assert table.coeff(parse_tmatrix("9,0,0,0,0,0")) == 0
+
+
+def test_class_coeff_refuses_keys_of_no_psd_index():
+    table = form_table("G10H", 10)
+    for key in ((-1, 1), (4, 0), (0, -2)):
+        with pytest.raises(ValueError, match=re.escape(f"class {key} ")):
+            table.class_coeff(key)
+    assert table.class_coeff((0, 0)) == table.const
+    assert table.class_coeff((0, 1)) == table.R[0]
+    assert table.class_coeff((4, 1)) == table.R[4]
 
 
 def test_e4_e6_tables_integral():

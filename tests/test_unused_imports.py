@@ -8,7 +8,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qmf"
 
 def unused_imports(source: str) -> list[str]:
     """Names that imports in source bind and no expression reads; a name
-    listed in the module's __all__ counts as read."""
+    listed in the module's __all__ counts as read. An __all__ built by an
+    expression, such as qmf's list(_HOME), reads just the names in it."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -18,9 +19,13 @@ def unused_imports(source: str) -> list[str]:
             bound += [alias.asname or alias.name for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
         ):
             read |= set(ast.literal_eval(node.value))
     return [name for name in bound if name not in read]
@@ -37,6 +42,12 @@ def test_unused_imports_detects_dead_names():
         "    return gcd(x, os.sep)\n"
     )
     assert unused_imports(source) == ["system", "lcm", "pq"]
+    derived = (
+        "from .forms import MaassTable, form_table\n"
+        "_HOME = {'MaassTable': 'forms'}\n"
+        "__all__ = list(_HOME)\n"
+    )
+    assert unused_imports(derived) == ["MaassTable", "form_table"]
 
 
 def test_library_has_no_unused_imports():
