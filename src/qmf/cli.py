@@ -16,8 +16,10 @@ Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
 command's own (a failing verify still exits 1). `table` writes its rows in
 chunks of whole lines, at most _CHUNK_ROWS rows per write, one write per
-chunk whatever the buffering of stdout. Each subcommand imports only what
-it runs: `coeff` and `table` load no verifier and no json.
+chunk whatever the buffering of stdout. Each subcommand imports the
+mathematics it runs when it runs: `coeff` and `table` load no verifier and
+no json, and `--help`, a bare `qmf` and every usage error load no
+mathematics at all (no qmf module but this one, and no fractions).
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ import os
 import sys
 from bisect import bisect_right
 from itertools import accumulate
-
-from .exactnum import residue
-from .forms import form_table
-from .tmat import class_counts, iter_keyed, keyed_walk, parse_tmatrix
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
@@ -64,6 +62,10 @@ def _emit(path, write) -> None:
 
 
 def _cmd_coeff(args) -> int:
+    from .exactnum import residue
+    from .forms import form_table
+    from .tmat import parse_tmatrix
+
     T = parse_tmatrix(args.T)
     # the form is resolved first, so an unknown one is an error at any T;
     # off the psd cone two_det can be large, and the table answers 0 there
@@ -145,6 +147,10 @@ def _cmd_table(args) -> int:
     count: one write per chunk whether or not stdout is buffered, with no
     Python frame per line or row. No TMatrix is built, and neither the box
     nor more than a chunk of output is kept."""
+    from .exactnum import residue
+    from .forms import form_table
+    from .tmat import class_counts, iter_keyed, keyed_walk
+
     N = args.max
     _check_depth(N, "--max")
     counts = class_counts(N)

@@ -16,7 +16,8 @@ keyed walk (tmat.iter_keyed), to name its witnesses as an index-by-index
 sweep would; cong_mod is that sweep for a coefficientwise congruence. The
 Ramanujan certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in
 the Maass space, but chi ≡ G mod p wherever G is p-integral, so every check
-on chi reads G's table.
+on chi reads G's table. The elliptic algebra (qmf.series) is imported by
+build_chi, its one user, when it runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import NamedTuple
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
-from .series import _express, e4_e6_monomials
 from .tmat import TMatrix, class_counts, iter_keyed
 
 __all__ = [
@@ -191,6 +191,8 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     built, because every fact the certificate states about it follows from
     G and P (the box construction lives in the tests as the oracle).
     """
+    from .series import _express, e4_e6_monomials
+
     if not star_condition(k, p):
         raise ValueError(f"pair (k={k}, p={p}) fails the star condition")
     # P has one unknown per monomial, solved from the q^0..q^N coefficients;

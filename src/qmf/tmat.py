@@ -30,6 +30,7 @@ Jacobi's r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from itertools import compress
 from math import gcd, isqrt
@@ -254,7 +255,8 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
     primitive: as x = x^2 mod 2, s / g has the parity of norm(u), so t is
     dual exactly when g * norm(u) is even, and the histogram holds P(norm(u))
     vectors of key (g^2 norm(u), g, norm(u) mod 2) for each such pair, and
-    one of key (0, 0, 0), t = 0. Each block then folds the histogram in.
+    one of key (0, 0, 0), t = 0. Each block (n, m) then folds in the keys
+    of norm <= 4nm, a prefix of the histogram sorted by norm.
     """
     if N < 0:
         raise ValueError("class_counts: depth must be >= 0")
@@ -271,13 +273,13 @@ def class_counts(N: int) -> dict[tuple[int, int], int]:
                 prim[g * g * u] -= prim[u]
             if g * u % 2 == 0:
                 hist[g * g * u, g, u % 2] += prim[u]
+    items = sorted(hist.items())
+    norms = [hkey[0] for hkey, _ in items]
     out = Counter()
     blocks = Counter(
         (n * m, gcd(n, m)) for n in range(N + 1) for m in range(N + 1)
     )
     for (nm, g_nm), mult in blocks.items():
-        for hkey, count in hist.items():
-            key = _class_key(nm, g_nm, hkey)
-            if key is not None:
-                out[key] += mult * count
+        for hkey, count in items[: bisect_right(norms, 4 * nm)]:
+            out[_class_key(nm, g_nm, hkey)] += mult * count
     return dict(out)

@@ -484,14 +484,14 @@ def test_deep_box_warning(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["verify", "theta", "--depth", "5"])
     assert (code, err) == (0, "")
     # table writes the box, and warns from the class counts it reads anyway,
-    # counted once
-    calls = []
+    # counted once; table reads class_counts from tmat when it runs
+    calls, class_counts = [], tmat.class_counts
 
     def counted(N):
         calls.append(N)
-        return tmat.class_counts(N)
+        return class_counts(N)
 
-    monkeypatch.setattr(cli, "class_counts", counted)
+    monkeypatch.setattr(tmat, "class_counts", counted)
     out_file = tmp_path / "x10.csv"
     argv = ["table", "--form", "X10", "--max", "5", "--out", str(out_file)]
     code, out, err = run(capsys, argv)
@@ -626,10 +626,14 @@ def test_table_unbuffered_stdout_matches_golden():
 
 
 # Modules no subcommand loads: dataclasses, with the inspect it imports, and
-# the expansions only the box lift builds; and those only verify has a use
-# for: the verifiers, the elliptic algebra and json.
+# the expansions only the box lift builds; those only verify has a use for:
+# the verifiers, the elliptic algebra and json; and the mathematics, with the
+# numeric tower of fractions, which only a subcommand that runs loads.
 NEVER_IMPORTED = ("dataclasses", "inspect", "qmf.fexp")
 VERIFY_IMPORTS = ("json", "qmf.congr", "qmf.series")
+MATH_IMPORTS = (
+    "fractions", "decimal", "numbers", "qmf.exactnum", "qmf.tmat", "qmf.quatlat", "qmf.forms"
+)
 PROBE = (
     "import sys\n"
     "from qmf.cli import main\n"
@@ -638,25 +642,42 @@ PROBE = (
     "print(*sorted(sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+IMPORT_PROBE = "import sys\nimport qmf.cli\nprint(*sorted(sys.modules), file=sys.stderr)\n"
+
+
+# (argv, exit code, modules loaded besides qmf.cli, modules not loaded); an
+# argv of None imports qmf.cli and runs nothing. Help, a bare qmf, a usage
+# error and the import run no mathematics, so they load none. Cases are
+# named by position.
+NO_MATH = MATH_IMPORTS + VERIFY_IMPORTS
+IMPORT_CASES = [
+    (
+        ["coeff", "--form", "X14", "--T", "1,3,1,1,0,0", "--mod", "23"],
+        0, ("qmf.forms",), VERIFY_IMPORTS,
+    ),
+    (
+        ["table", "--form", "G12H", "--max", "2", "--format", "json", "--mod", "691"],
+        0, ("qmf.forms",), VERIFY_IMPORTS,
+    ),
+    (["--help"], 0, (), NO_MATH),
+    (["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "2"], 0, VERIFY_IMPORTS, ()),
+    (["verify", "theta", "--depth", "1"], 0, ("json", "qmf.congr"), ("qmf.series",)),
+    ([], 2, (), NO_MATH),
+    (["coeff", "--form", "X10"], 2, (), NO_MATH),
+    (None, 0, (), NO_MATH),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeff", "--form", "X14", "--T", "1,3,1,1,0,0", "--mod", "23"],
-        ["table", "--form", "G12H", "--max", "2", "--format", "json", "--mod", "691"],
-        ["--help"],
-        ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "2"],
-    ],
+    "argv, code, loads, absent", IMPORT_CASES, ids=[f"argv{i}" for i in range(len(IMPORT_CASES))]
 )
-def test_subcommand_imports_only_what_it_runs(argv):
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, env=cli_env(), check=True
-    )
+def test_subcommand_imports_only_what_it_runs(argv, code, loads, absent):
+    args = [PROBE, *argv] if argv is not None else [IMPORT_PROBE]
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True, env=cli_env())
+    assert proc.returncode == code
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
-    assert {"qmf.cli", "qmf.forms"} <= loaded
-    absent = NEVER_IMPORTED + (() if argv[0] == "verify" else VERIFY_IMPORTS)
-    assert [name for name in absent if name in loaded] == []
+    assert {"qmf.cli", *loads} <= loaded
+    assert [name for name in NEVER_IMPORTED + absent if name in loaded] == []
 
 
 def test_verify_runs_the_verifier_patched_on_congr(capsys, monkeypatch):
