@@ -10,10 +10,11 @@ verifier builds a whole expansion. Every predicate a verifier checks reads T
 only through its class key (two_det(T), content of T): a table coefficient,
 the theta image two_det * a(T), and kronecker(-p, two_det) all do. So each
 sweep checks one value per class and counts the indices of each class with
-class_counts, without the box; only a sweep that fails walks the box, one
-index at a time and without keeping it, reading each index's class from the
-keyed walk (tmat.iter_keyed), to name its witnesses as an index-by-index
-sweep would; cong_mod is that sweep for a coefficientwise congruence. The
+class_counts, built once per verifier, without the box; only a sweep that
+fails walks the box, one index at a time and without keeping it, reading
+each index's class from the keyed walk (tmat.iter_keyed), to name its
+witnesses as an index-by-index sweep would; cong_mod is that sweep for a
+coefficientwise congruence. The
 Ramanujan certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in
 the Maass space, but chi ≡ G mod p wherever G is p-integral, so every check
 on chi reads G's table. The elliptic algebra (qmf.series) is imported by
@@ -79,7 +80,13 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
     """
     if not is_prime(p):
         raise ValueError(f"cong_mod: modulus {p} is not prime")
-    counts = class_counts(N)
+    return _sweep(f, g, p, N, class_counts(N))
+
+
+def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
+    """cong_mod for a prime p, reading the classes of the depth-N box from
+    counts = class_counts(N), which a verifier with several sweeps builds
+    once."""
     bad = {}
     for key in counts:
         a = residue(f(key), p)
@@ -191,6 +198,11 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     built, because every fact the certificate states about it follows from
     G and P (the box construction lives in the tests as the oracle).
     """
+    return _build_chi(k, p, N)[0]
+
+
+def _build_chi(k: int, p: int, N: int) -> tuple[ChiReport, dict]:
+    """build_chi's report and the class counts of the box its sweep read."""
     from .series import _express, e4_e6_monomials
 
     if not star_condition(k, p):
@@ -218,8 +230,9 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     # (checked above) and E4H, E6H are integral. So chi(T) is p-integral
     # exactly where G(T) is, and then chi(T) ≡ G(T) mod p: sweeping G
     # against itself gives the status, witness and count of G against chi.
-    congruence = cong_mod(G.class_coeff, G.class_coeff, p, N)
-    return ChiReport(k, p, N, poly, not any(phi), congruence)
+    counts = class_counts(N)
+    congruence = _sweep(G.class_coeff, G.class_coeff, p, N, counts)
+    return ChiReport(k, p, N, poly, not any(phi), congruence), counts
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.
@@ -233,7 +246,7 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     checks chi against that form mod p on the box. Where G is p-integral,
     chi ≡ G mod p, so that check reads G's table in chi's place.
     """
-    report = build_chi(k, p, N)
+    report, counts = _build_chi(k, p, N)
     witnesses: list = []
     checked = report.congruence.checked + (N + 1)
     if not report.phi_vanishes:
@@ -244,7 +257,7 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     params = {"k": k, "p": p, "depth": N}
     if name:
         G = form_table(f"G{k}H", 2 * N * N).class_coeff
-        extra = cong_mod(G, form_table(name, 2 * N * N).class_coeff, p, N)
+        extra = _sweep(G, form_table(name, 2 * N * N).class_coeff, p, N, counts)
         checked += extra.checked
         params["target"] = name
         witnesses += _witnesses(extra, f"chi ≡ {name} mod {p}")
@@ -275,11 +288,11 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
 def verify_theta_cong(N: int) -> list[Verdict]:
     """Check theta(G4H) ≡ X10 mod 5 and theta(G6H) ≡ X14 mod 7, where theta
     multiplies a(T) by two_det(T)."""
-    out = []
+    out, counts = [], class_counts(N)
     for k, p, name in ((4, 5, "X10"), (6, 7, "X14")):
         a = form_table(f"G{k}H", 2 * N * N).class_coeff
-        target = form_table(name, 2 * N * N)
-        check = cong_mod(lambda key: key[0] * a(key), target.class_coeff, p, N)
+        target = form_table(name, 2 * N * N).class_coeff
+        check = _sweep(lambda key: key[0] * a(key), target, p, N, counts)
         params = {"k": k, "p": p, "target": name, "depth": N}
         verdict = _verdict("theta-congruence", params, _witnesses(check), check.checked)
         out.append(verdict)
@@ -291,14 +304,16 @@ def _kronecker_table(p: int, L: int) -> list[int]:
     return [kronecker(-p, l) for l in range(L + 1)]
 
 
-def _nonresidue_sweep(a, p: int, chi: list[int], N: int, witnesses: list) -> int:
+def _nonresidue_sweep(
+    a, p: int, chi: list[int], N: int, counts: dict, witnesses: list
+) -> int:
     """Append a witness for every box index T with kronecker(-p, two_det(T))
     = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked.
 
-    a maps a class key to the coefficient of its class and chi is
-    _kronecker_table(p, L) for an L >= 2N^2; the keyed walk runs only to list
-    the indices of the classes that fail, as text."""
-    counts = class_counts(N)
+    a maps a class key to the coefficient of its class, chi is
+    _kronecker_table(p, L) for an L >= 2N^2 and counts is class_counts(N);
+    the keyed walk runs only to list the indices of the classes that fail,
+    as text."""
     nonresidue = [key for key in counts if chi[key[0]] == -1]
     bad = set()
     for key in nonresidue:
@@ -317,14 +332,14 @@ def verify_mod23(N: int) -> Verdict:
     a(T) two_det(T) mod 23."""
     a = form_table("X14", 2 * N * N).class_coeff
     chi = _kronecker_table(23, 2 * N * N)
-    witnesses: list = []
-    checked = _nonresidue_sweep(a, 23, chi, N, witnesses)
+    counts, witnesses = class_counts(N), []
+    checked = _nonresidue_sweep(a, 23, chi, N, counts, witnesses)
 
     def twisted(key):
         td = key[0]
         return a(key) * td * chi[td]
 
-    corollary = cong_mod(twisted, lambda key: a(key) * key[0], 23, N)
+    corollary = _sweep(twisted, lambda key: a(key) * key[0], 23, N, counts)
     checked += corollary.checked
     witnesses += _witnesses(corollary, "twisted theta ≡ theta mod 23")
     return _verdict("mod23-vanishing", {"p": 23, "depth": N}, witnesses, checked)
@@ -345,7 +360,7 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     witnesses: list = []
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     chi = _kronecker_table(p, max(2 * N * N, _SIGMA_SWEEP))
-    checked = _nonresidue_sweep(G, p, chi, N, witnesses)
+    checked = _nonresidue_sweep(G, p, chi, N, class_counts(N), witnesses)
     s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
     sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if chi[ell] == -1]
     checked += len(sweep)

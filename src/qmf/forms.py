@@ -10,14 +10,16 @@ Eisenstein tables. The cusp forms in weights 10, 12 and 14 are exact rational
 combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
 the first Fourier-Jacobi rows of products, which _product_row reads from the
-factors as two products of truncated q-series. Those go through _mul, the
-library's one convolution; qmf.series forms the E4/E6 monomials with it. A
-table is the form: callers read coefficients from it, and form_table holds
-one per form, the longest built so far, for callers and cusp rows alike.
-build_form lifts a table to a read-only FourierExpansion on a whole box,
-which the library never does arithmetic on; the tests multiply such boxes
-in their oracle for the tables. Only the lift imports fexp, so reading a
-table's coefficients loads no expansion code.
+factors as two products of truncated q-series, each factor's Siegel
+restriction read from one divisor-sum row. Those go through _mul, the
+library's one convolution, which is one big-integer product by Kronecker
+substitution; qmf.series forms the E4/E6 monomials with it. A table is the
+form: callers read coefficients from it, and form_table holds one per form,
+the longest built so far, for callers and cusp rows alike. build_form lifts
+a table to a read-only FourierExpansion on a whole box, which the library
+never does arithmetic on; the tests multiply such boxes in their oracle for
+the tables. Only the lift imports fexp, so reading a table's coefficients
+loads no expansion code.
 
 A finite check of a row proves it at every l. The row of a weight-k form
 here is a modular form of weight k - 2 on Gamma0(4) with rational
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .exactnum import bernoulli, divisors, sigma_row
 from .tmat import TMatrix, class_counts, iter_keyed
@@ -100,6 +103,8 @@ class MaassTable:
             raise ValueError(
                 f"table reaches l = {len(self.R) - 1}; class {key} needs l = {td}"
             )
+        if eps == 1:  # divisors(1) == (1,): the sum is the entry itself
+            return self.R[td]
         k1 = self.weight - 1
         return sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
 
@@ -137,15 +142,58 @@ def _eisenstein_table(k: int, g: bool, L: int) -> MaassTable:
     return MaassTable(k, u, (-2 * k * u / bernoulli(k),) + tuple(cpos * x for x in S))
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """The product of two truncated q-series, to the shorter precision; a's
-    zero coefficients cost nothing, so the sparser factor goes first."""
+def _integers(a: tuple) -> tuple[list[int], int]:
+    """The rationals a as integers over one denominator, the lcm of theirs."""
+    den = 1
+    for x in a:
+        q = x.denominator
+        if den % q:
+            den = den // gcd(den, q) * q
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
+def _pack(xs: list[int], w: int) -> int:
+    """sum_i xs[i] 2^(8wi): xs in w-byte two's-complement slots read as one
+    integer, less a borrow of 1 in slot i + 1 for each negative xs[i]; both
+    integers are read from bytes, in time linear in their length."""
+    one, zero = (1).to_bytes(w, "little"), bytes(w)
+    slots = b"".join(x.to_bytes(w, "little", signed=True) for x in xs)
+    borrow = zero + b"".join(one if x < 0 else zero for x in xs)
+    return int.from_bytes(slots, "little") - int.from_bytes(borrow, "little")
+
+
+def _mul(a: tuple, b: tuple) -> tuple[Fraction, ...]:
+    """The product of two truncated q-series of rationals, to the shorter
+    precision n, in Fractions, as one big-integer product (Kronecker
+    substitution; D. Harvey, J. Symbolic Comput. 44, 2009). Each factor is
+    scaled to integers over the lcm of its denominators and packed in w-byte
+    slots. A coefficient of the product sums at most n terms A_i B_j, so its
+    magnitude is below 2^(bits(max|A|) + bits(max|B|) + bits(n)) <= 2^(8w - 2):
+    with 2^(8w - 1) added it fills its slot without a carry, and the low n
+    slots, read back from bytes, are the coefficients."""
     n = min(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            out[i:] = [c + x * y for c, y in zip(out[i:], b)]
-    return tuple(out)
+    A, da = _integers(a[:n])
+    B, db = _integers(b[:n])
+    bits = sum(max(map(abs, X), default=0).bit_length() for X in (A, B))
+    w = (bits + n.bit_length() + 2 + 7) // 8
+    half = bytes(w - 1) + b"\x80"  # 2^(8w - 1) in one slot
+    C = _pack(A, w) * _pack(B, w) + int.from_bytes(half * n, "little")
+    raw = (C & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    den, mid = da * db, 1 << 8 * w - 1
+    return tuple(
+        Fraction(int.from_bytes(raw[i : i + w], "little") - mid, den)
+        for i in range(0, w * n, w)
+    )
+
+
+def _restriction(h: MaassTable, L: int) -> list:
+    """The Siegel restriction of h's lift at q^2, to q^L: a((j, 0, 0)) at
+    q^(2j), which is h.const at j = 0 and R(0) sigma_(k-1)(j) past it, the
+    lift's divisor sum at the class (0, j)."""
+    out = [0] * (L + 1)
+    out[0] = h.const
+    out[2::2] = [h.R[0] * s for s in sigma_row(h.weight - 1, L // 2)[1:]]
+    return out
 
 
 def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
@@ -153,15 +201,12 @@ def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
     each factor's row only that far: the n1 + n2 = 1 part of the box
     convolution, as (1, m, t) splits only as (0, j, 0) + (1, m - j, t) or the
     reverse, so R = phi_f(q^2) R_g + phi_g(q^2) R_f as q-series in l, with
-    phi_f(q^2) = sum_j f.class_coeff((0, j)) q^(2j) the restriction of f at
-    q^2 and phi_g(q^2) that of g. Exact whether or not fg lies in the Maass
-    space, as f and g do."""
-    # the restrictions at q^2 go first: _mul skips their zeros at odd powers
-    f2, g2 = (
-        tuple(0 if l % 2 else h.class_coeff((0, l // 2)) for l in range(L + 1))
-        for h in (f, g)
-    )
-    return tuple(a + b for a, b in zip(_mul(f2, g.R), _mul(g2, f.R)))
+    phi_f(q^2) the restriction of f at q^2 (_restriction) and phi_g(q^2)
+    that of g. Exact whether or not fg lies in the Maass space, as f and g
+    do."""
+    fg = _mul(_restriction(f, L), g.R)
+    gf = _mul(_restriction(g, L), f.R)
+    return tuple(a + b for a, b in zip(fg, gf))
 
 
 def _x10_table(L: int) -> MaassTable:
@@ -202,8 +247,9 @@ _TABLES: dict[str, MaassTable] = {}
 def form_table(name: str, L: int) -> MaassTable:
     """The one table of a named form, X10, X12, X14, E<k>H or G<k>H ("E04H"
     and " e4h " name E4H), reaching at least l = L. A shorter table is
-    replaced by the form built at exactly L: a cusp row costs O(L^2), so
-    building past L would cost more than the request needs."""
+    replaced by the form built at exactly L: a cusp row costs big-integer
+    products of L + 1 slots, more than linear in L, so building past L would
+    cost more than the request needs."""
     key = name.strip().upper()
     build, args = _CUSP_TABLES.get(key), ()
     if build is None:

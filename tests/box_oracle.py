@@ -8,7 +8,9 @@ expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
 product_row states the table product rule one l at a time, as the oracle
-of forms._product_row, which reads it as two q-series products.
+of forms._product_row, which reads it as two q-series products; naive_mul
+is the q-series product one term at a time, as the oracle of forms._mul,
+which forms it as one big-integer product.
 
 bernoulli_row is the defining recurrence of the Bernoulli numbers, in
 Fraction, as the oracle of exactnum.bernoulli, which reads tangent numbers.
@@ -287,6 +289,16 @@ def product_row(f, g, L):
     return tuple(
         sum(f0[j] * Rg[l - 2 * j] + Rf[l - 2 * j] * g0[j] for j in range(l // 2 + 1))
         for l in range(L + 1)
+    )
+
+
+def naive_mul(a, b):
+    """The product of two truncated q-series of rationals to the shorter
+    precision, one term at a time: c(l) = sum_{i <= l} a(i) b(l - i)."""
+    n = min(len(a), len(b))
+    return tuple(
+        sum((Fraction(a[i]) * b[l - i] for i in range(l + 1)), Fraction(0))
+        for l in range(n)
     )
 
 

@@ -260,6 +260,27 @@ def test_verifiers_build_no_expansion(monkeypatch):
         assert ramanujan_verdict(k, p, 2).ok, (k, p)
 
 
+def test_each_verifier_counts_its_box_once(monkeypatch):
+    # theta, mod23 and ramanujan sweep the box twice, from one class_counts
+    calls, class_counts = [], tmat.class_counts
+    monkeypatch.setattr(congr, "class_counts", lambda N: calls.append(N) or class_counts(N))
+    runs = {
+        "theta": lambda: verify_theta_cong(3),
+        "mod23": lambda: verify_mod23(3),
+        "ramanujan": lambda: ramanujan_verdict(14, 691, 3),
+        "congeis": lambda: verify_cong_eis(6, 3),
+        "ep1": lambda: verify_ep_minus_one(7, 3),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [3], name
+    # cong_mod is one sweep, with its own counts, as before
+    calls.clear()
+    g = form_table("G10H", 18).class_coeff
+    assert congr.cong_mod(g, g, 17, 3).ok and calls == [3]
+
+
 FAILING_SWEEPS = {
     # form, bumped rows, verifier, its index-by-index oracle
     "theta": ("X10", {2: 1, 3: 1}, lambda N: [v.to_json() for v in verify_theta_cong(N)],

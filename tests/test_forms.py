@@ -1,6 +1,7 @@
 """Named forms: frozen coefficient tables, Maass structure, cusp properties."""
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from box_oracle import (
     eisenstein_q,
     monomial_h,
     mul,
+    naive_mul,
     product_row,
     ring_x14,
     scale,
@@ -281,6 +283,56 @@ def test_product_row_is_the_per_l_rule_and_the_box_products_row():
                 assert box.coeff(T) == row[T.two_det()], (f.R[:3], T)
 
 
+def q_rows(L):
+    """Rows to l = L that the product must keep exact: zero rows, int rows
+    (a restriction at q^2 holds int zeros), signed rows at the extremes of
+    their slot width, rows over large coprime denominators, and a shorter
+    and a longer row."""
+    rng = random.Random(L)
+    n, M = L + 1, 2**64 - 1
+    big = (2**61 - 1, 2**89 - 1, 3)  # pairwise coprime
+
+    def fractions(bound, dens, m=n):
+        return tuple(Fraction(rng.randint(-bound, bound), rng.choice(dens)) for _ in range(m))
+
+    return {
+        "zero int": (0,) * n,
+        "zero": (Fraction(0),) * n,
+        "int": tuple(rng.randint(-9, 9) for _ in range(n)),
+        "at q^2": tuple(0 if l % 2 else Fraction(rng.randint(1, 99), 7) for l in range(n)),
+        "+max": (M,) * n,
+        "-max": (Fraction(-M),) * n,
+        "signed": fractions(10**6, (1, 2, 3)),
+        "coprime": fractions(10**40, big),
+        "short": fractions(10**9, (1, 5), L // 2 + 1),
+        "long": fractions(10**9, (1, 11), L + 3),
+    }
+
+
+MUL_PAIRS = (
+    ("zero int", "signed"), ("signed", "zero"), ("int", "at q^2"), ("at q^2", "coprime"),
+    ("+max", "+max"), ("+max", "-max"), ("-max", "-max"), ("signed", "coprime"),
+    ("coprime", "coprime"), ("short", "long"), ("long", "signed"), ("int", "short"),
+)
+
+
+# at L = 400 the oracle costs about 0.25 s a pair: the pairs that reach the
+# widest slots, the largest denominators and unequal lengths
+LONG_PAIRS = (("+max", "-max"), ("coprime", "coprime"), ("at q^2", "coprime"), ("short", "long"))
+
+
+@pytest.mark.parametrize("L", (0, 1, 2, 7, 41, 400))
+def test_mul_is_the_per_term_product(L):
+    rows = q_rows(L)
+    for x, y in MUL_PAIRS if L < 400 else LONG_PAIRS:
+        got = _mul(rows[x], rows[y])
+        assert got == naive_mul(rows[x], rows[y]), (x, y)
+        # entries are Fractions, zeros included, so rows built with them
+        # have the reprs the digests below were recorded from
+        assert all(type(c) is Fraction for c in got), (x, y)
+    assert _mul(rows["long"], ()) == _mul((), rows["int"]) == ()
+
+
 def restriction(table, J):
     """The Siegel restriction of table's lift, a((j, 0, 0)) for j <= J."""
     return tuple(table.class_coeff((0, j)) for j in range(J + 1))
@@ -320,6 +372,28 @@ def test_rows_to_400_frozen():
     for name, want in ROW_SHA256.items():
         R = row_to_400(name)
         assert hashlib.sha256(repr(R).encode()).hexdigest() == want, name
+
+
+# sha256 of repr(R[:797]) for the cusp rows at l <= 796, recorded from rows
+# built by a per-term Fraction product, so they check _mul's integer packing
+ROW_796_SHA256 = {
+    "X10": "800c4cc01f8357415293bc5db6dfec9eeb379e09380787a6dfd2a72fd8c08a60",
+    "X12": "eb5825554ea61411e92531bd73a62490c8212e5fbe2b07f255e75d81f9d1e98c",
+    "X14": "bf81c3996d1766f567667fcc66044ccedf75e55324f43aafe402301520ab7446",
+}
+
+
+def test_cusp_rows_to_796_frozen():
+    for name, want in ROW_796_SHA256.items():
+        R = form_table(name, 796).R[:797]
+        assert hashlib.sha256(repr(R).encode()).hexdigest() == want, name
+
+
+def test_content_one_coefficient_is_the_row_entry():
+    # divisors(1) == (1,): class_coeff returns the entry itself
+    table = form_table("X12", 40)
+    for td in range(41):
+        assert table.class_coeff((td, 1)) is table.R[td]
 
 
 def counted(monkeypatch, name):
