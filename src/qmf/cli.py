@@ -15,7 +15,7 @@ reduction failure.
 Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
 command's own (a failing verify still exits 1). `table` writes its rows in
-chunks of whole lines, at most _CHUNK_ROWS rows per write, one write per
+chunks of whole lines of at most _CHUNK_CHARS characters, one write per
 chunk whatever the buffering of stdout. Each subcommand imports the
 mathematics it runs when it runs: `coeff` and `table` load no verifier and
 no json, and `--help`, a bare `qmf` and every usage error load no
@@ -32,10 +32,12 @@ from itertools import accumulate
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
-# Rows per write of `table`: a write is a system call when stdout is
+# Characters per write of `table`: a write is a system call when stdout is
 # unbuffered (python -u, PYTHONUNBUFFERED), so rows are joined into chunks,
-# which also bounds the output held at once.
-_CHUNK_ROWS = 2048
+# which also bounds the output held at once. A chunk and its UTF-8 copy stay
+# below glibc's 128 KiB mmap and trim thresholds, so their memory is reused
+# from the heap rather than mapped or trimmed and faulted in anew per write.
+_CHUNK_CHARS = 2**16
 
 
 def _check_depth(N: int, flag: str) -> None:
@@ -142,11 +144,12 @@ def _cmd_table(args) -> int:
     renders the run of each of its shapes once, as the texts "d" + tail of
     its rows. A line of the block is then P.join of its shape's rows, each
     preceded by P = the block's prefix + the line's text "a,b,c,". The
-    lines are formed by C-level maps and written in chunks of whole lines,
-    at most _CHUNK_ROWS rows per write, found by bisect on the running row
-    count: one write per chunk whether or not stdout is buffered, with no
-    Python frame per line or row. No TMatrix is built, and neither the box
-    nor more than a chunk of output is kept."""
+    lines are formed by C-level maps and written in chunks of whole lines
+    of at most _CHUNK_CHARS characters: at most _CHUNK_CHARS // width rows,
+    width the widest row the table can have, found by bisect on the running
+    row count. That is one write per chunk whether or not stdout is
+    buffered, with no Python frame per line or row. No TMatrix is built,
+    and neither the box nor more than a chunk of output is kept."""
     from .exactnum import residue
     from .forms import form_table
     from .tmat import class_counts, iter_keyed, keyed_walk
@@ -184,6 +187,11 @@ def _cmd_table(args) -> int:
         n, m, t, _ = next(row for row in iter_keyed(N) if row[3] in bad)
         print(f"error: coefficient at {n},{m},{t} is not integral mod {mod}", file=sys.stderr)
         return 1
+    # the widest row the table can have: the widest prefix, the texts of a,
+    # b, c and d (|x| <= 2N, each with a comma at most) and the widest tail
+    width = len(sep + start.format(N, N)) + 4 * (len(str(-2 * N)) + 1)
+    width += max(map(len, rest.values()))
+    chunk_rows = _CHUNK_CHARS // width
 
     def write(fh):
         fh.write(head)
@@ -198,11 +206,11 @@ def _cmd_table(args) -> int:
                 rows[h] = ["", *map("{}{}".format, ds, map(tails.__getitem__, ids))]
                 sizes[h] = len(ds)
             # ends[i] rows precede line i; a chunk is the most whole lines
-            # that hold at most _CHUNK_ROWS rows
+            # that hold at most chunk_rows rows, and at least one line
             ends = list(accumulate(map(sizes.__getitem__, shapes), initial=0))
             lo = 0
             while lo < len(lines):
-                hi = bisect_right(ends, ends[lo] + _CHUNK_ROWS) - 1
+                hi = max(bisect_right(ends, ends[lo] + chunk_rows) - 1, lo + 1)
                 segments = map(
                     str.join, map(prefix.__add__, lines[lo:hi]), map(rows.__getitem__, shapes[lo:hi])
                 )

@@ -19,6 +19,30 @@ Ramanujan certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in
 the Maass space, but chi ≡ G mod p wherever G is p-integral, so every check
 on chi reads G's table. The elliptic algebra (qmf.series) is imported by
 build_chi, its one user, when it runs.
+
+What each claim checks, and what it takes to fail it. Two of them hold by
+construction wherever the coefficients they read are p-integral, so they
+check p-integrality only (chi_p is kronecker(-p, two_det)):
+
+  verifier   claim                       fails only where
+  ramanujan  restriction of chi vanishes G's restriction past q^(d-1) is
+                                         not p P(E4, E6); through q^(d-1)
+                                         it is, as P is solved there
+  ramanujan  g_h(k) ≡ chi mod p          G is not p-integral: G is swept
+                                         against itself
+  ramanujan  chi ≡ X10/X14 mod p         G and the target differ mod p
+  theta      theta(G) ≡ X10/X14 mod p    two_det a_G and a_X differ mod p
+  mod23      23 | a where chi_23 = -1    a_X14 is not 0 mod 23 there
+  mod23      twisted theta ≡ theta       the first mod23 claim fails, or
+                                         a_X14 is not 23-integral where
+                                         chi_23 != -1: the sides are equal
+                                         where it is 1, and read 23 a ≡ 0
+                                         where it is 0
+  congeis    p | a where chi_p = -1      a_G is not 0 mod p there
+  congeis    sigma sweep                 sigma_row is wrong: the identity
+                                         holds at every l, p ≡ 3 mod 4
+  ep1        E_(p-1) ≡ 1 mod p           a coefficient is not 1 at T = 0,
+                                         0 elsewhere, mod p
 """
 
 from __future__ import annotations

@@ -226,7 +226,10 @@ def _x12_table(L: int) -> MaassTable:
 
 
 def _x14_table(L: int) -> MaassTable:
-    R = _product_row(form_table("E4H", L), form_table("X10", L), L)
+    """E4 X10, whose row is phi_E4(q^2) R_X10 alone: the other half of
+    _product_row(E4H, X10) multiplies by X10's Siegel restriction, which is
+    0, as X10's const and R(0) are."""
+    R = _mul(_restriction(form_table("E4H", L), L), form_table("X10", L).R)
     return MaassTable(14, Fraction(0), R)
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -541,36 +542,96 @@ def cli_env(**extra):
 
 def test_table_into_closed_pipe_exits_0_silently():
     # the reader stops after two lines, as `qmf table ... | head -2` does,
-    # or after several chunks of the 35,929 rows; stdout is unbuffered, so
-    # the chunk writes themselves meet the closed pipe
-    assert sum(tmat.class_counts(4).values()) > 8 * cli._CHUNK_ROWS
-    for lines in (2, 3 * cli._CHUNK_ROWS):
+    # or after several chunks of the output: its 35,929 rows are each at
+    # least as long as '"0,0,0,0,0,0",0,1\n'. stdout is unbuffered, so the
+    # chunk writes themselves meet the closed pipe
+    assert sum(tmat.class_counts(4).values()) * 18 > 8 * cli._CHUNK_CHARS
+    for size in (0, 3 * cli._CHUNK_CHARS):
         proc = subprocess.Popen(
             [sys.executable, "-m", "qmf.cli", "table", "--form", "X10", "--max", "4"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=cli_env(PYTHONUNBUFFERED="1"),
         )
-        head = [proc.stdout.readline() for _ in range(lines)]
+        head = [proc.stdout.readline() for _ in range(2)]
+        while sum(map(len, head)) < size and head[-1]:
+            head.append(proc.stdout.readline())
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 0
         assert err == b""
         assert head[:2] == [b"T,num,den\n", b'"0,0,0,0,0,0",0,1\n']
-        assert len(head) == lines and all(row.endswith(b"\n") for row in head)
+        assert sum(map(len, head)) >= size and all(row.endswith(b"\n") for row in head)
 
 
-class CountingStdout(io.StringIO):
-    """A stdout that keeps the text of each write call."""
+class WriteLog:
+    """A stdout that keeps the text of each write call, and nothing else."""
 
     def __init__(self):
-        super().__init__()
         self.writes = []
 
     def write(self, text):
         self.writes.append(text)
-        return super().write(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# A row of a table: its T text, then the rest of the row. A JSON row after
+# the first is led by the separator ",\n".
+TABLE_ROW = {
+    "csv": re.compile(r'"([^"]*)",[^\n]*\n'),
+    "json": re.compile(r'(?:,\n)?  \{\n    "T": "([^"]*)".*?\n  \}', re.DOTALL),
+}
+
+
+def check_chunks(writes, fmt, N):
+    """Check that writes, a depth-N table, are its head, its tail and
+    between them chunks of whole lines of the walk (the rows of one n, m,
+    a, b, c), each of at most _CHUNK_CHARS characters, and no more chunks
+    than the row limit allows; return the number of rows.
+
+    A chunk holds at most _CHUNK_CHARS // width rows, width the widest row
+    the table can have: at most the widest row written and the texts of a,
+    b, c and d (|x| <= 2N). A chunk short of that limit is a block's last,
+    or is short by less than a line, 2N + 1 rows at most. So the writes are
+    a head, a tail and, in each of the (N + 1)^2 (n, m) blocks, at most one
+    partial chunk more than the full ones."""
+    row = TABLE_ROW[fmt]
+    _, *chunks, _ = writes
+    rows, widest, last = 0, 0, None
+    for chunk in chunks:
+        assert 0 < len(chunk) <= cli._CHUNK_CHARS
+        found = list(row.finditer(chunk))
+        assert "".join(m.group(0) for m in found) == chunk
+        # a line goes whole into one chunk
+        assert found[0].group(1).rsplit(",", 1)[0] != last
+        last = found[-1].group(1).rsplit(",", 1)[0]
+        rows += len(found)
+        widest = max(widest, *(len(m.group(0)) for m in found))
+    limit = cli._CHUNK_CHARS // (widest + 4 * (len(str(-2 * N)) + 1))
+    budget = 2 + (N + 1) ** 2 + rows // (limit - 2 * N - 1)
+    assert len(writes) <= budget
+    # tight enough that a writer of one line per write exceeds it
+    assert budget < sum(len(lines) for _, _, lines, *_ in tmat.keyed_walk(N))
+    return rows
+
+
+def sha256_of(writes):
+    h = hashlib.sha256()
+    for text in writes:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+# Digests of tables the golden file does not hold: this one's chunks reach
+# 202,991 characters when a chunk is 2,048 rows.
+TABLE_SHA256 = {
+    "table --form X14 --max 6 --format json":
+        "7b08660953729f2c2f57a6a1652187b4babedf23e8625ef65ffd9182c9f23128",
+}
 
 
 @pytest.mark.parametrize(
@@ -579,37 +640,31 @@ class CountingStdout(io.StringIO):
         ["table", "--form", "X14", "--max", "4", "--format", "json"],
         ["table", "--form", "G10H", "--max", "4"],
         ["table", "--form", "X12", "--max", "4", "--mod", "691"],
+        ["table", "--form", "X14", "--max", "6", "--format", "json"],
     ],
 )
 def test_table_writes_rows_in_chunks(monkeypatch, argv):
-    # one write per chunk of at most _CHUNK_ROWS rows, not one per row, and
-    # the bytes are the golden table's
-    out = CountingStdout()
+    # one write per chunk of whole lines of at most _CHUNK_CHARS characters,
+    # not one per line or row, and the bytes are the golden table's
+    out = WriteLog()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
-    rows = sum(tmat.class_counts(4).values())
-    mark = '"T": ' if "json" in argv else "\n"  # one per row (CSV: and the head)
-    assert sum(text.count(mark) for text in out.writes) == rows + (mark == "\n")
-    assert max(text.count(mark) for text in out.writes) <= cli._CHUNK_ROWS
-    # a head, a tail and, in each of the 25 (n, m) blocks, its full chunks
-    # and one partial one
-    assert len(out.writes) <= 2 + 25 + rows // cli._CHUNK_ROWS
-    sha256 = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert sha256 == GOLDEN_TABLES[" ".join(argv)]["sha256"]
+    N = int(argv[argv.index("--max") + 1])
+    fmt = "json" if "json" in argv else "csv"
+    assert check_chunks(out.writes, fmt, N) == sum(tmat.class_counts(N).values())
+    key = " ".join(argv)
+    want = GOLDEN_TABLES[key]["sha256"] if key in GOLDEN_TABLES else TABLE_SHA256[key]
+    assert sha256_of(out.writes) == want
 
 
 def test_table_depth_6_writes_whole_lines_in_chunks(monkeypatch):
-    # a chunk is the most whole lines that hold at most _CHUNK_ROWS rows; a
-    # line of depth 6 holds at most 13, so the chunks stay nearly full: 195
-    # writes, within a head, a tail and, in each of the 49 (n, m) blocks,
-    # one partial chunk more than its full ones
-    out = CountingStdout()
+    # a chunk is the most whole lines within its row limit; a line of depth
+    # 6 holds at most 13 rows, so the chunks stay nearly full: 233 writes
+    out = WriteLog()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["table", "--form", "G10H", "--max", "6"]) == 0
     rows = sum(tmat.class_counts(6).values())
-    assert sum(text.count("\n") for text in out.writes) == rows + 1
-    assert max(text.count("\n") for text in out.writes) <= cli._CHUNK_ROWS
-    assert len(out.writes) <= 2 + 49 + rows // cli._CHUNK_ROWS
+    assert check_chunks(out.writes, "csv", 6) == rows
 
 
 def test_table_unbuffered_stdout_matches_golden():

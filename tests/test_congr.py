@@ -391,6 +391,64 @@ def test_verify_mod23_fails_corollary_only(monkeypatch):
     assert v.checked == len(nonresidues(23, 2)) + box.index(first) + 1
 
 
+# The two claims that check p-integrality only (the table in the congr
+# docstring): no p-integral bump of the rows they read can fail them, and a
+# bump by 1/p must.
+INTEGRAL_BUMPS = (1, Fraction(1, 2), -3)
+
+
+def first_moved(table, l, N):
+    """The first index of the depth-N box, in box order, whose coefficient
+    a bump of table's row at l moves."""
+    moved = bump(table, {l: 1})
+    return next(T for T in whole_box(N) if moved.coeff(T) != table.coeff(T))
+
+
+@pytest.mark.parametrize("k, p", [(10, 17), (12, 31), (14, 691)])
+def test_ramanujan_chi_claim_checks_integrality_only(monkeypatch, k, p):
+    # g_h(k) ≡ chi mod p sweeps G against itself; rows past 0 leave G's
+    # degree-1 restriction, and with it P, alone
+    N, claim = 2, f"g_h({k}) ≡ chi mod {p}"
+    G = form_table(f"G{k}H", 2 * N * N)
+    for l in range(1, 2 * N * N + 1):
+        for delta in (*INTEGRAL_BUMPS, p - 1):
+            with monkeypatch.context() as m:
+                perturb(m, f"G{k}H", R={l: delta})
+                v = ramanujan_verdict(k, p, N)
+            assert all(w.get("claim") != claim for w in v.witnesses), (l, delta)
+        with monkeypatch.context() as m:
+            perturb(m, f"G{k}H", R={l: Fraction(1, p)})
+            v = ramanujan_verdict(k, p, N)
+        T = first_moved(G, l, N)
+        assert v.witnesses[0] == {"claim": claim, "T": str(T), "detail": "not-p-integral"}
+
+
+def test_mod23_corollary_checks_integrality_only(monkeypatch):
+    # twisted theta ≡ theta mod 23 at a class with kronecker(-23, l) != -1:
+    # the sides are equal where it is 1, and where it is 0, 23 | l and the
+    # corollary reads 23 a ≡ 0, so a bump there is caught only when it is
+    # not 23-integral; depth 4 reaches l = 23
+    N, claim = 4, "twisted theta ≡ theta mod 23"
+    X14 = form_table("X14", 2 * N * N)
+    box, checked = whole_box(N), len(nonresidues(23, N))
+    rows = [l for l in range(1, 2 * N * N + 1) if kronecker(-23, l) != -1]
+    assert 23 in rows
+    for l in rows:
+        for delta in INTEGRAL_BUMPS:
+            with monkeypatch.context() as m:
+                perturb(m, "X14", R={l: delta})
+                v = verify_mod23(N)
+            assert v.ok and v.checked == checked + len(box), (l, delta)
+        with monkeypatch.context() as m:
+            perturb(m, "X14", R={l: Fraction(1, 23)})
+            v = verify_mod23(N)
+        T = first_moved(X14, l, N)
+        # at 23 | l the 23 of the theta side cancels the 1/23: 23 a ≡ 1
+        detail = "fails" if l % 23 == 0 else "not-p-integral"
+        assert v.witnesses == [{"claim": claim, "T": str(T), "detail": detail}]
+        assert v.checked == checked + box.index(T) + 1
+
+
 def test_verify_cong_eis_fails(monkeypatch):
     # two_det 3, 5 and 6 are the nonresidues mod 7 in the box; only the
     # bumped two_det 5 indices fail
