@@ -14,11 +14,14 @@ class_counts, built once per verifier, without the box; only a sweep that
 fails walks the box, one index at a time and without keeping it, reading
 each index's class from the keyed walk (tmat.iter_keyed), to name its
 witnesses as an index-by-index sweep would; cong_mod is that sweep for a
-coefficientwise congruence. The
-Ramanujan certificate's cusp form chi = G - p * P(E4H, E6H) need not lie in
-the Maass space, but chi ≡ G mod p wherever G is p-integral, so every check
-on chi reads G's table. The elliptic algebra (qmf.series) is imported by
-build_chi, its one user, when it runs.
+coefficientwise congruence.
+
+The Ramanujan certificate (build_chi) states degree-1 facts only: P is
+p-integral and chi = G - p * P(E4H, E6H) restricts to 0 through q^N. The
+verdict (ramanujan_verdict) sweeps the box, like every other verifier.
+chi need not lie in the Maass space, but chi ≡ G mod p wherever G is
+p-integral, so every sweep of chi reads G's table. The elliptic algebra
+(qmf.series) is imported by build_chi, its one user, when it runs.
 
 What each claim checks, and what it takes to fail it. Two of them hold by
 construction wherever the coefficients they read are p-integral, so they
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 from .exactnum import bernoulli, factorize, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
-from .tmat import TMatrix, class_counts, iter_keyed
+from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
 
 __all__ = [
     "ChiReport",
@@ -122,9 +125,9 @@ def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
     i, (n, m, t, key) = next(
-        (i, row) for i, row in enumerate(iter_keyed(N, quats=True)) if row[3] in bad
+        (i, row) for i, row in enumerate(iter_keyed(N)) if row[3] in bad
     )
-    return CongCheck(bad[key], TMatrix(n, m, t), i + 1)
+    return CongCheck(bad[key], parse_tmatrix(f"{n},{m},{t}"), i + 1)
 
 
 class Verdict(NamedTuple):
@@ -190,24 +193,22 @@ def star_primes(k: int) -> list[int]:
 
 
 class ChiReport(NamedTuple):
-    """Certificate data from one cusp-witness construction."""
+    """Certificate data from one cusp-witness construction: degree-1 facts."""
 
     k: int
     p: int
     N: int
     poly: dict[tuple[int, int], Fraction]
     phi_vanishes: bool
-    congruence: CongCheck
 
     @property
     def ok(self) -> bool:
-        return self.phi_vanishes and self.congruence.ok
+        return self.phi_vanishes
 
 
 def build_chi(k: int, p: int, N: int) -> ChiReport:
-    """Certify the cusp form chi = G - p * P(E4H, E6H) with G ≡ chi mod p on
-    the depth-N box; G is the G<k>H series, g_constant(k) times the weight-k
-    Eisenstein series.
+    """Certify, in degree 1, the cusp form chi = G - p * P(E4H, E6H); G is
+    the G<k>H series, g_constant(k) times the weight-k Eisenstein series.
 
     Procedure: check that the depth N gives the q^0..q^N coefficients one
     equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
@@ -219,14 +220,9 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     restricts to 0 in degree 1: past q^(d-1) those checks are not implied by
     how P was solved.
     Everything is read from G's one-variable table; chi itself is never
-    built, because every fact the certificate states about it follows from
-    G and P (the box construction lives in the tests as the oracle).
+    built, and the box is neither counted nor walked: ramanujan_verdict
+    sweeps it (the box construction lives in the tests as the oracle).
     """
-    return _build_chi(k, p, N)[0]
-
-
-def _build_chi(k: int, p: int, N: int) -> tuple[ChiReport, dict]:
-    """build_chi's report and the class counts of the box its sweep read."""
     from .series import _express, e4_e6_monomials
 
     if not star_condition(k, p):
@@ -250,13 +246,7 @@ def _build_chi(k: int, p: int, N: int) -> tuple[ChiReport, dict]:
         raise ValueError("polynomial expression is not p-integral")
     for ab, c in poly.items():
         phi = [x - p * c * y for x, y in zip(phi, monomials[ab])]
-    # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
-    # (checked above) and E4H, E6H are integral. So chi(T) is p-integral
-    # exactly where G(T) is, and then chi(T) ≡ G(T) mod p: sweeping G
-    # against itself gives the status, witness and count of G against chi.
-    counts = class_counts(N)
-    congruence = _sweep(G.class_coeff, G.class_coeff, p, N, counts)
-    return ChiReport(k, p, N, poly, not any(phi), congruence), counts
+    return ChiReport(k, p, N, poly, not any(phi))
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.
@@ -264,23 +254,26 @@ _NAMED_TARGETS = {(10, 17): "X10", (14, 691): "X14"}
 
 
 def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
-    """Run build_chi and fold its certificate into a Verdict.
-
-    For (k, p) with a distinguished cusp form in the table, additionally
-    checks chi against that form mod p on the box. Where G is p-integral,
-    chi ≡ G mod p, so that check reads G's table in chi's place.
-    """
-    report, counts = _build_chi(k, p, N)
+    """Run build_chi and sweep chi ≡ G mod p over the box, then, for (k, p)
+    with a distinguished cusp form in the table, chi against that form."""
+    report = build_chi(k, p, N)
+    G = form_table(f"G{k}H", 2 * N * N).class_coeff
+    counts = class_counts(N)
     witnesses: list = []
-    checked = report.congruence.checked + (N + 1)
     if not report.phi_vanishes:
         witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
+    # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
+    # (build_chi checked it) and E4H, E6H are integral. So chi(T) is
+    # p-integral exactly where G(T) is, and then chi(T) ≡ G(T) mod p:
+    # sweeping G against itself gives the status, witness and count of G
+    # against chi.
+    congruence = _sweep(G, G, p, N, counts)
+    checked = congruence.checked + (N + 1)
     # claim texts are part of the verdict JSON, so they keep their wording
-    witnesses += _witnesses(report.congruence, f"g_h({k}) ≡ chi mod {p}")
+    witnesses += _witnesses(congruence, f"g_h({k}) ≡ chi mod {p}")
     name = _NAMED_TARGETS.get((k, p))
     params = {"k": k, "p": p, "depth": N}
     if name:
-        G = form_table(f"G{k}H", 2 * N * N).class_coeff
         extra = _sweep(G, form_table(name, 2 * N * N).class_coeff, p, N, counts)
         checked += extra.checked
         params["target"] = name
@@ -303,7 +296,7 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     if residue(bernoulli(p - 3), p) in (None, 0):
         raise ValueError(f"hypothesis fails: B_{p - 3} ≡ 0 mod {p}")
     E = form_table(f"E{p - 1}H", 2 * N * N)
-    check = cong_mod(E.class_coeff, _one, p, N)
+    check = _sweep(E.class_coeff, _one, p, N, class_counts(N))
     params = {"p": p, "depth": N}
     theorem = "eisenstein-weight-p-minus-one"
     return _verdict(theorem, params, _witnesses(check), check.checked)

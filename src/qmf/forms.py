@@ -253,6 +253,8 @@ def form_table(name: str, L: int) -> MaassTable:
     replaced by the form built at exactly L: a cusp row costs big-integer
     products of L + 1 slots, more than linear in L, so building past L would
     cost more than the request needs."""
+    if L < 0:
+        raise ValueError(f"table length must be >= 0, got L = {L}")
     key = name.strip().upper()
     build, args = _CUSP_TABLES.get(key), ()
     if build is None:

@@ -20,6 +20,7 @@ from box_oracle import (
 )
 from qmf.congr import (
     build_chi,
+    ramanujan_verdict,
     star_primes,
     verify_cong_eis,
     verify_ep_minus_one,
@@ -132,6 +133,8 @@ def test_acceptance_4_theorem_sweeps_and_certificates():
     for k, p in pairs:
         report = build_chi(k, p, 3)
         assert report.ok, f"certificate failed for (k={k}, p={p})"
+        # the verdict sweeps the depth-3 box: G is p-integral on it
+        assert ramanujan_verdict(k, p, 3).ok, f"verdict failed for (k={k}, p={p})"
     print(
         "ACCEPTANCE 4: PASS - depth-4 sweeps hold (mod 23, four 2k-5 "
         "weights, four p-1 weights); all 9 cusp certificates check out"

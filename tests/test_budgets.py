@@ -6,7 +6,7 @@ change that raises one says so, and why, in CHANGES.md."""
 
 import pytest
 
-from qmf import forms, tmat
+from qmf import cli, exactnum, forms, tmat
 
 
 def counting(monkeypatch, module, name):
@@ -46,3 +46,71 @@ def test_class_counts_folds(monkeypatch, N):
     calls = counting(monkeypatch, tmat, "_class_key")
     tmat.class_counts(N)
     assert len(calls) == CLASS_KEY_BUDGET[N]
+
+
+def table_builds(monkeypatch):
+    """Empty the table cache and record each table build as (form, L), in
+    the returned list."""
+    monkeypatch.setattr(forms, "_TABLES", {})
+    builds, eisenstein = [], forms._eisenstein_table
+
+    def build_eisenstein(k, g, L):
+        builds.append((f"{'G' if g else 'E'}{k}H", L))
+        return eisenstein(k, g, L)
+
+    monkeypatch.setattr(forms, "_eisenstein_table", build_eisenstein)
+    for name, build in list(forms._CUSP_TABLES.items()):
+
+        def build_cusp(L, name=name, build=build):
+            builds.append((name, L))
+            return build(L)
+
+        monkeypatch.setitem(forms._CUSP_TABLES, name, build_cusp)
+    return builds
+
+
+def run_cli(capsys, command):
+    assert cli.main(command.split()) == 0
+    capsys.readouterr()
+
+
+# Table builds per CLI command from an empty table cache. The Ramanujan
+# certificate forms its E4/E6 monomials from E4H and E6H tables at L = 0
+# (their restrictions need only R(0)); the cusp rows of X10 and X14 then
+# rebuild both at L = 2N^2.
+TABLE_BUILDS = {
+    "verify ramanujan --k 14 --p 691 --depth 4": [
+        ("E10H", 32), ("E4H", 0), ("E4H", 32), ("E6H", 0), ("E6H", 32),
+        ("G14H", 32), ("X10", 32), ("X14", 32),
+    ],
+    "verify theta --depth 4": [
+        ("E10H", 32), ("E4H", 32), ("E6H", 32), ("G4H", 32), ("G6H", 32),
+        ("X10", 32), ("X14", 32),
+    ],
+    "coeff --form X12 --T 3,3,1,1,0,0": [
+        ("E12H", 17), ("E4H", 17), ("E6H", 17), ("E8H", 17), ("X12", 17),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", TABLE_BUILDS)
+def test_table_builds_per_command(monkeypatch, capsys, command):
+    builds = table_builds(monkeypatch)
+    run_cli(capsys, command)
+    assert sorted(builds) == TABLE_BUILDS[command]
+
+
+# factorize calls of one coeff from an empty table cache: a content-2 index
+# reads divisors(2), a content-1 index factors nothing.
+FACTORIZE_BUDGET = {
+    "coeff --form X14 --T 2,2,2,2,0,0": 1,
+    "coeff --form X12 --T 3,3,1,1,0,0": 0,
+}
+
+
+@pytest.mark.parametrize("command", FACTORIZE_BUDGET)
+def test_factorize_calls_per_command(monkeypatch, capsys, command):
+    monkeypatch.setattr(forms, "_TABLES", {})
+    calls = counting(monkeypatch, exactnum, "factorize")
+    run_cli(capsys, command)
+    assert len(calls) == FACTORIZE_BUDGET[command]

@@ -97,8 +97,9 @@ def test_build_chi_weight10():
     report = build_chi(10, 17, 2)
     assert report.poly == {(1, 1): Fraction(1, 8448)}
     assert report.phi_vanishes
-    assert report.congruence.ok
     assert report.ok
+    # the verdict sweeps the box: G is 17-integral there, and chi ≡ X10
+    assert ramanujan_verdict(10, 17, 2).ok
     chi = ring_chi(10, 17, 2)
     assert chi.weight == 10
     # chi is cuspidal on the box: rank <= 1 coefficients all vanish
@@ -137,8 +138,11 @@ def test_build_chi_depth_check():
     with pytest.raises(ValueError, match="needs depth >= 0.*got depth -2"):
         build_chi(14, 691, -2)
     # weight 10 has one monomial, E4 E6: depth 0 suffices
-    report = build_chi(10, 17, 0)
-    assert report.ok and report.congruence.checked == 1
+    assert build_chi(10, 17, 0).ok
+    # the depth-0 box is T = 0 alone: one integrality check, one restriction
+    # coefficient and one target check
+    v = ramanujan_verdict(10, 17, 0)
+    assert v.ok and v.checked == 3
     assert build_chi(12, 31, 1).ok
 
 
@@ -323,23 +327,64 @@ def first_of(two_det, N=2):
     return next(T for T in whole_box(N) if T.two_det() == two_det)
 
 
-@pytest.mark.parametrize(
-    "k, p, name, bumps",
-    [
-        # two_det 1 precedes two_det 2 in box order, so the target check
-        # fails at two_det 1 and the certificate meets the non-p-integral
-        # I2; rows past 0 leave G's degree-1 restriction alone
-        (10, 17, "G10H", {1: 1, 2: Fraction(1, 17)}),
-        (12, 31, "G12H", {1: 1, 2: Fraction(1, 31)}),
-        (14, 691, "G14H", {3: 1, 4: Fraction(1, 691)}),
-        (14, 691, "X14", {1: 1}),
-    ],
-)
+PERTURBED_RAMANUJAN = [
+    # two_det 1 precedes two_det 2 in box order, so the target check
+    # fails at two_det 1 and the integrality sweep meets the
+    # non-p-integral I2; rows past 0 leave G's degree-1 restriction alone
+    (10, 17, "G10H", {1: 1, 2: Fraction(1, 17)}),
+    (12, 31, "G12H", {1: 1, 2: Fraction(1, 31)}),
+    (14, 691, "G14H", {3: 1, 4: Fraction(1, 691)}),
+    (14, 691, "X14", {1: 1}),
+]
+
+
+@pytest.mark.parametrize("k, p, name, bumps", PERTURBED_RAMANUJAN)
 def test_ramanujan_perturbed_matches_box_chi(monkeypatch, k, p, name, bumps):
     perturb(monkeypatch, name, R=bumps)
     v = ramanujan_verdict(k, p, 2).to_json()
     assert v["status"] == "fails"
     assert v == box_oracle.ramanujan_verdict(k, p, 2)
+
+
+def test_build_chi_counts_and_walks_no_box(monkeypatch):
+    # the certificate states degree-1 facts; ramanujan_verdict sweeps the box
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_chi must neither count nor walk the box")
+
+    monkeypatch.setattr(congr, "class_counts", refuse)
+    refuse_walks(monkeypatch, refuse, (congr,))
+    assert build_chi(14, 691, 3).ok
+
+
+def record_walks(monkeypatch):
+    """Record the quats flag of every walk congr starts, in a list."""
+    flags, iter_keyed = [], tmat.iter_keyed
+
+    def walk(N, quats=False):
+        flags.append(quats)
+        return iter_keyed(N, quats)
+
+    monkeypatch.setattr(congr, "iter_keyed", walk)
+    return flags
+
+
+@pytest.mark.parametrize("name", FAILING_SWEEPS)
+def test_failing_sweeps_walk_the_text_view(monkeypatch, name):
+    # a failing sweep finds its witnesses on the text view of the walk, as
+    # `table` does; only the lifted-box views read QuatCoords
+    form, R, verifier, _ = FAILING_SWEEPS[name]
+    perturb(monkeypatch, form, R=R)
+    flags = record_walks(monkeypatch)
+    assert "fails" in json.dumps(verifier(4))
+    assert flags and not any(flags)
+
+
+@pytest.mark.parametrize("k, p, name, bumps", PERTURBED_RAMANUJAN)
+def test_ramanujan_failing_sweeps_walk_the_text_view(monkeypatch, k, p, name, bumps):
+    perturb(monkeypatch, name, R=bumps)
+    flags = record_walks(monkeypatch)
+    assert not ramanujan_verdict(k, p, 2).ok
+    assert flags and not any(flags)
 
 
 def test_verdict_fails_path(monkeypatch):

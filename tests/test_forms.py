@@ -197,7 +197,7 @@ def test_class_coeff_refuses_keys_of_no_psd_index():
 
 def test_e4_e6_tables_integral():
     # chi = G - p * P(E4H, E6H) is p-integral once P is, because of this;
-    # build_chi's certificate rests on it
+    # ramanujan_verdict's sweep of G in chi's place rests on it
     for k in (4, 6):
         table = form_table(f"E{k}H", 400)
         assert all(table.class_coeff((0, j)).denominator == 1 for j in range(201))
@@ -441,6 +441,18 @@ def test_form_table_caches_nothing_it_cannot_build(monkeypatch):
         with pytest.raises(ValueError):
             form_table(bad, 4)
     assert forms._TABLES == {}
+
+
+@pytest.mark.parametrize("name", ("X10", "X12", "X14", "E4H", "G6H"))
+def test_form_table_refuses_negative_length(monkeypatch, name):
+    # refused up front, with the same error for cusp and Eisenstein forms,
+    # whatever the cache holds
+    monkeypatch.setattr(forms, "_TABLES", {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="got L = -1"):
+            form_table(name, -1)
+        form_table(name, 4)
+    assert len(forms._TABLES[name.upper()].R) == 5
 
 
 def test_nearby_x14_reads_build_each_row_once(monkeypatch):
