@@ -184,8 +184,8 @@ def _cmd_table(args) -> int:
             column = residue_fmt.format(r)
         rest[key] = rest_fmt.format(c.numerator, c.denominator, column)
     if bad:
-        n, m, t, _ = next(row for row in iter_keyed(N) if row[3] in bad)
-        print(f"error: coefficient at {n},{m},{t} is not integral mod {mod}", file=sys.stderr)
+        text = next(text for text, key in iter_keyed(N) if key in bad)
+        print(f"error: coefficient at {text} is not integral mod {mod}", file=sys.stderr)
         return 1
     # the widest row the table can have: the widest prefix, the texts of a,
     # b, c and d (|x| <= 2N, each with a comma at most) and the widest tail

@@ -12,9 +12,9 @@ the theta image two_det * a(T), and kronecker(-p, two_det) all do. So each
 sweep checks one value per class and counts the indices of each class with
 class_counts, built once per verifier, without the box; only a sweep that
 fails walks the box, one index at a time and without keeping it, reading
-each index's class from the keyed walk (tmat.iter_keyed), to name its
-witnesses as an index-by-index sweep would; cong_mod is that sweep for a
-coefficientwise congruence.
+each index's text and class from the keyed walk (tmat.iter_keyed), to name
+its witnesses as an index-by-index sweep would; cong_mod is that sweep for
+a coefficientwise congruence.
 
 The Ramanujan certificate (build_chi) states degree-1 facts only: P is
 p-integral and chi = G - p * P(E4H, E6H) restricts to 0 through q^N. The
@@ -124,10 +124,8 @@ def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
             bad[key] = "fails"
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
-    i, (n, m, t, key) = next(
-        (i, row) for i, row in enumerate(iter_keyed(N)) if row[3] in bad
-    )
-    return CongCheck(bad[key], parse_tmatrix(f"{n},{m},{t}"), i + 1)
+    i, (text, key) = next((i, row) for i, row in enumerate(iter_keyed(N)) if row[1] in bad)
+    return CongCheck(bad[key], parse_tmatrix(text), i + 1)
 
 
 class Verdict(NamedTuple):
@@ -213,7 +211,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     Procedure: check that the depth N gives the q^0..q^N coefficients one
     equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
     for k = 12), divide the degree-1 restriction phi of G, read from G's lift
-    as phi(j) = G.class_coeff((0, j)), by p, check the quotient is
+    as G.restriction(N), by p, check the quotient is
     p-integral, solve its first d coefficients for a polynomial P in the
     elliptic weight-4/weight-6 generators (with p-integral coefficients), and
     check that phi - p * P(E4, E6) vanishes at every q^0..q^N, so chi
@@ -237,7 +235,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
             f"monomials in E4 and E6), got depth {N}"
         )
     G = form_table(f"G{k}H", 2 * N * N)
-    phi = [G.class_coeff((0, j)) for j in range(N + 1)]
+    phi = G.restriction(N)
     f = [c / p for c in phi]
     if any(residue(c, p) is None for c in f):
         raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")
@@ -256,6 +254,9 @@ _NAMED_TARGETS = {(10, 17): "X10", (14, 691): "X14"}
 def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     """Run build_chi and sweep chi ≡ G mod p over the box, then, for (k, p)
     with a distinguished cusp form in the table, chi against that form."""
+    name = _NAMED_TARGETS.get((k, p))
+    # the target's row, read first, builds E4H and E6H to 2N^2 for build_chi
+    target = name and form_table(name, 2 * N * N).class_coeff
     report = build_chi(k, p, N)
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     counts = class_counts(N)
@@ -271,10 +272,9 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     checked = congruence.checked + (N + 1)
     # claim texts are part of the verdict JSON, so they keep their wording
     witnesses += _witnesses(congruence, f"g_h({k}) ≡ chi mod {p}")
-    name = _NAMED_TARGETS.get((k, p))
     params = {"k": k, "p": p, "depth": N}
     if name:
-        extra = _sweep(G, form_table(name, 2 * N * N).class_coeff, p, N, counts)
+        extra = _sweep(G, target, p, N, counts)
         checked += extra.checked
         params["target"] = name
         witnesses += _witnesses(extra, f"chi ≡ {name} mod {p}")
@@ -332,14 +332,9 @@ def _nonresidue_sweep(
     the keyed walk runs only to list the indices of the classes that fail,
     as text."""
     nonresidue = [key for key in counts if chi[key[0]] == -1]
-    bad = set()
-    for key in nonresidue:
-        if residue(a(key), p) != 0:
-            bad.add(key)
+    bad = {key for key in nonresidue if residue(a(key), p) != 0}
     if bad:
-        for n, m, t, key in iter_keyed(N):
-            if key in bad:
-                witnesses.append({"T": f"{n},{m},{t}", "coeff": str(a(key))})
+        witnesses += [{"T": text, "coeff": str(a(key))} for text, key in iter_keyed(N) if key in bad]
     return sum(counts[key] for key in nonresidue)
 
 

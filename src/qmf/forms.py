@@ -11,9 +11,10 @@ combinations of products of them, normalized so their coefficient at
 T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
 the first Fourier-Jacobi rows of products, which _product_row reads from the
 factors as two products of truncated q-series, each factor's Siegel
-restriction read from one divisor-sum row. Those go through _mul, the
-library's one convolution, which is one big-integer product by Kronecker
-substitution; qmf.series forms the E4/E6 monomials with it. A table is the
+restriction read from one divisor-sum row (MaassTable.restriction). Those
+go through _mul, the library's one convolution, which is one big-integer
+product by Kronecker substitution; qmf.series forms the E4/E6 monomials
+with it. A table is the
 form: callers read coefficients from it, and form_table holds one per form,
 the longest built so far, for callers and cusp rows alike. build_form lifts
 a table to a read-only FourierExpansion on a whole box, which the library
@@ -41,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exactnum import bernoulli, divisors, sigma_row
-from .tmat import TMatrix, class_counts, iter_keyed
+from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
 
 __all__ = [
     "MaassTable",
@@ -72,8 +73,8 @@ class MaassTable:
 
     A coefficient at T != 0 depends on T only through the class key
     (two_det(T), eps(T)) that tmat._class_key folds, so class_coeff is the
-    coefficient function and coeff reads T's class through it. The Siegel
-    restriction is the lift's too: a((j, 0, 0)) = class_coeff((0, j)).
+    coefficient function and coeff reads T's class through it. restriction
+    reads the lift's Siegel restriction a((j, 0, 0)) at the classes (0, j).
     Tables are shared, one per form: treat them as read-only.
     """
 
@@ -108,6 +109,11 @@ class MaassTable:
         k1 = self.weight - 1
         return sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
 
+    def restriction(self, n: int) -> list[Fraction]:
+        """The Siegel restriction a((j, 0, 0)) for j = 0..n: const, then the
+        divisor sums R(0) sigma_(k-1)(j) at the classes (0, j)."""
+        return [self.const, *(self.R[0] * s for s in sigma_row(self.weight - 1, n)[1:])]
+
 
 def maass_lift(table: MaassTable, N: int):
     """The Maass lift of table on the depth-N box as a FourierExpansion, each
@@ -119,7 +125,7 @@ def maass_lift(table: MaassTable, N: int):
     return FourierExpansion(
         table.weight,
         N,
-        {TMatrix(n, m, t): coeffs[key] for n, m, t, key in iter_keyed(N, quats=True)},
+        {parse_tmatrix(text): coeffs[key] for text, key in iter_keyed(N)},
     )
 
 
@@ -187,12 +193,10 @@ def _mul(a: tuple, b: tuple) -> tuple[Fraction, ...]:
 
 
 def _restriction(h: MaassTable, L: int) -> list:
-    """The Siegel restriction of h's lift at q^2, to q^L: a((j, 0, 0)) at
-    q^(2j), which is h.const at j = 0 and R(0) sigma_(k-1)(j) past it, the
-    lift's divisor sum at the class (0, j)."""
+    """The Siegel restriction of h's lift at q^2, to q^L: h.restriction
+    spread to the even powers, a((j, 0, 0)) at q^(2j)."""
     out = [0] * (L + 1)
-    out[0] = h.const
-    out[2::2] = [h.R[0] * s for s in sigma_row(h.weight - 1, L // 2)[1:]]
+    out[::2] = h.restriction(L // 2)
     return out
 
 

@@ -7,7 +7,7 @@ two factors; all arithmetic is exact.
 
 The level-1 generators E4 and E6 (constant term 1) are not stated here: they
 are the Siegel restrictions of the Eisenstein tables, read from the lift as
-forms.form_table(f"E{w}H", 0).class_coeff((0, j)), the reading build_chi
+forms.form_table(f"E{w}H", 0).restriction(prec), the reading build_chi
 uses for the restriction of G. This module only forms their monomials and
 writes a weight-k series in them.
 """
@@ -32,10 +32,7 @@ def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], tuple]:
     out: dict[tuple[int, int], tuple] = {}
     if k < 0 or k % 2:
         return out
-    e4, e6 = (
-        tuple(form_table(name, 0).class_coeff((0, j)) for j in range(prec + 1))
-        for name in ("E4H", "E6H")
-    )
+    e4, e6 = (form_table(name, 0).restriction(prec) for name in ("E4H", "E6H"))
     for b in range(k // 6 + 1):
         a, rem = divmod(k - 6 * b, 4)
         if not rem:
@@ -52,10 +49,11 @@ def express_in_e4_e6(k: int, coeffs) -> dict[tuple[int, int], Fraction]:
 
     Returns {(a, b): c} with the series = sum c * E4^a * E6^b over exponents
     4a + 6b = k; zero coefficients are dropped. The linear system is solved
-    exactly from the first dim-many q-coefficients and the remaining
-    coefficients are checked against the result; any residual mismatch (the
-    series not in the span at weight k) raises ValueError, as do an empty
-    series and insufficient precision.
+    exactly from the first dim-many q-coefficients, which the solution then
+    matches by construction, and only the remaining coefficients are checked
+    against the result; any residual mismatch (the series not in the span
+    at weight k) raises ValueError, as do an empty series and insufficient
+    precision.
     """
     return _express(k, e4_e6_monomials(k, len(coeffs) - 1), coeffs)
 
@@ -89,7 +87,7 @@ def _express(k: int, monomials: dict, coeffs) -> dict[tuple[int, int], Fraction]
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     sol = [mat[i][d] for i in range(d)]
-    for n in range(prec + 1):
+    for n in range(d, prec + 1):
         if sum(sol[j] * basis[j][n] for j in range(d)) != coeffs[n]:
             raise ValueError(
                 f"residual mismatch at q^{n}: series is not in the "

@@ -23,9 +23,10 @@ and per shape the run of d it reaches there, each vector of the run with
 a histogram id that stands for _hkey(t). The ids are folded once per block
 into class keys, so every index is keyed by a list lookup, with no
 TMatrix built and no Python work per vector. iter_keyed expands the lines
-by their runs one index at a time, and enumerate_psd lists them as index
-matrices. class_counts folds the same histogram keys, counted from
-Jacobi's r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
+by their runs one index at a time, as the texts "n,m,a,b,c,d" that
+parse_tmatrix reads, and enumerate_psd parses them into index matrices.
+class_counts folds the same histogram keys, counted from Jacobi's
+r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 """
 
 from __future__ import annotations
@@ -144,16 +145,15 @@ def _class_key(nm: int, g_nm: int, hkey: tuple[int, int, int]):
     return (2 * nm - r // 2, _content(g_nm, hkey))
 
 
-def keyed_walk(N: int, quats: bool = False):
+def keyed_walk(N: int):
     """The depth-N box as blocks of lines over one ball: a generator of
     (n, m, lines, shapes, runs, keys), one per (n, m) in lex order.
 
     The dual ball norm(t) <= 4N^2 is walked as its lines, the runs of d for
-    fixed (a, b, c), in lex order. A line is held as its text "a,b,c,", or
-    as (a, b, c) when quats, and the id of its shape (norm, g, s mod 2g),
-    with g the gcd and s the coordinate sum of (a, b, c): gcd(t) = gcd(g, d)
-    divides g, so the shape fixes the histogram key _hkey(t) of every
-    vector t on the line. The shapes of a row of c are fixed in turn by
+    fixed (a, b, c), in lex order. A line is held as its text "a,b,c," and
+    the id of its shape (norm, g, s mod 2g), with g the gcd and s the
+    coordinate sum of (a, b, c): gcd(t) = gcd(g, d) divides g, so the shape
+    fixes the histogram key _hkey(t) of every vector t on the line. The shapes of a row of c are fixed in turn by
     a^2 + b^2, gcd(a, b) and (a + b) mod 2 gcd(a, b), so each such row is
     shaped once and the other rows reuse it.
 
@@ -179,7 +179,7 @@ def keyed_walk(N: int, quats: bool = False):
             nab, g_ab, s_ab = a * a + b * b, gcd(a, b), a + b
             rc = isqrt(R - nab)
             cs = range(-rc, rc + 1)
-            lines += [(a, b, c) for c in cs] if quats else map(f"{a},{b},{{}},".format, cs)
+            lines += map(f"{a},{b},{{}},".format, cs)
             # g | g_ab, so s mod 2g is fixed by s_ab mod 2 g_ab (x % 1 = 0
             # stands for g = 0, t = (0, 0, 0, d))
             if (key := (nab, g_ab, s_ab % (2 * g_ab or 1))) not in c_rows:
@@ -220,14 +220,13 @@ def keyed_walk(N: int, quats: bool = False):
     return blocks()
 
 
-def iter_keyed(N: int, quats: bool = False):
-    """Yield (n, m, t, key) for every index (n, m, t) of the depth-N box in
-    (n, m, t) lex order, t as text or as a QuatCoord when quats, key = its
-    class key: keyed_walk, each line expanded by its run."""
-    join = (lambda line, d: QuatCoord(*line, d)) if quats else "{}{}".format
+def iter_keyed(N: int):
+    """Yield (text, key) for every index of the depth-N box in (n, m, t) lex
+    order: text is the index as "n,m,a,b,c,d", which parse_tmatrix reads,
+    and key its class key. keyed_walk, each line expanded by its run."""
     return (
-        (n, m, join(line, d), keys[h])
-        for n, m, lines, shapes, runs, keys in keyed_walk(N, quats)
+        (f"{n},{m},{line}{d}", keys[h])
+        for n, m, lines, shapes, runs, keys in keyed_walk(N)
         for line, shape in zip(lines, shapes)
         for d, h in zip(*runs[shape])
     )
@@ -235,9 +234,9 @@ def iter_keyed(N: int, quats: bool = False):
 
 def enumerate_psd(N: int) -> tuple[TMatrix, ...]:
     """All psd index matrices with n <= N and m <= N, in (n, m, t) lex order:
-    the TMatrix view of iter_keyed, built anew on each call. Its length is
+    the texts of iter_keyed parsed, built anew on each call. Its length is
     the total of class_counts(N)."""
-    return tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, quats=True))
+    return tuple(parse_tmatrix(text) for text, _ in iter_keyed(N))
 
 
 def class_counts(N: int) -> dict[tuple[int, int], int]:

@@ -6,7 +6,7 @@ change that raises one says so, and why, in CHANGES.md."""
 
 import pytest
 
-from qmf import cli, exactnum, forms, tmat
+from qmf import cli, congr, exactnum, forms, tmat
 
 
 def counting(monkeypatch, module, name):
@@ -75,13 +75,11 @@ def run_cli(capsys, command):
 
 
 # Table builds per CLI command from an empty table cache. The Ramanujan
-# certificate forms its E4/E6 monomials from E4H and E6H tables at L = 0
-# (their restrictions need only R(0)); the cusp rows of X10 and X14 then
-# rebuild both at L = 2N^2.
+# verdict reads the X14 row first, which builds E4H and E6H at L = 2N^2, so
+# the certificate's E4/E6 monomials read them from the cache.
 TABLE_BUILDS = {
     "verify ramanujan --k 14 --p 691 --depth 4": [
-        ("E10H", 32), ("E4H", 0), ("E4H", 32), ("E6H", 0), ("E6H", 32),
-        ("G14H", 32), ("X10", 32), ("X14", 32),
+        ("E10H", 32), ("E4H", 32), ("E6H", 32), ("G14H", 32), ("X10", 32), ("X14", 32),
     ],
     "verify theta --depth 4": [
         ("E10H", 32), ("E4H", 32), ("E6H", 32), ("G4H", 32), ("G6H", 32),
@@ -114,3 +112,12 @@ def test_factorize_calls_per_command(monkeypatch, capsys, command):
     calls = counting(monkeypatch, exactnum, "factorize")
     run_cli(capsys, command)
     assert len(calls) == FACTORIZE_BUDGET[command]
+
+
+def test_certificate_factors_nothing(monkeypatch):
+    # the certificate reads G's, E4H's and E6H's restrictions from one
+    # sigma_row each, not as class coefficients through divisors(j)
+    monkeypatch.setattr(forms, "_TABLES", {})
+    calls = counting(monkeypatch, exactnum, "factorize")
+    assert congr.build_chi(14, 691, 4).ok
+    assert len(calls) == 0

@@ -18,7 +18,7 @@ from box_oracle import RING_MEMBERS, tau_star, whole_box
 from qmf import cli, congr, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
-from test_congr import perturb, refuse_walks
+from test_congr import count_parses, perturb, refuse_walks
 from test_golden_cli import GOLDEN, digest
 
 T0 = "1,1,1,1,0,0"
@@ -316,6 +316,15 @@ def test_table_failed_mod_names_first_index(capsys, form, mod):
         code, out, err = run(capsys, argv + ["--format", fmt])
         assert (code, out) == (1, "")
         assert f"error: coefficient at {first} is not integral mod {mod}" in err
+
+
+def test_table_failed_mod_parses_no_index(capsys, monkeypatch):
+    # the error names the first failing index by the text of the walk
+    parsed = count_parses(monkeypatch, tmat)
+    code, out, err = run(capsys, ["table", "--form", "E10H", "--max", "2", "--mod", "17"])
+    assert (code, out) == (1, "")
+    assert "error: coefficient at 1,1,-1,-1,0,0 is not integral mod 17" in err
+    assert parsed == []
 
 
 def test_table_builds_no_expansion(capsys, monkeypatch):

@@ -356,35 +356,48 @@ def test_build_chi_counts_and_walks_no_box(monkeypatch):
     assert build_chi(14, 691, 3).ok
 
 
-def record_walks(monkeypatch):
-    """Record the quats flag of every walk congr starts, in a list."""
-    flags, iter_keyed = [], tmat.iter_keyed
+def count_parses(monkeypatch, module):
+    """Record the text of every index matrix module parses, in a list."""
+    texts, parse = [], tmat.parse_tmatrix
 
-    def walk(N, quats=False):
-        flags.append(quats)
-        return iter_keyed(N, quats)
+    def counted(text):
+        texts.append(text)
+        return parse(text)
 
-    monkeypatch.setattr(congr, "iter_keyed", walk)
-    return flags
+    monkeypatch.setattr(module, "parse_tmatrix", counted)
+    return texts
+
+
+def first_failures(verdicts):
+    """The index texts of the witnesses of first-failure sweeps (_sweep),
+    the entries with a detail; a non-residue sweep's entries carry the
+    coefficient instead."""
+    return [w["T"] for v in verdicts for w in v["witnesses"] if "detail" in w]
 
 
 @pytest.mark.parametrize("name", FAILING_SWEEPS)
 def test_failing_sweeps_walk_the_text_view(monkeypatch, name):
-    # a failing sweep finds its witnesses on the text view of the walk, as
-    # `table` does; only the lifted-box views read QuatCoords
+    # a failing sweep finds its witnesses on the text of the walk, as
+    # `table` does: each first-failure sweep parses its one witness, and a
+    # non-residue sweep, which lists every failing index, parses none
     form, R, verifier, _ = FAILING_SWEEPS[name]
     perturb(monkeypatch, form, R=R)
-    flags = record_walks(monkeypatch)
-    assert "fails" in json.dumps(verifier(4))
-    assert flags and not any(flags)
+    parsed = count_parses(monkeypatch, congr)
+    verdicts = verifier(4)
+    verdicts = verdicts if isinstance(verdicts, list) else [verdicts]
+    assert "fails" in json.dumps(verdicts)
+    assert parsed == first_failures(verdicts)
+    # congeis fails only its non-residue sweep, mod23 both kinds
+    assert len(parsed) == {"theta": 1, "ep1": 1, "mod23": 1, "congeis": 0}[name]
 
 
 @pytest.mark.parametrize("k, p, name, bumps", PERTURBED_RAMANUJAN)
 def test_ramanujan_failing_sweeps_walk_the_text_view(monkeypatch, k, p, name, bumps):
     perturb(monkeypatch, name, R=bumps)
-    flags = record_walks(monkeypatch)
-    assert not ramanujan_verdict(k, p, 2).ok
-    assert flags and not any(flags)
+    parsed = count_parses(monkeypatch, congr)
+    v = ramanujan_verdict(k, p, 2).to_json()
+    assert v["status"] == "fails"
+    assert parsed and parsed == first_failures([v])
 
 
 def test_verdict_fails_path(monkeypatch):

@@ -355,6 +355,17 @@ def test_table_restriction_is_the_lifts():
     assert _product_row(e4, e4, 400) == row_to_400("E8H")
 
 
+RESTRICTION_FORMS = [f"{e}{k}H" for e in "EG" for k in range(4, 17, 2)] + ["X10", "X12", "X14"]
+
+
+@pytest.mark.parametrize("name", RESTRICTION_FORMS)
+def test_restriction_is_the_class_coeffs(name):
+    # MaassTable.restriction reads the divisor sums at the classes (0, j)
+    # from one sigma_row; class_coeff reads each from divisors(j)
+    table = form_table(name, 0)
+    assert table.restriction(200) == list(restriction(table, 200))
+
+
 # sha256 of repr(form_table(name, 400).R[:401]) for the rows past the l <= 32 the
 # box oracle reaches, recorded from tables that multiplied stored q-series
 # restrictions, so they check the restrictions read from the lifts

@@ -295,48 +295,43 @@ def per_radius_box(N):
 
 
 def test_enumerate_psd_is_the_per_radius_box():
+    # enumerate_psd parses the texts of the walk
     for N in range(7):
-        walked = tuple(TMatrix(n, m, t) for n, m, t, _ in iter_keyed(N, quats=True))
-        assert walked == whole_box(N) == per_radius_box(N), N
+        assert whole_box(N) == per_radius_box(N), N
 
 
 def test_keyed_walk_is_the_box_with_its_class_keys():
     # the keyed walk against the box built independently above, index by
-    # index and key by key; the table renders each row from n, m and the
-    # text of t, which must read as str(T). A row (n, m, t, key) equals
-    # (*T, T.class_key()) exactly when it is T = TMatrix(n, m, t) with its
-    # class key
+    # index and key by key: each row's text is str(T), which the table
+    # renders and enumerate_psd parses, and its key is T.class_key()
     for N in range(7):
         box = per_radius_box(N)
         rows = list(iter_keyed(N))
-        same = list(iter_keyed(N, quats=True))
-        assert same == [(*T, T.class_key()) for T in box], N
-        assert [f"{n},{m},{text}" for n, m, text, _ in rows] == [str(T) for T in box]
-        assert Counter(key for *_, key in rows) == class_counts(N), N
+        assert [text for text, _ in rows] == [str(T) for T in box], N
+        assert [key for _, key in rows] == [T.class_key() for T in box], N
+        assert Counter(key for _, key in rows) == class_counts(N), N
 
 
 def test_keyed_walk_blocks():
-    # per block, its lines are the distinct (a, b, c) of its sub-ball
-    # norm(t) <= 4nm in lex order, as texts or as tuples, and the lines times
-    # the runs of their shapes are the sub-ball itself; each histogram id
-    # stands for one _hkey(t) over the walk, distinct ids for distinct keys,
-    # and keys[h] is None exactly for the ids outside the block; the oracle
+    # per block, its lines are the texts "a,b,c," of the distinct (a, b, c)
+    # of its sub-ball norm(t) <= 4nm in lex order, and the lines times the
+    # runs of their shapes are the sub-ball itself; each histogram id stands
+    # for one _hkey(t) over the walk, distinct ids for distinct keys, and
+    # keys[h] is None exactly for the ids outside the block; the oracle
     # balls are shared by radius
     sub_balls = {}
     for N in range(9):
-        blocks = list(zip(keyed_walk(N), keyed_walk(N, quats=True)))
-        assert [(n, m) for (n, m, *_), _ in blocks] == [(n, m) for n in range(N + 1) for m in range(N + 1)]
+        blocks = list(keyed_walk(N))
+        assert [(n, m) for n, m, *_ in blocks] == [(n, m) for n in range(N + 1) for m in range(N + 1)]
         pairs = set()
-        for (n, m, lines, shapes, runs, keys), (*_, quat_lines, quat_shapes, quat_runs, quat_keys) in blocks:
+        for n, m, lines, shapes, runs, keys in blocks:
             r = 4 * n * m
             if r not in sub_balls:
                 ball = list(iter_dual(r))
                 prefixes = list(dict.fromkeys(t[:3] for t in ball))
                 sub_balls[r] = prefixes, [str(t) for t in ball], [_hkey(t) for t in ball]
             prefixes, texts, hkeys = sub_balls[r]
-            assert quat_lines == prefixes, (N, n, m)
-            assert lines == [f"{a},{b},{c}," for a, b, c in prefixes]
-            assert (quat_shapes, quat_runs, quat_keys) == (shapes, runs, keys)
+            assert lines == [f"{a},{b},{c}," for a, b, c in prefixes], (N, n, m)
             # a run for each shape of the block and for no other
             assert set(runs) == set(shapes)
             line_runs = [runs[s] for s in shapes]
@@ -345,7 +340,7 @@ def test_keyed_walk_blocks():
         hkeys = dict(pairs)
         assert len(hkeys) == len(pairs) and sorted(hkeys) == list(range(len(hkeys)))
         assert len(set(hkeys.values())) == len(hkeys)
-        for (n, m, *_, keys), _ in blocks:
+        for n, m, *_, keys in blocks:
             assert [key is None for key in keys] == [hkeys[h][0] > 4 * n * m for h in range(len(keys))]
     with pytest.raises(ValueError, match="depth must be >= 0"):
         keyed_walk(-1)
