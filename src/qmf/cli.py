@@ -92,23 +92,26 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-# Each theorem of `qmf verify`: the flags it needs and its sweep. Runners
-# are passed the congr module and read its functions when called, so a
-# patched verifier is the one run.
+# Each theorem of `qmf verify`: the name of the congr function that sweeps
+# it and the flags it needs, in that function's positional order before N.
+# The function is looked up by name when the command runs, so cli loads no
+# congr at start-up and a patched verifier is the one run. Its result is a
+# Verdict, or a list of them.
 _THEOREMS = {
-    "ramanujan": (("k", "p"), lambda congr, a, N: [congr.ramanujan_verdict(a.k, a.p, N)]),
-    "theta": ((), lambda congr, a, N: congr.verify_theta_cong(N)),
-    "mod23": ((), lambda congr, a, N: [congr.verify_mod23(N)]),
-    "congeis": (("k",), lambda congr, a, N: [congr.verify_cong_eis(a.k, N)]),
-    "ep1": (("p",), lambda congr, a, N: [congr.verify_ep_minus_one(a.p, N)]),
+    "ramanujan": ("ramanujan_verdict", ("k", "p")),
+    "theta": ("verify_theta_cong", ()),
+    "mod23": ("verify_mod23", ()),
+    "congeis": ("verify_cong_eis", ("k",)),
+    "ep1": ("verify_ep_minus_one", ("p",)),
 }
 
 
 def _cmd_verify(args) -> int:
     N = args.depth
     _check_depth(N, "--depth")
-    flags, run = _THEOREMS[args.theorem]
-    if any(getattr(args, f) is None for f in flags):
+    name, flags = _THEOREMS[args.theorem]
+    values = [getattr(args, f) for f in flags]
+    if None in values:
         needs = " and ".join("--" + f for f in flags)
         print(f"error: verify {args.theorem} needs {needs}", file=sys.stderr)
         return 2
@@ -116,7 +119,9 @@ def _cmd_verify(args) -> int:
 
     from . import congr
 
-    verdicts = run(congr, args, N)
+    verdicts = getattr(congr, name)(*values, N)
+    if not isinstance(verdicts, list):
+        verdicts = [verdicts]
     payload = [v.to_json() for v in verdicts]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     _emit(args.out, lambda fh: fh.write(text + "\n"))

@@ -4,6 +4,10 @@ Every verifier sweeps exact data over the depth-N box and returns a Verdict:
 status "holds" means every checked instance passed, "fails" carries explicit
 witnesses, and precondition violations raise ValueError before any sweep
 starts. A verdict is always a statement about the finite box it was run on.
+It is the sum of its claims (_verdict): each sweep returns a claim, the pair
+(witnesses, checked) of its failures and the instances it checked, and the
+verdict joins the witnesses in claim order, adds up the checks and fails
+exactly when a witness was found.
 
 Named forms are read from their one-variable tables (form_table); no
 verifier builds a whole expansion. Every predicate a verifier checks reads T
@@ -40,7 +44,11 @@ check p-integrality only (chi_p is kronecker(-p, two_det)):
                                          a_X14 is not 23-integral where
                                          chi_23 != -1: the sides are equal
                                          where it is 1, and read 23 a ≡ 0
-                                         where it is 0
+                                         where it is 0. There an a_X14
+                                         with one 23 in its denominator is
+                                         reported as "fails", not
+                                         "not-p-integral": 23 a has a
+                                         residue
   congeis    p | a where chi_p = -1      a_G is not 0 mod p there
   congeis    sigma sweep                 sigma_row is wrong: the identity
                                          holds at every l, p ≡ 3 mod 4
@@ -146,18 +154,22 @@ class Verdict(NamedTuple):
         return self._asdict()
 
 
-def _verdict(theorem: str, params: dict, witnesses: list, checked: int) -> Verdict:
-    """A sweep's Verdict: it holds exactly when no witness was found."""
+def _verdict(theorem: str, params: dict, *claims) -> Verdict:
+    """The Verdict summed from its claims, each a pair (witnesses, checked):
+    the witnesses in claim order and the checks added up. It holds exactly
+    when no witness was found."""
+    witnesses = [w for found, _ in claims for w in found]
     status = "fails" if witnesses else "holds"
-    return Verdict(theorem, params, status, witnesses, checked)
+    return Verdict(theorem, params, status, witnesses, sum(n for _, n in claims))
 
 
-def _witnesses(check: CongCheck, claim: str = "") -> list:
-    """The witness entry of a failed check, led by the claim when one is given."""
+def _claim(check: CongCheck, text: str = "") -> tuple:
+    """The claim of a congruence sweep: the witness entry of a failed check,
+    led by the claim text when one is given, and the indices it checked."""
     if check.ok:
-        return []
+        return [], check.checked
     entry = {"T": str(check.witness), "detail": check.status}
-    return [{"claim": claim, **entry} if claim else entry]
+    return [{"claim": text, **entry} if text else entry], check.checked
 
 
 def _check_modulus(p: int) -> None:
@@ -214,9 +226,8 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     as G.restriction(N), by p, check the quotient is
     p-integral, solve its first d coefficients for a polynomial P in the
     elliptic weight-4/weight-6 generators (with p-integral coefficients), and
-    check that phi - p * P(E4, E6) vanishes at every q^0..q^N, so chi
-    restricts to 0 in degree 1: past q^(d-1) those checks are not implied by
-    how P was solved.
+    check that phi - p * P(E4, E6) vanishes at q^d..q^N, so chi restricts
+    to 0 in degree 1.
     Everything is read from G's one-variable table; chi itself is never
     built, and the box is neither counted nor walked: ramanujan_verdict
     sweeps it (the box construction lives in the tests as the oracle).
@@ -242,9 +253,12 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     poly = _express(k, monomials, f[:d])
     if any(residue(c, p) is None for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
+    # P is solved from q^0..q^(d-1), so phi - p * P(E4, E6) is 0 there by
+    # construction: only q^d..q^N can fail
+    rest = phi[d:]
     for ab, c in poly.items():
-        phi = [x - p * c * y for x, y in zip(phi, monomials[ab])]
-    return ChiReport(k, p, N, poly, not any(phi))
+        rest = [x - p * c * y for x, y in zip(rest, monomials[ab][d:])]
+    return ChiReport(k, p, N, poly, not any(rest))
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.
@@ -260,25 +274,21 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     report = build_chi(k, p, N)
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     counts = class_counts(N)
-    witnesses: list = []
-    if not report.phi_vanishes:
-        witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
+    params = {"k": k, "p": p, "depth": N}
+    # claim texts and counts are part of the verdict JSON, so they keep their
+    # wording, and the certificate counts the q^0..q^N of chi's restriction
+    vanishing = [] if report.ok else [{"claim": "degree-1 restriction of chi vanishes"}]
     # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
     # (build_chi checked it) and E4H, E6H are integral. So chi(T) is
     # p-integral exactly where G(T) is, and then chi(T) ≡ G(T) mod p:
     # sweeping G against itself gives the status, witness and count of G
     # against chi.
-    congruence = _sweep(G, G, p, N, counts)
-    checked = congruence.checked + (N + 1)
-    # claim texts are part of the verdict JSON, so they keep their wording
-    witnesses += _witnesses(congruence, f"g_h({k}) ≡ chi mod {p}")
-    params = {"k": k, "p": p, "depth": N}
+    congruence = _claim(_sweep(G, G, p, N, counts), f"g_h({k}) ≡ chi mod {p}")
+    claims = [(vanishing, N + 1), congruence]
     if name:
-        extra = _sweep(G, target, p, N, counts)
-        checked += extra.checked
         params["target"] = name
-        witnesses += _witnesses(extra, f"chi ≡ {name} mod {p}")
-    return _verdict("ramanujan-congruence", params, witnesses, checked)
+        claims.append(_claim(_sweep(G, target, p, N, counts), f"chi ≡ {name} mod {p}"))
+    return _verdict("ramanujan-congruence", params, *claims)
 
 
 def _one(key) -> Fraction:
@@ -296,10 +306,8 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     if residue(bernoulli(p - 3), p) in (None, 0):
         raise ValueError(f"hypothesis fails: B_{p - 3} ≡ 0 mod {p}")
     E = form_table(f"E{p - 1}H", 2 * N * N)
-    check = _sweep(E.class_coeff, _one, p, N, class_counts(N))
-    params = {"p": p, "depth": N}
-    theorem = "eisenstein-weight-p-minus-one"
-    return _verdict(theorem, params, _witnesses(check), check.checked)
+    claim = _claim(_sweep(E.class_coeff, _one, p, N, class_counts(N)))
+    return _verdict("eisenstein-weight-p-minus-one", {"p": p, "depth": N}, claim)
 
 
 def verify_theta_cong(N: int) -> list[Verdict]:
@@ -309,10 +317,9 @@ def verify_theta_cong(N: int) -> list[Verdict]:
     for k, p, name in ((4, 5, "X10"), (6, 7, "X14")):
         a = form_table(f"G{k}H", 2 * N * N).class_coeff
         target = form_table(name, 2 * N * N).class_coeff
-        check = _sweep(lambda key: key[0] * a(key), target, p, N, counts)
+        claim = _claim(_sweep(lambda key: key[0] * a(key), target, p, N, counts))
         params = {"k": k, "p": p, "target": name, "depth": N}
-        verdict = _verdict("theta-congruence", params, _witnesses(check), check.checked)
-        out.append(verdict)
+        out.append(_verdict("theta-congruence", params, claim))
     return out
 
 
@@ -321,11 +328,10 @@ def _kronecker_table(p: int, L: int) -> list[int]:
     return [kronecker(-p, l) for l in range(L + 1)]
 
 
-def _nonresidue_sweep(
-    a, p: int, chi: list[int], N: int, counts: dict, witnesses: list
-) -> int:
-    """Append a witness for every box index T with kronecker(-p, two_det(T))
-    = -1 where a(T) is not ≡ 0 mod p; return how many such T were checked.
+def _nonresidue_sweep(a, p: int, chi: list[int], N: int, counts: dict) -> tuple:
+    """The claim that a(T) ≡ 0 mod p at every box index T with
+    kronecker(-p, two_det(T)) = -1: a witness for every such T where it
+    fails, and how many such T were checked.
 
     a maps a class key to the coefficient of its class, chi is
     _kronecker_table(p, L) for an L >= 2N^2 and counts is class_counts(N);
@@ -333,9 +339,8 @@ def _nonresidue_sweep(
     as text."""
     nonresidue = [key for key in counts if chi[key[0]] == -1]
     bad = {key for key in nonresidue if residue(a(key), p) != 0}
-    if bad:
-        witnesses += [{"T": text, "coeff": str(a(key))} for text, key in iter_keyed(N) if key in bad]
-    return sum(counts[key] for key in nonresidue)
+    witnesses = [{"T": text, "coeff": str(a(key))} for text, key in iter_keyed(N) if key in bad] if bad else []
+    return witnesses, sum(counts[key] for key in nonresidue)
 
 
 def verify_mod23(N: int) -> Verdict:
@@ -344,17 +349,16 @@ def verify_mod23(N: int) -> Verdict:
     a(T) two_det(T) mod 23."""
     a = form_table("X14", 2 * N * N).class_coeff
     chi = _kronecker_table(23, 2 * N * N)
-    counts, witnesses = class_counts(N), []
-    checked = _nonresidue_sweep(a, 23, chi, N, counts, witnesses)
+    counts = class_counts(N)
+    vanishing = _nonresidue_sweep(a, 23, chi, N, counts)
 
     def twisted(key):
         td = key[0]
         return a(key) * td * chi[td]
 
     corollary = _sweep(twisted, lambda key: a(key) * key[0], 23, N, counts)
-    checked += corollary.checked
-    witnesses += _witnesses(corollary, "twisted theta ≡ theta mod 23")
-    return _verdict("mod23-vanishing", {"p": 23, "depth": N}, witnesses, checked)
+    claim = _claim(corollary, "twisted theta ≡ theta mod 23")
+    return _verdict("mod23-vanishing", {"p": 23, "depth": N}, vanishing, claim)
 
 
 _SIGMA_SWEEP = 500
@@ -369,13 +373,11 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     p = 2 * k - 5
     if not is_prime(p):
         raise ValueError(f"2k-5 = {p} is composite, theorem does not apply")
-    witnesses: list = []
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     chi = _kronecker_table(p, max(2 * N * N, _SIGMA_SWEEP))
-    checked = _nonresidue_sweep(G, p, chi, N, class_counts(N), witnesses)
+    vanishing = _nonresidue_sweep(G, p, chi, N, class_counts(N))
     s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
     sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if chi[ell] == -1]
-    checked += len(sweep)
-    witnesses += [{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p]
+    sigma = ([{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p], len(sweep))
     params = {"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP}
-    return _verdict("eisenstein-nonresidue-vanishing", params, witnesses, checked)
+    return _verdict("eisenstein-nonresidue-vanishing", params, vanishing, sigma)

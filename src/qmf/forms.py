@@ -93,8 +93,8 @@ class MaassTable:
     def class_coeff(self, key: tuple[int, int]) -> Fraction:
         """Coefficient of the Maass lift at every psd T of class key =
         T.class_key(); raises ValueError when two_det is past the end of R,
-        and at a key no psd T has (a negative two_det, or a content below 1
-        but at (0, 0))."""
+        and at a key no psd T has (a negative two_det, a content below 1
+        but at (0, 0), or a content whose square does not divide two_det)."""
         if key == (0, 0):
             return self.const
         td, eps = key
@@ -106,6 +106,9 @@ class MaassTable:
             )
         if eps == 1:  # divisors(1) == (1,): the sum is the entry itself
             return self.R[td]
+        # T = eps T' gives two_det(T) = eps^2 two_det(T')
+        if td % (eps * eps):
+            raise ValueError(f"class {key} is the class key of no psd index")
         k1 = self.weight - 1
         return sum(d**k1 * self.R[td // (d * d)] for d in divisors(eps))
 

@@ -121,3 +121,30 @@ def test_certificate_factors_nothing(monkeypatch):
     calls = counting(monkeypatch, exactnum, "factorize")
     assert congr.build_chi(14, 691, 4).ok
     assert len(calls) == 0
+
+
+# Class coefficients read per command from an empty table cache. A sweep of
+# two class functions reads each table side once per class of the box (46
+# classes at depth 4, 25 at depth 3): ramanujan reads G twice in its
+# integrality sweep and G and the target in its target sweep, theta two
+# tables in each of its two sweeps, ep1 one table against the constant 1,
+# and mod23 X14 twice per class in its corollary. A nonresidue sweep reads
+# its table at the nonresidue classes only (14 for mod23, 16 for congeis);
+# the table reads its form once per class.
+CLASS_COEFF_BUDGET = {
+    "verify ramanujan --k 14 --p 691 --depth 4": 184,
+    "verify ramanujan --k 12 --p 31 --depth 3": 50,
+    "verify theta --depth 4": 184,
+    "verify mod23 --depth 4": 106,
+    "verify congeis --k 6 --depth 4": 16,
+    "verify ep1 --p 13 --depth 4": 46,
+    "table --form G12H --max 4 --mod 691": 46,
+}
+
+
+@pytest.mark.parametrize("command", CLASS_COEFF_BUDGET)
+def test_class_coefficients_per_command(monkeypatch, capsys, command):
+    monkeypatch.setattr(forms, "_TABLES", {})
+    calls = counting(monkeypatch, forms.MaassTable, "class_coeff")
+    run_cli(capsys, command)
+    assert len(calls) == CLASS_COEFF_BUDGET[command]

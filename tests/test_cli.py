@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -513,6 +514,16 @@ def test_deep_box_warning(capsys, monkeypatch, tmp_path):
     argv = ["table", "--form", "X10", "--max", "4", "--out", str(out_file)]
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("theorem", cli._THEOREMS)
+def test_verify_dispatch_names_a_verifier_and_its_flags(theorem):
+    # each theorem names its congr function, whose parameters are the
+    # theorem's flags and then N; the table holds names, not callables
+    entry = cli._THEOREMS[theorem]
+    name, flags = entry
+    assert not any(callable(x) for x in entry)
+    assert [*inspect.signature(getattr(congr, name)).parameters] == [*flags, "N"]
 
 
 def test_no_command_exit2(capsys):

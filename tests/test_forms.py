@@ -36,7 +36,7 @@ from qmf.forms import (
     maass_lift,
     x14_closed,
 )
-from qmf.tmat import ZERO_TMATRIX, parse_tmatrix
+from qmf.tmat import ZERO_TMATRIX, class_counts, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -193,6 +193,26 @@ def test_class_coeff_refuses_keys_of_no_psd_index():
     assert table.class_coeff((0, 0)) == table.const
     assert table.class_coeff((0, 1)) == table.R[0]
     assert table.class_coeff((4, 1)) == table.R[4]
+
+
+def test_class_coeff_answers_exactly_the_class_keys():
+    # content eps needs eps^2 | two_det, as T = eps T' has two_det(T) =
+    # eps^2 two_det(T'); the depth-8 box holds every such key with two_det
+    # <= 60 and eps <= 5, and class_coeff refuses every other key there
+    table = form_table("X10", 60)
+    keys = set(class_counts(8))
+    answered = set()
+    for td in range(61):
+        for eps in range(6):
+            try:
+                table.class_coeff((td, eps))
+            except ValueError as exc:
+                assert str(exc) == f"class {(td, eps)} is the class key of no psd index"
+            else:
+                answered.add((td, eps))
+    squares = {(td, eps) for td in range(61) for eps in range(1, 6) if td % (eps * eps) == 0}
+    assert answered == squares | {(0, 0)}
+    assert answered == {(td, eps) for td, eps in keys if td <= 60 and eps <= 5}
 
 
 def test_e4_e6_tables_integral():
