@@ -29,12 +29,15 @@ p-integral, so every sweep of chi reads G's table. The elliptic algebra
 
 What each claim checks, and what it takes to fail it. Two of them hold by
 construction wherever the coefficients they read are p-integral, so they
-check p-integrality only (chi_p is kronecker(-p, two_det)):
+check p-integrality only, and the restriction claim holds wherever G's
+table is self-consistent (chi_p is kronecker(-p, two_det)):
 
   verifier   claim                       fails only where
-  ramanujan  restriction of chi vanishes G's restriction past q^(d-1) is
-                                         not p P(E4, E6); through q^(d-1)
-                                         it is, as P is solved there
+  ramanujan  restriction of chi vanishes R(0)/const != -2k/B_k in G's
+                                         table, or sigma_row is wrong:
+                                         else G's restriction is
+                                         g_constant(k) E_k, and the d
+                                         monomials solved for P span M_k
   ramanujan  g_h(k) ≡ chi mod p          G is not p-integral: G is swept
                                          against itself
   ramanujan  chi ≡ X10/X14 mod p         G and the target differ mod p
@@ -223,11 +226,12 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
     Procedure: check that the depth N gives the q^0..q^N coefficients one
     equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
     for k = 12), divide the degree-1 restriction phi of G, read from G's lift
-    as G.restriction(N), by p, check the quotient is
-    p-integral, solve its first d coefficients for a polynomial P in the
-    elliptic weight-4/weight-6 generators (with p-integral coefficients), and
-    check that phi - p * P(E4, E6) vanishes at q^d..q^N, so chi restricts
-    to 0 in degree 1.
+    as G.restriction(N), by p, solve the quotient's first d coefficients for
+    a polynomial P in the elliptic weight-4/weight-6 generators, check that
+    P is p-integral, and check that phi - p * P(E4, E6) vanishes at
+    q^d..q^N, so chi restricts to 0 in degree 1. The quotient is p-integral
+    once the star condition holds: with q1 = _star_q1(k), phi has constant
+    term -q1 (B_k/k)/4 and q^j coefficient (q1/2) sigma_(k-1)(j).
     Everything is read from G's one-variable table; chi itself is never
     built, and the box is neither counted nor walked: ramanujan_verdict
     sweeps it (the box construction lives in the tests as the oracle).
@@ -247,10 +251,7 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
         )
     G = form_table(f"G{k}H", 2 * N * N)
     phi = G.restriction(N)
-    f = [c / p for c in phi]
-    if any(residue(c, p) is None for c in f):
-        raise ValueError(f"degree-1 restriction of G{k}H is not divisible by {p}")
-    poly = _express(k, monomials, f[:d])
+    poly = _express(k, monomials, [c / p for c in phi[:d]])
     if any(residue(c, p) is None for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
     # P is solved from q^0..q^(d-1), so phi - p * P(E4, E6) is 0 there by
@@ -269,8 +270,6 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     """Run build_chi and sweep chi ≡ G mod p over the box, then, for (k, p)
     with a distinguished cusp form in the table, chi against that form."""
     name = _NAMED_TARGETS.get((k, p))
-    # the target's row, read first, builds E4H and E6H to 2N^2 for build_chi
-    target = name and form_table(name, 2 * N * N).class_coeff
     report = build_chi(k, p, N)
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     counts = class_counts(N)
@@ -287,6 +286,7 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     claims = [(vanishing, N + 1), congruence]
     if name:
         params["target"] = name
+        target = form_table(name, 2 * N * N).class_coeff
         claims.append(_claim(_sweep(G, target, p, N, counts), f"chi ≡ {name} mod {p}"))
     return _verdict("ramanujan-congruence", params, *claims)
 

@@ -6,40 +6,37 @@ row R, a function of one variable. The coefficient at T != 0 is
 sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
 (Eichler-Zagier, The Theory of Jacobi Forms; Krieg on the Maass space for
 quaternionic modular forms of degree 2). One builder gives the closed-form
-Eisenstein tables. The cusp forms in weights 10, 12 and 14 are exact rational
-combinations of products of them, normalized so their coefficient at
-T_0 = (1, 1, (1, 1, 0, 0)) equals 1; their rows combine Eisenstein rows and
-the first Fourier-Jacobi rows of products, which _product_row reads from the
-factors as two products of truncated q-series, each factor's Siegel
-restriction read from one divisor-sum row (MaassTable.restriction). Those
-go through _mul, the library's one convolution, which is one big-integer
-product by Kronecker substitution; qmf.series forms the E4/E6 monomials
-with it. A table is the
-form: callers read coefficients from it, and form_table holds one per form,
-the longest built so far, for callers and cusp rows alike. build_form lifts
-a table to a read-only FourierExpansion on a whole box, which the library
-never does arithmetic on; the tests multiply such boxes in their oracle for
-the tables. Only the lift imports fexp, so reading a table's coefficients
-loads no expansion code.
+Eisenstein tables. The cusp forms in weights 10, 12 and 14, normalized to 1
+at T_0 = (1, 1, (1, 1, 0, 0)), have eta-product rows in integers: R_X10 =
+f8 - 16 f8|V2, R_X12 = f10 + 32 f10|V2 and R_X14 = phi_E4(q^2) R_X10, with
+f8 = eta(z)^8 eta(2z)^8, f10 = f8 (2 E2(2z) - E2(z)), phi_E4 the Siegel
+restriction of E4H and f|V2 = f(q^2). Their products go through _mul, the
+library's one convolution: one big-integer product of integer rows by
+Kronecker substitution, with which qmf.series forms the E4/E6 monomials
+too. A table is the form: callers read coefficients from it, and
+form_table holds one per form, the longest built so far, for callers and
+cusp rows alike. build_form lifts a table to a read-only FourierExpansion
+on a whole box, which the library never does arithmetic on; the tests
+multiply such boxes in their oracle for the tables. Only the lift imports
+fexp, so reading a table's coefficients loads no expansion code.
 
 A finite check of a row proves it at every l. The row of a weight-k form
 here is a modular form of weight k - 2 on Gamma0(4) with rational
 coefficients: an Eisenstein row is a multiple of E_(k-2)(z) - 2^(k-2)
-E_(k-2)(4z), and _product_row multiplies rows by the factors' Siegel
-restrictions, level-1 forms, at q^2. Two such forms that agree for
+E_(k-2)(4z), and a product fg of two Maass-space forms has the row
+phi_f(q^2) R_g + phi_g(q^2) R_f, phi the level-1 Siegel restrictions. So
+the rows of the paper's cusp forms, polynomials in Eisenstein series, lie
+in that space, as the eta products do. Two such forms that agree for
 l <= (k - 2)/2, the Sturm bound for Gamma0(4) (J. Sturm, "On the
-congruence of modular forms", LNM 1240, 1987), agree at every l. The cusp
-rows are eta products: R_X10 = f8 - 16 f8|V2, R_X12 = f10 + 32 f10|V2 and
-R_X14 = Delta - 2^12 Delta|V4, with f8 = eta(z)^8 eta(2z)^8, f10 =
-f8 (2 E2(2z) - E2(z)) and Delta = eta(z)^24. The tests check these
-identities in integers to l = 400, far past the bound.
+congruence of modular forms", LNM 1240, 1987), agree at every l; the tests
+check each eta row against the paper's definition to l = 400, far past
+the bound.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 from .exactnum import bernoulli, divisors, sigma_row
 from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
@@ -151,16 +148,6 @@ def _eisenstein_table(k: int, g: bool, L: int) -> MaassTable:
     return MaassTable(k, u, (-2 * k * u / bernoulli(k),) + tuple(cpos * x for x in S))
 
 
-def _integers(a: tuple) -> tuple[list[int], int]:
-    """The rationals a as integers over one denominator, the lcm of theirs."""
-    den = 1
-    for x in a:
-        q = x.denominator
-        if den % q:
-            den = den // gcd(den, q) * q
-    return [x.numerator * (den // x.denominator) for x in a], den
-
-
 def _pack(xs: list[int], w: int) -> int:
     """sum_i xs[i] 2^(8wi): xs in w-byte two's-complement slots read as one
     integer, less a borrow of 1 in slot i + 1 for each negative xs[i]; both
@@ -171,73 +158,77 @@ def _pack(xs: list[int], w: int) -> int:
     return int.from_bytes(slots, "little") - int.from_bytes(borrow, "little")
 
 
-def _mul(a: tuple, b: tuple) -> tuple[Fraction, ...]:
-    """The product of two truncated q-series of rationals, to the shorter
-    precision n, in Fractions, as one big-integer product (Kronecker
-    substitution; D. Harvey, J. Symbolic Comput. 44, 2009). Each factor is
-    scaled to integers over the lcm of its denominators and packed in w-byte
-    slots. A coefficient of the product sums at most n terms A_i B_j, so its
-    magnitude is below 2^(bits(max|A|) + bits(max|B|) + bits(n)) <= 2^(8w - 2):
-    with 2^(8w - 1) added it fills its slot without a carry, and the low n
-    slots, read back from bytes, are the coefficients."""
+def _mul(a, b) -> tuple[int, ...]:
+    """The product of two truncated q-series of integers, to the shorter
+    precision n, as one big-integer product (Kronecker substitution; D.
+    Harvey, J. Symbolic Comput. 44, 2009). An entry is an int or an
+    integer-valued Fraction, read by its numerator; any other raises
+    ValueError. Each factor is packed in w-byte slots. A coefficient
+    of the product sums at most n terms A_i B_j, so its magnitude is below
+    2^(bits(max|A|) + bits(max|B|) + bits(n)) <= 2^(8w - 2): with 2^(8w - 1)
+    added it fills its slot without a carry, and the low n slots, read back
+    from bytes, are the coefficients."""
     n = min(len(a), len(b))
-    A, da = _integers(a[:n])
-    B, db = _integers(b[:n])
+    bad = next((x for X in (a, b) for x in X[:n] if x.denominator != 1), None)
+    if bad is not None:
+        raise ValueError(f"_mul multiplies integer rows, got the entry {bad}")
+    A, B = ([x.numerator for x in X[:n]] for X in (a, b))
     bits = sum(max(map(abs, X), default=0).bit_length() for X in (A, B))
     w = (bits + n.bit_length() + 2 + 7) // 8
     half = bytes(w - 1) + b"\x80"  # 2^(8w - 1) in one slot
     C = _pack(A, w) * _pack(B, w) + int.from_bytes(half * n, "little")
     raw = (C & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
-    den, mid = da * db, 1 << 8 * w - 1
-    return tuple(
-        Fraction(int.from_bytes(raw[i : i + w], "little") - mid, den)
-        for i in range(0, w * n, w)
-    )
+    mid = 1 << 8 * w - 1
+    return tuple(int.from_bytes(raw[i : i + w], "little") - mid for i in range(0, w * n, w))
 
 
-def _restriction(h: MaassTable, L: int) -> list:
-    """The Siegel restriction of h's lift at q^2, to q^L: h.restriction
-    spread to the even powers, a((j, 0, 0)) at q^(2j)."""
+def _v2(row, L: int) -> list:
+    """row|V2 = row(q^2) to q^L: row[j] at q^(2j), 0 at the odd powers."""
     out = [0] * (L + 1)
-    out[::2] = h.restriction(L // 2)
+    out[::2] = row[: L // 2 + 1]
     return out
 
 
-def _product_row(f: MaassTable, g: MaassTable, L: int) -> tuple[Fraction, ...]:
-    """The first Fourier-Jacobi row of the product fg up to l = L, reading
-    each factor's row only that far: the n1 + n2 = 1 part of the box
-    convolution, as (1, m, t) splits only as (0, j, 0) + (1, m - j, t) or the
-    reverse, so R = phi_f(q^2) R_g + phi_g(q^2) R_f as q-series in l, with
-    phi_f(q^2) the restriction of f at q^2 (_restriction) and phi_g(q^2)
-    that of g. Exact whether or not fg lies in the Maass space, as f and g
-    do."""
-    fg = _mul(_restriction(f, L), g.R)
-    gf = _mul(_restriction(g, L), f.R)
-    return tuple(a + b for a, b in zip(fg, gf))
+def _f8(L: int) -> list[int]:
+    """f8 = eta(z)^8 eta(2z)^8 = q prod (1 - q^n)^8 (1 - q^2n)^8 to q^L:
+    Euler's product prod (1 - q^n), from the pentagonal number theorem
+    ((-1)^j at q^(j(3j -+ 1)/2)), times its V2, then squared three times."""
+    eta, j = [0] * (L + 1), 0
+    while j * (3 * j - 1) // 2 <= L:
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if g <= L:
+                eta[g] = (-1) ** j
+        j += 1
+    p = _mul(eta, _v2(eta, L))
+    for _ in range(3):
+        p = _mul(p, p)
+    return [0, *p[:L]]
 
 
 def _x10_table(L: int) -> MaassTable:
-    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 10)}
-    c = Fraction(17, 161280)
-    R = zip(_product_row(e[4], e[6], L), e[10].R)
-    return MaassTable(10, Fraction(0), tuple(c * (a - b) for a, b in R))
+    """R_X10 = f8 - 16 f8|V2."""
+    f8 = _f8(L)
+    return MaassTable(10, Fraction(0), tuple(Fraction(a - 16 * b) for a, b in zip(f8, _v2(f8, L))))
 
 
 def _x12_table(L: int) -> MaassTable:
-    """(441/691 E4^3 + 250/691 E6^2 - E12) * 21421/203212800, with E4^3
-    read as E8 E4 (E8 = E4^2 spans the weight-8 forms)."""
-    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8, 12)}
-    c, u, v = Fraction(21421, 203212800), Fraction(441, 691), Fraction(250, 691)
-    R = zip(_product_row(e[8], e[4], L), _product_row(e[6], e[6], L), e[12].R)
-    return MaassTable(12, Fraction(0), tuple(c * (u * a + v * b - z) for a, b, z in R))
+    """R_X12 = f10 + 32 f10|V2, f10 = f8 (2 E2(2z) - E2(z)), with 2 E2(2z) -
+    E2(z) = 1 + 24 sum (sigma_1(n) - 2 sigma_1(n/2)) q^n."""
+    s = sigma_row(1, L)
+    e2 = [24 * (a - 2 * b) for a, b in zip(s, _v2(s, L))]
+    e2[0] = 1
+    f10 = _mul(_f8(L), e2)
+    return MaassTable(12, Fraction(0), tuple(Fraction(a + 32 * b) for a, b in zip(f10, _v2(f10, L))))
 
 
 def _x14_table(L: int) -> MaassTable:
-    """E4 X10, whose row is phi_E4(q^2) R_X10 alone: the other half of
-    _product_row(E4H, X10) multiplies by X10's Siegel restriction, which is
-    0, as X10's const and R(0) are."""
-    R = _mul(_restriction(form_table("E4H", L), L), form_table("X10", L).R)
-    return MaassTable(14, Fraction(0), R)
+    """E4 X10, whose row is phi_E4(q^2) R_X10 alone: the other half of the
+    product's row multiplies R_E4 by X10's Siegel restriction, which is 0,
+    as X10's const and R(0) are. Only E4H's restriction is read, so its
+    table is built at length 0."""
+    phi = form_table("E4H", 0).restriction(L // 2)
+    R = _mul(_v2(phi, L), form_table("X10", L).R)
+    return MaassTable(14, Fraction(0), tuple(map(Fraction, R)))
 
 
 def x14_closed(T: TMatrix) -> Fraction:

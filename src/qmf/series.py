@@ -2,8 +2,9 @@
 
 A truncated q-series is a tuple of Fraction coefficients indexed 0..prec, the
 shape of a Maass table row; its weight is the caller's to carry. Products are
-forms._mul, the product of table rows, which truncates to the shorter of the
-two factors; all arithmetic is exact.
+forms._mul, the integer product of table rows, which truncates to the shorter
+of the two factors: E4 and E6 have integer coefficients, and so have their
+monomials. All arithmetic is exact.
 
 The level-1 generators E4 and E6 (constant term 1) are not stated here: they
 are the Siegel restrictions of the Eisenstein tables, read from the lift as
@@ -36,10 +37,10 @@ def e4_e6_monomials(k: int, prec: int) -> dict[tuple[int, int], tuple]:
     for b in range(k // 6 + 1):
         a, rem = divmod(k - 6 * b, 4)
         if not rem:
-            mon = (Fraction(1),) + (Fraction(0),) * prec
+            mon = (1,) + (0,) * prec
             for factor in (e4,) * a + (e6,) * b:
                 mon = _mul(mon, factor)
-            out[(a, b)] = mon
+            out[(a, b)] = tuple(map(Fraction, mon))
     return out
 
 

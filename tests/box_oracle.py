@@ -7,10 +7,11 @@ FourierExpansion container. The forms built with it multiply whole
 expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
-product_row states the table product rule one l at a time, as the oracle
-of forms._product_row, which reads it as two q-series products; naive_mul
-is the q-series product one term at a time, as the oracle of forms._mul,
-which forms it as one big-integer product.
+product_row states the table product rule one l at a time; paper_rows
+reads with it the rows of X10 and X12 as the paper defines them, rational
+combinations of Eisenstein series, as the oracle of the library's eta
+rows. naive_mul is the q-series product one term at a time, as the oracle
+of forms._mul, which forms it as one big-integer product of integer rows.
 
 bernoulli_row is the defining recurrence of the Bernoulli numbers, in
 Fraction, as the oracle of exactnum.bernoulli, which reads tangent numbers.
@@ -39,7 +40,7 @@ from qmf import congr
 from qmf.congr import CongCheck
 from qmf.exactnum import bernoulli, is_prime, kronecker, sigma
 from qmf.fexp import FourierExpansion
-from qmf.forms import build_form
+from qmf.forms import build_form, form_table
 from qmf.quatlat import ZERO_QUAT, QuatCoord
 from qmf.series import express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
@@ -292,9 +293,25 @@ def product_row(f, g, L):
     )
 
 
+def paper_rows(L):
+    """The first Fourier-Jacobi rows of X10 and X12 to l = L from the paper's
+    definitions, X10 = (E4 E6 - E10) 17/161280 and X12 = (441/691 E4^3 +
+    250/691 E6^2 - E12) 21421/203212800, with E4^3 read as E8 E4 (E8 = E4^2
+    spans the weight-8 forms): each product's row by product_row from the
+    Eisenstein tables. They share no code with the library's eta rows."""
+    e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8, 10, 12)}
+    x10 = zip(product_row(e[4], e[6], L), e[10].R)
+    x12 = zip(product_row(e[8], e[4], L), product_row(e[6], e[6], L), e[12].R)
+    u, v = Fraction(441, 691), Fraction(250, 691)
+    return {
+        "X10": tuple(Fraction(17, 161280) * (a - b) for a, b in x10),
+        "X12": tuple(Fraction(21421, 203212800) * (u * a + v * b - c) for a, b, c in x12),
+    }
+
+
 def naive_mul(a, b):
-    """The product of two truncated q-series of rationals to the shorter
-    precision, one term at a time: c(l) = sum_{i <= l} a(i) b(l - i)."""
+    """The product of two truncated q-series to the shorter precision, one
+    term at a time, in Fractions: c(l) = sum_{i <= l} a(i) b(l - i)."""
     n = min(len(a), len(b))
     return tuple(
         sum((Fraction(a[i]) * b[l - i] for i in range(l + 1)), Fraction(0))

@@ -22,10 +22,10 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-# Big-integer products per cusp row built from an empty table cache: two
-# per product of rows, for E4 E6 (X10) and for E8 E4 and E6 E6 (X12); X14
-# is phi_E4(q^2) R_X10, one product on top of building X10.
-MUL_BUDGET = {"X10": 2, "X12": 4, "X14": 3}
+# Big-integer products per cusp row built from an empty table cache: f8 is
+# one product eta(q) eta(q^2) and three squarings (X10), f10 one more (X12),
+# and X14 is phi_E4(q^2) R_X10, one product on top of building X10.
+MUL_BUDGET = {"X10": 4, "X12": 5, "X14": 5}
 
 
 @pytest.mark.parametrize("name", MUL_BUDGET)
@@ -34,6 +34,29 @@ def test_cusp_row_products(monkeypatch, name):
     calls = counting(monkeypatch, forms, "_mul")
     forms.form_table(name, 40)
     assert len(calls) == MUL_BUDGET[name]
+
+
+# Bytes _pack writes per cusp row built from an empty table cache, at L = 40
+# and L = 400: 2 sum w n over the row's _muls, as each packs both factors in
+# n slots of w bytes, so a wider slot or a longer factor shows here.
+PACKED_BUDGET = {
+    ("X10", 40): 902, ("X12", 40): 1312, ("X14", 40): 1476,
+    ("X10", 400): 12030, ("X12", 400): 17644, ("X14", 400): 20050,
+}
+
+
+@pytest.mark.parametrize("name, L", PACKED_BUDGET)
+def test_cusp_row_bytes_packed(monkeypatch, name, L):
+    monkeypatch.setattr(forms, "_TABLES", {})
+    packed, inner = [], forms._pack
+
+    def pack(xs, w):
+        packed.append(w * len(xs))
+        return inner(xs, w)
+
+    monkeypatch.setattr(forms, "_pack", pack)
+    forms.form_table(name, L)
+    assert sum(packed) == PACKED_BUDGET[name, L]
 
 
 # Class-key folds of class_counts(N): one per distinct (n*m, gcd(n, m))
@@ -74,20 +97,18 @@ def run_cli(capsys, command):
     capsys.readouterr()
 
 
-# Table builds per CLI command from an empty table cache. The Ramanujan
-# verdict reads the X14 row first, which builds E4H and E6H at L = 2N^2, so
-# the certificate's E4/E6 monomials read them from the cache.
+# Table builds per CLI command from an empty table cache. The cusp rows read
+# no Eisenstein row: X10 and X12 are eta products, and X14 reads E4H's
+# restriction only, from a length-0 table, as the certificate's E4/E6
+# monomials read E4H and E6H.
 TABLE_BUILDS = {
     "verify ramanujan --k 14 --p 691 --depth 4": [
-        ("E10H", 32), ("E4H", 32), ("E6H", 32), ("G14H", 32), ("X10", 32), ("X14", 32),
+        ("E4H", 0), ("E6H", 0), ("G14H", 32), ("X10", 32), ("X14", 32),
     ],
     "verify theta --depth 4": [
-        ("E10H", 32), ("E4H", 32), ("E6H", 32), ("G4H", 32), ("G6H", 32),
-        ("X10", 32), ("X14", 32),
+        ("E4H", 0), ("G4H", 32), ("G6H", 32), ("X10", 32), ("X14", 32),
     ],
-    "coeff --form X12 --T 3,3,1,1,0,0": [
-        ("E12H", 17), ("E4H", 17), ("E6H", 17), ("E8H", 17), ("X12", 17),
-    ],
+    "coeff --form X12 --T 3,3,1,1,0,0": [("X12", 17)],
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import box_oracle
-from box_oracle import cong_mod, ring_chi, whole_box
+from box_oracle import cong_mod, eisenstein_q, ring_chi, whole_box
 from qmf import congr, fexp, forms, tmat
 from qmf.congr import (
     build_chi,
@@ -19,8 +19,9 @@ from qmf.congr import (
     verify_mod23,
     verify_theta_cong,
 )
-from qmf.exactnum import kronecker
-from qmf.forms import MaassTable, build_form, form_table
+from qmf.exactnum import kronecker, residue
+from qmf.forms import MaassTable, build_form, form_table, g_constant
+from qmf.series import e4_e6_monomials
 from qmf.tmat import parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -91,6 +92,30 @@ def test_star_primes_past_trial_division():
     assert {k: star_primes(k) for k in STAR_TABLE_TO_50} == STAR_TABLE_TO_50
     for k, primes in STAR_TABLE_TO_50.items():
         assert all(star_condition(k, p) for p in primes)
+
+
+def test_g_restriction_is_the_scaled_eisenstein_series():
+    # G<k>H's Siegel restriction is g_constant(k) E_k by the construction of
+    # its table (R(0)/const = -2k/B_k), and the d monomials solved for P span
+    # M_k, so the restriction claim fails only where that ratio or sigma_row
+    # is wrong
+    for k in range(4, 42, 2):
+        phi = form_table(f"G{k}H", 0).restriction(30)
+        assert phi == [g_constant(k) * c for c in eisenstein_q(k, 30)], k
+
+
+def test_build_chi_holds_for_every_star_pair():
+    # once star_condition holds, p divides G's restriction: with q1 =
+    # _star_q1(k), its constant term is -q1 (B_k/k)/4 and its q^j
+    # coefficient (q1/2) sigma_(k-1)(j). P is p-integral too, so the
+    # certificate holds at every star pair, at the least depth and past it
+    for k in range(4, 52, 2):
+        d = len(e4_e6_monomials(k, 0))
+        for p in star_primes(k):
+            phi = form_table(f"G{k}H", 0).restriction(30)
+            assert all(residue(c / p, p) is not None for c in phi), (k, p)
+            for N in (d - 1, 5):
+                assert build_chi(k, p, N).ok, (k, p, N)
 
 
 def test_build_chi_weight10():
@@ -570,8 +595,8 @@ def _bumps(rng, N, p, ramanujan):
     term: a third of the time by multiples of p, which keep every congruence,
     else by 1, p, 1/p or a small integer. The box chi and build_chi both read
     G's degree-1 restriction from the lift, so for ramanujan R[0] moves too,
-    by multiples of p only, and the constant term not at all: build_chi
-    refuses, before any sweep, a G whose restriction p does not divide."""
+    by multiples of p only, and the constant term not at all: G's
+    restriction stays divisible by p, as the star condition makes it."""
     if rng.random() < 1 / 3:
         deltas = (p, -2 * p)
     else:

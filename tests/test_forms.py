@@ -16,6 +16,7 @@ from box_oracle import (
     monomial_h,
     mul,
     naive_mul,
+    paper_rows,
     product_row,
     ring_x14,
     scale,
@@ -29,7 +30,6 @@ from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
     _mul,
-    _product_row,
     build_form,
     form_table,
     g_constant,
@@ -249,6 +249,14 @@ def test_cusp_rows_are_eta_products():
         assert row_to_400(name) == tuple(row), name
 
 
+def test_cusp_rows_are_the_papers_definitions():
+    # the library builds X10 and X12 from eta products; the paper defines
+    # them as polynomials in Eisenstein series, whose rows the oracle reads
+    # with the per-l product rule from the Eisenstein tables
+    for name, row in paper_rows(400).items():
+        assert row_to_400(name) == row, name
+
+
 @pytest.mark.parametrize(
     "name, N", [("X10", 3), ("X12", 3), ("X14", 3), ("X10", 4), ("X14", 4)]
 )
@@ -275,7 +283,7 @@ def test_table_product_matches_box_product_restriction():
     N = 3
     L = 2 * N * N
     e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8)}
-    rows = {(3, 0): _product_row(e[8], e[4], L), (0, 2): _product_row(e[6], e[6], L)}
+    rows = {(3, 0): product_row(e[8], e[4], L), (0, 2): product_row(e[6], e[6], L)}
     for (a, b), row in rows.items():
         box = monomial_h(a, b, N)
         for T in whole_box(N):
@@ -284,8 +292,8 @@ def test_table_product_matches_box_product_restriction():
 
 
 def test_product_row_is_the_per_l_rule_and_the_box_products_row():
-    # any two tables, modular or not, at every L: the rule needs only that
-    # each factor is a Maass lift, which the lift of any row is
+    # any two tables, modular or not: the per-l rule needs only that each
+    # factor is a Maass lift, which the lift of any row is
     N = 3
     e4, e6, x10 = (form_table(name, 41) for name in ("E4H", "E6H", "X10"))
     bumped = MaassTable(6, Fraction(3, 7), tuple(x + l % 3 for l, x in enumerate(e6.R)))
@@ -294,51 +302,49 @@ def test_product_row_is_the_per_l_rule_and_the_box_products_row():
         (e4, e6), (e4, x10), (x10, e4), (bumped, e4), (bumped, bumped), (spike, bumped)
     )
     for f, g in pairs:
-        for L in (0, 1, 2, 7, 18, 41):
-            assert _product_row(f, g, L) == product_row(f, g, L), (f.R[:3], L)
         box = mul(maass_lift(f, N), maass_lift(g, N))
-        row = _product_row(f, g, 2 * N * N)
+        row = product_row(f, g, 2 * N * N)
         for T in whole_box(N):
             if T.n == 1:
                 assert box.coeff(T) == row[T.two_det()], (f.R[:3], T)
 
 
 def q_rows(L):
-    """Rows to l = L that the product must keep exact: zero rows, int rows
-    (a restriction at q^2 holds int zeros), signed rows at the extremes of
-    their slot width, rows over large coprime denominators, and a shorter
-    and a longer row."""
+    """Integer rows to l = L that the product must keep exact: zero rows,
+    small rows, a row at q^2 (int zeros at the odd powers, as a V2 spread
+    leaves them), signed rows at the extremes of their slot width, rows of
+    large entries held as integer-valued Fractions, and a shorter and a
+    longer row."""
     rng = random.Random(L)
     n, M = L + 1, 2**64 - 1
-    big = (2**61 - 1, 2**89 - 1, 3)  # pairwise coprime
 
-    def fractions(bound, dens, m=n):
-        return tuple(Fraction(rng.randint(-bound, bound), rng.choice(dens)) for _ in range(m))
+    def ints(bound, m=n):
+        return tuple(rng.randint(-bound, bound) for _ in range(m))
 
     return {
         "zero int": (0,) * n,
         "zero": (Fraction(0),) * n,
-        "int": tuple(rng.randint(-9, 9) for _ in range(n)),
-        "at q^2": tuple(0 if l % 2 else Fraction(rng.randint(1, 99), 7) for l in range(n)),
+        "int": ints(9),
+        "at q^2": tuple(0 if l % 2 else Fraction(rng.randint(1, 99)) for l in range(n)),
         "+max": (M,) * n,
         "-max": (Fraction(-M),) * n,
-        "signed": fractions(10**6, (1, 2, 3)),
-        "coprime": fractions(10**40, big),
-        "short": fractions(10**9, (1, 5), L // 2 + 1),
-        "long": fractions(10**9, (1, 11), L + 3),
+        "signed": ints(10**6),
+        "big": tuple(map(Fraction, ints(10**40))),
+        "short": ints(10**9, L // 2 + 1),
+        "long": tuple(map(Fraction, ints(10**9, L + 3))),
     }
 
 
 MUL_PAIRS = (
-    ("zero int", "signed"), ("signed", "zero"), ("int", "at q^2"), ("at q^2", "coprime"),
-    ("+max", "+max"), ("+max", "-max"), ("-max", "-max"), ("signed", "coprime"),
-    ("coprime", "coprime"), ("short", "long"), ("long", "signed"), ("int", "short"),
+    ("zero int", "signed"), ("signed", "zero"), ("int", "at q^2"), ("at q^2", "big"),
+    ("+max", "+max"), ("+max", "-max"), ("-max", "-max"), ("signed", "big"),
+    ("big", "big"), ("short", "long"), ("long", "signed"), ("int", "short"),
 )
 
 
 # at L = 400 the oracle costs about 0.25 s a pair: the pairs that reach the
-# widest slots, the largest denominators and unequal lengths
-LONG_PAIRS = (("+max", "-max"), ("coprime", "coprime"), ("at q^2", "coprime"), ("short", "long"))
+# widest slots, the largest entries and unequal lengths
+LONG_PAIRS = (("+max", "-max"), ("big", "big"), ("at q^2", "big"), ("short", "long"))
 
 
 @pytest.mark.parametrize("L", (0, 1, 2, 7, 41, 400))
@@ -347,10 +353,19 @@ def test_mul_is_the_per_term_product(L):
     for x, y in MUL_PAIRS if L < 400 else LONG_PAIRS:
         got = _mul(rows[x], rows[y])
         assert got == naive_mul(rows[x], rows[y]), (x, y)
-        # entries are Fractions, zeros included, so rows built with them
-        # have the reprs the digests below were recorded from
-        assert all(type(c) is Fraction for c in got), (x, y)
+        # entries are ints, whatever the factors hold: the cusp tables wrap
+        # their rows in Fractions once, so the rows have the reprs the
+        # digests below were recorded from
+        assert all(type(c) is int for c in got), (x, y)
     assert _mul(rows["long"], ()) == _mul((), rows["int"]) == ()
+    # a non-integral entry within the shorter length is refused, in either
+    # factor; one past it (at L > 0, past the shorter row) is never read
+    bad = rows["int"][:-1] + (Fraction(1, 691),)
+    for a, b in ((rows["signed"], bad), (bad, rows["signed"])):
+        with pytest.raises(ValueError, match="integer rows, got the entry 1/691"):
+            _mul(a, b)
+    if L:
+        assert _mul(rows["short"], bad) == naive_mul(rows["short"], bad)
 
 
 def restriction(table, J):
@@ -368,11 +383,11 @@ def test_table_restriction_is_the_lifts():
     x10 = form_table("X10", 200)
     assert not any(restriction(x10, 100))
     for f, g in ((e[4], e[6]), (e[4], e[4]), (e[4], x10)):
-        fg = MaassTable(f.weight + g.weight, f.const * g.const, _product_row(f, g, 200))
+        fg = MaassTable(f.weight + g.weight, f.const * g.const, product_row(f, g, 200))
         assert restriction(fg, 100) == _mul(restriction(f, 100), restriction(g, 100))
     # E8 spans the weight-8 forms, so X12 may read E4^3 as E8 E4
     e4 = form_table("E4H", 400)
-    assert _product_row(e4, e4, 400) == row_to_400("E8H")
+    assert product_row(e4, e4, 400) == row_to_400("E8H")
 
 
 RESTRICTION_FORMS = [f"{e}{k}H" for e in "EG" for k in range(4, 17, 2)] + ["X10", "X12", "X14"]
@@ -446,7 +461,8 @@ def test_form_table_is_one_table_per_form(monkeypatch):
     assert "E10H" not in forms._TABLES
     x10 = form_table("X10", 20)
     assert form_table(" x10 ", 20) is x10
-    assert sorted(forms._TABLES) == ["E10H", "E4H", "E6H", "G10H", "X10"]
+    # X10 is read from eta products, not from Eisenstein tables
+    assert sorted(forms._TABLES) == ["E4H", "G10H", "X10"]
     # a shorter request reads the longer table and builds nothing
     assert form_table("X10", 12) is x10 and form_table("X10", 0) is x10
     assert built == [20]
@@ -494,7 +510,7 @@ def test_nearby_x14_reads_build_each_row_once(monkeypatch):
         T = parse_tmatrix(text)
         assert x14_closed(T) == tau_star(T.two_det())
     assert built == [40, 42]
-    assert sorted(forms._TABLES) == ["E10H", "E4H", "E6H", "X10", "X14"]
+    assert sorted(forms._TABLES) == ["E4H", "X10", "X14"]
     assert len(forms._TABLES["X14"].R) == 43
 
 
