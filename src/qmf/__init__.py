@@ -27,7 +27,6 @@ _HOME = {
     "maass_lift": "forms",
     "parse_tmatrix": "tmat",
     "residue": "exactnum",
-    "sigma": "exactnum",
     "x14_closed": "forms",
 }
 __all__ = list(_HOME)

@@ -64,7 +64,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import bernoulli, factorize, is_prime, kronecker, residue, sigma_row
+from .exactnum import bernoulli, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
 from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
 
@@ -76,7 +76,6 @@ __all__ = [
     "cong_mod",
     "ramanujan_verdict",
     "star_condition",
-    "star_primes",
     "verify_cong_eis",
     "verify_ep_minus_one",
     "verify_mod23",
@@ -191,18 +190,6 @@ def star_condition(k: int, p: int) -> bool:
     q1 = _star_q1(k)
     _check_modulus(p)
     return residue(q1, p) == 0 and residue(bernoulli(k) / k, p) is not None
-
-
-def star_primes(k: int) -> list[int]:
-    """All primes >= 5 satisfying star_condition at weight k, ascending.
-
-    Candidates are the prime factors of the numerator of
-    (2^(k-2)-1) B_(k-2) / (k-2); any prime outside that numerator has
-    valuation 0 there and cannot satisfy the first inequality.
-    """
-    q1 = _star_q1(k)
-    cands = sorted(q for q in factorize(abs(q1.numerator)) if q >= 5)
-    return [q for q in cands if star_condition(k, q)]
 
 
 class ChiReport(NamedTuple):

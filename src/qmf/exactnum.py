@@ -3,8 +3,7 @@
 All arithmetic in this package is exact: rationals are `fractions.Fraction`
 over Python's arbitrary-precision integers, and nothing here ever touches a
 float. Every "mod m" fact about a rational is read from `residue`, its one
-reduction. Divisor sums come at one point (`sigma`) or as one sieved row
-(`sigma_row`).
+reduction. Divisor sums come as one sieved row (`sigma_row`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "is_prime",
     "kronecker",
     "residue",
-    "sigma",
     "sigma_row",
 ]
 
@@ -66,21 +64,6 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, e in factorize(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return tuple(sorted(out))
-
-
-def sigma(m: int, ell) -> int:
-    """Divisor power sum sigma_m(ell) = sum of d^m over d | ell.
-
-    Returns 0 whenever ell is not a positive integer; a Fraction counts as
-    its numerator when its denominator is 1.
-    """
-    if isinstance(ell, Fraction):
-        if ell.denominator != 1:
-            return 0
-        ell = ell.numerator
-    if not isinstance(ell, int) or ell <= 0:
-        return 0
-    return sum(d**m for d in divisors(ell))
 
 
 def sigma_row(m: int, L: int) -> list[int]:

@@ -8,17 +8,17 @@ sum_{d | eps(T)} d^(k-1) * R(two_det(T)/d^2), where eps is the content of T
 quaternionic modular forms of degree 2). One builder gives the closed-form
 Eisenstein tables. The cusp forms in weights 10, 12 and 14, normalized to 1
 at T_0 = (1, 1, (1, 1, 0, 0)), have eta-product rows in integers: R_X10 =
-f8 - 16 f8|V2, R_X12 = f10 + 32 f10|V2 and R_X14 = phi_E4(q^2) R_X10, with
-f8 = eta(z)^8 eta(2z)^8, f10 = f8 (2 E2(2z) - E2(z)), phi_E4 the Siegel
-restriction of E4H and f|V2 = f(q^2). Their products go through _mul, the
-library's one convolution: one big-integer product of integer rows by
-Kronecker substitution, with which qmf.series forms the E4/E6 monomials
-too. A table is the form: callers read coefficients from it, and
-form_table holds one per form, the longest built so far, for callers and
-cusp rows alike. build_form lifts a table to a read-only FourierExpansion
-on a whole box, which the library never does arithmetic on; the tests
-multiply such boxes in their oracle for the tables. Only the lift imports
-fexp, so reading a table's coefficients loads no expansion code.
+f8 - 16 f8|V2, R_X12 = f10 + 32 f10|V2 and R_X14 = Delta - 2^12 Delta|V4,
+with f8 = eta(z)^8 eta(2z)^8, f10 = f8 (2 E2(2z) - E2(z)), Delta = eta^24
+and f|Vm = f(q^m); no cusp row reads another table. Their products go
+through _mul, the library's one convolution: one big-integer product of
+integer rows by Kronecker substitution, with which qmf.series forms the
+E4/E6 monomials too. A table is the form: callers read coefficients from
+it, and form_table holds one per form, the longest built so far.
+build_form lifts a table to a read-only FourierExpansion on a whole box,
+which the library never does arithmetic on; the tests multiply such boxes
+in their oracle for the tables. Only the lift imports fexp, so reading a
+table's coefficients loads no expansion code.
 
 A finite check of a row proves it at every l. The row of a weight-k form
 here is a modular form of weight k - 2 on Gamma0(4) with rational
@@ -182,53 +182,58 @@ def _mul(a, b) -> tuple[int, ...]:
     return tuple(int.from_bytes(raw[i : i + w], "little") - mid for i in range(0, w * n, w))
 
 
-def _v2(row, L: int) -> list:
-    """row|V2 = row(q^2) to q^L: row[j] at q^(2j), 0 at the odd powers."""
+def _v(row, m: int, L: int) -> list:
+    """row|V_m = row(q^m) to q^L: row[j] at q^(mj), 0 at the other powers."""
     out = [0] * (L + 1)
-    out[::2] = row[: L // 2 + 1]
+    out[::m] = row[: L // m + 1]
     return out
+
+
+def _q_eighth(s, L: int) -> list[int]:
+    """q s^8 to q^L, s an integer q-series to q^L squared three times."""
+    for _ in range(3):
+        s = _mul(s, s)
+    return [0, *s[:L]]
 
 
 def _f8(L: int) -> list[int]:
     """f8 = eta(z)^8 eta(2z)^8 = q prod (1 - q^n)^8 (1 - q^2n)^8 to q^L:
     Euler's product prod (1 - q^n), from the pentagonal number theorem
-    ((-1)^j at q^(j(3j -+ 1)/2)), times its V2, then squared three times."""
+    ((-1)^j at q^(j(3j -+ 1)/2)), times its V2, to the eighth power."""
     eta, j = [0] * (L + 1), 0
     while j * (3 * j - 1) // 2 <= L:
         for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
             if g <= L:
                 eta[g] = (-1) ** j
         j += 1
-    p = _mul(eta, _v2(eta, L))
-    for _ in range(3):
-        p = _mul(p, p)
-    return [0, *p[:L]]
+    return _q_eighth(_mul(eta, _v(eta, 2, L)), L)
 
 
 def _x10_table(L: int) -> MaassTable:
     """R_X10 = f8 - 16 f8|V2."""
     f8 = _f8(L)
-    return MaassTable(10, Fraction(0), tuple(Fraction(a - 16 * b) for a, b in zip(f8, _v2(f8, L))))
+    return MaassTable(10, Fraction(0), tuple(Fraction(a - 16 * b) for a, b in zip(f8, _v(f8, 2, L))))
 
 
 def _x12_table(L: int) -> MaassTable:
     """R_X12 = f10 + 32 f10|V2, f10 = f8 (2 E2(2z) - E2(z)), with 2 E2(2z) -
     E2(z) = 1 + 24 sum (sigma_1(n) - 2 sigma_1(n/2)) q^n."""
     s = sigma_row(1, L)
-    e2 = [24 * (a - 2 * b) for a, b in zip(s, _v2(s, L))]
+    e2 = [24 * (a - 2 * b) for a, b in zip(s, _v(s, 2, L))]
     e2[0] = 1
     f10 = _mul(_f8(L), e2)
-    return MaassTable(12, Fraction(0), tuple(Fraction(a + 32 * b) for a, b in zip(f10, _v2(f10, L))))
+    return MaassTable(12, Fraction(0), tuple(Fraction(a + 32 * b) for a, b in zip(f10, _v(f10, 2, L))))
 
 
 def _x14_table(L: int) -> MaassTable:
-    """E4 X10, whose row is phi_E4(q^2) R_X10 alone: the other half of the
-    product's row multiplies R_E4 by X10's Siegel restriction, which is 0,
-    as X10's const and R(0) are. Only E4H's restriction is read, so its
-    table is built at length 0."""
-    phi = form_table("E4H", 0).restriction(L // 2)
-    R = _mul(_v2(phi, L), form_table("X10", L).R)
-    return MaassTable(14, Fraction(0), tuple(map(Fraction, R)))
+    """R_X14 = Delta - 2^12 Delta|V4, Delta = eta(z)^24 = q (prod (1 - q^n)^3)^8
+    with Jacobi's prod (1 - q^n)^3 = sum (-1)^j (2j + 1) q^(j(j + 1)/2)."""
+    cube, j = [0] * (L + 1), 0
+    while j * (j + 1) // 2 <= L:
+        cube[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+        j += 1
+    delta = _q_eighth(cube, L)
+    return MaassTable(14, Fraction(0), tuple(Fraction(a - 4096 * b) for a, b in zip(delta, _v(delta, 4, L))))
 
 
 def x14_closed(T: TMatrix) -> Fraction:

@@ -11,8 +11,8 @@ which is what every coefficient formula in this package is indexed by.
 The class key (two_det(T), content of T) of an index (n, m, t) depends only
 on n*m, gcd(n, m) and the histogram key _hkey(t) = (norm(t), gcd(t), parity
 of sum(t)/gcd(t)). _class_key is that fold, and the one statement of the
-content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.epsilon
-and TMatrix.class_key, the walk and the counts all read it.
+content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.class_key,
+the walk and the counts all read it.
 
 keyed_walk is the one lattice walk in the library. It builds the dual ball
 of radius 4N^2 once, as its lines: the runs of d for fixed (a, b, c). A
@@ -74,18 +74,11 @@ class TMatrix(NamedTuple):
             return 0
         return 1
 
-    def epsilon(self) -> int:
-        """Content of T: the largest d >= 1 with d | n, d | m and t/d still
-        dual (_content). Defined for T != 0 with t dual only."""
-        if self == ZERO_TMATRIX:
-            raise ValueError("epsilon: undefined for the zero matrix")
-        if not self.t.in_dual():
-            raise ValueError(f"epsilon: {self.t} is not in the dual lattice")
-        return _content(gcd(self.n, self.m), _hkey(self.t))
-
     def class_key(self) -> tuple[int, int]:
-        """(two_det, epsilon) of a psd T, (0, 0) for T = 0 (_class_key): a
-        coefficient of a Maass-space form depends on T only through it."""
+        """(two_det, content) of a psd T, (0, 0) for T = 0 (_class_key): a
+        coefficient of a Maass-space form depends on T only through it. The
+        content eps(T) is the largest d >= 1 with d | n, d | m and t/d still
+        dual (_content)."""
         return _class_key(self.n * self.m, gcd(self.n, self.m), _hkey(self.t))
 
     def __str__(self) -> str:
@@ -153,9 +146,10 @@ def keyed_walk(N: int):
     fixed (a, b, c), in lex order. A line is held as its text "a,b,c," and
     the id of its shape (norm, g, s mod 2g), with g the gcd and s the
     coordinate sum of (a, b, c): gcd(t) = gcd(g, d) divides g, so the shape
-    fixes the histogram key _hkey(t) of every vector t on the line. The shapes of a row of c are fixed in turn by
-    a^2 + b^2, gcd(a, b) and (a + b) mod 2 gcd(a, b), so each such row is
-    shaped once and the other rows reuse it.
+    fixes the histogram key _hkey(t) of every vector t on the line. The
+    shapes of a row of c are fixed in turn by a^2 + b^2, gcd(a, b) and
+    (a + b) mod 2 gcd(a, b), so each such row is shaped once and the other
+    rows reuse it.
 
     The psd condition is norm(t) <= 4nm (for n*m = 0 it leaves t = 0 only),
     so block (n, m) is the sub-ball of radius r = 4nm: lines and shapes are

@@ -8,16 +8,22 @@ expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
 product_row states the table product rule one l at a time; paper_rows
-reads with it the rows of X10 and X12 as the paper defines them, rational
-combinations of Eisenstein series, as the oracle of the library's eta
-rows. naive_mul is the q-series product one term at a time, as the oracle
-of forms._mul, which forms it as one big-integer product of integer rows.
+reads with it the rows of X10, X12 and X14 as the paper defines them,
+rational combinations of Eisenstein series and E4 X10, as the oracle of
+the library's eta rows. naive_mul is the q-series product one term at a
+time, as the oracle of forms._mul, which forms it as one big-integer
+product of integer rows.
 
 bernoulli_row is the defining recurrence of the Bernoulli numbers, in
 Fraction, as the oracle of exactnum.bernoulli, which reads tangent numbers.
 
 iter_dual is the dual ball one vector at a time, as nested ranges pruned by
 the norm budget: the oracle of the ball and sub-balls tmat.keyed_walk builds.
+
+sigma is the divisor power sum from its definition, sharing no code with
+exactnum's divisors, factorize or sigma_row. star_primes lists the primes
+at which congr.star_condition holds at a weight, from the prime factors of
+the star quantity's numerator.
 
 The elliptic series below (eisenstein_q from the sigma formula, tau and
 tau_star from the 24th power of Euler's pentagonal series) are stated
@@ -37,10 +43,10 @@ from functools import lru_cache
 from math import comb, isqrt, lcm
 
 from qmf import congr
-from qmf.congr import CongCheck
-from qmf.exactnum import bernoulli, is_prime, kronecker, sigma
+from qmf.congr import CongCheck, star_condition
+from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.fexp import FourierExpansion
-from qmf.forms import build_form, form_table
+from qmf.forms import MaassTable, _star_q1, build_form, form_table
 from qmf.quatlat import ZERO_QUAT, QuatCoord
 from qmf.series import express_in_e4_e6
 from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
@@ -52,6 +58,25 @@ def bernoulli_row(m):
     for n in range(1, m + 1):
         B.append(Fraction(-sum(comb(n + 1, j) * B[j] for j in range(n)), n + 1))
     return B
+
+
+def sigma(m, n):
+    """sigma_m(n), the sum of d^m over the divisors d of n >= 0, from the
+    definition: each pair of divisors d, n/d with d <= sqrt(n); 0 at n = 0."""
+    total = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            total += d**m + ((n // d) ** m if d * d != n else 0)
+    return total
+
+
+def star_primes(k):
+    """The primes >= 5 at which star_condition holds at weight k, ascending:
+    the candidates are the prime factors of the numerator of _star_q1(k) =
+    (2^(k-2)-1) B_(k-2) / (k-2), as a prime outside it has valuation 0
+    there. An odd weight or one below 4 raises ValueError."""
+    q1 = _star_q1(k)
+    return [p for p in factorize(abs(q1.numerator)) if p >= 5 and star_condition(k, p)]
 
 
 def iter_dual(R):
@@ -294,19 +319,22 @@ def product_row(f, g, L):
 
 
 def paper_rows(L):
-    """The first Fourier-Jacobi rows of X10 and X12 to l = L from the paper's
-    definitions, X10 = (E4 E6 - E10) 17/161280 and X12 = (441/691 E4^3 +
-    250/691 E6^2 - E12) 21421/203212800, with E4^3 read as E8 E4 (E8 = E4^2
-    spans the weight-8 forms): each product's row by product_row from the
-    Eisenstein tables. They share no code with the library's eta rows."""
+    """The first Fourier-Jacobi rows of X10, X12 and X14 to l = L from the
+    paper's definitions, X10 = (E4 E6 - E10) 17/161280, X12 = (441/691 E4^3
+    + 250/691 E6^2 - E12) 21421/203212800 and X14 = E4 X10, with E4^3 read
+    as E8 E4 (E8 = E4^2 spans the weight-8 forms): each product's row by
+    product_row from the Eisenstein tables, and X14's from that X10 row.
+    They share no code with the library's eta rows."""
     e = {k: form_table(f"E{k}H", L) for k in (4, 6, 8, 10, 12)}
     x10 = zip(product_row(e[4], e[6], L), e[10].R)
     x12 = zip(product_row(e[8], e[4], L), product_row(e[6], e[6], L), e[12].R)
     u, v = Fraction(441, 691), Fraction(250, 691)
-    return {
+    rows = {
         "X10": tuple(Fraction(17, 161280) * (a - b) for a, b in x10),
         "X12": tuple(Fraction(21421, 203212800) * (u * a + v * b - c) for a, b, c in x12),
     }
+    rows["X14"] = product_row(e[4], MaassTable(10, Fraction(0), rows["X10"]), L)
+    return rows
 
 
 def naive_mul(a, b):

@@ -15,13 +15,13 @@ from box_oracle import (
     mul,
     ring_x14,
     siegel_phi,
+    star_primes,
     tau,
     whole_box,
 )
 from qmf.congr import (
     build_chi,
     ramanujan_verdict,
-    star_primes,
     verify_cong_eis,
     verify_ep_minus_one,
     verify_mod23,
@@ -160,7 +160,7 @@ def test_acceptance_5_structural_properties():
         for T in box:
             if T == ZERO_TMATRIX:
                 continue
-            key = (T.epsilon(), T.two_det())
+            key = (T.class_key()[1], T.two_det())
             if key in seen:
                 assert f.coeff(T) == seen[key], f"{f.weight} at {T}"
             else:
@@ -171,13 +171,13 @@ def test_acceptance_5_structural_properties():
         primitive = {
             T.two_det(): f.coeff(T)
             for T in box
-            if T != ZERO_TMATRIX and T.epsilon() == 1
+            if T != ZERO_TMATRIX and T.class_key()[1] == 1
         }
         checked = skipped = 0
         for T in box:
             if T == ZERO_TMATRIX:
                 continue
-            eps, td = T.epsilon(), T.two_det()
+            eps, td = T.class_key()[1], T.two_det()
             needed = [td // (d * d) for d in range(1, eps + 1) if eps % d == 0]
             if any(ell not in primitive for ell in needed):
                 skipped += 1

@@ -24,8 +24,8 @@ def counting(monkeypatch, module, name):
 
 # Big-integer products per cusp row built from an empty table cache: f8 is
 # one product eta(q) eta(q^2) and three squarings (X10), f10 one more (X12),
-# and X14 is phi_E4(q^2) R_X10, one product on top of building X10.
-MUL_BUDGET = {"X10": 4, "X12": 5, "X14": 5}
+# and Delta = eta^24 is Jacobi's eta^3 squared three times (X14).
+MUL_BUDGET = {"X10": 4, "X12": 5, "X14": 3}
 
 
 @pytest.mark.parametrize("name", MUL_BUDGET)
@@ -40,8 +40,8 @@ def test_cusp_row_products(monkeypatch, name):
 # and L = 400: 2 sum w n over the row's _muls, as each packs both factors in
 # n slots of w bytes, so a wider slot or a longer factor shows here.
 PACKED_BUDGET = {
-    ("X10", 40): 902, ("X12", 40): 1312, ("X14", 40): 1476,
-    ("X10", 400): 12030, ("X12", 400): 17644, ("X14", 400): 20050,
+    ("X10", 40): 902, ("X12", 40): 1312, ("X14", 40): 1066,
+    ("X10", 400): 12030, ("X12", 400): 17644, ("X14", 400): 12832,
 }
 
 
@@ -97,16 +97,15 @@ def run_cli(capsys, command):
     capsys.readouterr()
 
 
-# Table builds per CLI command from an empty table cache. The cusp rows read
-# no Eisenstein row: X10 and X12 are eta products, and X14 reads E4H's
-# restriction only, from a length-0 table, as the certificate's E4/E6
-# monomials read E4H and E6H.
+# Table builds per CLI command from an empty table cache. The cusp rows are
+# eta products and read no other table; the certificate's E4/E6 monomials
+# read E4H's and E6H's restrictions, from length-0 tables.
 TABLE_BUILDS = {
     "verify ramanujan --k 14 --p 691 --depth 4": [
-        ("E4H", 0), ("E6H", 0), ("G14H", 32), ("X10", 32), ("X14", 32),
+        ("E4H", 0), ("E6H", 0), ("G14H", 32), ("X14", 32),
     ],
     "verify theta --depth 4": [
-        ("E4H", 0), ("G4H", 32), ("G6H", 32), ("X10", 32), ("X14", 32),
+        ("G4H", 32), ("G6H", 32), ("X10", 32), ("X14", 32),
     ],
     "coeff --form X12 --T 3,3,1,1,0,0": [("X12", 17)],
 }

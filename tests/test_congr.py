@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 import box_oracle
-from box_oracle import cong_mod, eisenstein_q, ring_chi, whole_box
+from box_oracle import cong_mod, eisenstein_q, ring_chi, star_primes, whole_box
 from qmf import congr, fexp, forms, tmat
 from qmf.congr import (
     build_chi,
     ramanujan_verdict,
     star_condition,
-    star_primes,
     verify_cong_eis,
     verify_ep_minus_one,
     verify_mod23,

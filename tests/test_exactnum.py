@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from box_oracle import bernoulli_row
+from box_oracle import bernoulli_row, sigma
 from qmf import exactnum
 from qmf.exactnum import (
     bernoulli,
@@ -15,7 +15,6 @@ from qmf.exactnum import (
     is_prime,
     kronecker,
     residue,
-    sigma,
     sigma_row,
 )
 
@@ -80,12 +79,10 @@ def test_residue_of_bernoulli_p_minus_one():
 
 
 def test_sigma_frozen():
-    assert sigma(7, 2) == 129
-    assert sigma(11, 3) == 177148
-    assert sigma(1, 3) == 4
-    assert sigma(3, 4) == 73
-    assert sigma(0, 12) == 6  # number of divisors
-    assert sigma(13, 1) == 1
+    # sigma_0(12) = 6 counts the divisors
+    frozen = {(7, 2): 129, (11, 3): 177148, (1, 3): 4, (3, 4): 73, (0, 12): 6, (13, 1): 1}
+    for (m, ell), value in frozen.items():
+        assert sigma_row(m, ell)[ell] == sigma(m, ell) == value
 
 
 def test_sigma_row_is_sigma_at_each_l():
@@ -95,13 +92,6 @@ def test_sigma_row_is_sigma_at_each_l():
         assert sigma_row(m, 0) == [0]
 
 
-def test_sigma_off_domain_is_zero():
-    assert sigma(3, 0) == 0
-    assert sigma(3, -8) == 0
-    assert sigma(3, Fraction(5, 4)) == 0
-    assert sigma(3, Fraction(8, 4)) == sigma(3, 2)
-
-
 def test_sigma_definition_sweep():
     # independent oracle: divisor lists from a sieve, all exponents m <= 13
     bound = 10_000
@@ -109,21 +99,19 @@ def test_sigma_definition_sweep():
     for d in range(1, bound + 1):
         for mult in range(d, bound + 1, d):
             divs[mult].append(d)
-    for ell in range(1, bound + 1):
-        dl = divs[ell]
-        for m in range(14):
-            assert sigma(m, ell) == sum(d**m for d in dl)
+    for m in range(14):
+        row = sigma_row(m, bound)
+        assert all(row[ell] == sum(d**m for d in divs[ell]) for ell in range(1, bound + 1))
 
 
 def test_sigma_multiplicative():
     rng = random.Random(7)
-    for _ in range(200):
-        a = rng.randrange(1, 400)
-        b = rng.randrange(1, 400)
-        if __import__("math").gcd(a, b) != 1:
-            continue
-        for m in (1, 3, 7, 11):
-            assert sigma(m, a * b) == sigma(m, a) * sigma(m, b)
+    pairs = [(rng.randrange(1, 400), rng.randrange(1, 400)) for _ in range(200)]
+    coprime = [(a, b) for a, b in pairs if gcd(a, b) == 1]
+    for m in (1, 3, 7, 11):
+        row = sigma_row(m, max(a * b for a, b in coprime))
+        for a, b in coprime:
+            assert row[a * b] == row[a] * row[b]
 
 
 def test_kronecker_frozen():

@@ -56,15 +56,21 @@ def test_exports_load_lazily():
 # Siegel restriction of the Eisenstein table. QSeries, a second representation
 # of a q-series, removed: a q-series is a tuple of Fraction coefficients.
 # ord_p, the one function returning a float (math.inf at 0), removed: every
-# "mod p" fact is read from exactnum.residue.
-REMOVED = ("tau", "tau_star", "delta_q", "eisenstein_q", "QSeries", "ord_p")
+# "mod p" fact is read from exactnum.residue. sigma, a second divisor sum,
+# removed: sigma_m(l) is sigma_row(m, l)[l]. star_primes, a search no library
+# code ran, removed: the tests' oracle runs it through star_condition.
+REMOVED = (
+    "tau", "tau_star", "delta_q", "eisenstein_q", "QSeries", "ord_p", "sigma", "star_primes",
+)
 
 
 def test_removed_series_names_stay_removed():
-    for home in ("qmf", "qmf.series", "qmf.exactnum"):
+    for home in ("qmf", "qmf.series", "qmf.exactnum", "qmf.congr"):
         module = importlib.import_module(home)
         assert [name for name in REMOVED if hasattr(module, name)] == []
         assert not set(REMOVED) & set(module.__all__)
+    # the content of T is T.class_key()[1], with no second statement
+    assert not hasattr(importlib.import_module("qmf.tmat").TMatrix, "epsilon")
 
 
 # What perfbench/ reads of the library: run.py's point-query oracle and

@@ -21,11 +21,12 @@ from box_oracle import (
     ring_x14,
     scale,
     siegel_phi,
+    sigma,
     tau_star,
     whole_box,
 )
 from qmf import forms
-from qmf.exactnum import bernoulli, divisors, sigma
+from qmf.exactnum import bernoulli, divisors
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
     MaassTable,
@@ -107,12 +108,11 @@ def test_g_h_primitive_coefficients_are_divisor_sums():
     for k in (4, 6, 10, 14):
         g = G(k, 2)
         for T in whole_box(2):
-            if T == ZERO_TMATRIX or T.two_det() == 0 or T.epsilon() != 1:
+            if T == ZERO_TMATRIX or T.two_det() == 0 or T.class_key()[1] != 1:
                 continue
             ell = T.two_det()
-            expected = sigma(k - 3, ell) - 2 ** (k - 2) * sigma(
-                k - 3, Fraction(ell, 4)
-            )
+            quarter = sigma(k - 3, ell // 4) if ell % 4 == 0 else 0
+            expected = sigma(k - 3, ell) - 2 ** (k - 2) * quarter
             assert g.coeff(T) == expected
 
 
@@ -120,13 +120,13 @@ def eisenstein_row(k, L):
     """The row of the weight-k Eisenstein series to l = L and the scalar cpos
     with R(l) = cpos * S(l) for l > 0, rebuilt from first principles: the
     singular series S(l) = sigma_(k-3)(l) - 2^(k-2) sigma_(k-3)(l/4) from the
-    point function sigma, and R(0) = -2k/B_k."""
+    oracle's sigma, and R(0) = -2k/B_k."""
     c0 = Fraction(-2 * k) / bernoulli(k)
     cpos = Fraction(-4 * k * (k - 2)) / (
         (2 ** (k - 2) - 1) * bernoulli(k) * bernoulli(k - 2)
     )
     S = [
-        sigma(k - 3, ell) - 2 ** (k - 2) * sigma(k - 3, Fraction(ell, 4))
+        sigma(k - 3, ell) - 2 ** (k - 2) * (sigma(k - 3, ell // 4) if ell % 4 == 0 else 0)
         for ell in range(1, L + 1)
     ]
     return (c0,) + tuple(cpos * x for x in S), cpos
@@ -225,7 +225,8 @@ def test_e4_e6_tables_integral():
         assert R[0].denominator == 1 and R[1].denominator == 1
         twist = 2 ** (k - 2)
         for ell in range(1, 401):
-            singular = sigma(k - 3, ell) - twist * sigma(k - 3, Fraction(ell, 4))
+            quarter = sigma(k - 3, ell // 4) if ell % 4 == 0 else 0
+            singular = sigma(k - 3, ell) - twist * quarter
             assert R[ell] == R[1] * singular
 
 
@@ -250,9 +251,10 @@ def test_cusp_rows_are_eta_products():
 
 
 def test_cusp_rows_are_the_papers_definitions():
-    # the library builds X10 and X12 from eta products; the paper defines
-    # them as polynomials in Eisenstein series, whose rows the oracle reads
-    # with the per-l product rule from the Eisenstein tables
+    # the library builds X10, X12 and X14 from eta products; the paper
+    # defines them as polynomials in Eisenstein series and X14 as E4 X10,
+    # whose rows the oracle reads with the per-l product rule from the
+    # Eisenstein tables
     for name, row in paper_rows(400).items():
         assert row_to_400(name) == row, name
 
@@ -504,13 +506,13 @@ def test_form_table_refuses_negative_length(monkeypatch, name):
 
 def test_nearby_x14_reads_build_each_row_once(monkeypatch):
     # two_det 40, 42 and 38 in one process: the third read is answered by
-    # the second's table, and each factor is held once
+    # the second's table, and X14 reads no other table
     built = counted(monkeypatch, "X14")
     for text in ("4,5,0,0,0,0", "3,7,0,0,0,0", "1,19,0,0,0,0"):
         T = parse_tmatrix(text)
         assert x14_closed(T) == tau_star(T.two_det())
     assert built == [40, 42]
-    assert sorted(forms._TABLES) == ["E4H", "X10", "X14"]
+    assert sorted(forms._TABLES) == ["X14"]
     assert len(forms._TABLES["X14"].R) == 43
 
 
@@ -559,7 +561,7 @@ def test_maass_dependence_on_content_and_det():
         for T in whole_box(3):
             if T == ZERO_TMATRIX:
                 continue
-            key = (T.epsilon(), T.two_det())
+            key = (T.class_key()[1], T.two_det())
             val = f.coeff(T)
             if key in seen:
                 assert seen[key] == val, (name, key)
@@ -581,7 +583,7 @@ def test_memoized_coeff_equals_divisor_sum(name):
         else:
             td = T.two_det()
             expected = sum(
-                d**k1 * table.R[td // (d * d)] for d in divisors(T.epsilon())
+                d**k1 * table.R[td // (d * d)] for d in divisors(T.class_key()[1])
             )
         assert table.coeff(T) == expected, (name, T)
         assert table.class_coeff(T.class_key()) == expected, (name, T)
@@ -595,13 +597,13 @@ def test_andrianov_divisor_relation():
         f = build_form(name, N)
         primitive = {}
         for T in whole_box(N):
-            if T != ZERO_TMATRIX and T.epsilon() == 1:
+            if T != ZERO_TMATRIX and T.class_key()[1] == 1:
                 primitive.setdefault(T.two_det(), f.coeff(T))
         checked = skipped = 0
         for T in whole_box(N):
             if T == ZERO_TMATRIX:
                 continue
-            eps = T.epsilon()
+            eps = T.class_key()[1]
             td = T.two_det()
             needed = [td // (d * d) for d in divisors(eps)]
             if not all(ell in primitive for ell in needed):

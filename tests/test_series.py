@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from box_oracle import eisenstein_q, eta24_oracle, tau, tau_star
+from box_oracle import eisenstein_q, eta24_oracle, sigma, tau, tau_star
 from qmf import forms, series
-from qmf.exactnum import bernoulli, residue, sigma
+from qmf.exactnum import bernoulli, residue
 from qmf.forms import _mul, form_table
 from qmf.series import e4_e6_monomials, express_in_e4_e6
 

@@ -65,17 +65,14 @@ def test_two_det_frozen():
 
 
 def test_epsilon_frozen():
-    assert T0.epsilon() == 1
-    assert parse_tmatrix("2,2,2,2,0,0").epsilon() == 2
-    assert parse_tmatrix("6,18,6,6,0,0").epsilon() == 6
+    # the content eps(T) is the second entry of the class key
+    assert T0.class_key()[1] == 1
+    assert parse_tmatrix("2,2,2,2,0,0").class_key()[1] == 2
+    assert parse_tmatrix("6,18,6,6,0,0").class_key()[1] == 6
     # content blocked by parity: halving (2,0,0,0) leaves the dual lattice
-    assert parse_tmatrix("2,2,2,0,0,0").epsilon() == 1
-    assert parse_tmatrix("3,0,0,0,0,0").epsilon() == 3
-    assert parse_tmatrix("4,2,2,2,0,0").epsilon() == 2
-    with pytest.raises(ValueError):
-        ZERO_TMATRIX.epsilon()
-    with pytest.raises(ValueError):  # t = (1, 0, 0, 0) is not dual
-        TMatrix(1, 1, QuatCoord(1, 0, 0, 0)).epsilon()
+    assert parse_tmatrix("2,2,2,0,0,0").class_key()[1] == 1
+    assert parse_tmatrix("3,0,0,0,0,0").class_key()[1] == 3
+    assert parse_tmatrix("4,2,2,2,0,0").class_key()[1] == 2
 
 
 def test_epsilon_definition_brute():
@@ -101,7 +98,6 @@ def test_epsilon_definition_brute():
         for s in (1, 2, 3):
             S = T if s == 1 else TMatrix(s * T.n, s * T.m, times(s, T.t))
             best = content(s * g, S.t)
-            assert S.epsilon() == best, S
             assert S.class_key() == (S.two_det(), best), S
 
 
@@ -110,7 +106,7 @@ def test_scaled_matrix_divides_two_det():
     for T in whole_box(2):
         if T == ZERO_TMATRIX:
             continue
-        e = T.epsilon()
+        e = T.class_key()[1]
         for d in range(1, e + 1):
             if e % d:
                 continue
