@@ -24,7 +24,6 @@ _HOME = {
     "form_table": "forms",
     "is_prime": "exactnum",
     "kronecker": "exactnum",
-    "maass_lift": "forms",
     "parse_tmatrix": "tmat",
     "residue": "exactnum",
     "x14_closed": "forms",

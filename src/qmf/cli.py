@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success (verify: all checks hold), 1 verification or
 reduction failure, 2 usage or precondition error (a negative --depth or
---max among them). Rationals are always printed exactly (num/den strings),
+--max among them, and a size too large to hold, an OverflowError or a
+MemoryError). Rationals are always printed exactly (num/den strings),
 never as floats, and the same invocation always writes the same bytes.
 `--mod M` reduces with exactnum.residue, the library's one reduction: a
 coefficient whose denominator shares a factor with M has no residue, a
@@ -21,8 +22,6 @@ mathematics it runs when it runs: `coeff` and `table` load no verifier and
 no json, and `--help`, a bare `qmf` and every usage error load no
 mathematics at all (no qmf module but this one, and no fractions).
 """
-
-from __future__ import annotations
 
 import argparse
 import os
@@ -291,6 +290,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        # a size past any list, such as a table row to two_det 10^20,
+        # refused before anything is allocated; a MemoryError has no text
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
 
 

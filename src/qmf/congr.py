@@ -59,8 +59,6 @@ table is self-consistent (chi_p is kronecker(-p, two_det)):
                                          0 elsewhere, mod p
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

@@ -6,8 +6,6 @@ float. Every "mod m" fact about a rational is read from `residue`, its one
 reduction. Divisor sums come as one sieved row (`sigma_row`).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt

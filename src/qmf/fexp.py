@@ -1,14 +1,12 @@
 """Truncated degree-2 Fourier expansions.
 
-A FourierExpansion is the read-only container that build_form and
-maass_lift return: exact coefficients a(T) over the box of psd index
-matrices T with n, m <= N, with zero coefficients never stored. The library
+A FourierExpansion is the read-only container that build_form returns:
+exact coefficients a(T) over the box of psd index matrices T with
+n, m <= N, with zero coefficients never stored. The library
 does no arithmetic on expansions. Every named form is computed from its
 one-variable MaassTable, and the ring of whole expansions lives in the
 tests as the oracle of those tables.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 

@@ -33,8 +33,6 @@ check each eta row against the paper's definition to l = 400, far past
 the bound.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 
@@ -46,7 +44,6 @@ __all__ = [
     "build_form",
     "form_table",
     "g_constant",
-    "maass_lift",
     "x14_closed",
 ]
 
@@ -113,20 +110,6 @@ class MaassTable:
         """The Siegel restriction a((j, 0, 0)) for j = 0..n: const, then the
         divisor sums R(0) sigma_(k-1)(j) at the classes (0, j)."""
         return [self.const, *(self.R[0] * s for s in sigma_row(self.weight - 1, n)[1:])]
-
-
-def maass_lift(table: MaassTable, N: int):
-    """The Maass lift of table on the depth-N box as a FourierExpansion, each
-    class evaluated once; R must reach 2*N^2, the largest two_det in the box."""
-    from .fexp import FourierExpansion
-
-    _check_weight(table.weight)
-    coeffs = {key: table.class_coeff(key) for key in class_counts(N)}
-    return FourierExpansion(
-        table.weight,
-        N,
-        {parse_tmatrix(text): coeffs[key] for text, key in iter_keyed(N)},
-    )
 
 
 def g_constant(k: int) -> Fraction:
@@ -237,10 +220,10 @@ def _x14_table(L: int) -> MaassTable:
 
 
 def x14_closed(T: TMatrix) -> Fraction:
-    """The weight-14 cusp coefficient at a rank-2 index, read off the X14
-    table alone: sum_{d | eps(T)} d^13 R(two_det(T)/d^2), R = τ*, the X14
-    row."""
-    if T.rank() != 2:
+    """The weight-14 cusp coefficient at a rank-2 index, a psd T with
+    two_det(T) > 0, read off the X14 table alone: sum_{d | eps(T)} d^13
+    R(two_det(T)/d^2), R = τ*, the X14 row."""
+    if not (T.is_psd() and T.two_det() > 0):
         raise ValueError(f"closed form needs rank 2, got {T}")
     return form_table("X14", T.two_det()).coeff(T)
 
@@ -277,5 +260,13 @@ def form_table(name: str, L: int) -> MaassTable:
 
 def build_form(name: str, N: int):
     """The Maass lift on the depth-N box of a named form, as a
-    FourierExpansion: X10, X12, X14, E<k>H or G<k>H."""
-    return maass_lift(form_table(name, 2 * N * N), N)
+    FourierExpansion: X10, X12, X14, E<k>H or G<k>H. Its table reaches
+    2*N^2, the largest two_det in the box, and each class is evaluated
+    once."""
+    from .fexp import FourierExpansion
+
+    table = form_table(name, 2 * N * N)
+    coeffs = {key: table.class_coeff(key) for key in class_counts(N)}
+    return FourierExpansion(
+        table.weight, N, {parse_tmatrix(text): coeffs[key] for text, key in iter_keyed(N)}
+    )

@@ -8,11 +8,9 @@ its quadratic form norm(t) = a^2 + b^2 + c^2 + d^2 is then always even.
 The balls of the dual lattice are walked in qmf.tmat.keyed_walk.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
-__all__ = ["QuatCoord", "ZERO_QUAT"]
+__all__ = ["QuatCoord"]
 
 
 class QuatCoord(NamedTuple):
@@ -31,6 +29,3 @@ class QuatCoord(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.a},{self.b},{self.c},{self.d}"
-
-
-ZERO_QUAT = QuatCoord(0, 0, 0, 0)

@@ -13,8 +13,6 @@ uses for the restriction of G. This module only forms their monomials and
 writes a weight-k series in them.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .forms import _mul, form_table

@@ -29,8 +29,6 @@ class_counts folds the same histogram keys, counted from Jacobi's
 r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from collections import Counter
 from itertools import compress
@@ -38,11 +36,10 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .exactnum import sigma_row
-from .quatlat import ZERO_QUAT, QuatCoord
+from .quatlat import QuatCoord
 
 __all__ = [
     "TMatrix",
-    "ZERO_TMATRIX",
     "class_counts",
     "enumerate_psd",
     "iter_keyed",
@@ -64,16 +61,6 @@ class TMatrix(NamedTuple):
         A vanishing diagonal entry then forces t = 0, as two_det = -norm(t)/2."""
         return self.n >= 0 and self.m >= 0 and self.two_det() >= 0
 
-    def rank(self) -> int:
-        """Matrix rank (0, 1 or 2); defined for psd T only."""
-        if not self.is_psd():
-            raise ValueError(f"rank: {self} is not positive semidefinite")
-        if self.two_det() > 0:
-            return 2
-        if self == ZERO_TMATRIX:
-            return 0
-        return 1
-
     def class_key(self) -> tuple[int, int]:
         """(two_det, content) of a psd T, (0, 0) for T = 0 (_class_key): a
         coefficient of a Maass-space form depends on T only through it. The
@@ -83,9 +70,6 @@ class TMatrix(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.n},{self.m},{self.t}"
-
-
-ZERO_TMATRIX = TMatrix(0, 0, ZERO_QUAT)
 
 
 def parse_tmatrix(text: str) -> TMatrix:

@@ -7,6 +7,10 @@ FourierExpansion container. The forms built with it multiply whole
 expansions, so they share no code path with the table product rule or
 with the table-only Ramanujan certificate, and serve as their oracle.
 
+lift is the Maass lift of any table, one index of the box at a time
+through MaassTable.coeff: the oracle of build_form, which lifts a named
+form's table one class at a time.
+
 product_row states the table product rule one l at a time; paper_rows
 reads with it the rows of X10, X12 and X14 as the paper defines them,
 rational combinations of Eisenstein series and E4 X10, as the oracle of
@@ -47,9 +51,12 @@ from qmf.congr import CongCheck, star_condition
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.fexp import FourierExpansion
 from qmf.forms import MaassTable, _star_q1, build_form, form_table
-from qmf.quatlat import ZERO_QUAT, QuatCoord
+from qmf.quatlat import QuatCoord
 from qmf.series import express_in_e4_e6
-from qmf.tmat import ZERO_TMATRIX, TMatrix, enumerate_psd
+from qmf.tmat import TMatrix, enumerate_psd
+
+# The zero index, T = 0: the class (0, 0), whose coefficient is the constant.
+ZERO_INDEX = TMatrix(0, 0, QuatCoord(0, 0, 0, 0))
 
 
 def bernoulli_row(m):
@@ -211,6 +218,11 @@ def whole_box(N):
     return enumerate_psd(N)
 
 
+def lift(table, N):
+    """The Maass lift of table on the depth-N box, index by index."""
+    return FourierExpansion(table.weight, N, {T: table.coeff(T) for T in whole_box(N)})
+
+
 # The FourierExpansion members these functions replace: the library's
 # expansions are read-only containers and define none of them.
 RING_MEMBERS = (
@@ -232,7 +244,7 @@ def zero(weight, N):
 
 def constant(value, N):
     """The weight-0 constant value."""
-    return FourierExpansion(0, N, {ZERO_TMATRIX: Fraction(value)})
+    return FourierExpansion(0, N, {ZERO_INDEX: Fraction(value)})
 
 
 def add(f, g):
@@ -349,7 +361,7 @@ def naive_mul(a, b):
 
 def siegel_phi(f):
     """Restriction to degree 1: the coefficient tuple of a((n, 0, 0)), n <= N."""
-    return tuple(f.coeff(TMatrix(n, 0, ZERO_QUAT)) for n in range(f.N + 1))
+    return tuple(f.coeff(TMatrix(n, 0, QuatCoord(0, 0, 0, 0))) for n in range(f.N + 1))
 
 
 @lru_cache(maxsize=None)
@@ -401,10 +413,10 @@ def ring_chi(k, p, N, G=None):
         G = build_form(f"G{k}H", N)
     d = sum(1 for b in range(k // 6 + 1) if (k - 6 * b) % 4 == 0)
     poly = express_in_e4_e6(k, tuple(Fraction(c, p) for c in siegel_phi(G)[:d]))
-    lift = zero(k, N)
+    combo = zero(k, N)
     for (a, b), c in poly.items():
-        lift = add(lift, scale(monomial_h(a, b, N), c))
-    return sub(G, scale(lift, p))
+        combo = add(combo, scale(monomial_h(a, b, N), c))
+    return sub(G, scale(combo, p))
 
 
 def cong_mod(f, g, p, N):
@@ -447,8 +459,7 @@ def _table(name, N):
 def ramanujan_verdict(k, p, N):
     """The ramanujan verdict JSON with chi from ring_chi, G lifted from its
     table index by index, and the named target read from its table."""
-    g = _table(f"G{k}H", N)
-    G = FourierExpansion(k, N, {T: g.coeff(T) for T in whole_box(N)})
+    G = lift(_table(f"G{k}H", N), N)
     chi = ring_chi(k, p, N, G)
     witnesses = []
     if any(siegel_phi(chi)):
@@ -468,7 +479,7 @@ def ramanujan_verdict(k, p, N):
 
 def ep1_verdict(p, N):
     E = _table(f"E{p - 1}H", N).coeff
-    check = cong_mod(E, lambda T: Fraction(T == ZERO_TMATRIX), p, N)
+    check = cong_mod(E, lambda T: Fraction(T == ZERO_INDEX), p, N)
     params = {"p": p, "depth": N}
     return _verdict(
         "eisenstein-weight-p-minus-one", params, _failed(check), check.checked

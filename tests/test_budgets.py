@@ -108,6 +108,7 @@ TABLE_BUILDS = {
         ("G4H", 32), ("G6H", 32), ("X10", 32), ("X14", 32),
     ],
     "coeff --form X12 --T 3,3,1,1,0,0": [("X12", 17)],
+    "coeff --form E4H --T 1000036000099,0,0,0,0,0": [("E4H", 0)],
 }
 
 
@@ -132,6 +133,16 @@ def test_factorize_calls_per_command(monkeypatch, capsys, command):
     calls = counting(monkeypatch, exactnum, "factorize")
     run_cli(capsys, command)
     assert len(calls) == FACTORIZE_BUDGET[command]
+
+
+def test_content_past_trial_division_splits_once(monkeypatch, capsys):
+    # the content 1000003 * 1000033 of a rank-1 index is past trial
+    # division, and one rho call splits it, where a scan for divisors would
+    # take up to 10^12 steps
+    monkeypatch.setattr(forms, "_TABLES", {})
+    calls = counting(monkeypatch, exactnum, "_rho_factor")
+    run_cli(capsys, "coeff --form E4H --T 1000036000099,0,0,0,0,0")
+    assert len(calls) == 1
 
 
 def test_certificate_factors_nothing(monkeypatch):

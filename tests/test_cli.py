@@ -552,6 +552,34 @@ def test_negative_depth_names_flag_exit2(capsys, argv, flag):
     assert err == f"error: {flag} must be >= 0, got {argv[-1]}\n"
 
 
+# Sizes no list can hold, each refused before anything is allocated: table
+# rows to two_det 2*10^20 (coeff) and 2*10^22 (table, verify) are past a
+# list's index range, and the 2*10^18 + 1 entries of an eta row are past
+# the most a list can address. A size below about 1.2*10^18 entries could
+# be allocated, so none is tried.
+OVERSIZED = [
+    (["coeff", "--form", "G12H", "--T", "10000000000,10000000000,0,0,0,0"], "OverflowError"),
+    (["table", "--form", "X10", "--max", "100000000000"], "OverflowError"),
+    (["coeff", "--form", "X10", "--T", "1000000000,1000000000,0,0,0,0"], "MemoryError"),
+    (["verify", "theta", "--depth", "100000000000"], "OverflowError"),
+]
+
+
+@pytest.mark.parametrize("argv, name", OVERSIZED, ids=("coeff-G12H", "table-X10", "coeff-X10", "verify-theta"))
+def test_oversized_size_exit2(capsys, argv, name):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+
+
+def test_coeff_factors_a_content_past_trial_division(capsys):
+    # a rank-1 index reads R(0) times sigma_3 of its content, here
+    # n = 1000003 * 1000033, past trial division: Pollard rho splits it, and
+    # the coefficient is 240 (1 + 1000003^3) (1 + 1000033^3)
+    code, out, err = run(capsys, ["coeff", "--form", "E4H", "--T", "1000036000099,0,0,0,0,0"])
+    assert (code, out, err) == (0, "240025921004416330179461774832721503360\n", "")
+
+
 def cli_env(**extra):
     """The environment for running the CLI from this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -700,11 +728,12 @@ def test_table_unbuffered_stdout_matches_golden():
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_TABLES[" ".join(argv)]["sha256"]
 
 
-# Modules no subcommand loads: dataclasses, with the inspect it imports, and
-# the expansions only the box lift builds; those only verify has a use for:
+# Modules no subcommand loads: __future__, which no qmf module needs,
+# dataclasses, with the inspect it imports, and the expansions only the box
+# lift builds; those only verify has a use for:
 # the verifiers, the elliptic algebra and json; and the mathematics, with the
 # numeric tower of fractions, which only a subcommand that runs loads.
-NEVER_IMPORTED = ("dataclasses", "inspect", "qmf.fexp")
+NEVER_IMPORTED = ("__future__", "dataclasses", "inspect", "qmf.fexp")
 VERIFY_IMPORTS = ("json", "qmf.congr", "qmf.series")
 MATH_IMPORTS = (
     "fractions", "decimal", "numbers", "qmf.exactnum", "qmf.tmat", "qmf.quatlat", "qmf.forms"

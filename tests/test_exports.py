@@ -71,6 +71,12 @@ def test_removed_series_names_stay_removed():
         assert not set(REMOVED) & set(module.__all__)
     # the content of T is T.class_key()[1], with no second statement
     assert not hasattr(importlib.import_module("qmf.tmat").TMatrix, "epsilon")
+    # a psd T has rank 2 exactly when T.two_det() > 0; T = 0 and t = 0 are
+    # parsed or built where a test needs them; build_form is the one lift
+    assert not hasattr(importlib.import_module("qmf.tmat").TMatrix, "rank")
+    for home, name in (("tmat", "ZERO_TMATRIX"), ("quatlat", "ZERO_QUAT"), ("forms", "maass_lift")):
+        for module in (qmf, importlib.import_module(f"qmf.{home}")):
+            assert not hasattr(module, name) and name not in module.__all__
 
 
 # What perfbench/ reads of the library: run.py's point-query oracle and

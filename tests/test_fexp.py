@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from box_oracle import (
+    ZERO_INDEX,
     add,
     constant,
     eisenstein_q,
@@ -21,7 +22,7 @@ from qmf.congr import cong_mod
 from qmf.fexp import FourierExpansion
 from qmf.forms import MaassTable, _mul, build_form, form_table
 from qmf.quatlat import QuatCoord
-from qmf.tmat import TMatrix, ZERO_TMATRIX, class_counts, parse_tmatrix
+from qmf.tmat import TMatrix, class_counts, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 
@@ -73,7 +74,7 @@ def test_constant_and_zero():
     assert z.coeff(T0) == 0
     assert z.support() == []
     one = constant(1, 2)
-    assert one.coeff(ZERO_TMATRIX) == 1
+    assert one.coeff(ZERO_INDEX) == 1
     assert one.weight == 0
     assert siegel_phi(one) == (1, 0, 0)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from box_oracle import iter_dual
-from qmf.quatlat import QuatCoord, ZERO_QUAT
+from qmf.quatlat import QuatCoord
 
 
 def brute_dual_ball(R):
@@ -26,7 +26,7 @@ def brute_dual_ball(R):
 def test_norm_conj():
     t = QuatCoord(1, -2, 3, 0)
     assert t.norm() == 14
-    assert ZERO_QUAT.norm() == 0
+    assert QuatCoord(0, 0, 0, 0).norm() == 0
 
 
 def test_in_dual_parity():
@@ -35,7 +35,7 @@ def test_in_dual_parity():
     assert QuatCoord(1, 1, 1, 1).in_dual()
     assert not QuatCoord(1, 0, 0, 0).in_dual()
     assert not QuatCoord(0, 1, 1, 1).in_dual()
-    assert ZERO_QUAT.in_dual()
+    assert QuatCoord(0, 0, 0, 0).in_dual()
 
 
 def test_dual_norm_always_even():

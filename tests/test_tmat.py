@@ -8,12 +8,11 @@ from math import gcd
 
 import pytest
 
-from box_oracle import iter_dual, whole_box
+from box_oracle import ZERO_INDEX, iter_dual, whole_box
 from qmf.exactnum import divisors
-from qmf.quatlat import QuatCoord, ZERO_QUAT
+from qmf.quatlat import QuatCoord
 from qmf.tmat import (
     TMatrix,
-    ZERO_TMATRIX,
     _hkey,
     class_counts,
     enumerate_psd,
@@ -60,7 +59,7 @@ def test_two_det_frozen():
     assert I2.two_det() == 2
     assert parse_tmatrix("1,3,1,1,0,0").two_det() == 5
     assert parse_tmatrix("6,18,6,6,0,0").two_det() == 180
-    assert ZERO_TMATRIX.two_det() == 0
+    assert ZERO_INDEX.two_det() == 0
     assert parse_tmatrix("1,1,2,0,0,0").two_det() == 0
 
 
@@ -92,7 +91,7 @@ def test_epsilon_definition_brute():
         return QuatCoord(*(s * v for v in t))
 
     box = whole_box(6)
-    assert box[0] == ZERO_TMATRIX
+    assert box[0] == ZERO_INDEX
     for T in box[1:]:
         g = gcd(T.n, T.m, *T.t)
         for s in (1, 2, 3):
@@ -104,7 +103,7 @@ def test_epsilon_definition_brute():
 def test_scaled_matrix_divides_two_det():
     # for d | eps(T), T/d is a valid index matrix and d^2 | two_det(T)
     for T in whole_box(2):
-        if T == ZERO_TMATRIX:
+        if T == ZERO_INDEX:
             continue
         e = T.class_key()[1]
         for d in range(1, e + 1):
@@ -117,15 +116,15 @@ def test_scaled_matrix_divides_two_det():
 
 
 def test_is_psd_frozen():
-    assert ZERO_TMATRIX.is_psd()
+    assert ZERO_INDEX.is_psd()
     assert T0.is_psd()
     assert parse_tmatrix("1,1,2,0,0,0").is_psd()  # two_det = 0, still psd
     assert not parse_tmatrix("1,1,2,2,0,0").is_psd()  # two_det = -2
     assert not parse_tmatrix("0,1,1,1,0,0").is_psd()  # zero diagonal, t != 0
     assert not parse_tmatrix("1,0,1,1,0,0").is_psd()
-    assert not TMatrix(-1, 2, ZERO_QUAT).is_psd()
+    assert not TMatrix(-1, 2, QuatCoord(0, 0, 0, 0)).is_psd()
     # both diagonal entries negative with n*m > 0: norm(t) <= 4nm holds
-    assert not TMatrix(-1, -1, ZERO_QUAT).is_psd()
+    assert not TMatrix(-1, -1, QuatCoord(0, 0, 0, 0)).is_psd()
     assert not TMatrix(-2, -3, QuatCoord(1, 1, 0, 0)).is_psd()
     assert parse_tmatrix("0,5,0,0,0,0").is_psd()
 
@@ -148,7 +147,7 @@ def test_not_psd_has_negative_witness():
         for m in range(1, 4):
             for t in iter_dual(4 * n * m + 12):
                 T = TMatrix(n, m, t)
-                if T.is_psd() or t == ZERO_QUAT:
+                if T.is_psd() or t == QuatCoord(0, 0, 0, 0):
                     continue
                 x1 = tuple(-v for v in t)
                 x2 = (2 * n, 0, 0, 0)
@@ -157,16 +156,6 @@ def test_not_psd_has_negative_witness():
                 assert val < 0
                 found += 1
     assert found > 100
-
-
-def test_rank():
-    assert ZERO_TMATRIX.rank() == 0
-    assert parse_tmatrix("1,0,0,0,0,0").rank() == 1
-    assert parse_tmatrix("1,1,2,0,0,0").rank() == 1
-    assert T0.rank() == 2
-    assert I2.rank() == 2
-    with pytest.raises(ValueError):
-        parse_tmatrix("1,1,2,2,0,0").rank()
 
 
 def test_psd_cone_closed_under_addition():
@@ -202,7 +191,7 @@ def test_box_size_counts_without_enumerating():
 
 
 def test_class_key():
-    assert ZERO_TMATRIX.class_key() == (0, 0)
+    assert ZERO_INDEX.class_key() == (0, 0)
     assert parse_tmatrix("3,0,0,0,0,0").class_key() == (0, 3)
     assert parse_tmatrix("0,2,0,0,0,0").class_key() == (0, 2)
     assert T0.class_key() == (1, 1)
@@ -282,7 +271,7 @@ def per_radius_box(N):
     for n in range(N + 1):
         for m in range(N + 1):
             if n == 0 or m == 0:
-                out.append(TMatrix(n, m, ZERO_QUAT))
+                out.append(TMatrix(n, m, QuatCoord(0, 0, 0, 0)))
             else:
                 if 4 * n * m not in balls:
                     balls[4 * n * m] = list(iter_dual(4 * n * m))
