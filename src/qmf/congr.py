@@ -14,11 +14,15 @@ verifier builds a whole expansion. Every predicate a verifier checks reads T
 only through its class key (two_det(T), content of T): a table coefficient,
 the theta image two_det * a(T), and kronecker(-p, two_det) all do. So each
 sweep checks one value per class and counts the indices of each class with
-class_counts, built once per verifier, without the box; only a sweep that
-fails walks the box, one index at a time and without keeping it, reading
-each index's text and class from the keyed walk (tmat.iter_keyed), to name
-its witnesses as an index-by-index sweep would; cong_mod is that sweep for
-a coefficientwise congruence.
+class_counts, built once per verifier, without the box. Every claim over
+the box is one such sweep (_sweep) of the classes it covers: all of them,
+or, for the vanishing claims of mod23 and congeis, those where
+kronecker(-p, two_det) = -1, swept against 0. Only a sweep that fails walks
+the box, one index at a time and without keeping it, reading each index's
+text and class from the keyed walk (tmat.iter_keyed), up to the first index
+of a failing class it covers: its one witness, with checked counting its
+classes' indices up to it, as an index-by-index sweep would; cong_mod is
+that sweep for a coefficientwise congruence.
 
 The Ramanujan certificate (build_chi) states degree-1 facts only: P is
 p-integral and chi = G - p * P(E4H, E6H) restricts to 0 through q^N. The
@@ -119,9 +123,10 @@ def cong_mod(f, g, p: int, N: int) -> CongCheck:
 
 
 def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
-    """cong_mod for a prime p, reading the classes of the depth-N box from
-    counts = class_counts(N), which a verifier with several sweeps builds
-    once."""
+    """cong_mod for a prime p over the classes of counts, class_counts(N)
+    (which a verifier with several sweeps builds once) or a part of it: the
+    indices of the depth-N box whose class is a key of counts, in box
+    order."""
     bad = {}
     for key in counts:
         a = residue(f(key), p)
@@ -132,7 +137,8 @@ def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
             bad[key] = "fails"
     if not bad:
         return CongCheck("holds", None, sum(counts.values()))
-    i, (text, key) = next((i, row) for i, row in enumerate(iter_keyed(N)) if row[1] in bad)
+    rows = (row for row in iter_keyed(N) if row[1] in counts)
+    i, (text, key) = next((i, row) for i, row in enumerate(rows) if row[1] in bad)
     return CongCheck(bad[key], parse_tmatrix(text), i + 1)
 
 
@@ -280,6 +286,10 @@ def _one(key) -> Fraction:
     return Fraction(1) if key == (0, 0) else Fraction(0)
 
 
+def _zero(key) -> int:
+    return 0
+
+
 def verify_ep_minus_one(p: int, N: int) -> Verdict:
     """Check that the weight p-1 Eisenstein series is ≡ 1 mod p
     coefficientwise on the box.
@@ -308,38 +318,17 @@ def verify_theta_cong(N: int) -> list[Verdict]:
     return out
 
 
-def _kronecker_table(p: int, L: int) -> list[int]:
-    """kronecker(-p, l) for l = 0..L (L = 2N^2 covers the depth-N box)."""
-    return [kronecker(-p, l) for l in range(L + 1)]
-
-
-def _nonresidue_sweep(a, p: int, chi: list[int], N: int, counts: dict) -> tuple:
-    """The claim that a(T) ≡ 0 mod p at every box index T with
-    kronecker(-p, two_det(T)) = -1: a witness for every such T where it
-    fails, and how many such T were checked.
-
-    a maps a class key to the coefficient of its class, chi is
-    _kronecker_table(p, L) for an L >= 2N^2 and counts is class_counts(N);
-    the keyed walk runs only to list the indices of the classes that fail,
-    as text."""
-    nonresidue = [key for key in counts if chi[key[0]] == -1]
-    bad = {key for key in nonresidue if residue(a(key), p) != 0}
-    witnesses = [{"T": text, "coeff": str(a(key))} for text, key in iter_keyed(N) if key in bad] if bad else []
-    return witnesses, sum(counts[key] for key in nonresidue)
-
-
 def verify_mod23(N: int) -> Verdict:
     """Check 23 | a(X14; T) whenever kronecker(-23, two_det(T)) = -1, plus the
     twisted-theta corollary: a(T) two_det(T) kronecker(-23, two_det(T)) ≡
     a(T) two_det(T) mod 23."""
     a = form_table("X14", 2 * N * N).class_coeff
-    chi = _kronecker_table(23, 2 * N * N)
     counts = class_counts(N)
-    vanishing = _nonresidue_sweep(a, 23, chi, N, counts)
+    nonresidue = {key: n for key, n in counts.items() if kronecker(-23, key[0]) == -1}
+    vanishing = _claim(_sweep(a, _zero, 23, N, nonresidue), "23 | a where chi_23 = -1")
 
     def twisted(key):
-        td = key[0]
-        return a(key) * td * chi[td]
+        return a(key) * key[0] * kronecker(-23, key[0])
 
     corollary = _sweep(twisted, lambda key: a(key) * key[0], 23, N, counts)
     claim = _claim(corollary, "twisted theta ≡ theta mod 23")
@@ -359,10 +348,11 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     if not is_prime(p):
         raise ValueError(f"2k-5 = {p} is composite, theorem does not apply")
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
-    chi = _kronecker_table(p, max(2 * N * N, _SIGMA_SWEEP))
-    vanishing = _nonresidue_sweep(G, p, chi, N, class_counts(N))
+    counts = class_counts(N)
+    nonresidue = {key: n for key, n in counts.items() if kronecker(-p, key[0]) == -1}
+    vanishing = _claim(_sweep(G, _zero, p, N, nonresidue), f"{p} | a where chi_{p} = -1")
     s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
-    sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if chi[ell] == -1]
+    sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if kronecker(-p, ell) == -1]
     sigma = ([{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p], len(sweep))
     params = {"k": k, "p": p, "depth": N, "sigma_sweep": _SIGMA_SWEEP}
     return _verdict("eisenstein-nonresidue-vanishing", params, vanishing, sigma)

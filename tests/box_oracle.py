@@ -498,22 +498,31 @@ def theta_verdicts(N):
     return out
 
 
-def _nonresidue_sweep(a, p, N, witnesses):
+def _nonresidue_sweep(a, p, N):
+    """The claim p | a(T) at every T of the depth-N box with
+    kronecker(-p, two_det(T)) = -1, index by index in box order: the
+    witness entry of its first failing index, if any, and the number of
+    such indices checked up to it."""
     checked = 0
     for T in whole_box(N):
         if kronecker(-p, T.two_det()) != -1:
             continue
         checked += 1
         c = a(T)
-        if c.denominator % p == 0 or c.numerator % p:
-            witnesses.append({"T": str(T), "coeff": str(c)})
-    return checked
+        if c.denominator % p == 0:
+            detail = "not-p-integral"
+        elif c.numerator % p:
+            detail = "fails"
+        else:
+            continue
+        claim = f"{p} | a where chi_{p} = -1"
+        return [{"claim": claim, "T": str(T), "detail": detail}], checked
+    return [], checked
 
 
 def mod23_verdict(N):
     a = _table("X14", N).coeff
-    witnesses = []
-    checked = _nonresidue_sweep(a, 23, N, witnesses)
+    witnesses, checked = _nonresidue_sweep(a, 23, N)
 
     def twisted(T):
         return a(T) * T.two_det() * kronecker(-23, T.two_det())
@@ -528,8 +537,7 @@ def mod23_verdict(N):
 
 def congeis_verdict(k, N):
     p = 2 * k - 5
-    witnesses = []
-    checked = _nonresidue_sweep(_table(f"G{k}H", N).coeff, p, N, witnesses)
+    witnesses, checked = _nonresidue_sweep(_table(f"G{k}H", N).coeff, p, N)
     half = (p - 1) // 2
     for ell in range(1, 501):
         if kronecker(-p, ell) == -1:

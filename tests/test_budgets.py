@@ -7,6 +7,7 @@ change that raises one says so, and why, in CHANGES.md."""
 import pytest
 
 from qmf import cli, congr, exactnum, forms, tmat
+from test_congr import FAILING_SWEEPS, perturb
 
 
 def counting(monkeypatch, module, name):
@@ -159,9 +160,9 @@ def test_certificate_factors_nothing(monkeypatch):
 # classes at depth 4, 25 at depth 3): ramanujan reads G twice in its
 # integrality sweep and G and the target in its target sweep, theta two
 # tables in each of its two sweeps, ep1 one table against the constant 1,
-# and mod23 X14 twice per class in its corollary. A nonresidue sweep reads
-# its table at the nonresidue classes only (14 for mod23, 16 for congeis);
-# the table reads its form once per class.
+# and mod23 X14 twice per class in its corollary. A vanishing claim sweeps
+# its table against 0 at the nonresidue classes only (14 for mod23, 16 for
+# congeis); the table reads its form once per class.
 CLASS_COEFF_BUDGET = {
     "verify ramanujan --k 14 --p 691 --depth 4": 184,
     "verify ramanujan --k 12 --p 31 --depth 3": 50,
@@ -179,3 +180,36 @@ def test_class_coefficients_per_command(monkeypatch, capsys, command):
     calls = counting(monkeypatch, forms.MaassTable, "class_coeff")
     run_cli(capsys, command)
     assert len(calls) == CLASS_COEFF_BUDGET[command]
+
+
+# iter_keyed rows each fail walk of a failing verifier draws, one entry per
+# walk, with the bumps of FAILING_SWEEPS at depths 4 and 8. A claim walks
+# the box only up to its first witness, the first index of two_det 7 for
+# mod23 and of two_det 5 for congeis, where the depth-4 box has 35,929 rows
+# and the depth-8 box 1,650,105.
+FAIL_WALK_BUDGET = {
+    ("mod23", 4): [795, 795],
+    ("mod23", 8): [799, 799],
+    ("congeis", 4): [321],
+    ("congeis", 8): [325],
+}
+
+
+@pytest.mark.parametrize("name, N", FAIL_WALK_BUDGET)
+def test_fail_walks_stop_at_each_claims_witness(monkeypatch, name, N):
+    form, R, verifier, _ = FAILING_SWEEPS[name]
+    perturb(monkeypatch, form, R=R)
+    walks, inner = [], tmat.iter_keyed
+
+    def walk(N):
+        walks.append(0)
+        for row in inner(N):
+            walks[-1] += 1
+            yield row
+
+    monkeypatch.setattr(congr, "iter_keyed", walk)
+    v = verifier(N)
+    assert walks == FAIL_WALK_BUDGET[name, N]
+    # each failing claim names one witness: its claim text appears once
+    claims = [w["claim"] for w in v["witnesses"]]
+    assert len(claims) == len(set(claims)) == len(walks)

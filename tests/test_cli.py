@@ -21,6 +21,7 @@ from qmf.cli import main
 from qmf.forms import build_form, form_table
 from test_congr import count_parses, perturb, refuse_walks
 from test_golden_cli import GOLDEN, digest
+from test_readme import README
 
 T0 = "1,1,1,1,0,0"
 I2 = "1,1,0,0,0,0"
@@ -749,6 +750,14 @@ PROBE = (
 IMPORT_PROBE = "import sys\nimport qmf.cli\nprint(*sorted(sys.modules), file=sys.stderr)\n"
 
 
+def probe(argv):
+    """The exit code of a fresh interpreter that runs qmf on argv (None:
+    imports qmf.cli only), and the names of the modules it loaded."""
+    args = [PROBE, *argv] if argv is not None else [IMPORT_PROBE]
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True, env=cli_env())
+    return proc.returncode, set(proc.stderr.decode().splitlines()[-1].split())
+
+
 # (argv, exit code, modules loaded besides qmf.cli, modules not loaded); an
 # argv of None imports qmf.cli and runs nothing. Help, a bare qmf, a usage
 # error and the import run no mathematics, so they load none. Cases are
@@ -776,12 +785,25 @@ IMPORT_CASES = [
     "argv, code, loads, absent", IMPORT_CASES, ids=[f"argv{i}" for i in range(len(IMPORT_CASES))]
 )
 def test_subcommand_imports_only_what_it_runs(argv, code, loads, absent):
-    args = [PROBE, *argv] if argv is not None else [IMPORT_PROBE]
-    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True, env=cli_env())
-    assert proc.returncode == code
-    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    returncode, loaded = probe(argv)
+    assert returncode == code
     assert {"qmf.cli", *loads} <= loaded
     assert [name for name in NEVER_IMPORTED + absent if name in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "argv", [case[0] for case in IMPORT_CASES], ids=[f"argv{i}" for i in range(len(IMPORT_CASES))]
+)
+def test_readme_states_the_lines_each_command_compiles(argv):
+    # the README's depth guidance states, per command, the lines of the qmf
+    # modules it loads, which it compiles without a bytecode cache
+    _, loaded = probe(argv)
+    package = Path(cli.__file__).parent
+    modules = [name.partition(".")[2] for name in loaded if name.split(".")[0] == "qmf"]
+    files = [package / f"{module or '__init__'}.py" for module in modules]
+    lines = sum(len(path.read_text("utf-8").splitlines()) for path in files)
+    compiling = re.search(r"^Every `qmf` process compiles .*?(?=\n\n)", README, re.M | re.S)
+    assert re.search(rf"(?<![\d,]){lines:,}(?![\d,])", compiling.group()), lines
 
 
 def test_verify_runs_the_verifier_patched_on_congr(capsys, monkeypatch):

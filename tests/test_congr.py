@@ -1,8 +1,10 @@
 """Theorem verifiers: star condition, chi construction, box sweeps."""
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -393,17 +395,15 @@ def count_parses(monkeypatch, module):
 
 
 def first_failures(verdicts):
-    """The index texts of the witnesses of first-failure sweeps (_sweep),
-    the entries with a detail; a non-residue sweep's entries carry the
-    coefficient instead."""
+    """The index texts of the witnesses of the box sweeps (_sweep), the
+    entries with a detail; the sigma sweep's entries carry ell instead."""
     return [w["T"] for v in verdicts for w in v["witnesses"] if "detail" in w]
 
 
 @pytest.mark.parametrize("name", FAILING_SWEEPS)
 def test_failing_sweeps_walk_the_text_view(monkeypatch, name):
-    # a failing sweep finds its witnesses on the text of the walk, as
-    # `table` does: each first-failure sweep parses its one witness, and a
-    # non-residue sweep, which lists every failing index, parses none
+    # a failing sweep finds its witness on the text of the walk, as `table`
+    # does, and parses that one index only
     form, R, verifier, _ = FAILING_SWEEPS[name]
     perturb(monkeypatch, form, R=R)
     parsed = count_parses(monkeypatch, congr)
@@ -411,8 +411,8 @@ def test_failing_sweeps_walk_the_text_view(monkeypatch, name):
     verdicts = verdicts if isinstance(verdicts, list) else [verdicts]
     assert "fails" in json.dumps(verdicts)
     assert parsed == first_failures(verdicts)
-    # congeis fails only its non-residue sweep, mod23 both kinds
-    assert len(parsed) == {"theta": 1, "ep1": 1, "mod23": 1, "congeis": 0}[name]
+    # congeis fails only its nonresidue claim, mod23 both of its claims
+    assert len(parsed) == {"theta": 1, "ep1": 1, "mod23": 2, "congeis": 1}[name]
 
 
 @pytest.mark.parametrize("k, p, name, bumps", PERTURBED_RAMANUJAN)
@@ -439,20 +439,21 @@ def test_verdict_fails_path(monkeypatch):
 
 def test_verify_mod23_fails_sweep_and_corollary(monkeypatch):
     # two_det 5 and 7 are the nonresidues mod 23 in the box; bumping the
-    # row at 7 moves the two_det 7 indices only, and the sweep lists just
-    # those
+    # row at 7 moves the two_det 7 indices only, and each claim names the
+    # first of them, having checked its own indices up to it
     box = whole_box(2)
     bad = nonresidues(23, 2)
     assert {T.two_det() for T in bad} == {5, 7}
-    moved = [T for T in bad if T.two_det() == 7]
-    a = form_table("X14", 8).coeff
+    first = next(T for T in bad if T.two_det() == 7)
+    assert first != bad[0]
     perturb(monkeypatch, "X14", R={7: 1})
     v = verify_mod23(2)
     assert v.status == "fails"
-    assert v.witnesses == [{"T": str(T), "coeff": str(a(T) + 1)} for T in moved] + [
-        {"claim": "twisted theta ≡ theta mod 23", "T": str(moved[0]), "detail": "fails"},
+    assert v.witnesses == [
+        {"claim": "23 | a where chi_23 = -1", "T": str(first), "detail": "fails"},
+        {"claim": "twisted theta ≡ theta mod 23", "T": str(first), "detail": "fails"},
     ]
-    assert v.checked == len(bad) + box.index(moved[0]) + 1
+    assert v.checked == bad.index(first) + 1 + box.index(first) + 1
 
 
 def test_verify_mod23_fails_corollary_only(monkeypatch):
@@ -533,18 +534,21 @@ def test_mod23_corollary_checks_integrality_only(monkeypatch):
 
 def test_verify_cong_eis_fails(monkeypatch):
     # two_det 3, 5 and 6 are the nonresidues mod 7 in the box; only the
-    # bumped two_det 5 indices fail
+    # bumped two_det 5 indices fail, and the claim names the first of them,
+    # as "not-p-integral" when the bump puts 7 in the denominator
     bad = nonresidues(7, 2)
     assert {T.two_det() for T in bad} == {3, 5, 6}
-    a = form_table("G6H", 8).coeff
-    perturb(monkeypatch, "G6H", R={5: 1})
-    v = verify_cong_eis(6, 2)
-    assert v.status == "fails"
-    assert v.witnesses == [
-        {"T": str(T), "coeff": str(a(T) + 1)} for T in bad if T.two_det() == 5
-    ]
+    first = next(T for T in bad if T.two_det() == 5)
     sigma_checked = sum(1 for ell in range(1, 501) if kronecker(-7, ell) == -1)
-    assert v.checked == len(bad) + sigma_checked
+    for delta, detail in ((1, "fails"), (Fraction(1, 7), "not-p-integral")):
+        with monkeypatch.context() as m:
+            perturb(m, "G6H", R={5: delta})
+            v = verify_cong_eis(6, 2)
+        assert v.status == "fails"
+        assert v.witnesses == [
+            {"claim": "7 | a where chi_7 = -1", "T": str(first), "detail": detail}
+        ]
+        assert v.checked == bad.index(first) + 1 + sigma_checked
 
 
 def test_verify_ep_minus_one_fails(monkeypatch):
@@ -656,3 +660,79 @@ def test_class_sweep_matches_index_oracle(monkeypatch, name):
             assert got == oracle(N), (N, form, R, const)
         statuses.update(v["status"] for v in (got if isinstance(got, list) else [got]))
     assert statuses == {"holds", "fails"}
+
+
+EVERY_NONRESIDUE = {
+    # form, modulus, the rows l <= 18 with kronecker(-p, l) = -1
+    "mod23": ("X14", 23, [5, 7, 10, 11, 14, 15, 17]),
+    "congeis": ("G6H", 7, [3, 5, 6, 10, 12, 13, 17]),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_NONRESIDUE)
+def test_bump_at_every_nonresidue_row_matches_index_oracle(monkeypatch, name):
+    # a bump of one nonresidue row l <= 2N^2 at a time, by 1 and by 1/p,
+    # fails the vanishing claim ("fails", "not-p-integral"), and mod23's
+    # corollary too: whole verdicts equal the oracle's
+    N = 3
+    form, p, rows = EVERY_NONRESIDUE[name]
+    verifier, oracle, _ = DIFFERENTIAL[name]
+    assert rows == [l for l in range(1, 2 * N * N + 1) if kronecker(-p, l) == -1]
+    for l in rows:
+        for delta in (1, Fraction(1, p)):
+            with monkeypatch.context() as m:
+                perturb(m, form, R={l: delta})
+                got = verifier(N)
+                assert got == oracle(N), (l, delta)
+            assert got["status"] == "fails", (l, delta)
+
+
+def readers(source: str, name: str) -> list[str]:
+    """The functions of source that read name, as a bare name, an attribute
+    or an import under another name, once per read in source order, each by
+    its qualified name ("" for code outside any function or class)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name and node.asname)
+        ):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_readers_detects_planted_cases():
+    source = (
+        "from .tmat import iter_keyed, parse_tmatrix\n"
+        "from .tmat import iter_keyed as walk\n"
+        "from . import tmat\n"
+        "rows = iter_keyed\n"
+        "def _sweep(N):\n"
+        "    return next(iter_keyed(N))\n"
+        "def listed(N):\n"
+        "    def inner():\n"
+        "        return [row for row in tmat.iter_keyed(N)]\n"
+        "    return inner()\n"
+        "class C:\n"
+        "    def m(self, N):\n"
+        "        return list(iter_keyed(N))\n"
+        "def parsed(text):\n"
+        "    return parse_tmatrix(text)\n"
+    )
+    assert readers(source, "iter_keyed") == ["", "", "_sweep", "listed.inner", "C.m"]
+
+
+def test_congr_walks_the_box_in_sweep_alone():
+    # every claim's fail walk is _sweep's: a second walk of the box, such as
+    # a sweep that lists every failing index, would read a walk elsewhere
+    source = Path(congr.__file__).read_text(encoding="utf-8")
+    got = {name: readers(source, name) for name in WALKS}
+    assert got == {"enumerate_psd": [], "iter_keyed": ["_sweep"], "keyed_walk": []}

@@ -10,6 +10,7 @@ import shlex
 from pathlib import Path
 
 from qmf.cli import main
+from qmf.tmat import class_counts
 
 README = Path(__file__).resolve().parents[1].joinpath("README.md").read_text("utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
@@ -54,3 +55,20 @@ def test_readme_cli_examples():
 def test_readme_library_block():
     (code,) = [body for lang, body in BLOCKS if lang == "python"]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_box_and_class_counts():
+    # the depth guidance states the indices and the classes of the box, the
+    # class (0, 0) of T = 0 counted, as class_counts has them
+    counts = {N: class_counts(N) for N in (*range(9), 12)}
+    sizes = [sum(counts[N].values()) for N in range(9)]
+    classes = [len(counts[N]) for N in range(1, 7)]
+    text = " ".join(README.split())
+    assert (
+        f"holds {', '.join(map(str, sizes[:-1]))} and {sizes[-1]} indices for N = 0..8, "
+        f"and {sum(counts[12].values())} at N = 12"
+    ) in text
+    assert (
+        f"holds {', '.join(map(str, classes[:-1]))} and {classes[-1]} such classes, "
+        f"{len(counts[8])} at N = 8 and {len(counts[12])} at N = 12"
+    ) in text
