@@ -21,13 +21,14 @@ chunk whatever the buffering of stdout. Each subcommand imports the
 mathematics it runs when it runs: `coeff` and `table` load no verifier and
 no json, and `--help`, a bare `qmf` and every usage error load no
 mathematics at all (no qmf module but this one, and no fractions).
+No command loads argparse: argv is read by one loop over the _COMMANDS
+table, flags are spelled in full, and help is fixed text.
 """
 
-import argparse
 import os
 import sys
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
@@ -67,10 +68,10 @@ def _cmd_coeff(args) -> int:
     from .forms import form_table
     from .tmat import parse_tmatrix
 
-    T = parse_tmatrix(args.T)
+    T = parse_tmatrix(args["T"])
     # the form is resolved first, so an unknown one is an error at any T;
     # off the psd cone two_det can be large, and the table answers 0 there
-    table = form_table(args.form, T.two_det() if T.is_psd() else 0)
+    table = form_table(args["form"], T.two_det() if T.is_psd() else 0)
     if not T.is_psd():
         print(
             f"warning: {T} is not positive semidefinite; coefficient is 0",
@@ -78,15 +79,16 @@ def _cmd_coeff(args) -> int:
         )
     a = table.coeff(T)
     line = f"{a}\n"
-    if args.mod is not None:
-        r = residue(a, args.mod)
+    mod = args["mod"]
+    if mod is not None:
+        r = residue(a, mod)
         if r is None:
             print(
-                f"error: coefficient {a} is not integral mod {args.mod}",
+                f"error: coefficient {a} is not integral mod {mod}",
                 file=sys.stderr,
             )
             return 1
-        line = f"{a} ≡ {r} (mod {args.mod})\n"
+        line = f"{a} ≡ {r} (mod {mod})\n"
     _emit(None, lambda fh: fh.write(line))
     return 0
 
@@ -106,13 +108,14 @@ _THEOREMS = {
 
 
 def _cmd_verify(args) -> int:
-    N = args.depth
+    N = args["depth"]
     _check_depth(N, "--depth")
-    name, flags = _THEOREMS[args.theorem]
-    values = [getattr(args, f) for f in flags]
+    theorem = args["theorem"]
+    name, flags = _THEOREMS[theorem]
+    values = [args[f] for f in flags]
     if None in values:
         needs = " and ".join("--" + f for f in flags)
-        print(f"error: verify {args.theorem} needs {needs}", file=sys.stderr)
+        print(f"error: verify {theorem} needs {needs}", file=sys.stderr)
         return 2
     import json
 
@@ -123,7 +126,7 @@ def _cmd_verify(args) -> int:
         verdicts = [verdicts]
     payload = [v.to_json() for v in verdicts]
     text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    _emit(args.out, lambda fh: fh.write(text + "\n"))
+    _emit(args["out"], lambda fh: fh.write(text + "\n"))
     return 0 if all(v.ok for v in verdicts) else 1
 
 
@@ -146,8 +149,9 @@ def _cmd_table(args) -> int:
     box order whose class fails. Then write the box a block at a time. Each
     (n, m) block of keyed_walk maps a histogram id to its row tail once and
     renders the run of each of its shapes once, as the texts "d" + tail of
-    its rows. A line of the block is then P.join of its shape's rows, each
-    preceded by P = the block's prefix + the line's text "a,b,c,". The
+    its rows with the block's prefix before the first and after each but the
+    last. A line of the block is then its text "a,b,c," joining its shape's
+    pieces, so that each row is the prefix, the line's text and its tail. The
     lines are formed by C-level maps and written in chunks of whole lines
     of at most _CHUNK_CHARS characters: at most _CHUNK_CHARS // width rows,
     width the widest row the table can have, found by bisect on the running
@@ -158,7 +162,7 @@ def _cmd_table(args) -> int:
     from .forms import form_table
     from .tmat import class_counts, iter_keyed, keyed_walk
 
-    N = args.max
+    N = args["max"]
     _check_depth(N, "--max")
     counts = class_counts(N)
     if N >= _DEPTH_WARN:
@@ -167,9 +171,9 @@ def _cmd_table(args) -> int:
             "matrices per form; expect long runtimes and large output",
             file=sys.stderr,
         )
-    table = form_table(args.form, 2 * N * N)
-    mod = args.mod
-    if args.format == "csv":
+    table = form_table(args["form"], 2 * N * N)
+    mod = args["mod"]
+    if args["format"] == "csv":
         head = "T,num,den,residue\n" if mod is not None else "T,num,den\n"
         sep, tail = "", ""
         start, rest_fmt, residue_fmt = _CSV_ROW
@@ -203,11 +207,12 @@ def _cmd_table(args) -> int:
             # only T = 0, the one row of block (0, 0), has no separator
             prefix = (sep if n or m else "") + start.format(n, m)
             tails = [key and rest[key] for key in keys]
-            # P.join(rows[h]) is the rows of a line of shape h, each after
-            # P = prefix + the line's text
+            # line.join(rows[h]) is the rows of a line of shape h, each the
+            # prefix, the line's text and a row tail
             rows, sizes = {}, {}
             for h, (ds, ids) in runs.items():
-                rows[h] = ["", *map("{}{}".format, ds, map(tails.__getitem__, ids))]
+                tail_rows = [*map("{}{}".format, ds, map(tails.__getitem__, ids))]
+                rows[h] = [prefix, *map(str.__add__, tail_rows[:-1], repeat(prefix)), tail_rows[-1]]
                 sizes[h] = len(ds)
             # ends[i] rows precede line i; a chunk is the most whole lines
             # that hold at most chunk_rows rows, and at least one line
@@ -215,79 +220,191 @@ def _cmd_table(args) -> int:
             lo = 0
             while lo < len(lines):
                 hi = max(bisect_right(ends, ends[lo] + chunk_rows) - 1, lo + 1)
-                segments = map(
-                    str.join, map(prefix.__add__, lines[lo:hi]), map(rows.__getitem__, shapes[lo:hi])
-                )
+                segments = map(str.join, lines[lo:hi], map(rows.__getitem__, shapes[lo:hi]))
                 fh.write("".join(segments))
                 lo = hi
         fh.write(tail)
 
-    _emit(args.out, write)
+    _emit(args["out"], write)
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmf",
-        description=(
-            "Exact Fourier coefficients and congruences of degree-2 "
-            "quaternionic modular forms over the Hurwitz order"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The help of qmf and of each subcommand, fixed text: what argparse printed
+# at 80 columns. A usage error prints the usage, the text before the first
+# blank line.
+_HELP = """\
+usage: qmf [-h] {coeff,verify,table} ...
 
-    p_coeff = sub.add_parser("coeff", help="print one Fourier coefficient")
-    p_coeff.add_argument("--form", required=True, help="X10, X12, X14, E<k>H or G<k>H")
-    p_coeff.add_argument(
-        "--T", required=True, help="index matrix as n,m,a,b,c,d"
-    )
-    p_coeff.add_argument("--mod", type=int, metavar="M", help="also reduce mod M")
-    p_coeff.set_defaults(func=_cmd_coeff)
+Exact Fourier coefficients and congruences of degree-2 quaternionic modular
+forms over the Hurwitz order
 
-    p_verify = sub.add_parser("verify", help="verify a congruence theorem")
-    p_verify.add_argument(
-        "theorem",
-        choices=list(_THEOREMS),
-        help="which theorem sweep to run",
-    )
-    p_verify.add_argument("--k", type=int, help="weight parameter")
-    p_verify.add_argument("--p", type=int, help="prime modulus parameter")
-    p_verify.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH,
-        help="truncation depth (default %(default)s)",
-    )
-    p_verify.add_argument("--out", metavar="FILE", help="write the JSON verdict here")
-    p_verify.set_defaults(func=_cmd_verify)
+positional arguments:
+  {coeff,verify,table}
+    coeff               print one Fourier coefficient
+    verify              verify a congruence theorem
+    table               dump box coefficients of a form
 
-    p_table = sub.add_parser("table", help="dump box coefficients of a form")
-    p_table.add_argument("--form", required=True, help="X10, X12, X14, E<k>H or G<k>H")
-    p_table.add_argument(
-        "--max", type=int, required=True, help="box depth to enumerate"
-    )
-    p_table.add_argument("--mod", type=int, metavar="M", help="add a residue column")
-    p_table.add_argument(
-        "--format", choices=["csv", "json"], default="csv", help="output format"
-    )
-    p_table.add_argument("--out", metavar="FILE", help="write here instead of stdout")
-    p_table.set_defaults(func=_cmd_table)
-    return parser
+options:
+  -h, --help            show this help message and exit
+"""
+_COEFF_HELP = """\
+usage: qmf coeff [-h] --form FORM --T T [--mod M]
+
+options:
+  -h, --help   show this help message and exit
+  --form FORM  X10, X12, X14, E<k>H or G<k>H
+  --T T        index matrix as n,m,a,b,c,d
+  --mod M      also reduce mod M
+"""
+_VERIFY_HELP = """\
+usage: qmf verify [-h] [--k K] [--p P] [--depth DEPTH] [--out FILE]
+                  {ramanujan,theta,mod23,congeis,ep1}
+
+positional arguments:
+  {ramanujan,theta,mod23,congeis,ep1}
+                        which theorem sweep to run
+
+options:
+  -h, --help            show this help message and exit
+  --k K                 weight parameter
+  --p P                 prime modulus parameter
+  --depth DEPTH         truncation depth (default 3)
+  --out FILE            write the JSON verdict here
+"""
+_TABLE_HELP = """\
+usage: qmf table [-h] --form FORM --max MAX [--mod M] [--format {csv,json}]
+                 [--out FILE]
+
+options:
+  -h, --help           show this help message and exit
+  --form FORM          X10, X12, X14, E<k>H or G<k>H
+  --max MAX            box depth to enumerate
+  --mod M              add a residue column
+  --format {csv,json}  output format
+  --out FILE           write here instead of stdout
+"""
+
+# Each subcommand: its function, its help, its arguments and those it
+# requires. An argument maps to its type (int, str, or the tuple of its
+# choices) and its default, and its value is read into the key of its name
+# without "--"; verify's theorem, the one argument with no "--", is read
+# from the first token that does not start with "-". The table holds the
+# functions themselves, so one rebound here, as perfbench's tracer does, is
+# the one run.
+_COMMANDS = {
+    "coeff": (
+        _cmd_coeff,
+        _COEFF_HELP,
+        {"--form": (str, None), "--T": (str, None), "--mod": (int, None)},
+        ("--form", "--T"),
+    ),
+    "verify": (
+        _cmd_verify,
+        _VERIFY_HELP,
+        {
+            "theorem": (tuple(_THEOREMS), None),
+            "--k": (int, None),
+            "--p": (int, None),
+            "--depth": (int, DEFAULT_DEPTH),
+            "--out": (str, None),
+        },
+        ("theorem",),
+    ),
+    "table": (
+        _cmd_table,
+        _TABLE_HELP,
+        {
+            "--form": (str, None),
+            "--max": (int, None),
+            "--mod": (int, None),
+            "--format": (("csv", "json"), "csv"),
+            "--out": (str, None),
+        },
+        ("--form", "--max"),
+    ),
+}
+
+
+def _usage_error(prog: str, help_text: str, message: str):
+    """Print the usage and the error as argparse did, and exit 2."""
+    usage = help_text[: help_text.index("\n\n")]
+    print(usage, f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(help_text: str):
+    """Print the help and exit 0."""
+    _emit(None, lambda fh: fh.write(help_text))
+    raise SystemExit(0)
+
+
+def _value(prog: str, help_text: str, name: str, kind, value: str):
+    """value read as the argument name of type kind: int, str or a tuple of
+    the choices."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _usage_error(prog, help_text, f"argument {name}: invalid int value: {value!r}")
+    if kind is not str and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        _usage_error(
+            prog, help_text, f"argument {name}: invalid choice: {value!r} (choose from {choices})"
+        )
+    return value
+
+
+def _parse(argv):
+    """The function and the argument values of the command argv names.
+
+    Tokens are read left to right as argparse read them, with no prefix
+    abbreviations: -h or --help prints its help and exits 0, and the first
+    invalid value exits 2; a missing required argument is reported after
+    the last token, and then tokens that name no argument. A flag reads its
+    value from "--flag=value" or from the next token, whatever that starts
+    with. Help and usage errors raise SystemExit."""
+    extras, tokens = [], iter(argv)
+    for command in tokens:
+        if command in ("-h", "--help"):
+            _help(_HELP)
+        if command[:1] != "-":
+            break
+        extras.append(command)
+    else:
+        _usage_error("qmf", _HELP, "the following arguments are required: command")
+    command = _value("qmf", _HELP, "command", tuple(_COMMANDS), command)
+    func, help_text, spec, required = _COMMANDS[command]
+    prog = f"qmf {command}"
+    values = {name.lstrip("-"): default for name, (_, default) in spec.items()}
+    unread = [name for name in spec if name[0] != "-"]
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(help_text)
+        name, eq, value = token.partition("=")
+        if token[:1] != "-" and unread:
+            name, value = unread.pop(0), token
+        elif token[:1] != "-" or name not in spec:
+            extras.append(token)
+            continue
+        elif not eq and (value := next(tokens, None)) is None:
+            _usage_error(prog, help_text, f"argument {name}: expected one argument")
+        values[name.lstrip("-")] = _value(prog, help_text, name, spec[name][0], value)
+    # every required argument has the default None, and a value read is never None
+    missing = [name for name in required if values[name.lstrip("-")] is None]
+    if missing:
+        _usage_error(prog, help_text, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error("qmf", _HELP, "unrecognized arguments: " + " ".join(extras))
+    return func, values
 
 
 def main(argv=None) -> int:
-    # "--T v" is read as "--T=v": argparse takes an index such as
-    # -1,-1,0,0,0,0, which starts with "-", for an option
-    joined: list[str] = []
-    for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] == "--T":
-            joined[-1] = f"--T={arg}"
-        else:
-            joined.append(arg)
     try:
-        args = _parser().parse_args(joined)
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return exc.code
     try:
-        return args.func(args)
+        return func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,14 @@
 """End-to-end CLI tests driving qmf.cli.main in process."""
 
 import argparse
+import collections
 import csv
 import hashlib
 import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -70,7 +72,7 @@ def test_coeff_matches_lifted_box(capsys, name):
     box = build_form(name, 3)
     capsys.readouterr()
     for T in whole_box(3):
-        cli._cmd_coeff(argparse.Namespace(form=name, T=str(T), mod=None))
+        cli._cmd_coeff({"form": name, "T": str(T), "mod": None})
     out = capsys.readouterr().out
     assert out == "".join(f"{box.coeff(T)}\n" for T in whole_box(3))
 
@@ -109,7 +111,8 @@ def test_coeff_not_psd_warns_and_prints_zero(capsys):
 
 
 def test_coeff_index_with_leading_minus_parses_spaced_or_joined(capsys):
-    # "--T -1,..." starts with "-", which argparse would take for an option
+    # "--T -1,..." starts with "-": a flag reads the next token as its value
+    # whatever that starts with
     for T in ("-1,-1,0,0,0,0", "-40,-40,0,0,0,0", "1,1,1,1,0,0"):
         spaced = run(capsys, ["coeff", "--form", "X12", "--T", T])
         joined = run(capsys, ["coeff", "--form", "X12", f"--T={T}"])
@@ -535,6 +538,195 @@ def test_bad_theorem_name_exit2(capsys):
     assert main(["verify", "nosuch"]) == 2
 
 
+def test_flags_are_spelled_in_full(capsys):
+    # a prefix of a flag, which argparse took for the flag, names no flag;
+    # nor does "--", which argparse read as the end of the flags
+    code, out, err = run(capsys, ["coeff", "--fo", "X10", "--T", T0])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nqmf coeff: error: the following arguments are required: --form\n")
+    code, out, err = run(capsys, ["verify", "--", "theta", "--depth", "1"])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nqmf: error: unrecognized arguments: --\n")
+
+
+def oracle_parser():
+    """The argparse parser qmf read its arguments with before its own loop,
+    with allow_abbrev=False, as flags are now spelled in full: the
+    reference for cli._parse. Returned with its subcommands' parsers."""
+    forms_help = "X10, X12, X14, E<k>H or G<k>H"
+    parser = argparse.ArgumentParser(
+        prog="qmf",
+        description=(
+            "Exact Fourier coefficients and congruences of degree-2 "
+            "quaternionic modular forms over the Hurwitz order"
+        ),
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_coeff = sub.add_parser("coeff", help="print one Fourier coefficient", allow_abbrev=False)
+    p_coeff.add_argument("--form", required=True, help=forms_help)
+    p_coeff.add_argument("--T", required=True, help="index matrix as n,m,a,b,c,d")
+    p_coeff.add_argument("--mod", type=int, metavar="M", help="also reduce mod M")
+    p_coeff.set_defaults(func=cli._cmd_coeff)
+
+    p_verify = sub.add_parser("verify", help="verify a congruence theorem", allow_abbrev=False)
+    p_verify.add_argument("theorem", choices=list(cli._THEOREMS), help="which theorem sweep to run")
+    p_verify.add_argument("--k", type=int, help="weight parameter")
+    p_verify.add_argument("--p", type=int, help="prime modulus parameter")
+    p_verify.add_argument(
+        "--depth", type=int, default=cli.DEFAULT_DEPTH, help="truncation depth (default %(default)s)"
+    )
+    p_verify.add_argument("--out", metavar="FILE", help="write the JSON verdict here")
+    p_verify.set_defaults(func=cli._cmd_verify)
+
+    p_table = sub.add_parser("table", help="dump box coefficients of a form", allow_abbrev=False)
+    p_table.add_argument("--form", required=True, help=forms_help)
+    p_table.add_argument("--max", type=int, required=True, help="box depth to enumerate")
+    p_table.add_argument("--mod", type=int, metavar="M", help="add a residue column")
+    p_table.add_argument("--format", choices=["csv", "json"], default="csv", help="output format")
+    p_table.add_argument("--out", metavar="FILE", help="write here instead of stdout")
+    p_table.set_defaults(func=cli._cmd_table)
+    return parser, sub.choices
+
+
+# The flags of each subcommand, and values for each: a valid one first, then
+# others, valid or not: ones that start with "-", are empty, are no integer
+# or are no choice.
+ORACLE_FLAGS = {
+    "coeff": {
+        "--form": ("X10", "G12H", "NOPE", ""),
+        "--T": ("1,1,1,1,0,0", "-1,-1,0,0,0,0", "x"),
+        "--mod": ("23", "-5", "x", "1.5", ""),
+    },
+    "verify": {
+        "--k": ("14", "-2", "k"),
+        "--p": ("691", "7", "0x10", ""),
+        "--depth": ("3", "-1", " 4", "deep"),
+        "--out": ("v.json", "-"),
+    },
+    "table": {
+        "--form": ("X14", "E10H"),
+        "--max": ("2", "-1", "2.0"),
+        "--mod": ("691", "m"),
+        "--format": ("csv", "json", "xml", "CSV"),
+        "--out": ("rows.csv",),
+    },
+}
+# Stray tokens: prefixes of a flag (argparse's abbreviations), unknown
+# flags, a word and a flag with no value; and values that start with "-".
+STRAY = ("--fo", "--ma", "--de", "--bogus", "--bogus=1", "-x", "extra", "--form", "-h", "--T")
+VALUE_LIKE = ("--mod", "-h", "--help", "--bogus", "-1", "-x")
+
+
+def random_argv(rng):
+    """One argv: a command (or none, or a wrong one) and its arguments in any
+    order, spelled "--x v" or "--x=v", some repeated, some missing, some
+    with a value that starts with "-", and stray tokens, -h and a flag with
+    no value among them."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.choice([[], ["-h"], ["--help"], ["nosuch", "--form", "X10"], ["--bogus"]])
+    command = rng.choice(list(ORACLE_FLAGS))
+    lead = [command] if roll > 0.06 else [rng.choice(["--bogus", "-x"]), command]
+    groups = []
+    if command == "verify" and rng.random() < 0.85:
+        groups.append([rng.choice([*cli._THEOREMS, *cli._THEOREMS, "nosuch", "Theta"])])
+    for flag, values in ORACLE_FLAGS[command].items():
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            roll = rng.random()
+            value = values[0] if roll < 0.6 else rng.choice(values if roll < 0.9 else VALUE_LIKE)
+            if rng.random() < 0.5:
+                groups.append([flag, value])
+            else:
+                groups.append([f"{flag}={value}"])
+    if rng.random() < 0.15:
+        groups.append([rng.choice(STRAY)])
+    if rng.random() < 0.03:
+        groups.append([rng.choice(["-h", "--help"])])
+    rng.shuffle(groups)
+    if rng.random() < 0.1:
+        groups.append([rng.choice(list(ORACLE_FLAGS[command]))])
+    return lead + [token for group in groups for token in group]
+
+
+def oracle_argv(argv):
+    """argv respelled so that the reference parser reads it as the CLI
+    does: a flag of the command and the token after it are joined as
+    "--flag=value", since the CLI reads that token as the value whatever it
+    starts with (the CLI before read only --T so, by the same join)."""
+    joined, flags = [], None
+    for arg in argv:
+        if flags and joined[-1] in flags:
+            joined[-1] += "=" + arg
+            continue
+        joined.append(arg)
+        if flags is None and arg[:1] != "-":
+            flags = ORACLE_FLAGS.get(arg, {})
+    return joined
+
+
+USAGE_ERRORS = (
+    "expected one argument",
+    "invalid int value",
+    "invalid choice",
+    "arguments are required",
+    "unrecognized arguments",
+)
+
+
+def outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, result) of parse(argv): the result is
+    (function, values) when it accepts argv, and None when it exits."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err, None
+    captured = capsys.readouterr()
+    return 0, captured.out, captured.err, result
+
+
+def test_parser_agrees_with_argparse(capsys, monkeypatch):
+    # 2,000 seeded argv lists: both parsers accept each with the same
+    # function and the same value of every argument, or both print the same
+    # help and exit 0, or both exit 2 with the same usage line and error, in
+    # the wording of the running interpreter's argparse
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, _ = oracle_parser()
+
+    def reference(argv):
+        values = vars(parser.parse_args(oracle_argv(argv)))
+        del values["command"]
+        return values.pop("func"), values
+
+    rng = random.Random(20221)
+    seen = collections.Counter()
+    for _ in range(2000):
+        argv = random_argv(rng)
+        want = outcome(capsys, reference, argv)
+        assert outcome(capsys, cli._parse, argv) == want, argv
+        code, out, err, result = want
+        if code == 2:
+            assert err.startswith("usage: qmf") and err.count("\nqmf") == 1
+            seen[next(kind for kind in USAGE_ERRORS if kind in err)] += 1
+        else:
+            seen["help" if result is None else "accepted"] += 1
+    # each outcome occurs, usage errors of every kind among them
+    assert set(seen) == {"accepted", "help", *USAGE_ERRORS}
+    assert min(seen.values()) >= 50 and seen["accepted"] > 400
+
+
+@pytest.mark.parametrize("command", [None, *ORACLE_FLAGS])
+def test_help_is_argparse_help_at_80_columns(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = oracle_parser()
+    if command is not None:
+        parser = commands[command]
+    argv = [command, "-h"] if command else ["-h"]
+    assert run(capsys, argv) == (0, parser.format_help(), "")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -730,11 +922,14 @@ def test_table_unbuffered_stdout_matches_golden():
 
 
 # Modules no subcommand loads: __future__, which no qmf module needs,
-# dataclasses, with the inspect it imports, and the expansions only the box
-# lift builds; those only verify has a use for:
+# dataclasses, with the inspect it imports, the expansions only the box
+# lift builds, and argparse, with the gettext it imports and the locale its
+# messages load; those only verify has a use for:
 # the verifiers, the elliptic algebra and json; and the mathematics, with the
 # numeric tower of fractions, which only a subcommand that runs loads.
-NEVER_IMPORTED = ("__future__", "dataclasses", "inspect", "qmf.fexp")
+NEVER_IMPORTED = (
+    "__future__", "dataclasses", "inspect", "qmf.fexp", "argparse", "gettext", "locale"
+)
 VERIFY_IMPORTS = ("json", "qmf.congr", "qmf.series")
 MATH_IMPORTS = (
     "fractions", "decimal", "numbers", "qmf.exactnum", "qmf.tmat", "qmf.quatlat", "qmf.forms"
