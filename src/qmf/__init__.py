@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 # The module of each exported name; __all__ is its keys.
 _HOME = {
-    "CongCheck": "congr",
     "FourierExpansion": "fexp",
     "MaassTable": "forms",
     "QuatCoord": "quatlat",

@@ -20,9 +20,9 @@ or, for the vanishing claims of mod23 and congeis, those where
 kronecker(-p, two_det) = -1, swept against 0. Only a sweep that fails walks
 the box, one index at a time and without keeping it, reading each index's
 text and class from the keyed walk (tmat.iter_keyed), up to the first index
-of a failing class it covers: its one witness, with checked counting its
-classes' indices up to it, as an index-by-index sweep would; cong_mod is
-that sweep for a coefficientwise congruence.
+of a failing class it covers: its one witness, named by the walk's text,
+with checked counting its classes' indices up to it, as an index-by-index
+sweep would. cong_mod is the verdict of that one claim over the whole box.
 
 The Ramanujan certificate (build_chi) states degree-1 facts only: P is
 p-integral and chi = G - p * P(E4H, E6H) restricts to 0 through q^N. The
@@ -68,11 +68,10 @@ from typing import NamedTuple
 
 from .exactnum import bernoulli, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
-from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
+from .tmat import class_counts, iter_keyed
 
 __all__ = [
     "ChiReport",
-    "CongCheck",
     "Verdict",
     "build_chi",
     "cong_mod",
@@ -83,63 +82,6 @@ __all__ = [
     "verify_mod23",
     "verify_theta_cong",
 ]
-
-
-class CongCheck(NamedTuple):
-    """Outcome of a coefficientwise congruence check modulo p.
-
-    status is "holds", "fails" (witness = first violating T in enumeration
-    order), or "not-p-integral" (witness = first T where either side has a
-    coefficient with p in the denominator, so the congruence is meaningless).
-    checked counts box entries examined.
-    """
-
-    status: str
-    witness: TMatrix | None
-    checked: int
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "holds"
-
-
-def cong_mod(f, g, p: int, N: int) -> CongCheck:
-    """Check f(T) == g(T) mod p for every T in the depth-N box.
-
-    f and g map a class key (two_det, content), T.class_key(), to the exact
-    coefficient at every T of that class: a MaassTable's class_coeff, or any
-    function of it such as a theta image. Each is evaluated once per class of
-    the box, and a sweep that holds has checked every index. Otherwise the
-    keyed walk reads the class of each index, without keeping the box or
-    building an index matrix but for the witness, up to the first T whose
-    class fails, so the witness and checked are those of an index-by-index
-    sweep. A class fails as "not-p-integral" when residue(., p) is None on
-    either side, and as "fails" when the two residues differ. A source that
-    cannot answer at some class raises ValueError there.
-    """
-    if not is_prime(p):
-        raise ValueError(f"cong_mod: modulus {p} is not prime")
-    return _sweep(f, g, p, N, class_counts(N))
-
-
-def _sweep(f, g, p: int, N: int, counts: dict) -> CongCheck:
-    """cong_mod for a prime p over the classes of counts, class_counts(N)
-    (which a verifier with several sweeps builds once) or a part of it: the
-    indices of the depth-N box whose class is a key of counts, in box
-    order."""
-    bad = {}
-    for key in counts:
-        a = residue(f(key), p)
-        b = residue(g(key), p)
-        if a is None or b is None:
-            bad[key] = "not-p-integral"
-        elif a != b:
-            bad[key] = "fails"
-    if not bad:
-        return CongCheck("holds", None, sum(counts.values()))
-    rows = (row for row in iter_keyed(N) if row[1] in counts)
-    i, (text, key) = next((i, row) for i, row in enumerate(rows) if row[1] in bad)
-    return CongCheck(bad[key], parse_tmatrix(text), i + 1)
 
 
 class Verdict(NamedTuple):
@@ -169,13 +111,49 @@ def _verdict(theorem: str, params: dict, *claims) -> Verdict:
     return Verdict(theorem, params, status, witnesses, sum(n for _, n in claims))
 
 
-def _claim(check: CongCheck, text: str = "") -> tuple:
-    """The claim of a congruence sweep: the witness entry of a failed check,
-    led by the claim text when one is given, and the indices it checked."""
-    if check.ok:
-        return [], check.checked
-    entry = {"T": str(check.witness), "detail": check.status}
-    return [{"claim": text, **entry} if text else entry], check.checked
+def cong_mod(f, g, p: int, N: int) -> Verdict:
+    """Check f(T) == g(T) mod p for every T in the depth-N box: the
+    "congruence" Verdict of one sweep (_sweep), with params p and depth.
+
+    f and g map a class key (two_det, content), T.class_key(), to the exact
+    coefficient at every T of that class: a MaassTable's class_coeff, or any
+    function of it such as a theta image. Each is evaluated once per class of
+    the box, and a sweep that holds has checked every index. Otherwise its
+    one witness {"T", "detail"} is the first T whose class fails, and checked
+    counts the indices up to it, as in an index-by-index sweep. A class fails
+    with detail "not-p-integral" when residue(., p) is None on either side,
+    and "fails" when the two residues differ. A source that cannot answer at
+    some class raises ValueError there.
+    """
+    if not is_prime(p):
+        raise ValueError(f"cong_mod: modulus {p} is not prime")
+    return _verdict("congruence", {"p": p, "depth": N}, _sweep(f, g, p, N, class_counts(N), ""))
+
+
+def _sweep(f, g, p: int, N: int, counts: dict, text: str) -> tuple:
+    """The claim f ≡ g mod p, for a prime p, over the indices of the depth-N
+    box whose class is a key of counts, class_counts(N) (which a verifier
+    with several sweeps builds once) or a part of it, in box order.
+
+    A claim that holds is ([], the indices of those classes). One that fails
+    walks the box's text view (iter_keyed) to its first failing index and
+    names it as the walk reads it, "n,m,a,b,c,d": its one witness
+    {"claim": text, "T": ..., "detail": ...}, without the "claim" key when
+    text is "", and the indices checked up to it."""
+    bad = {}
+    for key in counts:
+        a = residue(f(key), p)
+        b = residue(g(key), p)
+        if a is None or b is None:
+            bad[key] = "not-p-integral"
+        elif a != b:
+            bad[key] = "fails"
+    if not bad:
+        return [], sum(counts.values())
+    rows = (row for row in iter_keyed(N) if row[1] in counts)
+    i, (T, key) = next((i, row) for i, row in enumerate(rows) if row[1] in bad)
+    entry = {"T": T, "detail": bad[key]}
+    return [{"claim": text, **entry} if text else entry], i + 1
 
 
 def _check_modulus(p: int) -> None:
@@ -273,12 +251,12 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     # p-integral exactly where G(T) is, and then chi(T) ≡ G(T) mod p:
     # sweeping G against itself gives the status, witness and count of G
     # against chi.
-    congruence = _claim(_sweep(G, G, p, N, counts), f"g_h({k}) ≡ chi mod {p}")
+    congruence = _sweep(G, G, p, N, counts, f"g_h({k}) ≡ chi mod {p}")
     claims = [(vanishing, N + 1), congruence]
     if name:
         params["target"] = name
         target = form_table(name, 2 * N * N).class_coeff
-        claims.append(_claim(_sweep(G, target, p, N, counts), f"chi ≡ {name} mod {p}"))
+        claims.append(_sweep(G, target, p, N, counts, f"chi ≡ {name} mod {p}"))
     return _verdict("ramanujan-congruence", params, *claims)
 
 
@@ -301,7 +279,7 @@ def verify_ep_minus_one(p: int, N: int) -> Verdict:
     if residue(bernoulli(p - 3), p) in (None, 0):
         raise ValueError(f"hypothesis fails: B_{p - 3} ≡ 0 mod {p}")
     E = form_table(f"E{p - 1}H", 2 * N * N)
-    claim = _claim(_sweep(E.class_coeff, _one, p, N, class_counts(N)))
+    claim = _sweep(E.class_coeff, _one, p, N, class_counts(N), "")
     return _verdict("eisenstein-weight-p-minus-one", {"p": p, "depth": N}, claim)
 
 
@@ -312,7 +290,7 @@ def verify_theta_cong(N: int) -> list[Verdict]:
     for k, p, name in ((4, 5, "X10"), (6, 7, "X14")):
         a = form_table(f"G{k}H", 2 * N * N).class_coeff
         target = form_table(name, 2 * N * N).class_coeff
-        claim = _claim(_sweep(lambda key: key[0] * a(key), target, p, N, counts))
+        claim = _sweep(lambda key: key[0] * a(key), target, p, N, counts, "")
         params = {"k": k, "p": p, "target": name, "depth": N}
         out.append(_verdict("theta-congruence", params, claim))
     return out
@@ -325,14 +303,15 @@ def verify_mod23(N: int) -> Verdict:
     a = form_table("X14", 2 * N * N).class_coeff
     counts = class_counts(N)
     nonresidue = {key: n for key, n in counts.items() if kronecker(-23, key[0]) == -1}
-    vanishing = _claim(_sweep(a, _zero, 23, N, nonresidue), "23 | a where chi_23 = -1")
+    vanishing = _sweep(a, _zero, 23, N, nonresidue, "23 | a where chi_23 = -1")
 
     def twisted(key):
         return a(key) * key[0] * kronecker(-23, key[0])
 
-    corollary = _sweep(twisted, lambda key: a(key) * key[0], 23, N, counts)
-    claim = _claim(corollary, "twisted theta ≡ theta mod 23")
-    return _verdict("mod23-vanishing", {"p": 23, "depth": N}, vanishing, claim)
+    corollary = _sweep(
+        twisted, lambda key: a(key) * key[0], 23, N, counts, "twisted theta ≡ theta mod 23"
+    )
+    return _verdict("mod23-vanishing", {"p": 23, "depth": N}, vanishing, corollary)
 
 
 _SIGMA_SWEEP = 500
@@ -350,7 +329,7 @@ def verify_cong_eis(k: int, N: int) -> Verdict:
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     counts = class_counts(N)
     nonresidue = {key: n for key, n in counts.items() if kronecker(-p, key[0]) == -1}
-    vanishing = _claim(_sweep(G, _zero, p, N, nonresidue), f"{p} | a where chi_{p} = -1")
+    vanishing = _sweep(G, _zero, p, N, nonresidue, f"{p} | a where chi_{p} = -1")
     s = sigma_row((p - 1) // 2, _SIGMA_SWEEP)
     sweep = [ell for ell in range(1, _SIGMA_SWEEP + 1) if kronecker(-p, ell) == -1]
     sigma = ([{"ell": ell, "sigma": str(s[ell])} for ell in sweep if s[ell] % p], len(sweep))

@@ -29,7 +29,7 @@ class_counts folds the same histogram keys, counted from Jacobi's
 r4(r) = 8 sigma_1(r) - 32 sigma_1(r/4) instead of walked.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import compress
 from math import gcd, isqrt
@@ -143,8 +143,10 @@ def keyed_walk(N: int):
     their vectors. keys[h] is the class key of (n, m, t) for every t of
     histogram id h, or None when t lies outside the block. The sub-balls are
     nested by radius, so each is filtered from the next larger one by the
-    norms of its shapes; each radius is kept once, and each run once per
-    (shape, isqrt(r - norm)) for the whole walk.
+    norms of its shapes, and each radius is kept once. Each shape's run is
+    made once, at its full reach isqrt(4N^2 - norm); a run is symmetric
+    about 0, so its part at radius r is its middle slice, the i entries
+    below -isqrt(r - norm) cut from each end.
     """
     if N < 0:
         raise ValueError("keyed_walk: depth must be >= 0")
@@ -168,25 +170,25 @@ def keyed_walk(N: int):
                     for c in cs
                 ]
             line_shapes += c_rows[key]
-    # each sub-ball from the next larger one, and the runs of its shapes
-    index, runs, sub = {}, {}, {}
+    # each shape's run at its full reach: d has the parity of s, and as R is
+    # even, no run is empty
+    index, runs, sub = {}, [], {}
+    for norm, g, s in shapes:
+        rd = isqrt(R - norm)
+        ds = range(-rd + (rd + s) % 2, rd + 1, 2)
+        hkeys = ((norm + d * d, g_t := gcd(g, d), g_t and (s + d) // g_t % 2) for d in ds)
+        runs.append((ds, [index.setdefault(hkey, len(index)) for hkey in hkeys]))
+    # each sub-ball from the next larger one, and the middle of each run
     for r in sorted({4 * n * m for n in range(N + 1) for m in range(N + 1)}, reverse=True):
         keep = bytes(map([shape[0] <= r for shape in shapes].__getitem__, line_shapes))
         lines, line_shapes = list(compress(lines, keep)), list(compress(line_shapes, keep))
         at_r = {}
-        for h, (norm, g, s) in enumerate(shapes):
+        for h, (norm, _, _) in enumerate(shapes):
             if norm <= r:
-                rd = isqrt(r - norm)
-                if (h, rd) not in runs:
-                    # d has the parity of s; r is even, so the run is not empty
-                    ds = range(-rd + (rd + s) % 2, rd + 1, 2)
-                    runs[h, rd] = ds, [
-                        index.setdefault(
-                            (norm + d * d, g_t := gcd(g, d), g_t and (s + d) // g_t % 2), len(index)
-                        )
-                        for d in ds
-                    ]
-                at_r[h] = runs[h, rd]
+                ds, ids = runs[h]
+                i = bisect_left(ds, -isqrt(r - norm))
+                j = len(ds) - i
+                at_r[h] = ds[i:j], ids[i:j]
         sub[r] = lines, line_shapes, at_r
 
     def blocks():

@@ -35,11 +35,11 @@ independently of the Eisenstein and X14 tables, whose Siegel restriction
 and first Fourier-Jacobi row they check. cusp_rows states the rows of X10,
 X12 and X14 as eta products in integers, independently of every table.
 
-cong_mod and the verdicts below sweep the depth-N box one index at a time,
+sweep and the verdicts below sweep the depth-N box one index at a time,
 reading each named form's table through congr.form_table (so a test that
 patches it sees the same tables as the verifiers). They are the sweeps the
 verifiers ran before they checked one value per class, and serve as the
-oracle of the class sweeps.
+oracle of the class sweeps; cong_mod is the Verdict of one sweep.
 """
 
 from fractions import Fraction
@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb, isqrt, lcm
 
 from qmf import congr
-from qmf.congr import CongCheck, star_condition
+from qmf.congr import Verdict, star_condition
 from qmf.exactnum import bernoulli, factorize, is_prime, kronecker
 from qmf.fexp import FourierExpansion
 from qmf.forms import MaassTable, _star_q1, build_form, form_table
@@ -419,27 +419,31 @@ def ring_chi(k, p, N, G=None):
     return sub(G, scale(combo, p))
 
 
-def cong_mod(f, g, p, N):
-    """Check f(T) == g(T) mod p at every T of the depth-N box, in box order;
+def sweep(f, g, p, N, claim):
+    """The claim f(T) ≡ g(T) mod p over the depth-N box, index by index in
+    box order: the witness entry of its first failing index, led by the
+    claim text unless it is "", and the number of indices checked up to it;
     f and g map an index to its coefficient."""
-    if not is_prime(p):
-        raise ValueError(f"cong_mod: modulus {p} is not prime")
     box = whole_box(N)
     for i, T in enumerate(box):
         a = f(T)
         b = g(T)
         if a.denominator % p == 0 or b.denominator % p == 0:
-            return CongCheck("not-p-integral", T, i + 1)
-        if a != b and (a - b).numerator % p:
-            return CongCheck("fails", T, i + 1)
-    return CongCheck("holds", None, len(box))
+            detail = "not-p-integral"
+        elif a != b and (a - b).numerator % p:
+            detail = "fails"
+        else:
+            continue
+        entry = {"T": str(T), "detail": detail}
+        return [{"claim": claim, **entry} if claim else entry], i + 1
+    return [], len(box)
 
 
-def _failed(check, claim=""):
-    if check.ok:
-        return []
-    entry = {"T": str(check.witness), "detail": check.status}
-    return [{"claim": claim, **entry} if claim else entry]
+def cong_mod(f, g, p, N):
+    """The congruence Verdict of one sweep of the depth-N box."""
+    if not is_prime(p):
+        raise ValueError(f"cong_mod: modulus {p} is not prime")
+    return Verdict(**_verdict("congruence", {"p": p, "depth": N}, *sweep(f, g, p, N, "")))
 
 
 def _verdict(theorem, params, witnesses, checked):
@@ -464,37 +468,32 @@ def ramanujan_verdict(k, p, N):
     witnesses = []
     if any(siegel_phi(chi)):
         witnesses.append({"claim": "degree-1 restriction of chi vanishes"})
-    cert = cong_mod(G.coeff, chi.coeff, p, N)
-    witnesses += _failed(cert, f"g_h({k}) ≡ chi mod {p}")
-    checked = cert.checked + N + 1
+    found, checked = sweep(G.coeff, chi.coeff, p, N, f"g_h({k}) ≡ chi mod {p}")
+    witnesses += found
+    checked += N + 1
     params = {"k": k, "p": p, "depth": N}
     name = {(10, 17): "X10", (14, 691): "X14"}.get((k, p))
     if name:
-        extra = cong_mod(chi.coeff, _table(name, N).coeff, p, N)
-        witnesses += _failed(extra, f"chi ≡ {name} mod {p}")
-        checked += extra.checked
+        found, extra = sweep(chi.coeff, _table(name, N).coeff, p, N, f"chi ≡ {name} mod {p}")
+        witnesses += found
+        checked += extra
         params["target"] = name
     return _verdict("ramanujan-congruence", params, witnesses, checked)
 
 
 def ep1_verdict(p, N):
     E = _table(f"E{p - 1}H", N).coeff
-    check = cong_mod(E, lambda T: Fraction(T == ZERO_INDEX), p, N)
-    params = {"p": p, "depth": N}
-    return _verdict(
-        "eisenstein-weight-p-minus-one", params, _failed(check), check.checked
-    )
+    claim = sweep(E, lambda T: Fraction(T == ZERO_INDEX), p, N, "")
+    return _verdict("eisenstein-weight-p-minus-one", {"p": p, "depth": N}, *claim)
 
 
 def theta_verdicts(N):
     out = []
     for k, p, name in ((4, 5, "X10"), (6, 7, "X14")):
         a = _table(f"G{k}H", N).coeff
-        check = cong_mod(lambda T: T.two_det() * a(T), _table(name, N).coeff, p, N)
+        claim = sweep(lambda T: T.two_det() * a(T), _table(name, N).coeff, p, N, "")
         params = {"k": k, "p": p, "target": name, "depth": N}
-        out.append(
-            _verdict("theta-congruence", params, _failed(check), check.checked)
-        )
+        out.append(_verdict("theta-congruence", params, *claim))
     return out
 
 
@@ -527,9 +526,11 @@ def mod23_verdict(N):
     def twisted(T):
         return a(T) * T.two_det() * kronecker(-23, T.two_det())
 
-    corollary = cong_mod(twisted, lambda T: a(T) * T.two_det(), 23, N)
-    witnesses += _failed(corollary, "twisted theta ≡ theta mod 23")
-    checked += corollary.checked
+    found, corollary = sweep(
+        twisted, lambda T: a(T) * T.two_det(), 23, N, "twisted theta ≡ theta mod 23"
+    )
+    witnesses += found
+    checked += corollary
     return _verdict(
         "mod23-vanishing", {"p": 23, "depth": N}, witnesses, checked
     )

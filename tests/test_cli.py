@@ -21,7 +21,7 @@ from box_oracle import RING_MEMBERS, tau_star, whole_box
 from qmf import cli, congr, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
-from test_congr import count_parses, perturb, refuse_walks
+from test_congr import perturb, refuse_walks
 from test_golden_cli import GOLDEN, digest
 from test_readme import README
 
@@ -321,6 +321,18 @@ def test_table_failed_mod_names_first_index(capsys, form, mod):
         code, out, err = run(capsys, argv + ["--format", fmt])
         assert (code, out) == (1, "")
         assert f"error: coefficient at {first} is not integral mod {mod}" in err
+
+
+def count_parses(monkeypatch, module):
+    """Record the text of every index matrix module parses, in a list."""
+    texts, parse = [], tmat.parse_tmatrix
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(module, "parse_tmatrix", counted)
+    return texts
 
 
 def test_table_failed_mod_parses_no_index(capsys, monkeypatch):

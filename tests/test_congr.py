@@ -382,16 +382,26 @@ def test_build_chi_counts_and_walks_no_box(monkeypatch):
     assert build_chi(14, 691, 3).ok
 
 
-def count_parses(monkeypatch, module):
-    """Record the text of every index matrix module parses, in a list."""
-    texts, parse = [], tmat.parse_tmatrix
+def index_matrix_reads(source: str) -> list[str]:
+    """The imports and attribute reads of parse_tmatrix and TMatrix in
+    source, by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+    return [name for name in found if name in ("parse_tmatrix", "TMatrix")]
 
-    def counted(text):
-        texts.append(text)
-        return parse(text)
 
-    monkeypatch.setattr(module, "parse_tmatrix", counted)
-    return texts
+def test_index_matrix_reads_detects_planted_cases():
+    source = (
+        "from .tmat import TMatrix, class_counts\n"
+        "from . import tmat\n"
+        "def parse(text):\n"
+        "    return tmat.parse_tmatrix(text)\n"
+    )
+    assert index_matrix_reads(source) == ["TMatrix", "parse_tmatrix"]
 
 
 def first_failures(verdicts):
@@ -402,26 +412,29 @@ def first_failures(verdicts):
 
 @pytest.mark.parametrize("name", FAILING_SWEEPS)
 def test_failing_sweeps_walk_the_text_view(monkeypatch, name):
-    # a failing sweep finds its witness on the text of the walk, as `table`
-    # does, and parses that one index only
-    form, R, verifier, _ = FAILING_SWEEPS[name]
+    # a failing sweep names its witness by the text of the walk, as `table`
+    # does, and builds no index matrix: congr reads neither parse_tmatrix
+    # nor TMatrix
+    assert index_matrix_reads(Path(congr.__file__).read_text(encoding="utf-8")) == []
+    form, R, verifier, oracle = FAILING_SWEEPS[name]
     perturb(monkeypatch, form, R=R)
-    parsed = count_parses(monkeypatch, congr)
-    verdicts = verifier(4)
+    verdicts, want = verifier(4), oracle(4)
     verdicts = verdicts if isinstance(verdicts, list) else [verdicts]
+    want = want if isinstance(want, list) else [want]
     assert "fails" in json.dumps(verdicts)
-    assert parsed == first_failures(verdicts)
+    assert first_failures(verdicts) == first_failures(want)
     # congeis fails only its nonresidue claim, mod23 both of its claims
-    assert len(parsed) == {"theta": 1, "ep1": 1, "mod23": 2, "congeis": 1}[name]
+    assert len(first_failures(verdicts)) == {"theta": 1, "ep1": 1, "mod23": 2, "congeis": 1}[name]
 
 
 @pytest.mark.parametrize("k, p, name, bumps", PERTURBED_RAMANUJAN)
 def test_ramanujan_failing_sweeps_walk_the_text_view(monkeypatch, k, p, name, bumps):
+    assert index_matrix_reads(Path(congr.__file__).read_text(encoding="utf-8")) == []
     perturb(monkeypatch, name, R=bumps)
-    parsed = count_parses(monkeypatch, congr)
     v = ramanujan_verdict(k, p, 2).to_json()
     assert v["status"] == "fails"
-    assert parsed and parsed == first_failures([v])
+    found = first_failures([v])
+    assert found and found == first_failures([box_oracle.ramanujan_verdict(k, p, 2)])
 
 
 def test_verdict_fails_path(monkeypatch):

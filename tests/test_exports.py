@@ -59,8 +59,11 @@ def test_exports_load_lazily():
 # "mod p" fact is read from exactnum.residue. sigma, a second divisor sum,
 # removed: sigma_m(l) is sigma_row(m, l)[l]. star_primes, a search no library
 # code ran, removed: the tests' oracle runs it through star_condition.
+# CongCheck, a second outcome record beside Verdict, removed: a sweep returns
+# its claim, and cong_mod the Verdict of that one claim.
 REMOVED = (
     "tau", "tau_star", "delta_q", "eisenstein_q", "QSeries", "ord_p", "sigma", "star_primes",
+    "CongCheck",
 )
 
 
@@ -69,6 +72,8 @@ def test_removed_series_names_stay_removed():
         module = importlib.import_module(home)
         assert [name for name in REMOVED if hasattr(module, name)] == []
         assert not set(REMOVED) & set(module.__all__)
+    # a sweep's claim is the verdict's summand, with no conversion between
+    assert not hasattr(importlib.import_module("qmf.congr"), "_claim")
     # the content of T is T.class_key()[1], with no second statement
     assert not hasattr(importlib.import_module("qmf.tmat").TMatrix, "epsilon")
     # a psd T has rank 2 exactly when T.two_det() > 0; T = 0 and t = 0 are

@@ -156,25 +156,30 @@ def bump_rows(table, rows):
 
 def test_cong_mod_holds_and_fails():
     X = form_table("X10", 8)
-    assert cong_mod(X.class_coeff, X.class_coeff, 5, 2).status == "holds"
-    bumped = bump_rows(X, {1: 5})
-    assert cong_mod(X.class_coeff, bumped.class_coeff, 5, 2).status == "holds"
-    broken = bump_rows(X, {1: 3})
-    check = cong_mod(X.class_coeff, broken.class_coeff, 5, 2)
-    assert check.status == "fails"
-    assert check.witness.two_det() == 1
-    assert not check.ok
-    # the witness and count of the index-by-index sweep
-    assert check == oracle_cong_mod(X.coeff, broken.coeff, 5, 2)
+    cases = ((X, "holds"), (bump_rows(X, {1: 5}), "holds"), (bump_rows(X, {1: 3}), "fails"))
+    for other, status in cases:
+        check = cong_mod(X.class_coeff, other.class_coeff, 5, 2)
+        assert check.status == status and check.ok == (status == "holds")
+        # the verdict of the index-by-index sweep, its witness and count
+        assert check.to_json() == oracle_cong_mod(X.coeff, other.coeff, 5, 2).to_json()
+    assert check.witnesses[0]["detail"] == "fails"
+    assert parse_tmatrix(check.witnesses[0]["T"]).two_det() == 1
 
 
 def test_cong_mod_witness_order():
     # the witness is the first violation in box enumeration order: R[0]
     # moves every rank-1 coefficient, and the second index is (0, 1, 0)
-    broken = bump_rows(form_table("X10", 8), {0: 1, 1: 1})
-    check = cong_mod(form_table("X10", 8).class_coeff, broken.class_coeff, 7, 2)
-    assert check.witness == TMatrix(0, 1, QuatCoord(0, 0, 0, 0))
-    assert check.checked == 2  # (0,0) passed, (0,1) failed
+    X = form_table("X10", 8)
+    broken = bump_rows(X, {0: 1, 1: 1})
+    check = cong_mod(X.class_coeff, broken.class_coeff, 7, 2)
+    assert check.to_json() == {
+        "theorem": "congruence",
+        "params": {"p": 7, "depth": 2},
+        "status": "fails",
+        "witnesses": [{"T": "0,1,0,0,0,0", "detail": "fails"}],
+        "checked": 2,  # (0,0) passed, (0,1) failed
+    }
+    assert check.to_json() == oracle_cong_mod(X.coeff, broken.coeff, 7, 2).to_json()
 
 
 def test_cong_mod_holds_counts_every_index():
@@ -188,13 +193,16 @@ def test_cong_mod_not_p_integral():
     z = MaassTable(10, Fraction(0), (Fraction(0),) * 3)
     f = bump_rows(z, {1: Fraction(1, 17)})
     check = cong_mod(f.class_coeff, z.class_coeff, 17, 1)
-    assert check.status == "not-p-integral"
-    assert check.witness == parse_tmatrix("1,1,-1,-1,0,0")  # first two_det 1
-    assert check == oracle_cong_mod(f.coeff, z.coeff, 17, 1)
+    assert not check.ok
+    # the first two_det 1 index
+    assert check.witnesses == [{"T": "1,1,-1,-1,0,0", "detail": "not-p-integral"}]
+    assert check.to_json() == oracle_cong_mod(f.coeff, z.coeff, 17, 1).to_json()
     # the weight-10 Eisenstein series genuinely has 17 in denominators
     e10 = form_table("E10H", 2)
     assert any(c.denominator % 17 == 0 for c in e10.R)
-    assert cong_mod(e10.class_coeff, e10.class_coeff, 17, 1).status == "not-p-integral"
+    check = cong_mod(e10.class_coeff, e10.class_coeff, 17, 1)
+    assert check.witnesses[0]["detail"] == "not-p-integral"
+    assert check.to_json() == oracle_cong_mod(e10.coeff, e10.coeff, 17, 1).to_json()
 
 
 def test_cong_mod_cross_weight_allowed():
