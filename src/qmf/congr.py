@@ -24,8 +24,9 @@ of a failing class it covers: its one witness, named by the walk's text,
 with checked counting its classes' indices up to it, as an index-by-index
 sweep would. cong_mod is the verdict of that one claim over the whole box.
 
-The Ramanujan certificate (build_chi) states degree-1 facts only: P is
-p-integral and chi = G - p * P(E4H, E6H) restricts to 0 through q^N. The
+The Ramanujan certificate (build_chi) is a pair of degree-1 facts: P,
+refused unless p-integral, and whether chi = G - p * P(E4H, E6H) restricts
+to 0 through q^N, the fit past the solve that series._express reports. The
 verdict (ramanujan_verdict) sweeps the box, like every other verifier.
 chi need not lie in the Maass space, but chi ≡ G mod p wherever G is
 p-integral, so every sweep of chi reads G's table. The elliptic algebra
@@ -71,7 +72,6 @@ from .forms import _check_weight, _star_q1, form_table
 from .tmat import class_counts, iter_keyed
 
 __all__ = [
-    "ChiReport",
     "Verdict",
     "build_chi",
     "cong_mod",
@@ -174,43 +174,31 @@ def star_condition(k: int, p: int) -> bool:
     return residue(q1, p) == 0 and residue(bernoulli(k) / k, p) is not None
 
 
-class ChiReport(NamedTuple):
-    """Certificate data from one cusp-witness construction: degree-1 facts."""
-
-    k: int
-    p: int
-    N: int
-    poly: dict[tuple[int, int], Fraction]
-    phi_vanishes: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.phi_vanishes
-
-
-def build_chi(k: int, p: int, N: int) -> ChiReport:
+def build_chi(k: int, p: int, N: int) -> tuple[dict[tuple[int, int], Fraction], bool]:
     """Certify, in degree 1, the cusp form chi = G - p * P(E4H, E6H); G is
     the G<k>H series, g_constant(k) times the weight-k Eisenstein series.
+    Returns the pair (P, vanishes).
 
-    Procedure: check that the depth N gives the q^0..q^N coefficients one
-    equation per weight-k monomial in E4 and E6 (N >= 0 for k = 10, N >= 1
-    for k = 12), divide the degree-1 restriction phi of G, read from G's lift
-    as G.restriction(N), by p, solve the quotient's first d coefficients for
-    a polynomial P in the elliptic weight-4/weight-6 generators, check that
-    P is p-integral, and check that phi - p * P(E4, E6) vanishes at
-    q^d..q^N, so chi restricts to 0 in degree 1. The quotient is p-integral
-    once the star condition holds: with q1 = _star_q1(k), phi has constant
-    term -q1 (B_k/k)/4 and q^j coefficient (q1/2) sigma_(k-1)(j).
-    Everything is read from G's one-variable table; chi itself is never
-    built, and the box is neither counted nor walked: ramanujan_verdict
-    sweeps it (the box construction lives in the tests as the oracle).
+    Procedure: check that the depth N gives one equation per weight-k
+    monomial in E4 and E6 (N >= 0 for k = 10, N >= 1 for k = 12), divide
+    the degree-1 restriction phi of G, read from G's lift as
+    G.restriction(N), by p, and hand all N + 1 coefficients to
+    series._express once: P is solved from the first d of them and must be
+    p-integral, and vanishes says P(E4, E6) matches the rest, so chi
+    restricts to 0 through q^N. The quotient is p-integral once the star
+    condition holds: with q1 = _star_q1(k), phi has constant term
+    -q1 (B_k/k)/4 and q^j coefficient (q1/2) sigma_(k-1)(j). Everything is
+    read from G's one-variable table; chi itself is never built, and the
+    box is neither counted nor walked: ramanujan_verdict sweeps it (the box
+    construction lives in the tests as the oracle).
     """
     from .series import _express, e4_e6_monomials
 
     if not star_condition(k, p):
         raise ValueError(f"pair (k={k}, p={p}) fails the star condition")
-    # P has one unknown per monomial, solved from the q^0..q^N coefficients;
-    # a negative N is refused below, so the monomials are formed at N >= 0
+    # P has one unknown per monomial, solved from the q^0..q^(d-1)
+    # coefficients; a negative N is refused below, so the monomials are
+    # formed at N >= 0
     monomials = e4_e6_monomials(k, max(N, 0))
     d = len(monomials)
     if N < d - 1:
@@ -218,17 +206,11 @@ def build_chi(k: int, p: int, N: int) -> ChiReport:
             f"pair (k={k}, p={p}) needs depth >= {d - 1} (weight {k} has {d} "
             f"monomials in E4 and E6), got depth {N}"
         )
-    G = form_table(f"G{k}H", 2 * N * N)
-    phi = G.restriction(N)
-    poly = _express(k, monomials, [c / p for c in phi[:d]])
+    phi = form_table(f"G{k}H", 2 * N * N).restriction(N)
+    poly, miss = _express(k, monomials, [c / p for c in phi])
     if any(residue(c, p) is None for c in poly.values()):
         raise ValueError("polynomial expression is not p-integral")
-    # P is solved from q^0..q^(d-1), so phi - p * P(E4, E6) is 0 there by
-    # construction: only q^d..q^N can fail
-    rest = phi[d:]
-    for ab, c in poly.items():
-        rest = [x - p * c * y for x, y in zip(rest, monomials[ab][d:])]
-    return ChiReport(k, p, N, poly, not any(rest))
+    return poly, miss is None
 
 
 # Pairs where a distinguished cusp form is the expected chi mod p.
@@ -239,13 +221,13 @@ def ramanujan_verdict(k: int, p: int, N: int) -> Verdict:
     """Run build_chi and sweep chi ≡ G mod p over the box, then, for (k, p)
     with a distinguished cusp form in the table, chi against that form."""
     name = _NAMED_TARGETS.get((k, p))
-    report = build_chi(k, p, N)
+    _, vanishes = build_chi(k, p, N)
     G = form_table(f"G{k}H", 2 * N * N).class_coeff
     counts = class_counts(N)
     params = {"k": k, "p": p, "depth": N}
     # claim texts and counts are part of the verdict JSON, so they keep their
     # wording, and the certificate counts the q^0..q^N of chi's restriction
-    vanishing = [] if report.ok else [{"claim": "degree-1 restriction of chi vanishes"}]
+    vanishing = [] if vanishes else [{"claim": "degree-1 restriction of chi vanishes"}]
     # chi - G = -p * P(E4H, E6H), and P(E4H, E6H) is p-integral because P is
     # (build_chi checked it) and E4H, E6H are integral. So chi(T) is
     # p-integral exactly where G(T) is, and then chi(T) ≡ G(T) mod p:

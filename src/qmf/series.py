@@ -47,22 +47,31 @@ def express_in_e4_e6(k: int, coeffs) -> dict[tuple[int, int], Fraction]:
     0..prec) as a polynomial in the weight-4 and weight-6 generators.
 
     Returns {(a, b): c} with the series = sum c * E4^a * E6^b over exponents
-    4a + 6b = k; zero coefficients are dropped. The linear system is solved
-    exactly from the first dim-many q-coefficients, which the solution then
-    matches by construction, and only the remaining coefficients are checked
-    against the result; any residual mismatch (the series not in the span
-    at weight k) raises ValueError, as do an empty series and insufficient
-    precision.
+    4a + 6b = k; zero coefficients are dropped. _express solves it from the
+    first dim-many q-coefficients, which it matches by construction, and
+    finds the first later one it misses: that residual mismatch (the series
+    not in the span at weight k) raises ValueError, as do an empty series
+    and insufficient precision.
     """
-    return _express(k, e4_e6_monomials(k, len(coeffs) - 1), coeffs)
+    poly, n = _express(k, e4_e6_monomials(k, len(coeffs) - 1), coeffs)
+    if n is not None:
+        raise ValueError(
+            f"residual mismatch at q^{n}: series is not in the "
+            "polynomial span of the weight-4 and weight-6 generators"
+        )
+    return poly
 
 
-def _express(k: int, monomials: dict, coeffs) -> dict[tuple[int, int], Fraction]:
-    """express_in_e4_e6 on weight-k monomials formed to at least coeffs' prec."""
+def _express(k: int, monomials: dict, coeffs) -> tuple[dict, int | None]:
+    """The pair (P, n) for coeffs and the weight-k monomials formed to at
+    least its prec: P = {(a, b): c} solved exactly from the first
+    d = len(monomials) coefficients, and n the first q-power past them where
+    P(E4, E6) misses coeffs, or None. The zero series of a weight with no
+    monomials is ({}, None); another series there, or prec < d - 1, raises."""
     prec = len(coeffs) - 1
     if not monomials:
         if not any(coeffs):
-            return {}
+            return {}, None
         raise ValueError(f"no monomials in weights 4 and 6 have weight {k}")
     pairs = list(monomials)
     basis = list(monomials.values())
@@ -86,10 +95,7 @@ def _express(k: int, monomials: dict, coeffs) -> dict[tuple[int, int], Fraction]
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     sol = [mat[i][d] for i in range(d)]
-    for n in range(d, prec + 1):
-        if sum(sol[j] * basis[j][n] for j in range(d)) != coeffs[n]:
-            raise ValueError(
-                f"residual mismatch at q^{n}: series is not in the "
-                "polynomial span of the weight-4 and weight-6 generators"
-            )
-    return {pairs[j]: sol[j] for j in range(d) if sol[j] != 0}
+    misfits = (
+        n for n in range(d, prec + 1) if sum(s * m[n] for s, m in zip(sol, basis)) != coeffs[n]
+    )
+    return {pairs[j]: sol[j] for j in range(d) if sol[j] != 0}, next(misfits, None)

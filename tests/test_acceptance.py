@@ -132,8 +132,8 @@ def test_acceptance_4_theorem_sweeps_and_certificates():
         (20, 43867),
     ]
     for k, p in pairs:
-        report = build_chi(k, p, 3)
-        assert report.ok, f"certificate failed for (k={k}, p={p})"
+        _, vanishes = build_chi(k, p, 3)
+        assert vanishes, f"certificate failed for (k={k}, p={p})"
         # the verdict sweeps the depth-3 box: G is p-integral on it
         assert ramanujan_verdict(k, p, 3).ok, f"verdict failed for (k={k}, p={p})"
     print(

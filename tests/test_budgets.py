@@ -6,7 +6,7 @@ change that raises one says so, and why, in CHANGES.md."""
 
 import pytest
 
-from qmf import cli, congr, exactnum, forms, tmat
+from qmf import cli, congr, exactnum, forms, series, tmat
 from test_congr import FAILING_SWEEPS, perturb
 
 
@@ -151,8 +151,23 @@ def test_certificate_factors_nothing(monkeypatch):
     # sigma_row each, not as class coefficients through divisors(j)
     monkeypatch.setattr(forms, "_TABLES", {})
     calls = counting(monkeypatch, exactnum, "factorize")
-    assert congr.build_chi(14, 691, 4).ok
+    assert congr.build_chi(14, 691, 4)[1]
     assert len(calls) == 0
+
+
+# Products per certificate at depth 5 from an empty table cache: one _mul per
+# factor of each weight-k monomial E4^a E6^b, a + b in all: E4^2 E6 (14),
+# E4^3 and E6^2 (12), E4^5 and E4^2 E6^2 (20). A second forming of the
+# monomials, such as a build_chi that calls express_in_e4_e6, doubles it.
+CERTIFICATE_MUL_BUDGET = {(14, 691): 3, (12, 31): 5, (20, 43867): 9}
+
+
+@pytest.mark.parametrize("k, p", CERTIFICATE_MUL_BUDGET)
+def test_certificate_forms_the_monomials_once(monkeypatch, k, p):
+    monkeypatch.setattr(forms, "_TABLES", {})
+    calls = counting(monkeypatch, series, "_mul")
+    assert congr.build_chi(k, p, 5)[1]
+    assert len(calls) == CERTIFICATE_MUL_BUDGET[k, p]
 
 
 # Class coefficients read per command from an empty table cache. A sweep of

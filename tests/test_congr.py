@@ -22,7 +22,7 @@ from qmf.congr import (
 )
 from qmf.exactnum import kronecker, residue
 from qmf.forms import MaassTable, build_form, form_table, g_constant
-from qmf.series import e4_e6_monomials
+from qmf.series import e4_e6_monomials, express_in_e4_e6
 from qmf.tmat import parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
@@ -116,14 +116,11 @@ def test_build_chi_holds_for_every_star_pair():
             phi = form_table(f"G{k}H", 0).restriction(30)
             assert all(residue(c / p, p) is not None for c in phi), (k, p)
             for N in (d - 1, 5):
-                assert build_chi(k, p, N).ok, (k, p, N)
+                assert build_chi(k, p, N)[1], (k, p, N)
 
 
 def test_build_chi_weight10():
-    report = build_chi(10, 17, 2)
-    assert report.poly == {(1, 1): Fraction(1, 8448)}
-    assert report.phi_vanishes
-    assert report.ok
+    assert build_chi(10, 17, 2) == ({(1, 1): Fraction(1, 8448)}, True)
     # the verdict sweeps the box: G is 17-integral there, and chi ≡ X10
     assert ramanujan_verdict(10, 17, 2).ok
     chi = ring_chi(10, 17, 2)
@@ -136,9 +133,7 @@ def test_build_chi_weight10():
 
 
 def test_build_chi_weight14():
-    report = build_chi(14, 691, 2)
-    assert report.poly == {(2, 1): Fraction(1, 384)}
-    assert report.ok
+    assert build_chi(14, 691, 2) == ({(2, 1): Fraction(1, 384)}, True)
     chi = ring_chi(14, 691, 2)
     assert all(T.two_det() > 0 for T in chi.support())
     assert cong_mod(chi.coeff, form_table("X14", 8).coeff, 691, 2).ok
@@ -164,12 +159,12 @@ def test_build_chi_depth_check():
     with pytest.raises(ValueError, match="needs depth >= 0.*got depth -2"):
         build_chi(14, 691, -2)
     # weight 10 has one monomial, E4 E6: depth 0 suffices
-    assert build_chi(10, 17, 0).ok
+    assert build_chi(10, 17, 0)[1]
     # the depth-0 box is T = 0 alone: one integrality check, one restriction
     # coefficient and one target check
     v = ramanujan_verdict(10, 17, 0)
     assert v.ok and v.checked == 3
-    assert build_chi(12, 31, 1).ok
+    assert build_chi(12, 31, 1)[1]
 
 
 def test_ramanujan_verdict():
@@ -379,7 +374,7 @@ def test_build_chi_counts_and_walks_no_box(monkeypatch):
 
     monkeypatch.setattr(congr, "class_counts", refuse)
     refuse_walks(monkeypatch, refuse, (congr,))
-    assert build_chi(14, 691, 3).ok
+    assert build_chi(14, 691, 3)[1]
 
 
 def index_matrix_reads(source: str) -> list[str]:
@@ -603,7 +598,42 @@ def test_ramanujan_restriction_certificate(monkeypatch, k, p, N):
     assert v.witnesses[0] == {"claim": "degree-1 restriction of chi vanishes"}
     assert v.witnesses[1:] == clean["witnesses"] == []
     assert v.checked == clean["checked"]
-    assert not build_chi(k, p, N).phi_vanishes
+    assert not build_chi(k, p, N)[1]
+
+
+def fits(k, coeffs):
+    """Whether express_in_e4_e6 writes coeffs in E4 and E6: False where it
+    raises its residual mismatch."""
+    try:
+        express_in_e4_e6(k, coeffs)
+    except ValueError as err:
+        assert "residual mismatch" in str(err), err
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bumped", [False, True])
+def test_build_chi_fits_as_express_in_e4_e6_does(monkeypatch, bumped):
+    # build_chi and express_in_e4_e6 read the fit of P(E4, E6) from the one
+    # series._express: P is express_in_e4_e6 of the first d coefficients of
+    # phi/p, and the certificate fails exactly where express_in_e4_e6 finds
+    # a residual mismatch on all N + 1 of them, on the clean tables and with
+    # the bump R(0) += p of test_ramanujan_restriction_certificate
+    failing = 0
+    for k in range(4, 52, 2):
+        d = len(e4_e6_monomials(k, 0))
+        for p in star_primes(k):
+            if bumped:
+                perturb(monkeypatch, f"G{k}H", R={0: p})
+            for N in (d - 1, 5):
+                phi = congr.form_table(f"G{k}H", 2 * N * N).restriction(N)
+                quotient = [c / p for c in phi]
+                vanishes = fits(k, quotient)
+                assert build_chi(k, p, N) == (express_in_e4_e6(k, quotient[:d]), vanishes)
+                failing += not vanishes
+    # the bump fails each of the 75 star pairs to k = 50 at depth 5; at
+    # depth d - 1 no coefficient lies past the solve
+    assert failing == (75 if bumped else 0)
 
 
 def _bumps(rng, N, p, ramanujan):
@@ -749,3 +779,35 @@ def test_congr_walks_the_box_in_sweep_alone():
     source = Path(congr.__file__).read_text(encoding="utf-8")
     got = {name: readers(source, name) for name in WALKS}
     assert got == {"enumerate_psd": [], "iter_keyed": ["_sweep"], "keyed_walk": []}
+
+
+def subscripts(source: str, function: str) -> list[str]:
+    """The subscripts the body of the named top-level function in source
+    takes, as source text, outermost first."""
+    (node,) = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return [
+        ast.unparse(sub)
+        for stmt in node.body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Subscript)
+    ]
+
+
+def test_build_chi_subscripts_no_monomial():
+    # build_chi hands phi/p whole to series._express and reads (P, miss)
+    # back, so the fit of P(E4, E6) past the solve is checked there alone:
+    # it subscripts no monomial and no coefficient, where a residual loop in
+    # build_chi reads monomials[ab][d:]
+    source = Path(congr.__file__).read_text(encoding="utf-8")
+    assert subscripts(source, "build_chi") == []
+    planted = (
+        "def build_chi(phi, poly, monomials, d, p):\n"
+        "    rest = phi[d:]\n"
+        "    for ab, c in poly.items():\n"
+        "        rest = [x - p * c * y for x, y in zip(rest, monomials[ab][d:])]\n"
+        "    return not any(rest)\n"
+    )
+    assert subscripts(planted, "build_chi") == ["phi[d:]", "monomials[ab][d:]", "monomials[ab]"]
