@@ -11,8 +11,11 @@ which is what every coefficient formula in this package is indexed by.
 The class key (two_det(T), content of T) of an index (n, m, t) depends only
 on n*m, gcd(n, m) and the histogram key _hkey(t) = (norm(t), gcd(t), parity
 of sum(t)/gcd(t)). _class_key is that fold, and the one statement of the
-content rule (_content) and of the psd bound norm(t) <= 4nm: TMatrix.class_key,
-the walk and the counts all read it.
+content rule (_content) and of the class key: TMatrix.class_key, the walk
+and the counts all read it. Each reader bounds its block itself:
+TMatrix.is_psd by two_det >= 0, keyed_walk by norm <= 4nm on its lines and
+runs, and class_counts by the prefix of norm <= 4nm of its histogram.
+keyed_walk uses the None of _class_key only as the key of ids outside a block.
 
 keyed_walk is the one lattice walk in the library. It builds the dual ball
 of radius 4N^2 once, as its lines: the runs of d for fixed (a, b, c). A

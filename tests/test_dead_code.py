@@ -70,12 +70,12 @@ def test_library_has_no_dead_private_names():
     assert dead_private_names(sources) == []
 
 
-def import_reads(tree, homes: dict[str, str]) -> tuple[set, dict]:
+def import_reads(tree) -> tuple[set, dict]:
     """The (module, name) pairs that tree's imports of the package read, from
     any scope, and the names it binds to package modules. An import is
     relative (from .mod import name, from . import mod) or absolute (from
-    qmf.mod import name, from qmf import name); a name of the package
-    itself is read from its home module in homes, the package's _HOME."""
+    qmf.mod import name, from qmf import mod), as the package binds no name
+    of its own."""
     reads, modules = set(), {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
@@ -89,8 +89,6 @@ def import_reads(tree, homes: dict[str, str]) -> tuple[set, dict]:
         for alias in node.names:
             if home:
                 reads.add((home, alias.name))
-            elif alias.name in homes:
-                reads.add((homes[alias.name], alias.name))
             else:
                 modules[alias.asname or alias.name] = alias.name
     return reads, modules
@@ -121,16 +119,11 @@ def unread_public_names(sources: dict[str, str], readme: str, benchmark: dict) -
     - readme, the README's Library code block, imports it; or
     - benchmark, a map of module to names such as BENCHMARK_READS, lists it.
     """
-    homes = {}
-    if "__init__" in sources:
-        for node in ast.parse(sources["__init__"]).body:
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_HOME":
-                homes = ast.literal_eval(node.value)
     exported, read = [], {(m, n) for m, names in benchmark.items() for n in names}
-    read |= import_reads(ast.parse(readme), homes)[0]
+    read |= import_reads(ast.parse(readme))[0]
     for module, source in sources.items():
         tree = ast.parse(source)
-        imported, modules = import_reads(tree, homes)
+        imported, modules = import_reads(tree)
         read |= imported
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -150,7 +143,6 @@ def unread_public_names(sources: dict[str, str], readme: str, benchmark: dict) -
 
 def test_unread_public_names_detects_planted_names():
     sources = {
-        "__init__": '_HOME = {"shown": "a", "kept": "a"}\n__all__ = list(_HOME)\n',
         "a": (
             '__all__ = ["shown", "kept", "sigma", "used", "orphan", "recursive"]\n'
             "def shown(): return 1\n"
@@ -184,7 +176,7 @@ def test_unread_public_names_detects_planted_names():
         "cli": '_THEOREMS = {"t": ("theorem", ("k",))}\n',
         "congr": '__all__ = ["theorem"]\ndef theorem(): return 0\n',
     }
-    readme = "from qmf import shown\nfrom qmf.a import Box\n"
+    readme = "from qmf.a import Box, shown\n"
     got = unread_public_names(sources, readme, {"b": ("bench",)})
     assert got == ["a.kept", "a.sigma", "a.orphan", "a.recursive", "b.theorem", "b.stray", "c.cube"]
 

@@ -1,12 +1,11 @@
 """Every name the library exports resolves."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 import qmf
 
@@ -29,27 +28,47 @@ def test_unresolved_detects_stale_names():
 def test_every_export_resolves():
     names = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
     assert len(names) >= 8
-    modules = [qmf] + [importlib.import_module(f"qmf.{name}") for name in names]
+    modules = [importlib.import_module(f"qmf.{name}") for name in names]
     found = {m.__name__: unresolved(m) for m in modules if hasattr(m, "__all__")}
-    assert "qmf" in found and "qmf.tmat" in found
+    assert "qmf.tmat" in found
     assert {name: stale for name, stale in found.items() if stale} == {}
 
 
-def test_exports_load_lazily():
-    # importing qmf loads none of its modules; each exported name is listed
-    # by dir(qmf) and read, on first use, from the module that defines it
+# Names imported from their home module alone, never from the package, which
+# binds no name of its own: one import path per name.
+FORMER = {
+    "FourierExpansion": "fexp",
+    "MaassTable": "forms",
+    "QuatCoord": "quatlat",
+    "TMatrix": "tmat",
+    "bernoulli": "exactnum",
+    "build_form": "forms",
+    "cong_mod": "congr",
+    "express_in_e4_e6": "series",
+    "form_table": "forms",
+    "is_prime": "exactnum",
+    "kronecker": "exactnum",
+    "parse_tmatrix": "tmat",
+    "residue": "exactnum",
+    "x14_closed": "forms",
+}
+
+
+def test_package_binds_no_names():
+    # importing qmf loads none of its modules, and the package is its
+    # docstring alone: no namespace, loader or version of its own
     probe = "import sys, qmf; print(*sorted(m for m in sys.modules if m.startswith('qmf')))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.split() == ["qmf"]
-    assert sorted(qmf._HOME) == sorted(qmf.__all__)
-    assert set(qmf.__all__) <= set(dir(qmf))
-    for name, home in qmf._HOME.items():
-        assert getattr(qmf, name) is getattr(importlib.import_module(f"qmf.{home}"), name)
-    with pytest.raises(AttributeError):
-        qmf.iter_psd
+    (body,) = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert isinstance(body, ast.Expr) and isinstance(body.value.value, str)
+    absent = ("__all__", "__getattr__", "__version__", "_HOME", *FORMER)
+    assert [name for name in absent if hasattr(qmf, name)] == []
+    for name, home in FORMER.items():
+        assert name in importlib.import_module(f"qmf.{home}").__all__, name
 
 
 # Second statements of tau and E_k, removed: tau* is the X14 row and E_k the
@@ -68,7 +87,7 @@ REMOVED = (
 
 
 def test_removed_series_names_stay_removed():
-    for home in ("qmf", "qmf.series", "qmf.exactnum", "qmf.congr"):
+    for home in ("qmf.series", "qmf.exactnum", "qmf.congr"):
         module = importlib.import_module(home)
         assert [name for name in REMOVED if hasattr(module, name)] == []
         assert not set(REMOVED) & set(module.__all__)
@@ -80,8 +99,8 @@ def test_removed_series_names_stay_removed():
     # parsed or built where a test needs them; build_form is the one lift
     assert not hasattr(importlib.import_module("qmf.tmat").TMatrix, "rank")
     for home, name in (("tmat", "ZERO_TMATRIX"), ("quatlat", "ZERO_QUAT"), ("forms", "maass_lift")):
-        for module in (qmf, importlib.import_module(f"qmf.{home}")):
-            assert not hasattr(module, name) and name not in module.__all__
+        module = importlib.import_module(f"qmf.{home}")
+        assert not hasattr(module, name) and name not in module.__all__
 
 
 # What perfbench/ reads of the library: run.py's point-query oracle and

@@ -9,7 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qmf"
 def unused_imports(source: str) -> list[str]:
     """Names that imports in source bind and no expression reads; a name
     listed in the module's __all__ counts as read. An __all__ built by an
-    expression, such as qmf's list(_HOME), reads just the names in it."""
+    expression, such as list(_NAMES), reads just the names in it."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -44,8 +44,8 @@ def test_unused_imports_detects_dead_names():
     assert unused_imports(source) == ["system", "lcm", "pq"]
     derived = (
         "from .forms import MaassTable, form_table\n"
-        "_HOME = {'MaassTable': 'forms'}\n"
-        "__all__ = list(_HOME)\n"
+        "_NAMES = {'MaassTable': 'forms'}\n"
+        "__all__ = list(_NAMES)\n"
     )
     assert unused_imports(derived) == ["MaassTable", "form_table"]
 
