@@ -16,28 +16,21 @@ reduction failure.
 Warnings go to stderr, never into the output. A reader that closes stdout
 early is not an error: the output stops silently and the exit code is the
 command's own (a failing verify still exits 1). `table` writes its rows in
-chunks of whole lines of at most _CHUNK_CHARS characters, one write per
+chunks of whole lines of at most box._CHUNK_CHARS characters, one write per
 chunk whatever the buffering of stdout. Each subcommand imports the
-mathematics it runs when it runs: `coeff` and `table` load no verifier and
-no json, and `--help`, a bare `qmf` and every usage error load no
-mathematics at all (no qmf module but this one, and no fractions).
+mathematics it runs when it runs: `coeff` loads no box walk and no table
+writer (qmf.box), `coeff` and `table` load no verifier and no json, and
+`--help`, a bare `qmf` and every usage error load no mathematics at all
+(no qmf module but this one, and no fractions).
 No command loads argparse: argv is read by one loop over the _COMMANDS
 table, flags are spelled in full, and help is fixed text.
 """
 
 import os
 import sys
-from bisect import bisect_right
-from itertools import accumulate, repeat
 
 DEFAULT_DEPTH = 3
 _DEPTH_WARN = 5
-# Characters per write of `table`: a write is a system call when stdout is
-# unbuffered (python -u, PYTHONUNBUFFERED), so rows are joined into chunks,
-# which also bounds the output held at once. A chunk and its UTF-8 copy stay
-# below glibc's 128 KiB mmap and trim thresholds, so their memory is reused
-# from the heap rather than mapped or trimmed and faulted in anew per write.
-_CHUNK_CHARS = 2**16
 
 
 def _check_depth(N: int, flag: str) -> None:
@@ -130,41 +123,15 @@ def _cmd_verify(args) -> int:
     return 0 if all(v.ok for v in verdicts) else 1
 
 
-# One row of a table, split around the text "a,b,c,d" of t: the part up to
-# it formats (n, m), the part after it (num, den, residue). In the JSON rows,
-# entries of json.dumps(entries, indent=2), every field is a run of digits,
-# commas and minus signs, so quoting it is its JSON encoding.
-_CSV_ROW = ('"{},{},', '",{},{}{}\n', ",{}")
-_JSON_ROW = (
-    '  {{\n    "T": "{},{},',
-    '",\n    "coeff": {{\n      "num": "{}",\n      "den": "{}"\n    }}{}\n  }}',
-    ',\n    "residue": "{}"',
-)
-
-
 def _cmd_table(args) -> int:
-    """Render the part of a row after t once per class and check --mod on
-    every class before anything is written, so a failing --mod prints
-    nothing and creates no --out file; its error names the first index in
-    box order whose class fails. Then write the box a block at a time. Each
-    (n, m) block of keyed_walk maps a histogram id to its row tail once and
-    renders the run of each of its shapes once, as the texts "d" + tail of
-    its rows with the block's prefix before the first and after each but the
-    last. A line of the block is then its text "a,b,c," joining its shape's
-    pieces, so that each row is the prefix, the line's text and its tail. The
-    lines are formed by C-level maps and written in chunks of whole lines
-    of at most _CHUNK_CHARS characters: at most _CHUNK_CHARS // width rows,
-    width the widest row the table can have, found by bisect on the running
-    row count. That is one write per chunk whether or not stdout is
-    buffered, with no Python frame per line or row. No TMatrix is built,
-    and neither the box nor more than a chunk of output is kept."""
-    from .exactnum import residue
+    """Write the table of a form on the box (box.table_writer); a failing
+    --mod writes nothing and names its first failing index."""
+    from . import box
     from .forms import form_table
-    from .tmat import class_counts, iter_keyed, keyed_walk
 
     N = args["max"]
     _check_depth(N, "--max")
-    counts = class_counts(N)
+    counts = box.class_counts(N)
     if N >= _DEPTH_WARN:
         print(
             f"warning: depth {N} enumerates {sum(counts.values())} index "
@@ -173,58 +140,10 @@ def _cmd_table(args) -> int:
         )
     table = form_table(args["form"], 2 * N * N)
     mod = args["mod"]
-    if args["format"] == "csv":
-        head = "T,num,den,residue\n" if mod is not None else "T,num,den\n"
-        sep, tail = "", ""
-        start, rest_fmt, residue_fmt = _CSV_ROW
-    else:
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-        start, rest_fmt, residue_fmt = _JSON_ROW
-    rest, bad = {}, set()
-    for key in counts:
-        c = table.class_coeff(key)
-        column = ""
-        if mod is not None:
-            r = residue(c, mod)
-            if r is None:
-                bad.add(key)
-                continue
-            column = residue_fmt.format(r)
-        rest[key] = rest_fmt.format(c.numerator, c.denominator, column)
-    if bad:
-        text = next(text for text, key in iter_keyed(N) if key in bad)
-        print(f"error: coefficient at {text} is not integral mod {mod}", file=sys.stderr)
+    witness, write = box.table_writer(table, N, counts, args["format"], mod)
+    if witness is not None:
+        print(f"error: coefficient at {witness} is not integral mod {mod}", file=sys.stderr)
         return 1
-    # the widest row the table can have: the widest prefix, the texts of a,
-    # b, c and d (|x| <= 2N, each with a comma at most) and the widest tail
-    width = len(sep + start.format(N, N)) + 4 * (len(str(-2 * N)) + 1)
-    width += max(map(len, rest.values()))
-    chunk_rows = _CHUNK_CHARS // width
-
-    def write(fh):
-        fh.write(head)
-        for n, m, lines, shapes, runs, keys in keyed_walk(N):
-            # only T = 0, the one row of block (0, 0), has no separator
-            prefix = (sep if n or m else "") + start.format(n, m)
-            tails = [key and rest[key] for key in keys]
-            # line.join(rows[h]) is the rows of a line of shape h, each the
-            # prefix, the line's text and a row tail
-            rows, sizes = {}, {}
-            for h, (ds, ids) in runs.items():
-                tail_rows = [*map("{}{}".format, ds, map(tails.__getitem__, ids))]
-                rows[h] = [prefix, *map(str.__add__, tail_rows[:-1], repeat(prefix)), tail_rows[-1]]
-                sizes[h] = len(ds)
-            # ends[i] rows precede line i; a chunk is the most whole lines
-            # that hold at most chunk_rows rows, and at least one line
-            ends = list(accumulate(map(sizes.__getitem__, shapes), initial=0))
-            lo = 0
-            while lo < len(lines):
-                hi = max(bisect_right(ends, ends[lo] + chunk_rows) - 1, lo + 1)
-                segments = map(str.join, lines[lo:hi], map(rows.__getitem__, shapes[lo:hi]))
-                fh.write("".join(segments))
-                lo = hi
-        fh.write(tail)
-
     _emit(args["out"], write)
     return 0
 

@@ -19,7 +19,7 @@ the box is one such sweep (_sweep) of the classes it covers: all of them,
 or, for the vanishing claims of mod23 and congeis, those where
 kronecker(-p, two_det) = -1, swept against 0. Only a sweep that fails walks
 the box, one index at a time and without keeping it, reading each index's
-text and class from the keyed walk (tmat.iter_keyed), up to the first index
+text and class from the keyed walk (box.iter_keyed), up to the first index
 of a failing class it covers: its one witness, named by the walk's text,
 with checked counting its classes' indices up to it, as an index-by-index
 sweep would. cong_mod is the verdict of that one claim over the whole box.
@@ -67,9 +67,9 @@ table is self-consistent (chi_p is kronecker(-p, two_det)):
 from fractions import Fraction
 from typing import NamedTuple
 
+from .box import class_counts, iter_keyed
 from .exactnum import bernoulli, is_prime, kronecker, residue, sigma_row
 from .forms import _check_weight, _star_q1, form_table
-from .tmat import class_counts, iter_keyed
 
 __all__ = [
     "Verdict",

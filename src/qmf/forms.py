@@ -17,8 +17,8 @@ E4/E6 monomials too. A table is the form: callers read coefficients from
 it, and form_table holds one per form, the longest built so far.
 build_form lifts a table to a read-only FourierExpansion on a whole box,
 which the library never does arithmetic on; the tests multiply such boxes
-in their oracle for the tables. Only the lift imports fexp, so reading a
-table's coefficients loads no expansion code.
+in their oracle for the tables. Only the lift imports fexp, box and tmat,
+so reading a table's coefficients loads no expansion or box code.
 
 A finite check of a row proves it at every l. The row of a weight-k form
 here is a modular form of weight k - 2 on Gamma0(4) with rational
@@ -37,7 +37,6 @@ import re
 from fractions import Fraction
 
 from .exactnum import bernoulli, divisors, sigma_row
-from .tmat import TMatrix, class_counts, iter_keyed, parse_tmatrix
 
 __all__ = [
     "MaassTable",
@@ -79,9 +78,9 @@ class MaassTable:
         self.const = const
         self.R = R
 
-    def coeff(self, T: TMatrix) -> Fraction:
-        """Coefficient of the Maass lift at T (0 when T is not psd); raises
-        ValueError when two_det(T) is past the end of R."""
+    def coeff(self, T) -> Fraction:
+        """Coefficient of the Maass lift at an index T such as a TMatrix (0
+        when T is not psd); raises ValueError when two_det(T) is past R."""
         return self.class_coeff(T.class_key()) if T.is_psd() else Fraction(0)
 
     def class_coeff(self, key: tuple[int, int]) -> Fraction:
@@ -219,7 +218,7 @@ def _x14_table(L: int) -> MaassTable:
     return MaassTable(14, Fraction(0), tuple(Fraction(a - 4096 * b) for a, b in zip(delta, _v(delta, 4, L))))
 
 
-def x14_closed(T: TMatrix) -> Fraction:
+def x14_closed(T) -> Fraction:
     """The weight-14 cusp coefficient at a rank-2 index, a psd T with
     two_det(T) > 0, read off the X14 table alone: sum_{d | eps(T)} d^13
     R(two_det(T)/d^2), R = τ*, the X14 row."""
@@ -263,7 +262,9 @@ def build_form(name: str, N: int):
     FourierExpansion: X10, X12, X14, E<k>H or G<k>H. Its table reaches
     2*N^2, the largest two_det in the box, and each class is evaluated
     once."""
+    from .box import class_counts, iter_keyed
     from .fexp import FourierExpansion
+    from .tmat import parse_tmatrix
 
     table = form_table(name, 2 * N * N)
     coeffs = {key: table.class_coeff(key) for key in class_counts(N)}

@@ -5,7 +5,7 @@ Quaternions are stored by their rational coordinates times 1: a QuatCoord
 lattice of the Hurwitz order, in this coordinate system, is exactly the set
 of integer vectors with a == b + c + d (mod 2), i.e. even coordinate sum;
 its quadratic form norm(t) = a^2 + b^2 + c^2 + d^2 is then always even.
-The balls of the dual lattice are walked in qmf.tmat.keyed_walk.
+The balls of the dual lattice are walked in qmf.box.keyed_walk.
 """
 
 from typing import NamedTuple

@@ -22,7 +22,7 @@ bernoulli_row is the defining recurrence of the Bernoulli numbers, in
 Fraction, as the oracle of exactnum.bernoulli, which reads tangent numbers.
 
 iter_dual is the dual ball one vector at a time, as nested ranges pruned by
-the norm budget: the oracle of the ball and sub-balls tmat.keyed_walk builds.
+the norm budget: the oracle of the ball and sub-balls box.keyed_walk builds.
 
 sigma is the divisor power sum from its definition, sharing no code with
 exactnum's divisors, factorize or sigma_row. star_primes lists the primes

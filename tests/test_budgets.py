@@ -6,7 +6,8 @@ change that raises one says so, and why, in CHANGES.md."""
 
 import pytest
 
-from qmf import cli, congr, exactnum, forms, series, tmat
+from qmf import box, cli, congr, exactnum, forms, series
+from test_cli import probe, qmf_lines
 from test_congr import FAILING_SWEEPS, perturb
 
 
@@ -67,8 +68,8 @@ CLASS_KEY_BUDGET = {4: 202, 8: 2304, 20: 72130}
 
 @pytest.mark.parametrize("N", CLASS_KEY_BUDGET)
 def test_class_counts_folds(monkeypatch, N):
-    calls = counting(monkeypatch, tmat, "_class_key")
-    tmat.class_counts(N)
+    calls = counting(monkeypatch, box, "_class_key")
+    box.class_counts(N)
     assert len(calls) == CLASS_KEY_BUDGET[N]
 
 
@@ -214,7 +215,7 @@ FAIL_WALK_BUDGET = {
 def test_fail_walks_stop_at_each_claims_witness(monkeypatch, name, N):
     form, R, verifier, _ = FAILING_SWEEPS[name]
     perturb(monkeypatch, form, R=R)
-    walks, inner = [], tmat.iter_keyed
+    walks, inner = [], box.iter_keyed
 
     def walk(N):
         walks.append(0)
@@ -228,3 +229,23 @@ def test_fail_walks_stop_at_each_claims_witness(monkeypatch, name, N):
     # each failing claim names one witness: its claim text appears once
     claims = [w["claim"] for w in v["witnesses"]]
     assert len(claims) == len(set(claims)) == len(walks)
+
+
+# Lines of qmf source a fresh interpreter loads per command, which it
+# compiles when no bytecode cache is there to read: --help loads qmf.cli
+# alone, coeff no box walk and no table writer (qmf.box), and table and
+# verify each the modules they run.
+COMPILE_BUDGET = {
+    "--help": 346,
+    "coeff --form X12 --T 1,1,1,1,0,0": 1006,
+    "table --form G10H --max 2": 1250,
+    "verify theta --depth 1": 1569,
+    "verify ramanujan --k 14 --p 691 --depth 2": 1670,
+}
+
+
+@pytest.mark.parametrize("command", COMPILE_BUDGET)
+def test_lines_compiled_per_command(command):
+    code, loaded = probe(command.split())
+    assert code == 0
+    assert qmf_lines(loaded) == COMPILE_BUDGET[command]

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from box_oracle import RING_MEMBERS, tau_star, whole_box
-from qmf import cli, congr, fexp, forms, tmat
+from qmf import box, cli, congr, fexp, forms, tmat
 from qmf.cli import main
 from qmf.forms import build_form, form_table
 from test_congr import perturb, refuse_walks
@@ -511,14 +511,14 @@ def test_deep_box_warning(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["verify", "theta", "--depth", "5"])
     assert (code, err) == (0, "")
     # table writes the box, and warns from the class counts it reads anyway,
-    # counted once; table reads class_counts from tmat when it runs
-    calls, class_counts = [], tmat.class_counts
+    # counted once; table reads class_counts from box when it runs
+    calls, class_counts = [], box.class_counts
 
     def counted(N):
         calls.append(N)
         return class_counts(N)
 
-    monkeypatch.setattr(tmat, "class_counts", counted)
+    monkeypatch.setattr(box, "class_counts", counted)
     out_file = tmp_path / "x10.csv"
     argv = ["table", "--form", "X10", "--max", "5", "--out", str(out_file)]
     code, out, err = run(capsys, argv)
@@ -798,8 +798,8 @@ def test_table_into_closed_pipe_exits_0_silently():
     # or after several chunks of the output: its 35,929 rows are each at
     # least as long as '"0,0,0,0,0,0",0,1\n'. stdout is unbuffered, so the
     # chunk writes themselves meet the closed pipe
-    assert sum(tmat.class_counts(4).values()) * 18 > 8 * cli._CHUNK_CHARS
-    for size in (0, 3 * cli._CHUNK_CHARS):
+    assert sum(box.class_counts(4).values()) * 18 > 8 * box._CHUNK_CHARS
+    for size in (0, 3 * box._CHUNK_CHARS):
         proc = subprocess.Popen(
             [sys.executable, "-m", "qmf.cli", "table", "--form", "X10", "--max", "4"],
             stdout=subprocess.PIPE,
@@ -856,7 +856,7 @@ def check_chunks(writes, fmt, N):
     _, *chunks, _ = writes
     rows, widest, last = 0, 0, None
     for chunk in chunks:
-        assert 0 < len(chunk) <= cli._CHUNK_CHARS
+        assert 0 < len(chunk) <= box._CHUNK_CHARS
         found = list(row.finditer(chunk))
         assert "".join(m.group(0) for m in found) == chunk
         # a line goes whole into one chunk
@@ -864,11 +864,11 @@ def check_chunks(writes, fmt, N):
         last = found[-1].group(1).rsplit(",", 1)[0]
         rows += len(found)
         widest = max(widest, *(len(m.group(0)) for m in found))
-    limit = cli._CHUNK_CHARS // (widest + 4 * (len(str(-2 * N)) + 1))
+    limit = box._CHUNK_CHARS // (widest + 4 * (len(str(-2 * N)) + 1))
     budget = 2 + (N + 1) ** 2 + rows // (limit - 2 * N - 1)
     assert len(writes) <= budget
     # tight enough that a writer of one line per write exceeds it
-    assert budget < sum(len(lines) for _, _, lines, *_ in tmat.keyed_walk(N))
+    assert budget < sum(len(lines) for _, _, lines, *_ in box.keyed_walk(N))
     return rows
 
 
@@ -904,7 +904,7 @@ def test_table_writes_rows_in_chunks(monkeypatch, argv):
     assert main(argv) == 0
     N = int(argv[argv.index("--max") + 1])
     fmt = "json" if "json" in argv else "csv"
-    assert check_chunks(out.writes, fmt, N) == sum(tmat.class_counts(N).values())
+    assert check_chunks(out.writes, fmt, N) == sum(box.class_counts(N).values())
     key = " ".join(argv)
     want = GOLDEN_TABLES[key]["sha256"] if key in GOLDEN_TABLES else TABLE_SHA256[key]
     assert sha256_of(out.writes) == want
@@ -916,7 +916,7 @@ def test_table_depth_6_writes_whole_lines_in_chunks(monkeypatch):
     out = WriteLog()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["table", "--form", "G10H", "--max", "6"]) == 0
-    rows = sum(tmat.class_counts(6).values())
+    rows = sum(box.class_counts(6).values())
     assert check_chunks(out.writes, "csv", 6) == rows
 
 
@@ -943,8 +943,11 @@ NEVER_IMPORTED = (
     "__future__", "dataclasses", "inspect", "qmf.fexp", "argparse", "gettext", "locale"
 )
 VERIFY_IMPORTS = ("json", "qmf.congr", "qmf.series")
+# The box walks and the table writer, which coeff does not run.
+BOX_IMPORTS = ("qmf.box",)
 MATH_IMPORTS = (
-    "fractions", "decimal", "numbers", "qmf.exactnum", "qmf.tmat", "qmf.quatlat", "qmf.forms"
+    "fractions", "decimal", "numbers", "qmf.exactnum", "qmf.tmat", "qmf.quatlat", "qmf.forms",
+    *BOX_IMPORTS,
 )
 PROBE = (
     "import sys\n"
@@ -965,23 +968,38 @@ def probe(argv):
     return proc.returncode, set(proc.stderr.decode().splitlines()[-1].split())
 
 
+def qmf_lines(loaded) -> int:
+    """The lines of source of the qmf modules among the names loaded, which
+    a process compiles when no bytecode cache is there to read."""
+    package = Path(cli.__file__).parent
+    modules = [name.partition(".")[2] for name in loaded if name.split(".")[0] == "qmf"]
+    files = [package / f"{module or '__init__'}.py" for module in modules]
+    return sum(len(path.read_text("utf-8").splitlines()) for path in files)
+
+
 # (argv, exit code, modules loaded besides qmf.cli, modules not loaded); an
 # argv of None imports qmf.cli and runs nothing. Help, a bare qmf, a usage
-# error and the import run no mathematics, so they load none. Cases are
-# named by position.
+# error and the import run no mathematics, so they load none; coeff reads
+# one index and walks no box. Cases are named by position.
 NO_MATH = MATH_IMPORTS + VERIFY_IMPORTS
 IMPORT_CASES = [
     (
         ["coeff", "--form", "X14", "--T", "1,3,1,1,0,0", "--mod", "23"],
-        0, ("qmf.forms",), VERIFY_IMPORTS,
+        0, ("qmf.forms", "qmf.tmat"), VERIFY_IMPORTS + BOX_IMPORTS,
     ),
     (
         ["table", "--form", "G12H", "--max", "2", "--format", "json", "--mod", "691"],
-        0, ("qmf.forms",), VERIFY_IMPORTS,
+        0, ("qmf.forms", *BOX_IMPORTS), VERIFY_IMPORTS,
     ),
     (["--help"], 0, (), NO_MATH),
-    (["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "2"], 0, VERIFY_IMPORTS, ()),
-    (["verify", "theta", "--depth", "1"], 0, ("json", "qmf.congr"), ("qmf.series",)),
+    (
+        ["verify", "ramanujan", "--k", "14", "--p", "691", "--depth", "2"],
+        0, VERIFY_IMPORTS + BOX_IMPORTS, (),
+    ),
+    (
+        ["verify", "theta", "--depth", "1"],
+        0, ("json", "qmf.congr", *BOX_IMPORTS), ("qmf.series",),
+    ),
     ([], 2, (), NO_MATH),
     (["coeff", "--form", "X10"], 2, (), NO_MATH),
     (None, 0, (), NO_MATH),
@@ -998,17 +1016,25 @@ def test_subcommand_imports_only_what_it_runs(argv, code, loads, absent):
     assert [name for name in NEVER_IMPORTED + absent if name in loaded] == []
 
 
+def test_forms_imports_no_index_or_box_code():
+    # a table reads any index with is_psd() and class_key(): importing forms
+    # loads neither the index matrices nor the box walks
+    probe = "import sys\nimport qmf.forms\nprint(*sorted(sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=cli_env(), check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "qmf.forms" in loaded
+    assert [name for name in ("qmf.tmat", "qmf.box", "qmf.fexp") if name in loaded] == []
+
+
 @pytest.mark.parametrize(
     "argv", [case[0] for case in IMPORT_CASES], ids=[f"argv{i}" for i in range(len(IMPORT_CASES))]
 )
 def test_readme_states_the_lines_each_command_compiles(argv):
     # the README's depth guidance states, per command, the lines of the qmf
     # modules it loads, which it compiles without a bytecode cache
-    _, loaded = probe(argv)
-    package = Path(cli.__file__).parent
-    modules = [name.partition(".")[2] for name in loaded if name.split(".")[0] == "qmf"]
-    files = [package / f"{module or '__init__'}.py" for module in modules]
-    lines = sum(len(path.read_text("utf-8").splitlines()) for path in files)
+    lines = qmf_lines(probe(argv)[1])
     compiling = re.search(r"^Every `qmf` process compiles .*?(?=\n\n)", README, re.M | re.S)
     assert re.search(rf"(?<![\d,]){lines:,}(?![\d,])", compiling.group()), lines
 

@@ -10,7 +10,7 @@ import pytest
 
 import box_oracle
 from box_oracle import cong_mod, eisenstein_q, ring_chi, star_primes, whole_box
-from qmf import congr, fexp, forms, tmat
+from qmf import box, congr, fexp, forms, tmat
 from qmf.congr import (
     build_chi,
     ramanujan_verdict,
@@ -252,15 +252,16 @@ def perturb(monkeypatch, name, R=None, const=0):
         monkeypatch.setattr(module, "enumerate_psd", refuse_box, raising=False)
 
 
-WALKS = ("enumerate_psd", "iter_keyed", "keyed_walk")
+# Each box or ball walk, by the module that defines it.
+WALKS = {"enumerate_psd": tmat, "iter_keyed": box, "keyed_walk": box}
 
 
 def refuse_walks(monkeypatch, refuse, modules):
     """Make every box or ball walk call refuse: each walk name any of modules
-    binds, and each of them in tmat, where the views of keyed_walk and the
-    ball it builds look them up, so no walk can start at all."""
-    for name in WALKS:
-        monkeypatch.setattr(tmat, name, refuse)
+    binds, and each of them in its home, where the views of keyed_walk and
+    the ball it builds look them up, so no walk can start at all."""
+    for name, home in WALKS.items():
+        monkeypatch.setattr(home, name, refuse)
         for module in modules:
             monkeypatch.setattr(module, name, refuse, raising=False)
 
@@ -287,7 +288,7 @@ def test_verifiers_build_no_expansion(monkeypatch):
 
 def test_each_verifier_counts_its_box_once(monkeypatch):
     # theta, mod23 and ramanujan sweep the box twice, from one class_counts
-    calls, class_counts = [], tmat.class_counts
+    calls, class_counts = [], box.class_counts
     monkeypatch.setattr(congr, "class_counts", lambda N: calls.append(N) or class_counts(N))
     runs = {
         "theta": lambda: verify_theta_cong(3),
@@ -391,7 +392,8 @@ def index_matrix_reads(source: str) -> list[str]:
 
 def test_index_matrix_reads_detects_planted_cases():
     source = (
-        "from .tmat import TMatrix, class_counts\n"
+        "from .box import class_counts\n"
+        "from .tmat import TMatrix\n"
         "from . import tmat\n"
         "def parse(text):\n"
         "    return tmat.parse_tmatrix(text)\n"
@@ -754,15 +756,16 @@ def readers(source: str, name: str) -> list[str]:
 
 def test_readers_detects_planted_cases():
     source = (
-        "from .tmat import iter_keyed, parse_tmatrix\n"
-        "from .tmat import iter_keyed as walk\n"
-        "from . import tmat\n"
+        "from .box import iter_keyed\n"
+        "from .box import iter_keyed as walk\n"
+        "from . import box\n"
+        "from .tmat import parse_tmatrix\n"
         "rows = iter_keyed\n"
         "def _sweep(N):\n"
         "    return next(iter_keyed(N))\n"
         "def listed(N):\n"
         "    def inner():\n"
-        "        return [row for row in tmat.iter_keyed(N)]\n"
+        "        return [row for row in box.iter_keyed(N)]\n"
         "    return inner()\n"
         "class C:\n"
         "    def m(self, N):\n"

@@ -30,7 +30,7 @@ def test_every_export_resolves():
     assert len(names) >= 8
     modules = [importlib.import_module(f"qmf.{name}") for name in names]
     found = {m.__name__: unresolved(m) for m in modules if hasattr(m, "__all__")}
-    assert "qmf.tmat" in found
+    assert "qmf.tmat" in found and "qmf.box" in found
     assert {name: stale for name, stale in found.items() if stale} == {}
 
 
@@ -69,6 +69,17 @@ def test_package_binds_no_names():
     assert [name for name in absent if hasattr(qmf, name)] == []
     for name, home in FORMER.items():
         assert name in importlib.import_module(f"qmf.{home}").__all__, name
+
+
+# The walks and the counts of the box, moved from tmat to box with no alias:
+# one import path per name.
+BOX_NAMES = ("class_counts", "iter_keyed", "keyed_walk")
+
+
+def test_box_names_have_one_home():
+    tmat, box = (importlib.import_module(f"qmf.{name}") for name in ("tmat", "box"))
+    assert [name for name in BOX_NAMES if hasattr(tmat, name) or name in tmat.__all__] == []
+    assert set(BOX_NAMES) <= set(box.__all__)
 
 
 # Second statements of tau and E_k, removed: tau* is the X14 row and E_k the

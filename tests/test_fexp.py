@@ -18,11 +18,12 @@ from box_oracle import (
     zero,
 )
 from box_oracle import cong_mod as oracle_cong_mod
+from qmf.box import class_counts
 from qmf.congr import cong_mod
 from qmf.fexp import FourierExpansion
 from qmf.forms import MaassTable, _mul, build_form, form_table
 from qmf.quatlat import QuatCoord
-from qmf.tmat import TMatrix, class_counts, parse_tmatrix
+from qmf.tmat import TMatrix, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 

@@ -28,6 +28,7 @@ from box_oracle import (
     whole_box,
 )
 from qmf import forms
+from qmf.box import class_counts
 from qmf.exactnum import bernoulli, divisors
 from qmf.fexp import FourierExpansion
 from qmf.forms import (
@@ -38,7 +39,7 @@ from qmf.forms import (
     g_constant,
     x14_closed,
 )
-from qmf.tmat import class_counts, parse_tmatrix
+from qmf.tmat import parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")

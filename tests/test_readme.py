@@ -9,8 +9,8 @@ import re
 import shlex
 from pathlib import Path
 
+from qmf.box import class_counts
 from qmf.cli import main
-from qmf.tmat import class_counts
 
 README = Path(__file__).resolve().parents[1].joinpath("README.md").read_text("utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)

@@ -1,4 +1,5 @@
-"""Index matrices: determinant invariant, content, psd cone, enumeration."""
+"""Index matrices: determinant invariant, content, psd cone, and the
+enumeration and counts of the box (qmf.box)."""
 
 import hashlib
 import random
@@ -9,17 +10,10 @@ from math import gcd
 import pytest
 
 from box_oracle import ZERO_INDEX, iter_dual, whole_box
+from qmf.box import class_counts, iter_keyed, keyed_walk
 from qmf.exactnum import divisors
 from qmf.quatlat import QuatCoord
-from qmf.tmat import (
-    TMatrix,
-    _hkey,
-    class_counts,
-    enumerate_psd,
-    iter_keyed,
-    keyed_walk,
-    parse_tmatrix,
-)
+from qmf.tmat import TMatrix, _hkey, enumerate_psd, parse_tmatrix
 
 T0 = parse_tmatrix("1,1,1,1,0,0")
 I2 = parse_tmatrix("1,1,0,0,0,0")
@@ -280,9 +274,11 @@ def per_radius_box(N):
 
 
 def test_enumerate_psd_is_the_per_radius_box():
-    # enumerate_psd parses the texts of the walk
+    # enumerate_psd parses the texts of the walk, box.iter_keyed
     for N in range(7):
         assert whole_box(N) == per_radius_box(N), N
+    for N in range(5):
+        assert enumerate_psd(N) == tuple(parse_tmatrix(text) for text, _ in iter_keyed(N)), N
 
 
 def test_keyed_walk_is_the_box_with_its_class_keys():
